@@ -1,7 +1,8 @@
 """Scenario runner: verify / jarzynski / sweep / sample over JSON configs.
 
 Commands exit 0 on pass, 1 when the checked identity fails its tolerance,
-2 on config errors, 3 on validation errors (a stable contract for CI).
+2 on config errors, 3 on validation and numerical errors (a stable
+contract for CI).
 The data stream (CSV or JSON) goes to --out or stdout; diagnostic flags
 (NOT-FULL-SUPPORT, NON-UNITAL, DEGENERATE-SPECTRUM) go to stderr via
 logging and are never mixed into the data.
@@ -35,6 +36,7 @@ from .scenarios import (
     sweep_configs,
 )
 from .tpm import (
+    JointDistribution,
     compare_mi_to_dissipation,
     joint_distribution,
     mutual_information_table,
@@ -89,6 +91,23 @@ class ReportRow:
 REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
+def _log_flags(built: BuiltScenario, jd: JointDistribution) -> None:
+    """Diagnostic flags of one scenario, on stderr via logging only."""
+    name = built.config.name
+    if jd.support_defect > NOT_FULL_SUPPORT_FLAG:
+        log.warning("NOT-FULL-SUPPORT scenario=%s support_defect=%.6g",
+                    name, jd.support_defect)
+    unitality = built.experiment.channel.unitality_residual
+    if unitality > NON_UNITAL_FLAG:
+        log.warning("NON-UNITAL scenario=%s unitality_residual=%.6g",
+                    name, unitality)
+    max_rank = max(built.experiment.first_measurement.max_rank,
+                   built.experiment.second_measurement.max_rank)
+    if max_rank > 1:
+        log.warning("DEGENERATE-SPECTRUM scenario=%s max_projector_rank=%d",
+                    name, max_rank)
+
+
 def evaluate_scenario(built: BuiltScenario) -> ReportRow:
     """Compute every report column for one built scenario."""
     config = built.config
@@ -100,19 +119,7 @@ def evaluate_scenario(built: BuiltScenario) -> ReportRow:
                          built.first_ensemble.partition_function,
                          built.second_ensemble.partition_function)
     gap = compare_mi_to_dissipation(mi, ws)
-
-    if mi.support_defect > NOT_FULL_SUPPORT_FLAG:
-        log.warning("NOT-FULL-SUPPORT scenario=%s support_defect=%.6g",
-                    config.name, mi.support_defect)
-    unitality = built.experiment.channel.unitality_residual
-    if unitality > NON_UNITAL_FLAG:
-        log.warning("NON-UNITAL scenario=%s unitality_residual=%.6g",
-                    config.name, unitality)
-    max_rank = max(built.experiment.first_measurement.max_rank,
-                   built.experiment.second_measurement.max_rank)
-    if max_rank > 1:
-        log.warning("DEGENERATE-SPECTRUM scenario=%s max_projector_rank=%d",
-                    config.name, max_rank)
+    _log_flags(built, jd)
 
     colsums = ws.conditional_colsums
     colsum_max_dev = (float(np.max(np.abs(colsums - 1.0)))
@@ -123,7 +130,8 @@ def evaluate_scenario(built: BuiltScenario) -> ReportRow:
         avg_mi=mi.average_mi,
         jarzynski_lhs=ws.jarzynski_lhs, jarzynski_rhs=ws.jarzynski_rhs,
         jarzynski_defect=ws.jarzynski_defect,
-        unitality_residual=unitality, colsum_max_dev=colsum_max_dev,
+        unitality_residual=built.experiment.channel.unitality_residual,
+        colsum_max_dev=colsum_max_dev,
         factorization_residual=jd.factorization_residual,
         mi_vs_dissipation_gap=gap)
 
@@ -175,6 +183,7 @@ def run_sample(config: ScenarioConfig, count: int,
     built = build_scenario(config)
     jd = joint_distribution(built.experiment,
                             support_epsilon=built.support_epsilon)
+    _log_flags(built, jd)
     if weight == "mi":
         mi = mutual_information_table(jd)
         weight_table = mi.i_table
@@ -344,6 +353,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION_ERROR
     except OverflowError as exc:
         log.error("overflow: %s", exc)
+        return EXIT_VALIDATION_ERROR
+    except np.linalg.LinAlgError as exc:
+        log.error("numerical failure: %s", exc)
         return EXIT_VALIDATION_ERROR
     except ValueError as exc:
         log.error("invalid request: %s", exc)

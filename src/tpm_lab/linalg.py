@@ -61,7 +61,7 @@ def as_complex_matrix(a, *, square: bool = True) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValidationError(
             f"expected a 2-d matrix, got shape {m.shape}", invariant="matrix_shape")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValidationError(
             "matrix contains non-finite entries", invariant="finite_entries")
     if square and m.shape[0] != m.shape[1]:

@@ -88,67 +88,99 @@ class DensityMatrix:
 class ProjectorFamily:
     """A complete family of mutually orthogonal projectors {P_n}.
 
-    Projector n corresponds to measurement outcome n; ``energies`` are
-    optional outcome labels in energy units (the eigenvalues of a
-    Hamiltonian whose eigenbasis this family measures).
+    A family is stored as one basis plus outcome groups, never as dense
+    projectors: ``basis`` is a d×d matrix V with orthonormal columns,
+    ``groups`` gives each column its outcome label, and projector n is
+    P_n = V_n V_n† with V_n = V[:, groups == n]. Projector n corresponds to
+    measurement outcome n; ``energies`` are optional outcome labels in
+    energy units (the eigenvalues of a Hamiltonian whose eigenbasis this
+    family measures).
+
+    Build it from a list of dense ``projectors`` or from ``basis`` and
+    ``groups`` (as :func:`eigen_measurement` does), not both. Each dense
+    projector takes one ``eigh``: its Hermiticity is checked on the matrix,
+    its idempotency read off the eigenvalues (‖P² − P‖_F = ‖λ² − λ‖₂), and
+    its eigenvectors with eigenvalue near 1 become its columns of V. The
+    other invariants come from the one Gram matrix G = V†V, with G_ab the
+    block of groups a and b and r the number of columns:
+
+    - idempotency: ‖G_nn² − G_nn‖_F = ‖P_n² − P_n‖_F;
+    - orthogonality: ‖G_ab‖_F, which equals ‖P_a P_b‖_F for orthonormal
+      columns within each group;
+    - completeness: (‖G − I‖_F² + d − r)^½ = ‖ΣP − I‖_F;
+    - integer rank: tr P_n = tr G_nn.
     """
 
-    def __init__(self, projectors, energies=None, *, tol: float = 1e-10,
-                 rank_tol: float = 1e-8):
-        mats = [as_complex_matrix(p) for p in projectors]
-        if not mats:
-            raise ValidationError("projector family is empty",
-                                  invariant="nonempty")
-        dim = mats[0].shape[0]
-        for k, p in enumerate(mats):
-            if p.shape != (dim, dim):
+    def __init__(self, projectors=None, energies=None, *, basis=None,
+                 groups=None, tol: float = 1e-10, rank_tol: float = 1e-8):
+        if (projectors is None) == (basis is None):
+            raise ValueError("give either projectors or basis and groups")
+        if projectors is not None:
+            basis, groups, n_out = _basis_of_projectors(projectors, tol)
+        else:
+            basis = as_complex_matrix(basis, square=False).copy()
+            groups = np.asarray(groups)
+            if groups.shape != (basis.shape[1],) or \
+                    groups.dtype.kind not in "iu" or \
+                    groups.min() < 0:
                 raise ValueError(
-                    f"projector {k} has shape {p.shape}, expected ({dim}, {dim})")
-            res = hermiticity_residual(p)
-            if res > tol:
-                raise ValidationError(
-                    f"projector {k} is not Hermitian: residual {res:.3e} > {tol:.1e}",
-                    invariant="hermiticity", residual=res)
-            res = frobenius(p @ p - p)
-            if res > tol:
-                raise ValidationError(
-                    f"projector {k} is not idempotent: ‖P² − P‖_F = {res:.3e} > {tol:.1e}",
-                    invariant="idempotency", residual=res)
-        for a in range(len(mats)):
-            for b in range(a + 1, len(mats)):
-                res = frobenius(mats[a] @ mats[b])
-                if res > tol:
-                    raise ValidationError(
-                        f"projectors {a} and {b} are not orthogonal: "
-                        f"‖P_a P_b‖_F = {res:.3e} > {tol:.1e}",
-                        invariant="orthogonality", residual=res)
-        res = frobenius(sum(mats) - np.eye(dim))
+                    f"groups must hold one non-negative integer label per "
+                    f"basis column ({basis.shape[1]}), got {groups!r}")
+            n_out = int(groups.max()) + 1
+        dim, cols = basis.shape
+        groups = groups.astype(np.intp)
+        indicator = np.eye(n_out)[groups]
+        gram = basis.conj().T @ basis
+
+        # Squared block norms of G, except that each diagonal block G_nn
+        # is replaced by G_nn² − G_nn: ‖P_n² − P_n‖_F on the diagonal of
+        # ``norms``, ‖P_a P_b‖_F off it.
+        same = groups[:, None] == groups[None, :]
+        diag_blocks = np.where(same, gram, 0.0)
+        blocks = np.where(same, diag_blocks @ diag_blocks - diag_blocks, gram)
+        norms = np.sqrt(indicator.T @ np.abs(blocks) ** 2 @ indicator)
+        bad = np.flatnonzero(np.diagonal(norms) > tol)
+        if bad.size:
+            k = int(bad[0])
+            res = float(norms[k, k])
+            raise ValidationError(
+                f"projector {k} is not idempotent: ‖P² − P‖_F = {res:.3e} > {tol:.1e}",
+                invariant="idempotency", residual=res)
+        bad = np.argwhere(np.triu(norms > tol, 1))
+        if bad.size:
+            a, b = (int(i) for i in bad[0])
+            res = float(norms[a, b])
+            raise ValidationError(
+                f"projectors {a} and {b} are not orthogonal: "
+                f"‖P_a P_b‖_F = {res:.3e} > {tol:.1e}",
+                invariant="orthogonality", residual=res)
+        res = math.sqrt(max(frobenius(gram - np.eye(cols)) ** 2 + dim - cols,
+                            0.0))
         if res > tol:
             raise ValidationError(
                 f"projector family is not complete: ‖ΣP − I‖_F = {res:.3e} > {tol:.1e}",
                 invariant="completeness", residual=res)
         ranks = []
-        for k, p in enumerate(mats):
-            tr = float(np.trace(p).real)
+        for k, tr in enumerate(indicator.T @ gram.diagonal().real):
             rank = round(tr)
             if abs(tr - rank) > rank_tol:
                 raise ValidationError(
-                    f"projector {k} has non-integer trace {tr!r}",
-                    invariant="integer_rank", residual=abs(tr - rank))
+                    f"projector {k} has non-integer trace {float(tr)!r}",
+                    invariant="integer_rank", residual=float(abs(tr - rank)))
             ranks.append(rank)
         if energies is not None:
             energies = tuple(float(e) for e in energies)
-            if len(energies) != len(mats):
+            if len(energies) != n_out:
                 raise ValueError(
-                    f"got {len(energies)} energies for {len(mats)} projectors")
+                    f"got {len(energies)} energies for {n_out} projectors")
         self.dim = dim
-        self.projectors = tuple(_freeze(p) for p in mats)
-        self.labels = tuple(range(len(mats)))
+        self.basis = _freeze(basis)
+        self.groups = _freeze(groups)
         self.ranks = tuple(ranks)
         self.energies = energies
 
     def __len__(self) -> int:
-        return len(self.projectors)
+        return len(self.ranks)
 
     @property
     def max_rank(self) -> int:
@@ -157,6 +189,36 @@ class ProjectorFamily:
     def __repr__(self) -> str:
         return (f"ProjectorFamily(dim={self.dim}, outcomes={len(self)}, "
                 f"ranks={self.ranks})")
+
+
+def _basis_of_projectors(projectors, tol: float):
+    """Basis columns, their group labels and the outcome count of a list of
+    dense projectors, checking each one's Hermiticity and idempotency."""
+    mats = [as_complex_matrix(p) for p in projectors]
+    if not mats:
+        raise ValidationError("projector family is empty",
+                              invariant="nonempty")
+    dim = mats[0].shape[0]
+    columns, groups = [], []
+    for k, p in enumerate(mats):
+        if p.shape != (dim, dim):
+            raise ValueError(
+                f"projector {k} has shape {p.shape}, expected ({dim}, {dim})")
+        res = hermiticity_residual(p)
+        if res > tol:
+            raise ValidationError(
+                f"projector {k} is not Hermitian: residual {res:.3e} > {tol:.1e}",
+                invariant="hermiticity", residual=res)
+        w, v = np.linalg.eigh(p)
+        res = float(np.linalg.norm(w * w - w))
+        if res > tol:
+            raise ValidationError(
+                f"projector {k} is not idempotent: ‖P² − P‖_F = {res:.3e} > {tol:.1e}",
+                invariant="idempotency", residual=res)
+        keep = w > 0.5
+        columns.append(v[:, keep])
+        groups.extend([k] * int(keep.sum()))
+    return np.hstack(columns), np.array(groups, dtype=np.intp), len(mats)
 
 
 class KrausChannel:
@@ -263,8 +325,9 @@ def eigen_measurement(hamiltonian, degeneracy_gap: float | None = None,
                       hermiticity_tol: float = 1e-10) -> ProjectorFamily:
     """Energy-labeled projector family of a Hamiltonian's eigenbasis.
 
-    Consecutive sorted eigenvalues closer than ``degeneracy_gap`` (default
-    1e−8·‖H‖_F) are grouped into one projector of rank = group size, so
+    The eigenvectors become the family's basis. Consecutive sorted
+    eigenvalues closer than ``degeneracy_gap`` (default 1e−8·‖H‖_F) share
+    one outcome group, i.e. one projector of rank = group size, so
     downstream code sees the degenerate subspace rather than an arbitrary
     eigenvector basis inside it. Each group's energy label is the group
     mean eigenvalue.
@@ -272,20 +335,9 @@ def eigen_measurement(hamiltonian, degeneracy_gap: float | None = None,
     w, v = hermitian_eig(hamiltonian, hermiticity_tol)
     if degeneracy_gap is None:
         degeneracy_gap = 1e-8 * frobenius(np.asarray(hamiltonian))
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] <= degeneracy_gap:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    projectors = []
-    energies = []
-    for idx in groups:
-        block = v[:, idx]
-        p = block @ block.conj().T
-        projectors.append((p + p.conj().T) / 2)
-        energies.append(float(np.mean(w[idx])))
-    return ProjectorFamily(projectors, energies)
+    groups = np.concatenate(([0], np.cumsum(np.diff(w) > degeneracy_gap)))
+    energies = np.bincount(groups, weights=w) / np.bincount(groups)
+    return ProjectorFamily(basis=v, groups=groups, energies=energies)
 
 
 def channel_from_unitary(u, unitarity_tol: float = 1e-8) -> KrausChannel:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .quantum import DensityMatrix, KrausChannel, ProjectorFamily
+from .quantum import DensityMatrix, KrausChannel, ProjectorFamily, _freeze
 
 __all__ = [
     "TpmExperiment",
@@ -48,16 +48,6 @@ PROBABILITY_BOUND_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
 BOOKKEEPING_TOL = 1e-10
 JENSEN_TOL = 1e-12
-
-
-def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Re tr(a @ b) without forming the product matrix."""
-    return float(np.einsum("ij,ji->", a, b).real)
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -134,6 +124,12 @@ class JointDistribution:
     def full_support(self) -> bool:
         return bool(self.support_mask.all())
 
+    @property
+    def support_defect(self) -> float:
+        """1 − Σ p(n)p(m) over the support: the product mass it leaves out."""
+        rows, cols = np.nonzero(self.support_mask)
+        return 1.0 - float(np.sum(self.p_first[rows] * self.p_second[cols]))
+
 
 def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EPSILON,
                             factorization_residual: float = 0.0,
@@ -186,32 +182,47 @@ def joint_distribution(experiment: TpmExperiment,
     p(n,m) = tr{Q_m Σ_i Λ_i P_n ρ P_n Λ_i† Q_m}, which is correct for
     projectors of any rank, and reports how far the rank-1 factorized form
     tr{Q_m Λ(P_n)}·tr(P_n ρ) deviates from it (``factorization_residual``).
+
+    Everything is evaluated in the measurement bases, in one pass over the
+    Kraus operators, at O(K·d³). With V, W the first and second bases, G, H
+    their (column × outcome) group-indicator matrices, A_i = W†Λ_iV, and
+    ρ̃ = V†ρV with the entries between different first groups zeroed (the
+    first measurement's dephasing):
+
+    - p = Gᵀ (Σ_i Re[(A_i ρ̃) ⊙ Ā_i])ᵀ H;
+    - the factorized table is Gᵀ (Σ_i |A_i|²)ᵀ H with row n scaled by
+      p(n) = (Gᵀ diag ρ̃)_n;
+    - ``p_second_direct`` is 1ᵀ (Σ_i Re[(A_i V†ρV) ⊙ Ā_i])ᵀ H, the same
+      sum with the undephased state, over every first-basis column.
     """
-    rho = experiment.initial_state.matrix
     first = experiment.first_measurement
     second = experiment.second_measurement
-    kraus = experiment.channel.kraus_ops
-    n_out, m_out = len(first), len(second)
+    v = first.basis
+    w_dag = second.basis.conj().T
+    rho_full = v.conj().T @ experiment.initial_state.matrix @ v
+    dephased = np.where(first.groups[:, None] == first.groups[None, :],
+                        rho_full, 0.0)
 
-    p = np.zeros((n_out, m_out))
-    p_factorized = np.zeros((n_out, m_out))
-    for n, proj in enumerate(first.projectors):
-        dephased = proj @ rho @ proj
-        evolved = sum(op @ dephased @ op.conj().T for op in kraus)
-        channel_of_proj = sum(op @ proj @ op.conj().T for op in kraus)
-        weight = _trace_product(proj, rho)
-        for m, q in enumerate(second.projectors):
-            # tr{Q τ Q} = tr{Q τ} since Q is idempotent.
-            p[n, m] = _trace_product(q, evolved)
-            p_factorized[n, m] = _trace_product(q, channel_of_proj) * weight
+    dim = experiment.dim
+    born = np.zeros((dim, dim))
+    transition = np.zeros((dim, dim))
+    direct = np.zeros(dim)
+    for op in experiment.channel.kraus_ops:
+        a = w_dag @ op @ v
+        a_conj = a.conj()
+        born += (a @ dephased * a_conj).real
+        transition += (a * a_conj).real
+        direct += (a @ rho_full * a_conj).real.sum(axis=1)
+
+    g = np.eye(len(first))[first.groups]
+    h = np.eye(len(second))[second.groups]
+    p = g.T @ born.T @ h
+    p_first = g.T @ dephased.diagonal().real
+    p_factorized = (g.T @ transition.T @ h) * p_first[:, None]
     residual = float(np.max(np.abs(p - p_factorized)))
-
-    evolved_rho = sum(op @ rho @ op.conj().T for op in kraus)
-    p_direct = np.array([_trace_product(q, evolved_rho)
-                         for q in second.projectors])
     return distribution_from_joint(p, support_epsilon,
                                    factorization_residual=residual,
-                                   p_second_direct=p_direct)
+                                   p_second_direct=direct @ h)
 
 
 @dataclass(frozen=True)
@@ -251,7 +262,7 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
     rows, cols = np.nonzero(mask)
     i_table = np.full(jd.shape, np.nan)
     exp_average = 0.0
-    support_defect = 1.0
+    support_defect = jd.support_defect
     average_mi = 0.0
     if rows.size:
         cond = jd.p_cond[rows, cols]
@@ -260,7 +271,6 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
         i_vals = np.log(cond) - np.log(marginal)
         i_table[rows, cols] = i_vals
         exp_average = float(np.sum(joint * marginal / cond))
-        support_defect = 1.0 - float(np.sum(jd.p_first[rows] * marginal))
         average_mi = float(np.sum(joint * i_vals))
 
     bookkeeping = abs(exp_average + support_defect - 1.0)

@@ -24,6 +24,13 @@ def rank1_basis(u: np.ndarray, energies=None) -> ProjectorFamily:
     return ProjectorFamily(projectors, energies)
 
 
+def dense_projectors(family: ProjectorFamily) -> list[np.ndarray]:
+    """The projectors P_n = V_n V_n† of a family, as dense matrices."""
+    return [family.basis[:, family.groups == n]
+            @ family.basis[:, family.groups == n].conj().T
+            for n in range(len(family))]
+
+
 def random_rank1_experiment(dim: int, rng: np.random.Generator,
                             channel: KrausChannel | None = None) -> TpmExperiment:
     """Full-rank random state, Haar rank-1 bases, Haar unitary channel."""

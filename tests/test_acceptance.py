@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense_projectors,
     random_gibbs_setup,
     random_nonunitary_channel,
     random_rank1_experiment,
@@ -192,8 +193,8 @@ def test_factorization_diagnostic():
         channel=standard_channel("identity", 3), second_measurement=second)
     jd = joint_distribution(experiment)
     direct = 0.0
-    for proj in first.projectors:
-        for q in second.projectors:
+    for proj in dense_projectors(first):
+        for q in dense_projectors(second):
             exact = np.trace(q @ proj @ rho.matrix @ proj).real
             factorized = (np.trace(q @ proj).real
                           * np.trace(proj @ rho.matrix).real)

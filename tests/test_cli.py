@@ -304,6 +304,27 @@ def test_run_sample_count_one_warns(caplog):
     assert any("count=1" in r.message for r in caplog.records)
 
 
+def test_sample_emits_diagnostic_flags(caplog, tmp_path, capsys):
+    config = str(SCENARIO_DIR / "amplitude_damping.json")
+    with caplog.at_level("WARNING", logger="tpm_lab"):
+        assert cli.main(["verify", "--config", config]) == 0
+    verify_flags = [r.message for r in caplog.records
+                    if r.levelname == "WARNING"]
+    capsys.readouterr()
+    caplog.clear()
+    out = tmp_path / "mc.json"
+    with caplog.at_level("WARNING", logger="tpm_lab"):
+        assert cli.main(["sample", "--config", config, "--count", "500",
+                         "--out", str(out)]) == 0
+    sample_flags = [r.message for r in caplog.records
+                    if r.levelname == "WARNING"]
+    assert [m.split()[0] for m in verify_flags] == ["NOT-FULL-SUPPORT",
+                                                    "NON-UNITAL"]
+    assert sample_flags == verify_flags
+    assert "NON-UNITAL" not in out.read_text(encoding="utf-8")
+    assert capsys.readouterr().out == ""
+
+
 def test_run_sample_validation():
     config = load_scenario(SCENARIO_DIR / "qubit_hadamard.json")
     with pytest.raises(ValueError):
@@ -343,6 +364,16 @@ def test_main_exit_codes(tmp_path):
         first_hamiltonian={"kind": "diagonal", "energies": [0.0, 1e6]}),
         "overflow.json")
     assert cli.main(["verify", "--config", overflowing]) == 3
+
+
+def test_main_linalg_failure_is_validation_exit(tmp_path, monkeypatch):
+    def failing_eig(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr("tpm_lab.quantum.hermitian_eig", failing_eig)
+    assert cli.main(["verify", "--config",
+                     str(SCENARIO_DIR / "qubit_hadamard.json"),
+                     "--out", str(tmp_path / "row.csv")]) == 3
 
 
 def test_main_reports_are_byte_identical_across_runs(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import dense_projectors
 from tpm_lab.errors import ValidationError
 from tpm_lab.linalg import haar_random_unitary, random_hermitian
 from tpm_lab.quantum import (
@@ -107,13 +108,58 @@ def test_projector_family_energy_count_mismatch():
         ProjectorFamily([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0.0])
 
 
+def test_projector_family_from_projectors_stores_basis_and_groups():
+    u = haar_random_unitary(4, np.random.default_rng(3))
+    projectors = [u[:, :2] @ u[:, :2].conj().T, u[:, 2:] @ u[:, 2:].conj().T]
+    family = ProjectorFamily(projectors, [0.0, 1.0])
+    assert family.ranks == (2, 2)
+    assert family.groups.tolist() == [0, 0, 1, 1]
+    np.testing.assert_allclose(family.basis.conj().T @ family.basis,
+                               np.eye(4), atol=1e-14)
+    for dense, expected in zip(dense_projectors(family), projectors):
+        np.testing.assert_allclose(dense, expected, atol=1e-14)
+
+
+def test_projector_family_basis_residuals_are_the_dense_ones():
+    # Each residual read off the Gram matrix V†V equals the one of the
+    # dense projectors V_n V_n†.
+    with pytest.raises(ValidationError) as err:
+        ProjectorFamily(basis=np.column_stack([KET0, KET_PLUS]), groups=[0, 1])
+    assert err.value.invariant == "orthogonality"
+    assert err.value.residual == pytest.approx(np.sqrt(0.5), abs=1e-12)
+
+    # P = 4|0><0|: ‖P² − P‖_F = 12.
+    with pytest.raises(ValidationError) as err:
+        ProjectorFamily(basis=np.diag([2.0, 1.0]), groups=[0, 1])
+    assert err.value.invariant == "idempotency"
+    assert err.value.residual == pytest.approx(12.0, abs=1e-12)
+
+    with pytest.raises(ValidationError) as err:
+        ProjectorFamily(basis=np.array([[1.0], [0.0]]), groups=[0])
+    assert err.value.invariant == "completeness"
+    assert err.value.residual == pytest.approx(1.0, abs=1e-12)
+
+
+def test_projector_family_takes_one_representation():
+    eye = np.eye(2)
+    with pytest.raises(ValueError):
+        ProjectorFamily([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+                        basis=eye, groups=[0, 1])
+    with pytest.raises(ValueError):
+        ProjectorFamily()
+    with pytest.raises(ValueError):
+        ProjectorFamily(basis=eye, groups=[0])
+    with pytest.raises(ValueError):
+        ProjectorFamily(basis=eye, groups=[0.0, 1.0])
+
+
 # --- eigen_measurement ------------------------------------------------------
 
 def test_eigen_measurement_nondegenerate():
     family = eigen_measurement(np.diag([1.0, 0.0, 2.0]))
     assert family.ranks == (1, 1, 1)
     assert family.energies == (0.0, 1.0, 2.0)
-    np.testing.assert_allclose(family.projectors[0], np.diag([0, 1, 0]),
+    np.testing.assert_allclose(dense_projectors(family)[0], np.diag([0, 1, 0]),
                                atol=1e-14)
 
 
@@ -123,7 +169,7 @@ def test_eigen_measurement_reconstructs_hamiltonian():
         h = random_hermitian(5, rng)
         family = eigen_measurement(h)
         recon = sum(e * p for e, p in zip(family.energies,
-                                          family.projectors))
+                                          dense_projectors(family)))
         np.testing.assert_allclose(recon, h, atol=1e-12)
 
 
@@ -134,7 +180,7 @@ def test_eigen_measurement_groups_degenerate_levels():
     assert family.ranks == (2, 1)
     assert family.energies[0] == pytest.approx(0.0, abs=1e-10)
     expected = u @ np.diag([1.0, 1.0, 0.0]) @ u.conj().T
-    np.testing.assert_allclose(family.projectors[0], expected, atol=1e-10)
+    np.testing.assert_allclose(dense_projectors(family)[0], expected, atol=1e-10)
 
 
 def test_eigen_measurement_gap_override():

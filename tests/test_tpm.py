@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     bounded_spectrum_hamiltonian,
+    dense_projectors,
     random_gibbs_setup,
     random_nonunitary_channel,
     random_rank1_experiment,
@@ -178,8 +179,8 @@ def test_factorization_residual_detects_rank2_projector():
 
     # Direct evaluation of both forms of the Born rule.
     worst = 0.0
-    for n, proj in enumerate(first.projectors):
-        for m, q in enumerate(second.projectors):
+    for proj in dense_projectors(first):
+        for q in dense_projectors(second):
             exact = np.trace(q @ proj @ rho.matrix @ proj).real
             factorized = (np.trace(q @ proj).real
                           * np.trace(proj @ rho.matrix).real)
