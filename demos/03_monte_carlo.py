@@ -3,7 +3,10 @@
 The exact engine enumerates every outcome pair, but a laboratory only
 sees sampled trajectories. This script draws trajectories from a random
 full-support scenario and estimates <e^{-I}> at increasing sample counts
-against the exact value, using the jackknife standard error.
+against the exact value, with the standard error s/sqrt(n) (which is
+exactly the delete-one jackknife error of a sample mean). A sample is a
+pair of index arrays (ns, ms): draw k landed on outcome pair
+(ns[k], ms[k]).
 
 Exponential averages are the textbook hazard of this kind of estimation:
 a large share of the average is carried by rare outcome pairs with large
@@ -36,22 +39,25 @@ experiment = TpmExperiment(
 jd = joint_distribution(experiment)
 mi = mutual_information_table(jd)
 print(f"exact exponential average: {mi.exp_average:.15f}")
-biggest_weight = float(np.exp(-np.nanmin(mi.i_table)))
+heavy_cell = np.unravel_index(np.nanargmin(mi.i_table), mi.i_table.shape)
+biggest_weight = float(np.exp(-mi.i_table[heavy_cell]))
 print(f"rarest outcome pair: p(n, m) = {jd.p_joint.min():.2e}; "
       f"largest weight e^(-I) = {biggest_weight:.1f}")
 print()
 
 print("=== Convergence with sample count (one sampling seed) ===")
-print(f"{'count':>8}  {'estimate':>12}  {'std error':>10}  {'z':>7}")
+print(f"{'count':>8}  {'estimate':>12}  {'std error':>10}  {'z':>7}  "
+      f"{'heavy hits':>10}")
 for count in (100, 1_000, 10_000, 100_000):
-    samples = sample_trajectories(jd, count, np.random.default_rng(7))
-    est = estimate_exponential_average(samples, mi.i_table,
+    ns, ms = sample_trajectories(jd, count, np.random.default_rng(7))
+    est = estimate_exponential_average((ns, ms), mi.i_table,
                                        exact=mi.exp_average)
+    heavy_hits = int(np.sum((ns == heavy_cell[0]) & (ms == heavy_cell[1])))
     print(f"{count:8d}  {est.mean:12.6f}  {est.std_error:10.6f}  "
-          f"{est.z_score:7.2f}")
+          f"{est.z_score:7.2f}  {heavy_hits:10d}")
 print("Small counts can miss the rare heavy cells entirely; the estimate")
 print("then sits low with an overconfident error bar (a wild z-score).")
-print("Once the sample is large enough to visit them, the jackknife bar")
+print("Once the sample is large enough to visit them, the error bar")
 print("becomes a fair measure of the remaining error.")
 print()
 

@@ -14,10 +14,8 @@ scenarios from the command line.
 from .errors import ConfigError, ValidationError
 from .linalg import (
     EigenDecomposition,
-    func_of_hermitian,
     haar_random_unitary,
     hermitian_eig,
-    kron,
     random_hermitian,
 )
 from .quantum import (
@@ -25,7 +23,6 @@ from .quantum import (
     GibbsEnsemble,
     KrausChannel,
     ProjectorFamily,
-    apply_channel,
     channel_from_unitary,
     eigen_measurement,
     gibbs_ensemble,
@@ -36,7 +33,6 @@ from .quantum import (
 )
 from .sampler import (
     EstimatorReport,
-    TrajectorySample,
     estimate_exponential_average,
     sample_trajectories,
 )
@@ -68,10 +64,8 @@ __all__ = [
     "ValidationError",
     "EigenDecomposition",
     "hermitian_eig",
-    "func_of_hermitian",
     "haar_random_unitary",
     "random_hermitian",
-    "kron",
     "DensityMatrix",
     "ProjectorFamily",
     "KrausChannel",
@@ -81,7 +75,6 @@ __all__ = [
     "channel_from_unitary",
     "unitary_from_hamiltonian",
     "standard_channel",
-    "apply_channel",
     "maximally_mixed",
     "random_density_matrix",
     "TpmExperiment",
@@ -94,7 +87,6 @@ __all__ = [
     "exp_average_with_reference",
     "work_statistics",
     "compare_mi_to_dissipation",
-    "TrajectorySample",
     "EstimatorReport",
     "sample_trajectories",
     "estimate_exponential_average",

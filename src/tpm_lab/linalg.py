@@ -7,7 +7,7 @@ functions are pure; randomness enters only through an explicit
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,16 +19,9 @@ __all__ = [
     "hermiticity_residual",
     "as_complex_matrix",
     "hermitian_eig",
-    "func_of_hermitian",
     "haar_random_unitary",
     "random_hermitian",
-    "kron",
 ]
-
-# Product-dimension guard for Kronecker products; dense work beyond this
-# size is out of scope.
-KRON_DIM_CAP = 4096
-
 
 class EigenDecomposition(NamedTuple):
     """Spectral decomposition A = V diag(w) V† of a Hermitian matrix.
@@ -98,27 +91,6 @@ def hermitian_eig(a, hermiticity_tol: float = 1e-10) -> EigenDecomposition:
     return EigenDecomposition(w, v)
 
 
-def func_of_hermitian(a, f: Callable[[float], float],
-                      hermiticity_tol: float = 1e-10) -> np.ndarray:
-    """Apply a scalar real→real function to a Hermitian matrix.
-
-    Returns V f(Λ) V† where A = V Λ V†. The output is re-Hermitianized to
-    suppress rounding asymmetry. Raises :class:`ValidationError` if ``f``
-    produces a non-finite value, reporting the offending eigenvalue.
-    """
-    w, v = hermitian_eig(a, hermiticity_tol)
-    fw = np.empty_like(w)
-    for i, x in enumerate(w):
-        y = float(f(float(x)))
-        if not np.isfinite(y):
-            raise ValidationError(
-                f"scalar function returned non-finite value {y} at eigenvalue {x!r}",
-                invariant="finite_result", residual=float(x))
-        fw[i] = y
-    out = (v * fw) @ v.conj().T
-    return (out + out.conj().T) / 2
-
-
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random unitary of size ``dim``.
 
@@ -146,15 +118,3 @@ def random_hermitian(dim: int, rng: np.random.Generator,
         raise ValueError(f"dim must be >= 1, got {dim}")
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * (g + g.conj().T) / 2
-
-
-def kron(a, b, max_dim: int = KRON_DIM_CAP) -> np.ndarray:
-    """Kronecker product with a product-dimension guard."""
-    ma = as_complex_matrix(a, square=False)
-    mb = as_complex_matrix(b, square=False)
-    rows = ma.shape[0] * mb.shape[0]
-    cols = ma.shape[1] * mb.shape[1]
-    if rows > max_dim or cols > max_dim:
-        raise ValueError(
-            f"Kronecker product shape ({rows}, {cols}) exceeds the cap {max_dim}")
-    return np.kron(ma, mb)

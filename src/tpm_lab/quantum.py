@@ -32,7 +32,6 @@ __all__ = [
     "channel_from_unitary",
     "unitary_from_hamiltonian",
     "standard_channel",
-    "apply_channel",
     "maximally_mixed",
     "random_density_matrix",
 ]
@@ -426,16 +425,6 @@ def standard_channel(kind: str, dim: int,
         k1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=np.complex128)
         return KrausChannel([k0, k1])
     raise ValueError(f"unknown channel kind {kind!r}")
-
-
-def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply Σ_i Λ_i ρ Λ_i† and validate the output as a state."""
-    if channel.dim != rho.dim:
-        raise ValueError(
-            f"channel dimension {channel.dim} != state dimension {rho.dim}")
-    out = sum(op @ rho.matrix @ op.conj().T for op in channel.kraus_ops)
-    out = (out + out.conj().T) / 2
-    return DensityMatrix(out)
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:

@@ -1,38 +1,33 @@
 """Monte Carlo sampling of outcome pairs and exponential-average estimation.
 
-Exponential averages are notoriously heavy-tailed estimators; this module
-exists to demonstrate that behavior against the exact values, not to fix
-it (no importance sampling, no variance reduction).
+A sample is a pair of ``np.intp`` index arrays ``(ns, ms)``: draw k is the
+outcome pair (ns[k], ms[k]). Exponential averages are notoriously
+heavy-tailed estimators; this module exists to demonstrate that behavior
+against the exact values, not to fix it (no importance sampling, no
+variance reduction).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .tpm import JointDistribution
 
 __all__ = [
-    "TrajectorySample",
     "EstimatorReport",
     "sample_trajectories",
     "estimate_exponential_average",
 ]
 
 
-class TrajectorySample(NamedTuple):
-    """One realized experiment: first outcome n, then second outcome m."""
-
-    first_outcome: int
-    second_outcome: int
-
-
 @dataclass(frozen=True)
 class EstimatorReport:
-    """Sample mean with a jackknife error bar and optional exact comparison.
+    """Sample mean with its standard error and optional exact comparison.
 
+    ``std_error`` is s/√n with s the ddof=1 sample standard deviation,
+    which is exactly the delete-one jackknife error of a sample mean.
     ``z_score`` is (mean − exact)/std_error; it is None when no exact value
     was supplied or when the standard error is zero (single sample or a
     constant weight table).
@@ -46,13 +41,15 @@ class EstimatorReport:
 
 
 def sample_trajectories(jd: JointDistribution, count: int,
-                        rng: np.random.Generator) -> list[TrajectorySample]:
-    """Draw i.i.d. outcome pairs from the joint distribution.
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` i.i.d. outcome pairs from the joint distribution.
 
-    Inverse-CDF sampling: first n from p(n), then m from the row p(·|n).
-    Mass below the distribution's support epsilon is dropped and the
-    remainder renormalized, so every returned pair lies on the support
-    mask. Deterministic for a fixed generator state.
+    Returns ``(ns, ms)``, two ``np.intp`` arrays of length ``count``.
+    Inverse-CDF sampling: all first outcomes n from p(n), then, for each
+    first outcome, its second outcomes m from the row p(·|n). Mass below
+    the distribution's support epsilon is dropped and the remainder
+    renormalized, so every returned pair lies on the support mask. Memory
+    is O(count + N·M). Deterministic for a fixed generator state.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -75,29 +72,28 @@ def sample_trajectories(jd: JointDistribution, count: int,
     row_totals[row_totals <= 0] = 1.0  # zero-mass rows are never selected
     row_cdfs /= row_totals[:, None]
     u = rng.random(count)
-    ms = np.sum(row_cdfs[ns] <= u[:, None], axis=1)
+    ms = np.empty(count, dtype=np.intp)
+    for n in range(p.shape[0]):
+        drawn = ns == n
+        ms[drawn] = np.searchsorted(row_cdfs[n], u[drawn], side="right")
     ms = np.minimum(ms, p.shape[1] - 1)
-    return [TrajectorySample(int(n), int(m)) for n, m in zip(ns, ms)]
+    return ns, ms
 
 
-def estimate_exponential_average(samples: Sequence[TrajectorySample],
+def estimate_exponential_average(samples: tuple[np.ndarray, np.ndarray],
                                  weight_table,
                                  exact: float | None = None) -> EstimatorReport:
-    """Estimate ⟨e^{−w}⟩ from sampled outcome pairs.
+    """Estimate ⟨e^{−w}⟩ from sampled outcome pairs ``(ns, ms)``.
 
     ``weight_table[n, m]`` gives the exponent for pair (n, m); it must be
     finite at every sampled pair (off-support cells may be NaN — they are
-    never sampled). The error bar is the delete-one jackknife standard
-    error of the sample mean.
+    never sampled). The error bar is s/√n, the delete-one jackknife
+    standard error of the sample mean.
     """
-    if not len(samples):
+    ns, ms = samples
+    if not len(ns):
         raise ValueError("need at least one sample")
-    w = np.asarray(weight_table, dtype=float)
-    ns = np.fromiter((s.first_outcome for s in samples), dtype=np.intp,
-                     count=len(samples))
-    ms = np.fromiter((s.second_outcome for s in samples), dtype=np.intp,
-                     count=len(samples))
-    weights = w[ns, ms]
+    weights = np.asarray(weight_table, dtype=float)[ns, ms]
     if not np.all(np.isfinite(weights)):
         bad = int(np.flatnonzero(~np.isfinite(weights))[0])
         raise ValueError(
@@ -106,11 +102,11 @@ def estimate_exponential_average(samples: Sequence[TrajectorySample],
     values = np.exp(-weights)
     n = values.size
     mean = float(values.mean())
-    if n == 1:
-        std_error = 0.0
-    else:
-        loo = (values.sum() - values) / (n - 1)
-        std_error = float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
+    std_error = 0.0
+    if n > 1:
+        # s is shift-invariant; measuring from one sample makes it exactly 0
+        # for a constant sample, whose mean need not round to the constant.
+        std_error = float((values - values[0]).std(ddof=1) / np.sqrt(n))
     z_score = None
     if exact is not None and std_error > 0:
         z_score = (mean - float(exact)) / std_error

@@ -236,8 +236,9 @@ class MutualInformationTable:
     excluded by the support restriction, so exp_average + support_defect
     is identically 1; a full-support experiment has defect 0 and the
     exponential average is exactly the conservation-of-probability sum.
-    ``average_mi`` is the classical mutual information of the outcome
-    pair, non-negative by convexity.
+    ``average_mi`` is the mutual information of the outcome pair summed
+    over the support: non-negative by convexity on full support, and at
+    least P(S)·ln(P(S)/Q(S)), which may be negative, on a restricted one.
     """
 
     i_table: np.ndarray
@@ -254,8 +255,10 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
     """Mutual-information table of a joint distribution.
 
     The bookkeeping identity exp_average + support_defect = 1 and the
-    Jensen bound average_mi ≥ 0 are re-validated on the computed numbers
-    (both hold by construction for any distribution that passed
+    Jensen bound average_mi ≥ P(S)·ln(P(S)/Q(S)) on the support S (P(S) the
+    joint mass on S, Q(S) = 1 − support_defect; the bound is 0 on full
+    support) are re-validated on the computed numbers (both hold by
+    construction for any distribution that passed
     :func:`distribution_from_joint`).
     """
     mask = jd.support_mask
@@ -279,10 +282,18 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
             f"bookkeeping identity violated: exp_average + support_defect "
             f"deviates from 1 by {bookkeeping:.3e}",
             invariant="bookkeeping", residual=bookkeeping)
-    if average_mi < -JENSEN_TOL:
+    # Log-sum inequality on the support S with q = p(n)p(m):
+    # Σ_S p ln(p/q) ≥ P(S) ln(P(S)/Q(S)). Q(S) = Σ_S q is exp_average,
+    # summed without the cancellation in 1 − support_defect.
+    jensen_bound = 0.0
+    if rows.size:
+        support_mass = float(np.sum(joint))
+        jensen_bound = support_mass * float(np.log(support_mass / exp_average))
+    if average_mi < jensen_bound - JENSEN_TOL:
         raise ValidationError(
-            f"average mutual information is negative: {average_mi!r}",
-            invariant="jensen", residual=-average_mi)
+            f"average mutual information {average_mi!r} is below its "
+            f"log-sum bound {jensen_bound!r}",
+            invariant="jensen", residual=jensen_bound - average_mi)
     return MutualInformationTable(
         i_table=_freeze(i_table), exp_average=exp_average,
         support_defect=support_defect, average_mi=average_mi)

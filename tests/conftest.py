@@ -6,6 +6,7 @@ import numpy as np
 
 from tpm_lab.linalg import haar_random_unitary
 from tpm_lab.quantum import (
+    DensityMatrix,
     KrausChannel,
     ProjectorFamily,
     channel_from_unitary,
@@ -15,6 +16,16 @@ from tpm_lab.quantum import (
     standard_channel,
 )
 from tpm_lab.tpm import TpmExperiment
+
+
+# A near-product joint table whose smallest cell sits just below a support
+# epsilon of 0.0021. On the remaining support the average mutual
+# information is negative (−1.057e−3) yet above its log-sum bound
+# P(S)·ln(P(S)/Q(S)) = −1.099e−3.
+RESTRICTED_SUPPORT_JOINT = np.array([[0.002, 0.014, 0.014],
+                                     [0.014, 0.2355, 0.2355],
+                                     [0.014, 0.2355, 0.2355]])
+RESTRICTED_SUPPORT_EPSILON = 0.0021
 
 
 def rank1_basis(u: np.ndarray, energies=None) -> ProjectorFamily:
@@ -29,6 +40,13 @@ def dense_projectors(family: ProjectorFamily) -> list[np.ndarray]:
     return [family.basis[:, family.groups == n]
             @ family.basis[:, family.groups == n].conj().T
             for n in range(len(family))]
+
+
+def apply_kraus(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
+    """Σ_i Λ_i ρ Λ_i†, validated as a state, so a channel that breaks trace
+    or positivity fails loudly."""
+    out = sum(op @ rho.matrix @ op.conj().T for op in channel.kraus_ops)
+    return DensityMatrix((out + out.conj().T) / 2)
 
 
 def random_rank1_experiment(dim: int, rng: np.random.Generator,

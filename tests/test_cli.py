@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import RESTRICTED_SUPPORT_EPSILON, RESTRICTED_SUPPORT_JOINT
 from tpm_lab import cli
 from tpm_lab.errors import ConfigError, ValidationError
 from tpm_lab.quantum import gibbs_ensemble, standard_channel
@@ -187,6 +188,32 @@ def test_verify_identity_same_basis_row():
     assert row.support_defect == pytest.approx(0.5, abs=1e-12)
     assert row.exp_avg_mi == pytest.approx(0.5, abs=1e-12)
     assert cli.verify_passed(row)
+
+
+def test_verify_accepts_restricted_support_above_jensen_bound(tmp_path,
+                                                              capsys):
+    # Diagonal ρ = p(n) and Kraus operators √p(m|n)|m⟩⟨n| in the energy
+    # bases realise the joint table exactly.
+    joint = RESTRICTED_SUPPORT_JOINT
+    p_first = joint.sum(axis=1)
+    operators = []
+    for n in range(3):
+        for m in range(3):
+            op = np.zeros((3, 3))
+            op[m, n] = np.sqrt(joint[n, m] / p_first[n])
+            operators.append({"re": op.tolist()})
+    energies = {"kind": "diagonal", "energies": [0.0, 1.0, 2.0]}
+    raw = raw_config(
+        name="restricted-support", dim=3,
+        initial={"kind": "explicit",
+                 "matrix": {"re": np.diag(p_first).tolist()}},
+        first_hamiltonian=energies, second_hamiltonian=energies,
+        channel={"kind": "kraus", "operators": operators},
+        tolerances={"support_epsilon": RESTRICTED_SUPPORT_EPSILON})
+    config = write_config(tmp_path, raw)
+    assert cli.main(["verify", "--config", config, "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)[0]
+    assert row["avg_mi"] == pytest.approx(-1.057e-3, abs=1e-6)
 
 
 def test_verify_amplitude_damping_row():

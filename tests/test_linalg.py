@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -12,11 +10,9 @@ from tpm_lab.linalg import (
     EigenDecomposition,
     as_complex_matrix,
     frobenius,
-    func_of_hermitian,
     haar_random_unitary,
     hermitian_eig,
     hermiticity_residual,
-    kron,
     random_hermitian,
 )
 
@@ -96,46 +92,6 @@ def test_as_complex_matrix_rejects_nonfinite():
     assert err.value.invariant == "finite_entries"
 
 
-def test_func_of_hermitian_exp_diagonal():
-    out = func_of_hermitian(np.diag([0.0, np.log(2.0)]), np.exp)
-    np.testing.assert_allclose(out, np.diag([1.0, 2.0]), atol=1e-14)
-
-
-def test_func_of_hermitian_square_matches_matmul():
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        h = random_hermitian(4, rng)
-        np.testing.assert_allclose(func_of_hermitian(h, lambda x: x * x),
-                                   h @ h, atol=1e-12)
-
-
-def test_func_of_hermitian_exp_matches_power_series():
-    rng = np.random.default_rng(3)
-    h = 0.1 * random_hermitian(3, rng)
-    series = np.zeros((3, 3), dtype=complex)
-    term = np.eye(3, dtype=complex)
-    for k in range(1, 40):
-        series += term
-        term = term @ h / k
-    np.testing.assert_allclose(func_of_hermitian(h, np.exp), series,
-                               atol=1e-13)
-
-
-def test_func_of_hermitian_output_is_hermitian():
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        h = random_hermitian(5, rng)
-        out = func_of_hermitian(h, np.tanh)
-        assert hermiticity_residual(out) < 1e-13
-
-
-def test_func_of_hermitian_rejects_nonfinite_result():
-    with pytest.raises(ValidationError) as err:
-        func_of_hermitian(np.diag([0.0, 1.0]),
-                          lambda x: math.inf if x < 0.5 else x)
-    assert err.value.invariant == "finite_result"
-
-
 def test_haar_unitary_shapes_and_unitarity():
     rng = np.random.default_rng(11)
     for dim in range(1, 17):
@@ -172,20 +128,3 @@ def test_random_hermitian_is_hermitian():
         h = random_hermitian(6, rng, scale=2.0)
         assert hermiticity_residual(h) == 0.0
         assert frobenius(h) > 0
-
-
-def test_kron_identity_blocks():
-    np.testing.assert_array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-
-def test_kron_mixed_product_rule():
-    rng = np.random.default_rng(5)
-    a, b, c, d = (rng.standard_normal((3, 3))
-                  + 1j * rng.standard_normal((3, 3)) for _ in range(4))
-    np.testing.assert_allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d),
-                               atol=1e-12)
-
-
-def test_kron_dimension_cap():
-    with pytest.raises(ValueError):
-        kron(np.eye(2), np.eye(4), max_dim=4)

@@ -5,14 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import dense_projectors
+from conftest import apply_kraus, dense_projectors
 from tpm_lab.errors import ValidationError
 from tpm_lab.linalg import haar_random_unitary, random_hermitian
 from tpm_lab.quantum import (
     DensityMatrix,
     KrausChannel,
     ProjectorFamily,
-    apply_channel,
     channel_from_unitary,
     eigen_measurement,
     gibbs_ensemble,
@@ -220,13 +219,13 @@ def test_standard_channel_parameter_validation():
 
 def test_dephasing_interpolates_to_diagonal():
     rho = random_density_matrix(3, np.random.default_rng(4))
-    out0 = apply_channel(standard_channel("dephasing", 3, 0.0), rho)
+    out0 = apply_kraus(standard_channel("dephasing", 3, 0.0), rho)
     np.testing.assert_allclose(out0.matrix, rho.matrix, atol=1e-14)
-    out1 = apply_channel(standard_channel("dephasing", 3, 1.0), rho)
+    out1 = apply_kraus(standard_channel("dephasing", 3, 1.0), rho)
     np.testing.assert_allclose(out1.matrix, np.diag(np.diag(rho.matrix)),
                                atol=1e-14)
     p = 0.4
-    outp = apply_channel(standard_channel("dephasing", 3, p), rho)
+    outp = apply_kraus(standard_channel("dephasing", 3, p), rho)
     expected = (1 - p) * rho.matrix + p * np.diag(np.diag(rho.matrix))
     np.testing.assert_allclose(outp.matrix, expected, atol=1e-14)
 
@@ -234,18 +233,18 @@ def test_dephasing_interpolates_to_diagonal():
 def test_depolarizing_closed_form():
     rho = random_density_matrix(3, np.random.default_rng(8))
     p = 0.3
-    out = apply_channel(standard_channel("depolarizing", 3, p), rho)
+    out = apply_kraus(standard_channel("depolarizing", 3, p), rho)
     expected = (1 - p) * rho.matrix + p * np.eye(3) / 3
     np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
 
 
 def test_amplitude_damping_action():
-    out = apply_channel(standard_channel("amplitude_damping", 2, 0.4),
-                        maximally_mixed(2))
+    out = apply_kraus(standard_channel("amplitude_damping", 2, 0.4),
+                      maximally_mixed(2))
     np.testing.assert_allclose(out.matrix, np.diag([0.7, 0.3]), atol=1e-14)
     rho = random_density_matrix(2, np.random.default_rng(2))
-    drained = apply_channel(standard_channel("amplitude_damping", 2, 1.0),
-                            rho)
+    drained = apply_kraus(standard_channel("amplitude_damping", 2, 1.0),
+                          rho)
     np.testing.assert_allclose(drained.matrix, np.diag([1.0, 0.0]),
                                atol=1e-12)
 
@@ -261,7 +260,7 @@ def test_unitality_residuals():
 
 
 def test_channels_preserve_trace_and_positivity():
-    # apply_channel revalidates its output as a DensityMatrix, so this
+    # apply_kraus validates its output as a DensityMatrix, so this
     # loop fails loudly if any channel breaks trace or positivity.
     rng = np.random.default_rng(123)
     for _ in range(50):
@@ -278,13 +277,8 @@ def test_channels_preserve_trace_and_positivity():
                 standard_channel("amplitude_damping", 2,
                                  float(rng.uniform(0, 1))))
         for ch in channels:
-            out = apply_channel(ch, rho)
+            out = apply_kraus(ch, rho)
             assert out.dim == dim
-
-
-def test_apply_channel_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply_channel(standard_channel("identity", 3), maximally_mixed(2))
 
 
 def test_unitary_from_hamiltonian():

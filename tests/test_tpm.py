@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    RESTRICTED_SUPPORT_EPSILON,
+    RESTRICTED_SUPPORT_JOINT,
     bounded_spectrum_hamiltonian,
     dense_projectors,
     random_gibbs_setup,
@@ -238,6 +240,19 @@ def test_bookkeeping_with_nonunital_channels():
         mi = mutual_information_table(joint_distribution(experiment))
         assert abs(mi.exp_average + mi.support_defect - 1.0) <= 1e-10
         assert mi.average_mi >= -1e-12
+
+
+def test_jensen_bound_on_restricted_support():
+    jd = distribution_from_joint(RESTRICTED_SUPPORT_JOINT,
+                                 support_epsilon=RESTRICTED_SUPPORT_EPSILON)
+    mi = mutual_information_table(jd)
+    support_mass = float(jd.p_joint[jd.support_mask].sum())
+    bound = support_mass * np.log(support_mass / (1.0 - mi.support_defect))
+    assert mi.average_mi == pytest.approx(-1.057e-3, abs=1e-6)
+    assert bound == pytest.approx(-1.099e-3, abs=1e-6)
+    assert mi.average_mi >= bound
+    assert mi.exp_average + mi.support_defect == pytest.approx(1.0,
+                                                               abs=1e-12)
 
 
 def test_average_mi_is_symmetric():
