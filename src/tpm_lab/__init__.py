@@ -13,7 +13,6 @@ scenarios from the command line.
 
 from .errors import ConfigError, ValidationError
 from .linalg import (
-    EigenDecomposition,
     haar_random_unitary,
     hermitian_eig,
     random_hermitian,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "ValidationError",
-    "EigenDecomposition",
     "hermitian_eig",
     "haar_random_unitary",
     "random_hermitian",

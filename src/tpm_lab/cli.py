@@ -226,24 +226,6 @@ def rows_to_json(rows: list[ReportRow]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def parse_report_csv(text: str) -> list[ReportRow]:
-    """Inverse of :func:`rows_to_csv` (used for round-trip checks)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != REPORT_COLUMNS:
-        raise ValueError(f"unexpected CSV header: {header}")
-    rows = []
-    for record in reader:
-        if not record:
-            continue
-        values = dict(zip(REPORT_COLUMNS, record))
-        rows.append(ReportRow(
-            name=values["name"], dim=int(values["dim"]),
-            **{name: float(values[name]) for name in REPORT_COLUMNS
-               if name not in ("name", "dim")}))
-    return rows
-
-
 def _estimate_to_json(config: ScenarioConfig, weight: str,
                       report: EstimatorReport) -> str:
     payload = {

@@ -7,14 +7,11 @@ functions are pure; randomness enters only through an explicit
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import ValidationError
 
 __all__ = [
-    "EigenDecomposition",
     "frobenius",
     "hermiticity_residual",
     "as_complex_matrix",
@@ -23,15 +20,8 @@ __all__ = [
     "random_hermitian",
 ]
 
-class EigenDecomposition(NamedTuple):
-    """Spectral decomposition A = V diag(w) V† of a Hermitian matrix.
-
-    ``eigenvalues`` are real and sorted non-decreasing; column k of
-    ``eigenvectors`` is the (orthonormal) eigenvector for eigenvalue k.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+# Relative Hermiticity bound of hermitian_eig: ‖A − A†‖_F ≤ tol · max(1, ‖A‖_F).
+HERMITICITY_TOL = 1e-10
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -63,32 +53,22 @@ def as_complex_matrix(a, *, square: bool = True) -> np.ndarray:
     return m
 
 
-def hermitian_eig(a, hermiticity_tol: float = 1e-10) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition A = V diag(w) V† of a Hermitian matrix.
 
-    Parameters
-    ----------
-    a : array_like
-        Square matrix, Hermitian within ``hermiticity_tol``. The residual
-        test is relative: ‖A − A†‖_F ≤ tol · max(1, ‖A‖_F).
-    hermiticity_tol : float
-        Relative Hermiticity tolerance.
-
-    Returns
-    -------
-    EigenDecomposition
-        Eigenvalues ascending, orthonormal eigenvector columns. The result
-        is deterministic for a fixed input.
+    ``a`` must be square and Hermitian within :data:`HERMITICITY_TOL`,
+    relative to max(1, ‖A‖_F). Returns the ``eigh`` pair ``(w, v)``:
+    eigenvalues ascending, column k of ``v`` the orthonormal eigenvector
+    of ``w[k]``. The result is deterministic for a fixed input.
     """
     m = as_complex_matrix(a)
     res = hermiticity_residual(m)
-    bound = hermiticity_tol * max(1.0, frobenius(m))
+    bound = HERMITICITY_TOL * max(1.0, frobenius(m))
     if res > bound:
         raise ValidationError(
             f"matrix is not Hermitian: ‖A − A†‖_F = {res:.3e} exceeds {bound:.3e}",
             invariant="hermiticity", residual=res)
-    w, v = np.linalg.eigh(m)
-    return EigenDecomposition(w, v)
+    return np.linalg.eigh(m)
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

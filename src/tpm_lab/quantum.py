@@ -40,6 +40,17 @@ __all__ = [
 # this the partition function is not representable in double precision.
 GIBBS_EXPONENT_GUARD = 700.0
 
+# Absolute residual bounds of the object invariants.
+STATE_TOL = 1e-10        # DensityMatrix: ‖ρ − ρ†‖_F, |tr ρ − 1|, −λ_min
+PROJECTOR_TOL = 1e-10    # ProjectorFamily: Hermiticity, idempotency,
+                         # orthogonality and completeness residuals
+RANK_TOL = 1e-8          # ProjectorFamily: |tr P_n − round(tr P_n)|
+COMPLETENESS_TOL = 1e-8  # KrausChannel: ‖ΣΛ†Λ − I‖_F
+UNITARITY_TOL = 1e-8     # channel_from_unitary: ‖U†U − I‖_F
+
+# Smallest eigenvalue weight, before normalization, of random_density_matrix.
+RANDOM_STATE_MIN_WEIGHT = 0.05
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -52,30 +63,28 @@ class DensityMatrix:
     Parameters
     ----------
     matrix : array_like
-        Square complex matrix.
-    herm_tol, trace_tol, psd_tol : float
-        Absolute residual bounds for the three invariants. Violations
-        raise :class:`ValidationError` naming the invariant.
+        Square complex matrix. A residual of any of the three invariants
+        above :data:`STATE_TOL` raises :class:`ValidationError` naming the
+        invariant.
     """
 
-    def __init__(self, matrix, *, herm_tol: float = 1e-10,
-                 trace_tol: float = 1e-10, psd_tol: float = 1e-10):
+    def __init__(self, matrix):
         m = as_complex_matrix(matrix)
         res = hermiticity_residual(m)
-        if res > herm_tol:
+        if res > STATE_TOL:
             raise ValidationError(
-                f"state is not Hermitian: ‖ρ − ρ†‖_F = {res:.3e} > {herm_tol:.1e}",
+                f"state is not Hermitian: ‖ρ − ρ†‖_F = {res:.3e} > {STATE_TOL:.1e}",
                 invariant="hermiticity", residual=res)
         tr = complex(np.trace(m))
         trace_res = abs(tr - 1.0)
-        if trace_res > trace_tol:
+        if trace_res > STATE_TOL:
             raise ValidationError(
-                f"state trace is {tr:.12g}, not 1: residual {trace_res:.3e} > {trace_tol:.1e}",
+                f"state trace is {tr:.12g}, not 1: residual {trace_res:.3e} > {STATE_TOL:.1e}",
                 invariant="unit_trace", residual=trace_res)
         min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -psd_tol:
+        if min_eig < -STATE_TOL:
             raise ValidationError(
-                f"state is not positive semidefinite: min eigenvalue {min_eig:.3e} < -{psd_tol:.1e}",
+                f"state is not positive semidefinite: min eigenvalue {min_eig:.3e} < -{STATE_TOL:.1e}",
                 invariant="positive_semidefinite", residual=-min_eig)
         self.matrix = _freeze(m)
         self.dim = m.shape[0]
@@ -108,14 +117,17 @@ class ProjectorFamily:
       columns within each group;
     - completeness: (‖G − I‖_F² + d − r)^½ = ‖ΣP − I‖_F;
     - integer rank: tr P_n = tr G_nn.
+
+    Residuals above :data:`PROJECTOR_TOL` (rank: :data:`RANK_TOL`) raise
+    :class:`ValidationError` naming the invariant.
     """
 
     def __init__(self, projectors=None, energies=None, *, basis=None,
-                 groups=None, tol: float = 1e-10, rank_tol: float = 1e-8):
+                 groups=None):
         if (projectors is None) == (basis is None):
             raise ValueError("give either projectors or basis and groups")
         if projectors is not None:
-            basis, groups, n_out = _basis_of_projectors(projectors, tol)
+            basis, groups, n_out = _basis_of_projectors(projectors)
         else:
             basis = as_complex_matrix(basis, square=False).copy()
             groups = np.asarray(groups)
@@ -138,31 +150,31 @@ class ProjectorFamily:
         diag_blocks = np.where(same, gram, 0.0)
         blocks = np.where(same, diag_blocks @ diag_blocks - diag_blocks, gram)
         norms = np.sqrt(indicator.T @ np.abs(blocks) ** 2 @ indicator)
-        bad = np.flatnonzero(np.diagonal(norms) > tol)
+        bad = np.flatnonzero(np.diagonal(norms) > PROJECTOR_TOL)
         if bad.size:
             k = int(bad[0])
             res = float(norms[k, k])
             raise ValidationError(
-                f"projector {k} is not idempotent: ‖P² − P‖_F = {res:.3e} > {tol:.1e}",
+                f"projector {k} is not idempotent: ‖P² − P‖_F = {res:.3e} > {PROJECTOR_TOL:.1e}",
                 invariant="idempotency", residual=res)
-        bad = np.argwhere(np.triu(norms > tol, 1))
+        bad = np.argwhere(np.triu(norms > PROJECTOR_TOL, 1))
         if bad.size:
             a, b = (int(i) for i in bad[0])
             res = float(norms[a, b])
             raise ValidationError(
                 f"projectors {a} and {b} are not orthogonal: "
-                f"‖P_a P_b‖_F = {res:.3e} > {tol:.1e}",
+                f"‖P_a P_b‖_F = {res:.3e} > {PROJECTOR_TOL:.1e}",
                 invariant="orthogonality", residual=res)
         res = math.sqrt(max(frobenius(gram - np.eye(cols)) ** 2 + dim - cols,
                             0.0))
-        if res > tol:
+        if res > PROJECTOR_TOL:
             raise ValidationError(
-                f"projector family is not complete: ‖ΣP − I‖_F = {res:.3e} > {tol:.1e}",
+                f"projector family is not complete: ‖ΣP − I‖_F = {res:.3e} > {PROJECTOR_TOL:.1e}",
                 invariant="completeness", residual=res)
         ranks = []
         for k, tr in enumerate(indicator.T @ gram.diagonal().real):
             rank = round(tr)
-            if abs(tr - rank) > rank_tol:
+            if abs(tr - rank) > RANK_TOL:
                 raise ValidationError(
                     f"projector {k} has non-integer trace {float(tr)!r}",
                     invariant="integer_rank", residual=float(abs(tr - rank)))
@@ -190,7 +202,7 @@ class ProjectorFamily:
                 f"ranks={self.ranks})")
 
 
-def _basis_of_projectors(projectors, tol: float):
+def _basis_of_projectors(projectors):
     """Basis columns, their group labels and the outcome count of a list of
     dense projectors, checking each one's Hermiticity and idempotency."""
     mats = [as_complex_matrix(p) for p in projectors]
@@ -204,15 +216,15 @@ def _basis_of_projectors(projectors, tol: float):
             raise ValueError(
                 f"projector {k} has shape {p.shape}, expected ({dim}, {dim})")
         res = hermiticity_residual(p)
-        if res > tol:
+        if res > PROJECTOR_TOL:
             raise ValidationError(
-                f"projector {k} is not Hermitian: residual {res:.3e} > {tol:.1e}",
+                f"projector {k} is not Hermitian: residual {res:.3e} > {PROJECTOR_TOL:.1e}",
                 invariant="hermiticity", residual=res)
         w, v = np.linalg.eigh(p)
         res = float(np.linalg.norm(w * w - w))
-        if res > tol:
+        if res > PROJECTOR_TOL:
             raise ValidationError(
-                f"projector {k} is not idempotent: ‖P² − P‖_F = {res:.3e} > {tol:.1e}",
+                f"projector {k} is not idempotent: ‖P² − P‖_F = {res:.3e} > {PROJECTOR_TOL:.1e}",
                 invariant="idempotency", residual=res)
         keep = w > 0.5
         columns.append(v[:, keep])
@@ -223,35 +235,50 @@ def _basis_of_projectors(projectors, tol: float):
 class KrausChannel:
     """CPTP map ρ ↦ Σ_i Λ_i ρ Λ_i† given by its Kraus operators.
 
-    Trace preservation (‖ΣΛ†Λ − I‖_F, the completeness residual) is
-    enforced at construction; unitality (‖ΣΛΛ† − I‖_F) is measured and
-    stored but not required — non-unital channels are first-class citizens
-    here, they are exactly the ones that break the work identity.
+    ``kraus_ops`` is one read-only (K, d, d) complex128 array, operator i
+    at ``kraus_ops[i]``; any sequence of K equal-shape d×d matrices (or
+    such an array) is accepted. Trace preservation (‖ΣΛ†Λ − I‖_F ≤
+    :data:`COMPLETENESS_TOL`) is enforced at construction; unitality
+    (‖ΣΛΛ† − I‖_F) is measured and stored but not required — non-unital
+    channels are first-class citizens here, they are exactly the ones that
+    break the work identity.
     """
 
-    def __init__(self, kraus_ops, *, completeness_tol: float = 1e-8):
-        mats = [as_complex_matrix(k) for k in kraus_ops]
-        if not mats:
+    def __init__(self, kraus_ops):
+        try:
+            ops = np.asarray(kraus_ops, dtype=np.complex128)
+        except ValueError as err:
+            raise ValueError(
+                f"Kraus operators must be numeric matrices of one shape: "
+                f"{err}") from None
+        if ops.shape == (0,):
             raise ValidationError("channel has no Kraus operators",
                                   invariant="nonempty")
-        dim = mats[0].shape[0]
-        for k, op in enumerate(mats):
-            if op.shape != (dim, dim):
-                raise ValueError(
-                    f"Kraus operator {k} has shape {op.shape}, expected ({dim}, {dim})")
+        if ops.ndim != 3 or 0 in ops.shape:
+            raise ValidationError(
+                f"expected a stack of 2-d matrices, got shape {ops.shape}",
+                invariant="matrix_shape")
+        if not np.isfinite(ops).all():
+            raise ValidationError(
+                "Kraus operators contain non-finite entries",
+                invariant="finite_entries")
+        dim = ops.shape[1]
+        if ops.shape[2] != dim:
+            raise ValidationError(
+                f"expected square Kraus operators, got shape {ops.shape[1:]}",
+                invariant="square")
         eye = np.eye(dim)
         completeness = frobenius(
-            sum(op.conj().T @ op for op in mats) - eye)
-        if completeness > completeness_tol:
+            sum(op.conj().T @ op for op in ops) - eye)
+        if completeness > COMPLETENESS_TOL:
             raise ValidationError(
                 f"Kraus operators do not preserve trace: "
-                f"‖ΣΛ†Λ − I‖_F = {completeness:.3e} > {completeness_tol:.1e}",
+                f"‖ΣΛ†Λ − I‖_F = {completeness:.3e} > {COMPLETENESS_TOL:.1e}",
                 invariant="completeness", residual=completeness)
-        unitality = frobenius(sum(op @ op.conj().T for op in mats) - eye)
         self.dim = dim
-        self.kraus_ops = tuple(_freeze(op) for op in mats)
-        self.completeness_residual = completeness
-        self.unitality_residual = unitality
+        self.kraus_ops = _freeze(ops)
+        self.unitality_residual = frobenius(
+            sum(op @ op.conj().T for op in ops) - eye)
 
     def __len__(self) -> int:
         return len(self.kraus_ops)
@@ -275,8 +302,7 @@ class GibbsEnsemble:
     state: DensityMatrix
 
 
-def gibbs_ensemble(hamiltonian, beta: float,
-                   hermiticity_tol: float = 1e-10) -> GibbsEnsemble:
+def gibbs_ensemble(hamiltonian, beta: float) -> GibbsEnsemble:
     """Construct the Gibbs ensemble of a Hamiltonian at inverse temperature β.
 
     Eigenvalues are shifted by their minimum before exponentiating, and the
@@ -295,7 +321,7 @@ def gibbs_ensemble(hamiltonian, beta: float,
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    w, v = hermitian_eig(hamiltonian, hermiticity_tol)
+    w, v = hermitian_eig(hamiltonian)
     e_min = float(w[0])
     spread = float(w[-1] - w[0])
     if beta * spread > GIBBS_EXPONENT_GUARD:
@@ -320,8 +346,8 @@ def gibbs_ensemble(hamiltonian, beta: float,
                          state=state)
 
 
-def eigen_measurement(hamiltonian, degeneracy_gap: float | None = None,
-                      hermiticity_tol: float = 1e-10) -> ProjectorFamily:
+def eigen_measurement(hamiltonian,
+                      degeneracy_gap: float | None = None) -> ProjectorFamily:
     """Energy-labeled projector family of a Hamiltonian's eigenbasis.
 
     The eigenvectors become the family's basis. Consecutive sorted
@@ -331,7 +357,7 @@ def eigen_measurement(hamiltonian, degeneracy_gap: float | None = None,
     eigenvector basis inside it. Each group's energy label is the group
     mean eigenvalue.
     """
-    w, v = hermitian_eig(hamiltonian, hermiticity_tol)
+    w, v = hermitian_eig(hamiltonian)
     if degeneracy_gap is None:
         degeneracy_gap = 1e-8 * frobenius(np.asarray(hamiltonian))
     groups = np.concatenate(([0], np.cumsum(np.diff(w) > degeneracy_gap)))
@@ -339,13 +365,13 @@ def eigen_measurement(hamiltonian, degeneracy_gap: float | None = None,
     return ProjectorFamily(basis=v, groups=groups, energies=energies)
 
 
-def channel_from_unitary(u, unitarity_tol: float = 1e-8) -> KrausChannel:
+def channel_from_unitary(u) -> KrausChannel:
     """Wrap a unitary as a single-Kraus-operator channel."""
     m = as_complex_matrix(u)
     res = frobenius(m.conj().T @ m - np.eye(m.shape[0]))
-    if res > unitarity_tol:
+    if res > UNITARITY_TOL:
         raise ValidationError(
-            f"matrix is not unitary: ‖U†U − I‖_F = {res:.3e} > {unitarity_tol:.1e}",
+            f"matrix is not unitary: ‖U†U − I‖_F = {res:.3e} > {UNITARITY_TOL:.1e}",
             invariant="unitarity", residual=res)
     return KrausChannel([m])
 
@@ -354,22 +380,6 @@ def unitary_from_hamiltonian(hamiltonian, t: float = 1.0) -> np.ndarray:
     """Evolution operator e^{−iHt} of a Hermitian generator."""
     w, v = hermitian_eig(hamiltonian)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def _weyl_operators(dim: int) -> list[np.ndarray]:
-    """The dim² unitary shift/clock products X^a Z^b (generalized Paulis)."""
-    omega = np.exp(2j * np.pi / dim)
-    shift = np.roll(np.eye(dim, dtype=np.complex128), 1, axis=0)
-    clock = np.diag(omega ** np.arange(dim))
-    ops = []
-    xa = np.eye(dim, dtype=np.complex128)
-    for _ in range(dim):
-        zb = np.eye(dim, dtype=np.complex128)
-        for _ in range(dim):
-            ops.append(xa @ zb)
-            zb = zb @ clock
-        xa = xa @ shift
-    return ops
 
 
 def standard_channel(kind: str, dim: int,
@@ -390,6 +400,14 @@ def standard_channel(kind: str, dim: int,
 
     Notes
     -----
+    Each Kraus stack is written in closed form into one (K, d, d) array:
+
+    - dephasing: √(1−p)·I, then √p·|k⟩⟨k| for k = 0..d−1 (K = d + 1);
+    - depolarizing: √(1−p)·I, then the Weyl twirl (√p/d)·X^a Z^b at
+      index 1 + a·d + b, with entries (X^a Z^b)_jk = δ_{j, k+a mod d}·ω^{bk},
+      ω = e^{2πi/d} and the phase exponent bk reduced mod d (K = d² + 1);
+    - amplitude damping: [[1, 0], [0, √(1−γ)]] and [[0, √γ], [0, 0]].
+
     identity, dephasing and depolarizing are unital; amplitude damping is
     deliberately non-unital with ΣΛΛ† − I = diag(γ, −γ), i.e. a unitality
     residual of γ·√2.
@@ -405,17 +423,20 @@ def standard_channel(kind: str, dim: int,
     p = float(param)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"channel parameter must lie in [0, 1], got {p}")
+    k = np.arange(dim)
     if kind == "dephasing":
-        ops = [np.sqrt(1 - p) * np.eye(dim)]
-        for i in range(dim):
-            k = np.zeros((dim, dim), dtype=np.complex128)
-            k[i, i] = np.sqrt(p)
-            ops.append(k)
+        ops = np.zeros((dim + 1, dim, dim), dtype=np.complex128)
+        ops[0] = np.sqrt(1 - p) * np.eye(dim)
+        ops[1 + k, k, k] = np.sqrt(p)
         return KrausChannel(ops)
     if kind == "depolarizing":
         # rho -> (1-p) rho + p I/dim, via the Weyl twirl (1/d²) Σ W rho W†.
-        ops = [np.sqrt(1 - p) * np.eye(dim)]
-        ops.extend(np.sqrt(p) / dim * w for w in _weyl_operators(dim))
+        ops = np.zeros((dim * dim + 1, dim, dim), dtype=np.complex128)
+        ops[0] = np.sqrt(1 - p) * np.eye(dim)
+        weyl = ops[1:].reshape(dim, dim, dim, dim)  # [a, b, j, k]
+        a = k[:, None]
+        phases = np.exp(2j * np.pi * (np.outer(k, k) % dim) / dim)  # [k, b]
+        weyl[a, :, (k + a) % dim, k] = np.sqrt(p) / dim * phases
         return KrausChannel(ops)
     if kind == "amplitude_damping":
         if dim != 2:
@@ -432,10 +453,10 @@ def maximally_mixed(dim: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim) / dim)
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator,
-                          min_weight: float = 0.05) -> DensityMatrix:
-    """Random full-rank state: Haar-rotated spectrum bounded away from zero."""
-    weights = rng.uniform(min_weight, 1.0, size=dim)
+def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
+    """Random full-rank state: Haar-rotated spectrum bounded away from zero
+    (weights drawn from [RANDOM_STATE_MIN_WEIGHT, 1], then normalized)."""
+    weights = rng.uniform(RANDOM_STATE_MIN_WEIGHT, 1.0, size=dim)
     weights /= weights.sum()
     u = haar_random_unitary(dim, rng)
     rho = (u * weights) @ u.conj().T

@@ -100,11 +100,6 @@ class JointDistribution:
         max |p(n,m) − tr{Q_m Λ(P_n)}·tr(P_n ρ)|: how far the rank-1
         factorized form of the Born rule is from the exact unfactorized
         one. Zero (to rounding) whenever every first projector is rank-1.
-    p_second_direct : array or None
-        tr{Q_m Λ(ρ)}, the final-outcome distribution with the first
-        measurement skipped. Differs from p_second when ρ carries
-        coherences across the first-measurement projectors. None when the
-        distribution was built from a raw table.
     """
 
     p_joint: np.ndarray
@@ -114,7 +109,6 @@ class JointDistribution:
     support_mask: np.ndarray
     support_epsilon: float
     factorization_residual: float
-    p_second_direct: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -132,8 +126,7 @@ class JointDistribution:
 
 
 def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EPSILON,
-                            factorization_residual: float = 0.0,
-                            p_second_direct=None) -> JointDistribution:
+                            factorization_residual: float = 0.0) -> JointDistribution:
     """Build a :class:`JointDistribution` from a raw probability table.
 
     Checks bounds (entries within [−1e−12, 1 + 1e−12]) before clamping to
@@ -164,14 +157,11 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
     p_cond = np.full_like(p, np.nan)
     p_cond[defined] = p[defined] / p_first[defined, None]
     mask = p > support_epsilon
-    if p_second_direct is not None:
-        p_second_direct = _freeze(np.array(p_second_direct, dtype=float))
     return JointDistribution(
         p_joint=_freeze(p), p_first=_freeze(p_first), p_second=_freeze(p_second),
         p_cond=_freeze(p_cond), support_mask=_freeze(mask),
         support_epsilon=float(support_epsilon),
-        factorization_residual=float(factorization_residual),
-        p_second_direct=p_second_direct)
+        factorization_residual=float(factorization_residual))
 
 
 def joint_distribution(experiment: TpmExperiment,
@@ -184,35 +174,31 @@ def joint_distribution(experiment: TpmExperiment,
     tr{Q_m Λ(P_n)}·tr(P_n ρ) deviates from it (``factorization_residual``).
 
     Everything is evaluated in the measurement bases, in one pass over the
-    Kraus operators, at O(K·d³). With V, W the first and second bases, G, H
-    their (column × outcome) group-indicator matrices, A_i = W†Λ_iV, and
-    ρ̃ = V†ρV with the entries between different first groups zeroed (the
-    first measurement's dephasing):
+    channel's (K, d, d) Kraus stack, one operator at a time, at O(K·d³)
+    time and O(d²) working memory. With V, W the first and second bases,
+    G, H their (column × outcome) group-indicator matrices, A_i = W†Λ_iV,
+    and ρ̃ = V†ρV with the entries between different first groups zeroed
+    (the first measurement's dephasing):
 
     - p = Gᵀ (Σ_i Re[(A_i ρ̃) ⊙ Ā_i])ᵀ H;
     - the factorized table is Gᵀ (Σ_i |A_i|²)ᵀ H with row n scaled by
-      p(n) = (Gᵀ diag ρ̃)_n;
-    - ``p_second_direct`` is 1ᵀ (Σ_i Re[(A_i V†ρV) ⊙ Ā_i])ᵀ H, the same
-      sum with the undephased state, over every first-basis column.
+      p(n) = (Gᵀ diag ρ̃)_n.
     """
     first = experiment.first_measurement
     second = experiment.second_measurement
     v = first.basis
     w_dag = second.basis.conj().T
-    rho_full = v.conj().T @ experiment.initial_state.matrix @ v
     dephased = np.where(first.groups[:, None] == first.groups[None, :],
-                        rho_full, 0.0)
+                        v.conj().T @ experiment.initial_state.matrix @ v, 0.0)
 
     dim = experiment.dim
     born = np.zeros((dim, dim))
     transition = np.zeros((dim, dim))
-    direct = np.zeros(dim)
     for op in experiment.channel.kraus_ops:
         a = w_dag @ op @ v
         a_conj = a.conj()
         born += (a @ dephased * a_conj).real
         transition += (a * a_conj).real
-        direct += (a @ rho_full * a_conj).real.sum(axis=1)
 
     g = np.eye(len(first))[first.groups]
     h = np.eye(len(second))[second.groups]
@@ -221,8 +207,7 @@ def joint_distribution(experiment: TpmExperiment,
     p_factorized = (g.T @ transition.T @ h) * p_first[:, None]
     residual = float(np.max(np.abs(p - p_factorized)))
     return distribution_from_joint(p, support_epsilon,
-                                   factorization_residual=residual,
-                                   p_second_direct=direct @ h)
+                                   factorization_residual=residual)
 
 
 @dataclass(frozen=True)

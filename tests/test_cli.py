@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -431,10 +433,27 @@ def test_main_seed_override_changes_random_scenarios(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+def parse_report_csv(text: str) -> list[cli.ReportRow]:
+    """Inverse of :func:`cli.rows_to_csv`."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    assert tuple(header) == cli.REPORT_COLUMNS
+    rows = []
+    for record in reader:
+        if not record:
+            continue
+        values = dict(zip(cli.REPORT_COLUMNS, record))
+        rows.append(cli.ReportRow(
+            name=values["name"], dim=int(values["dim"]),
+            **{name: float(values[name]) for name in cli.REPORT_COLUMNS
+               if name not in ("name", "dim")}))
+    return rows
+
+
 def test_csv_round_trip_preserves_values():
     row = cli.run_verify(load_scenario(SCENARIO_DIR / "qubit_hadamard.json"))
     text = cli.rows_to_csv([row])
-    parsed = cli.parse_report_csv(text)
+    parsed = parse_report_csv(text)
     assert parsed == [row]
 
 

@@ -32,7 +32,7 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def reference_joint(experiment: TpmExperiment, firsts=None, seconds=None):
-    """(p_joint, factorization_residual, p_second_direct) by direct loops.
+    """(p_joint, factorization_residual) by direct loops.
 
     ``firsts`` and ``seconds`` default to the dense projectors of the two
     measurements; pass the original matrices of an explicit family to
@@ -55,17 +55,14 @@ def reference_joint(experiment: TpmExperiment, firsts=None, seconds=None):
             # tr{Q τ Q} = tr{Q τ} since Q is idempotent.
             p[n, m] = trace_product(q, evolved)
             p_factorized[n, m] = trace_product(q, channel_of_proj) * weight
-    evolved_rho = sum(op @ rho @ op.conj().T for op in kraus)
-    p_direct = np.array([trace_product(q, evolved_rho) for q in seconds])
-    return p, float(np.max(np.abs(p - p_factorized))), p_direct
+    return p, float(np.max(np.abs(p - p_factorized)))
 
 
 def assert_matches_reference(experiment, firsts=None, seconds=None):
     jd = joint_distribution(experiment)
-    p, residual, p_direct = reference_joint(experiment, firsts, seconds)
+    p, residual = reference_joint(experiment, firsts, seconds)
     assert np.max(np.abs(jd.p_joint - p)) <= TOL
     assert abs(jd.factorization_residual - residual) <= TOL
-    assert np.max(np.abs(jd.p_second_direct - p_direct)) <= TOL
     return jd
 
 

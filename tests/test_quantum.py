@@ -204,6 +204,21 @@ def test_kraus_channel_rejects_trace_decreasing_set():
     assert err.value.residual == pytest.approx(0.1, abs=1e-12)
 
 
+@pytest.mark.parametrize("ops, error, invariant", [
+    ([], ValidationError, "nonempty"),
+    ([np.array([1.0, 0.0])], ValidationError, "matrix_shape"),
+    ([np.ones((2, 3))], ValidationError, "square"),
+    ([np.eye(2), np.eye(3)], ValueError, None),
+    ([np.array([[np.nan, 0.0], [0.0, 1.0]])], ValidationError,
+     "finite_entries"),
+], ids=["empty", "1-d", "non-square", "mixed-shapes", "nan"])
+def test_kraus_channel_rejects_malformed_operators(ops, error, invariant):
+    with pytest.raises(ValueError) as err:
+        KrausChannel(ops)
+    assert type(err.value) is error
+    assert getattr(err.value, "invariant", None) == invariant
+
+
 def test_standard_channel_parameter_validation():
     with pytest.raises(ValueError):
         standard_channel("dephasing", 2, 1.5)
