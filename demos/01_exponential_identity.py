@@ -19,6 +19,7 @@ from tpm_lab import (
     channel_from_unitary,
     eigen_measurement,
     haar_random_unitary,
+    hermitian_eig,
     joint_distribution,
     maximally_mixed,
     mutual_information_table,
@@ -32,9 +33,11 @@ rng = np.random.default_rng(2)
 print("=== Random qutrit: Haar unitary evolution, full support ===")
 experiment = TpmExperiment(
     initial_state=random_density_matrix(3, rng),
-    first_measurement=eigen_measurement(random_hermitian(3, rng)),
+    first_measurement=eigen_measurement(*hermitian_eig(
+        random_hermitian(3, rng))),
     channel=channel_from_unitary(haar_random_unitary(3, rng)),
-    second_measurement=eigen_measurement(random_hermitian(3, rng)),
+    second_measurement=eigen_measurement(*hermitian_eig(
+        random_hermitian(3, rng))),
 )
 jd = joint_distribution(experiment)
 mi = mutual_information_table(jd)
@@ -52,7 +55,7 @@ print(f"deviation from 1:          {abs(mi.exp_average - 1.0):.3e}")
 
 print()
 print("=== Identity channel, same basis: deterministic conditionals ===")
-family = eigen_measurement(np.diag([0.0, 1.0]))
+family = eigen_measurement(*hermitian_eig(np.diag([0.0, 1.0])))
 experiment = TpmExperiment(
     initial_state=maximally_mixed(2),
     first_measurement=family,

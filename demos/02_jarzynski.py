@@ -15,6 +15,7 @@ from tpm_lab import (
     channel_from_unitary,
     eigen_measurement,
     gibbs_ensemble,
+    hermitian_eig,
     joint_distribution,
     standard_channel,
     work_statistics,
@@ -30,9 +31,9 @@ def run(beta, channel, h_second):
     ens_second = gibbs_ensemble(h_second, beta)
     experiment = TpmExperiment(
         initial_state=ens_first.state,
-        first_measurement=eigen_measurement(H_FIRST),
+        first_measurement=eigen_measurement(*hermitian_eig(H_FIRST)),
         channel=channel,
-        second_measurement=eigen_measurement(h_second),
+        second_measurement=eigen_measurement(*hermitian_eig(h_second)),
     )
     jd = joint_distribution(experiment)
     return work_statistics(

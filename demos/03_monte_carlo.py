@@ -22,6 +22,7 @@ from tpm_lab import (
     eigen_measurement,
     estimate_exponential_average,
     haar_random_unitary,
+    hermitian_eig,
     joint_distribution,
     mutual_information_table,
     random_density_matrix,
@@ -32,9 +33,11 @@ from tpm_lab import (
 build_rng = np.random.default_rng(52)
 experiment = TpmExperiment(
     initial_state=random_density_matrix(3, build_rng),
-    first_measurement=eigen_measurement(random_hermitian(3, build_rng)),
+    first_measurement=eigen_measurement(*hermitian_eig(
+        random_hermitian(3, build_rng))),
     channel=channel_from_unitary(haar_random_unitary(3, build_rng)),
-    second_measurement=eigen_measurement(random_hermitian(3, build_rng)),
+    second_measurement=eigen_measurement(*hermitian_eig(
+        random_hermitian(3, build_rng))),
 )
 jd = joint_distribution(experiment)
 mi = mutual_information_table(jd)

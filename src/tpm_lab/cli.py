@@ -114,7 +114,8 @@ def evaluate_scenario(built: BuiltScenario) -> ReportRow:
     jd = joint_distribution(built.experiment,
                             support_epsilon=built.support_epsilon)
     mi = mutual_information_table(jd)
-    ws = work_statistics(jd, built.first_energies, built.second_energies,
+    ws = work_statistics(jd, built.experiment.first_measurement.energies,
+                         built.experiment.second_measurement.energies,
                          config.beta,
                          built.first_ensemble.partition_function,
                          built.second_ensemble.partition_function)
@@ -192,7 +193,8 @@ def run_sample(config: ScenarioConfig, count: int,
         weight_table = mi.i_table
         exact = mi.exp_average
     else:
-        ws = work_statistics(jd, built.first_energies, built.second_energies,
+        ws = work_statistics(jd, built.experiment.first_measurement.energies,
+                             built.experiment.second_measurement.energies,
                              config.beta,
                              built.first_ensemble.partition_function,
                              built.second_ensemble.partition_function)

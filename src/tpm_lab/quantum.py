@@ -63,13 +63,14 @@ class DensityMatrix:
     Parameters
     ----------
     matrix : array_like
-        Square complex matrix. A residual of any of the three invariants
-        above :data:`STATE_TOL` raises :class:`ValidationError` naming the
-        invariant.
+        Square complex matrix, stored as a read-only copy (the caller's
+        array is left as it was). A residual of any of the three
+        invariants above :data:`STATE_TOL` raises :class:`ValidationError`
+        naming the invariant.
     """
 
     def __init__(self, matrix):
-        m = as_complex_matrix(matrix)
+        m = as_complex_matrix(matrix).copy()
         res = hermiticity_residual(m)
         if res > STATE_TOL:
             raise ValidationError(
@@ -237,7 +238,9 @@ class KrausChannel:
 
     ``kraus_ops`` is one read-only (K, d, d) complex128 array, operator i
     at ``kraus_ops[i]``; any sequence of K equal-shape d×d matrices (or
-    such an array) is accepted. Trace preservation (‖ΣΛ†Λ − I‖_F ≤
+    such an array) is accepted. A complex128 (K, d, d) array is stored
+    without a copy, so it is frozen in place: the caller's array becomes
+    read-only too. Trace preservation (‖ΣΛ†Λ − I‖_F ≤
     :data:`COMPLETENESS_TOL`) is enforced at construction; unitality
     (‖ΣΛΛ† − I‖_F) is measured and stored but not required — non-unital
     channels are first-class citizens here, they are exactly the ones that
@@ -290,24 +293,41 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class GibbsEnsemble:
-    """Thermal bundle (H, β, Z, F, ρ) with ρ = e^{−βH}/Z.
+    """Thermal bundle of a Hamiltonian H at inverse temperature β.
 
-    Built by :func:`gibbs_ensemble`; Z = tr e^{−βH} and F = −(1/β) ln Z.
+    Built by :func:`gibbs_ensemble`. ``energies`` and ``basis`` are H's
+    eigenpair, the one diagonalisation of H that everything downstream is
+    built from: eigenvalues ascending, column k of ``basis`` the
+    eigenvector of ``energies[k]`` (both read-only). Pass them to
+    :func:`eigen_measurement` and :func:`unitary_from_hamiltonian`.
+    Z = tr e^{−βH} and F = −(1/β) ln Z.
     """
 
-    hamiltonian: np.ndarray
+    energies: np.ndarray
+    basis: np.ndarray
     beta: float
     partition_function: float
     free_energy: float
-    state: DensityMatrix
+
+    @property
+    def state(self) -> DensityMatrix:
+        """The Gibbs state ρ = e^{−βH}/Z, built and validated each time it
+        is read, so an ensemble whose state is never read never forms ρ."""
+        w, v = self.energies, self.basis
+        weights = np.exp(-self.beta * (w - w[0]))
+        rho = (v * (weights / float(np.sum(weights)))) @ v.conj().T
+        return DensityMatrix((rho + rho.conj().T) / 2)
 
 
 def gibbs_ensemble(hamiltonian, beta: float) -> GibbsEnsemble:
     """Construct the Gibbs ensemble of a Hamiltonian at inverse temperature β.
 
-    Eigenvalues are shifted by their minimum before exponentiating, and the
-    shift is compensated in ln Z, so moderate β·spread never overflows.
-    Natural units k = 1 throughout, so β = 1/T.
+    This is where a Hamiltonian is checked and diagonalised, once, by
+    :func:`~tpm_lab.linalg.hermitian_eig`; the ensemble keeps the
+    eigenpair, not the matrix. Eigenvalues are shifted by their minimum
+    before exponentiating, and the shift is compensated in ln Z, so
+    moderate β·spread never overflows. Natural units k = 1 throughout, so
+    β = 1/T.
 
     Raises
     ------
@@ -328,41 +348,40 @@ def gibbs_ensemble(hamiltonian, beta: float) -> GibbsEnsemble:
         raise OverflowError(
             f"beta * spectral spread = {beta * spread:.3e} exceeds the "
             f"exponent guard {GIBBS_EXPONENT_GUARD}")
-    shifted_weights = np.exp(-beta * (w - e_min))
-    z_shifted = float(np.sum(shifted_weights))
+    z_shifted = float(np.sum(np.exp(-beta * (w - e_min))))
     log_z = math.log(z_shifted) - beta * e_min
     if abs(log_z) > GIBBS_EXPONENT_GUARD:
         raise OverflowError(
             f"|ln Z| = {abs(log_z):.3e} exceeds the exponent guard; "
             "the partition function is not representable")
-    z = math.exp(log_z)
-    free_energy = -log_z / beta
-    rho = (v * (shifted_weights / z_shifted)) @ v.conj().T
-    rho = (rho + rho.conj().T) / 2
-    state = DensityMatrix(rho)
-    h = as_complex_matrix(hamiltonian)
-    return GibbsEnsemble(hamiltonian=_freeze(h), beta=float(beta),
-                         partition_function=z, free_energy=free_energy,
-                         state=state)
+    return GibbsEnsemble(energies=_freeze(w), basis=_freeze(v),
+                         beta=float(beta), partition_function=math.exp(log_z),
+                         free_energy=-log_z / beta)
 
 
-def eigen_measurement(hamiltonian,
+def eigen_measurement(energies, basis,
                       degeneracy_gap: float | None = None) -> ProjectorFamily:
     """Energy-labeled projector family of a Hamiltonian's eigenbasis.
 
-    The eigenvectors become the family's basis. Consecutive sorted
-    eigenvalues closer than ``degeneracy_gap`` (default 1e−8·‖H‖_F) share
-    one outcome group, i.e. one projector of rank = group size, so
-    downstream code sees the degenerate subspace rather than an arbitrary
-    eigenvector basis inside it. Each group's energy label is the group
-    mean eigenvalue.
+    Takes the eigenpair ``(energies, basis)`` of H, ascending as
+    :func:`~tpm_lab.linalg.hermitian_eig` returns it and as a
+    :class:`GibbsEnsemble` holds it; given a matrix ``h``, call
+    ``eigen_measurement(*hermitian_eig(h))``. The eigenvectors become the
+    family's basis. Consecutive eigenvalues closer than ``degeneracy_gap``
+    (default 1e−8·‖w‖₂, which equals 1e−8·‖H‖_F) share one outcome group,
+    i.e. one projector of rank = group size, so downstream code sees the
+    degenerate subspace rather than an arbitrary eigenvector basis inside
+    it. Each group's energy label is the group mean eigenvalue.
     """
-    w, v = hermitian_eig(hamiltonian)
+    w = np.asarray(energies, dtype=float)
+    if np.any(np.diff(w) < 0):
+        raise ValueError("energies must be in ascending order")
     if degeneracy_gap is None:
-        degeneracy_gap = 1e-8 * frobenius(np.asarray(hamiltonian))
+        degeneracy_gap = 1e-8 * float(np.linalg.norm(w))
     groups = np.concatenate(([0], np.cumsum(np.diff(w) > degeneracy_gap)))
-    energies = np.bincount(groups, weights=w) / np.bincount(groups)
-    return ProjectorFamily(basis=v, groups=groups, energies=energies)
+    return ProjectorFamily(
+        basis=basis, groups=groups,
+        energies=np.bincount(groups, weights=w) / np.bincount(groups))
 
 
 def channel_from_unitary(u) -> KrausChannel:
@@ -376,10 +395,13 @@ def channel_from_unitary(u) -> KrausChannel:
     return KrausChannel([m])
 
 
-def unitary_from_hamiltonian(hamiltonian, t: float = 1.0) -> np.ndarray:
-    """Evolution operator e^{−iHt} of a Hermitian generator."""
-    w, v = hermitian_eig(hamiltonian)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+def unitary_from_hamiltonian(energies, basis, t: float = 1.0) -> np.ndarray:
+    """Evolution operator e^{−iHt} = V e^{−iwt} V† of a Hermitian generator
+    given by its eigenpair ``(energies, basis)`` = (w, V), as
+    :func:`~tpm_lab.linalg.hermitian_eig` returns it and a
+    :class:`GibbsEnsemble` holds it."""
+    v = np.asarray(basis)
+    return (v * np.exp(-1j * np.asarray(energies) * t)) @ v.conj().T
 
 
 def standard_channel(kind: str, dim: int,

@@ -96,8 +96,6 @@ class BuiltScenario:
     experiment: TpmExperiment
     first_ensemble: GibbsEnsemble
     second_ensemble: GibbsEnsemble
-    first_energies: tuple[float, ...]
-    second_energies: tuple[float, ...]
     support_epsilon: float
 
 
@@ -217,12 +215,12 @@ def _build_hamiltonian(spec: dict, dim: int, seed: int, role: int,
     return random_hermitian(dim, rng, scale=float(spec.get("scale", 1.0)))
 
 
-def _build_measurement(spec: dict, hamiltonian: np.ndarray,
+def _build_measurement(spec: dict, ensemble: GibbsEnsemble,
                        field_name: str) -> ProjectorFamily:
     kind = _kind_of(spec, field_name, ("eigenbasis", "projectors"))
     if kind == "eigenbasis":
         gap = spec.get("degeneracy_gap")
-        return eigen_measurement(hamiltonian,
+        return eigen_measurement(ensemble.energies, ensemble.basis,
                                  None if gap is None else float(gap))
     mats = spec.get("projectors")
     if not isinstance(mats, list) or not mats:
@@ -235,14 +233,14 @@ def _build_measurement(spec: dict, hamiltonian: np.ndarray,
             f"{field_name!r} explicit projector lists must carry an "
             "'energies' list of the same length (needed for the work "
             "statistics columns)", field=f"{field_name}.energies")
-    dim = hamiltonian.shape[0]
+    dim = len(ensemble.energies)
     parsed = [_parse_matrix(m, dim, f"{field_name}.projectors[{k}]")
               for k, m in enumerate(mats)]
     return ProjectorFamily(parsed, [float(e) for e in energies])
 
 
 def _build_channel(config: ScenarioConfig,
-                   second_hamiltonian: np.ndarray) -> KrausChannel:
+                   second_ensemble: GibbsEnsemble) -> KrausChannel:
     spec = config.channel
     kind = _kind_of(spec, "channel",
                     ("identity", "dephasing", "depolarizing",
@@ -256,14 +254,26 @@ def _build_channel(config: ScenarioConfig,
         if key not in spec:
             raise ConfigError(f"channel kind {kind!r} requires {key!r}",
                               field=f"channel.{key}")
-        return standard_channel(kind, dim, float(spec[key]))
+        try:
+            param = float(spec[key])
+        except (TypeError, ValueError):
+            param = float("nan")
+        if not 0.0 <= param <= 1.0:
+            raise ConfigError(
+                f"channel {key!r} must be a number in [0, 1], got "
+                f"{spec[key]!r}", field=f"channel.{key}")
+        if kind == "amplitude_damping" and dim != 2:
+            raise ConfigError(
+                f"amplitude damping is defined for dim = 2, got dim = {dim}",
+                field="dim")
+        return standard_channel(kind, dim, param)
     if kind == "haar_random":
         rng = np.random.default_rng(derive_seed(config.seed, ROLE_CHANNEL))
         return channel_from_unitary(haar_random_unitary(dim, rng))
     if kind == "unitary_from_hamiltonian":
         t = float(spec.get("time", 1.0))
-        return channel_from_unitary(
-            unitary_from_hamiltonian(second_hamiltonian, t))
+        return channel_from_unitary(unitary_from_hamiltonian(
+            second_ensemble.energies, second_ensemble.basis, t))
     mats = spec.get("operators")
     if not isinstance(mats, list) or not mats:
         raise ConfigError("kraus channel needs a nonempty 'operators' list",
@@ -300,11 +310,11 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
                                   "second_hamiltonian")
     first_ensemble = gibbs_ensemble(h_first, config.beta)
     second_ensemble = gibbs_ensemble(h_second, config.beta)
-    first_meas = _build_measurement(config.first_measurement, h_first,
+    first_meas = _build_measurement(config.first_measurement, first_ensemble,
                                     "first_measurement")
-    second_meas = _build_measurement(config.second_measurement, h_second,
-                                     "second_measurement")
-    channel = _build_channel(config, h_second)
+    second_meas = _build_measurement(config.second_measurement,
+                                     second_ensemble, "second_measurement")
+    channel = _build_channel(config, second_ensemble)
     initial = _build_initial(config, first_ensemble)
     experiment = TpmExperiment(initial_state=initial,
                                first_measurement=first_meas,
@@ -315,8 +325,6 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
     return BuiltScenario(
         config=config, experiment=experiment,
         first_ensemble=first_ensemble, second_ensemble=second_ensemble,
-        first_energies=tuple(first_meas.energies),
-        second_energies=tuple(second_meas.energies),
         support_epsilon=support_epsilon)
 
 

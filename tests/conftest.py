@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tpm_lab.linalg import haar_random_unitary
+from tpm_lab.linalg import haar_random_unitary, hermitian_eig
 from tpm_lab.quantum import (
     DensityMatrix,
     KrausChannel,
@@ -98,7 +98,7 @@ def random_gibbs_setup(dim: int, rng: np.random.Generator):
     second_ensemble = gibbs_ensemble(h_second, beta)
     experiment = TpmExperiment(
         initial_state=first_ensemble.state,
-        first_measurement=eigen_measurement(h_first),
+        first_measurement=eigen_measurement(*hermitian_eig(h_first)),
         channel=channel_from_unitary(haar_random_unitary(dim, rng)),
-        second_measurement=eigen_measurement(h_second))
+        second_measurement=eigen_measurement(*hermitian_eig(h_second)))
     return experiment, first_ensemble, second_ensemble, beta

@@ -21,7 +21,7 @@ from conftest import (
 )
 from tpm_lab import cli
 from tpm_lab.errors import ValidationError
-from tpm_lab.linalg import random_hermitian
+from tpm_lab.linalg import hermitian_eig, random_hermitian
 from tpm_lab.quantum import (
     DensityMatrix,
     KrausChannel,
@@ -89,7 +89,7 @@ def test_bookkeeping_identity_universal(full_support_tables,
                                         nonunital_tables):
     tables = list(full_support_tables) + list(nonunital_tables)
     # Deterministic-conditional scenarios: identity channel, same basis.
-    family = eigen_measurement(np.diag([0.0, 1.0]))
+    family = eigen_measurement(*hermitian_eig(np.diag([0.0, 1.0])))
     identity = standard_channel("identity", 2)
     for state in (maximally_mixed(2), DensityMatrix(np.diag([0.3, 0.7]))):
         experiment = TpmExperiment(
@@ -154,9 +154,9 @@ def test_nonunital_channel_breaks_work_identity():
     ens = gibbs_ensemble(h, 1.0)
     experiment = TpmExperiment(
         initial_state=ens.state,
-        first_measurement=eigen_measurement(h),
+        first_measurement=eigen_measurement(*hermitian_eig(h)),
         channel=standard_channel("amplitude_damping", 2, 0.5),
-        second_measurement=eigen_measurement(h))
+        second_measurement=eigen_measurement(*hermitian_eig(h)))
     jd = joint_distribution(experiment)
     ws = work_statistics(jd, [0.0, 1.0], [0.0, 1.0], 1.0,
                          ens.partition_function, ens.partition_function)
@@ -184,7 +184,7 @@ def test_factorization_diagnostic():
 
     first = ProjectorFamily([np.diag([1.0, 1.0, 0.0]),
                              np.diag([0.0, 0.0, 1.0])], [0.0, 1.0])
-    second = eigen_measurement(np.diag([0.0, 1.0, 2.0]))
+    second = eigen_measurement(*hermitian_eig(np.diag([0.0, 1.0, 2.0])))
     rho = DensityMatrix(np.array([[0.7, 0.1, 0.0],
                                   [0.1, 0.2, 0.05],
                                   [0.0, 0.05, 0.1]]))
@@ -255,7 +255,7 @@ def test_object_validation_rejects_and_accepts():
         rng = np.random.default_rng((33, k))
         dim = int(rng.integers(2, 9))
         random_density_matrix(dim, rng)
-        eigen_measurement(random_hermitian(dim, rng))
+        eigen_measurement(*hermitian_eig(random_hermitian(dim, rng)))
         channel_from_unitary(
             standard_channel("identity", dim).kraus_ops[0] if k % 10 == 0
             else np.linalg.qr(rng.standard_normal((dim, dim))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import RESTRICTED_SUPPORT_EPSILON, RESTRICTED_SUPPORT_JOINT
-from tpm_lab import cli
+from tpm_lab import cli, quantum
 from tpm_lab.errors import ConfigError, ValidationError
 from tpm_lab.quantum import gibbs_ensemble, standard_channel
 from tpm_lab.scenarios import (
@@ -154,7 +154,7 @@ def test_explicit_projectors_with_energies_build():
         "energies": [0.0, 1.0],
     })
     built = build_scenario(scenario_from_dict(raw))
-    assert built.second_energies == (0.0, 1.0)
+    assert built.experiment.second_measurement.energies == (0.0, 1.0)
 
 
 def test_invalid_state_matrix_raises_validation_error():
@@ -163,6 +163,67 @@ def test_invalid_state_matrix_raises_validation_error():
     with pytest.raises(ValidationError) as err:
         build_scenario(scenario_from_dict(raw))
     assert err.value.invariant == "unit_trace"
+
+
+@pytest.mark.parametrize("channel, field", [
+    ({"kind": "dephasing", "p": 1.5}, "channel.p"),
+    ({"kind": "depolarizing", "p": -0.1}, "channel.p"),
+    ({"kind": "depolarizing", "p": None}, "channel.p"),
+    ({"kind": "amplitude_damping", "gamma": "strong"}, "channel.gamma"),
+    ({"kind": "amplitude_damping", "gamma": 2.0}, "channel.gamma"),
+])
+def test_bad_channel_parameter_names_the_field(tmp_path, channel, field):
+    raw = raw_config(channel=channel)
+    with pytest.raises(ConfigError) as err:
+        build_scenario(scenario_from_dict(raw))
+    assert err.value.field == field
+    assert cli.main(["verify", "--config", write_config(tmp_path, raw)]) == 2
+
+
+def test_amplitude_damping_beyond_a_qubit_names_dim(tmp_path):
+    energies = {"kind": "diagonal", "energies": [0.0, 1.0, 2.0]}
+    raw = raw_config(dim=3, first_hamiltonian=energies,
+                     second_hamiltonian=energies,
+                     channel={"kind": "amplitude_damping", "gamma": 0.5})
+    with pytest.raises(ConfigError) as err:
+        build_scenario(scenario_from_dict(raw))
+    assert err.value.field == "dim"
+    assert cli.main(["verify", "--config", write_config(tmp_path, raw)]) == 2
+
+
+@pytest.mark.parametrize("initial", ["gibbs", "maximally_mixed"])
+@pytest.mark.parametrize("channel", [
+    {"kind": "haar_random"},
+    {"kind": "unitary_from_hamiltonian", "time": 0.7},
+])
+def test_build_diagonalises_each_hamiltonian_once(monkeypatch, initial,
+                                                  channel):
+    eig_calls, eigh_calls, states = [], [], []
+    hermitian_eig, eigh = quantum.hermitian_eig, np.linalg.eigh
+    density_init = quantum.DensityMatrix.__init__
+
+    def counting_eig(a):
+        eig_calls.append(a)
+        return hermitian_eig(a)
+
+    def counting_eigh(a, *args, **kwargs):
+        eigh_calls.append(a)
+        return eigh(a, *args, **kwargs)
+
+    def counting_init(self, matrix):
+        states.append(matrix)
+        density_init(self, matrix)
+
+    monkeypatch.setattr(quantum, "hermitian_eig", counting_eig)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(quantum.DensityMatrix, "__init__", counting_init)
+    raw = raw_config(dim=4, initial={"kind": initial},
+                     first_hamiltonian={"kind": "random"},
+                     second_hamiltonian={"kind": "random"}, channel=channel)
+    build_scenario(scenario_from_dict(raw))
+    assert len(eig_calls) == 2
+    assert len(eigh_calls) == 2
+    assert len(states) == 1
 
 
 def test_derive_seed_is_stable_and_role_separated():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_projectors, random_rank1_experiment
-from tpm_lab.linalg import haar_random_unitary
+from tpm_lab.linalg import haar_random_unitary, hermitian_eig
 from tpm_lab.quantum import (
     DensityMatrix,
     ProjectorFamily,
@@ -87,8 +87,10 @@ def test_rank1_bases(dim):
 
 def test_degenerate_groups():
     rng = np.random.default_rng(102)
-    first = eigen_measurement(degenerate_hamiltonian([0, 0, 1, 1, 1, 2], rng))
-    second = eigen_measurement(degenerate_hamiltonian([0, 0, 0, 0, 3, 3], rng))
+    first = eigen_measurement(*hermitian_eig(
+        degenerate_hamiltonian([0, 0, 1, 1, 1, 2], rng)))
+    second = eigen_measurement(*hermitian_eig(
+        degenerate_hamiltonian([0, 0, 0, 0, 3, 3], rng)))
     assert first.ranks == (2, 3, 1) and second.ranks == (4, 2)
     channel = channel_from_unitary(haar_random_unitary(6, rng))
     assert_matches_reference(experiment_of(first, channel, second, rng))
@@ -97,7 +99,7 @@ def test_degenerate_groups():
 def test_rank2_first_projector_with_coherent_state():
     first = ProjectorFamily([np.diag([1.0, 1.0, 0.0]),
                              np.diag([0.0, 0.0, 1.0])], [0.0, 1.0])
-    second = eigen_measurement(np.diag([0.0, 1.0, 2.0]))
+    second = eigen_measurement(*hermitian_eig(np.diag([0.0, 1.0, 2.0])))
     rho = DensityMatrix(np.array([[0.7, 0.1, 0.0],
                                   [0.1, 0.2, 0.05],
                                   [0.0, 0.05, 0.1]]))
@@ -132,6 +134,8 @@ def test_kraus_channels(kind, levels):
     channel = standard_channel(kind, dim, 0.37)
     if kind == "depolarizing":
         assert len(channel) == dim * dim + 1
-    first = eigen_measurement(degenerate_hamiltonian(levels, rng))
-    second = eigen_measurement(degenerate_hamiltonian(range(dim), rng))
+    first = eigen_measurement(*hermitian_eig(
+        degenerate_hamiltonian(levels, rng)))
+    second = eigen_measurement(*hermitian_eig(
+        degenerate_hamiltonian(range(dim), rng)))
     assert_matches_reference(experiment_of(first, channel, second, rng))

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import apply_kraus, dense_projectors
 from tpm_lab.errors import ValidationError
-from tpm_lab.linalg import haar_random_unitary, random_hermitian
+from tpm_lab.linalg import haar_random_unitary, hermitian_eig, random_hermitian
 from tpm_lab.quantum import (
     DensityMatrix,
     KrausChannel,
@@ -35,6 +35,14 @@ def test_density_matrix_accepts_valid_state():
     rho = DensityMatrix(np.diag([0.3, 0.7]))
     assert rho.dim == 2
     assert not rho.matrix.flags.writeable
+
+
+def test_density_matrix_stores_a_copy():
+    m = np.diag([0.3, 0.7]).astype(np.complex128)
+    rho = DensityMatrix(m)
+    assert m.flags.writeable
+    m[0, 0] = 0.9
+    assert rho.matrix[0, 0] == 0.3
 
 
 def test_density_matrix_rejects_bad_trace():
@@ -155,7 +163,7 @@ def test_projector_family_takes_one_representation():
 # --- eigen_measurement ------------------------------------------------------
 
 def test_eigen_measurement_nondegenerate():
-    family = eigen_measurement(np.diag([1.0, 0.0, 2.0]))
+    family = eigen_measurement(*hermitian_eig(np.diag([1.0, 0.0, 2.0])))
     assert family.ranks == (1, 1, 1)
     assert family.energies == (0.0, 1.0, 2.0)
     np.testing.assert_allclose(dense_projectors(family)[0], np.diag([0, 1, 0]),
@@ -166,7 +174,7 @@ def test_eigen_measurement_reconstructs_hamiltonian():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         h = random_hermitian(5, rng)
-        family = eigen_measurement(h)
+        family = eigen_measurement(*hermitian_eig(h))
         recon = sum(e * p for e, p in zip(family.energies,
                                           dense_projectors(family)))
         np.testing.assert_allclose(recon, h, atol=1e-12)
@@ -175,7 +183,7 @@ def test_eigen_measurement_reconstructs_hamiltonian():
 def test_eigen_measurement_groups_degenerate_levels():
     u = haar_random_unitary(3, np.random.default_rng(9))
     h = u @ np.diag([0.0, 0.0, 1.0]) @ u.conj().T
-    family = eigen_measurement(h)
+    family = eigen_measurement(*hermitian_eig(h))
     assert family.ranks == (2, 1)
     assert family.energies[0] == pytest.approx(0.0, abs=1e-10)
     expected = u @ np.diag([1.0, 1.0, 0.0]) @ u.conj().T
@@ -184,8 +192,13 @@ def test_eigen_measurement_groups_degenerate_levels():
 
 def test_eigen_measurement_gap_override():
     h = np.diag([0.0, 1e-12, 1.0])
-    assert len(eigen_measurement(h, degeneracy_gap=1e-6)) == 2
-    assert len(eigen_measurement(h, degeneracy_gap=1e-14)) == 3
+    assert len(eigen_measurement(*hermitian_eig(h), degeneracy_gap=1e-6)) == 2
+    assert len(eigen_measurement(*hermitian_eig(h), degeneracy_gap=1e-14)) == 3
+
+
+def test_eigen_measurement_rejects_unsorted_energies():
+    with pytest.raises(ValueError):
+        eigen_measurement([1.0, 0.0], np.eye(2))
 
 
 # --- channels ---------------------------------------------------------------
@@ -297,9 +310,10 @@ def test_channels_preserve_trace_and_positivity():
 
 
 def test_unitary_from_hamiltonian():
-    u = unitary_from_hamiltonian(np.diag([0.0, np.pi]))
+    u = unitary_from_hamiltonian(*hermitian_eig(np.diag([0.0, np.pi])))
     np.testing.assert_allclose(u, np.diag([1.0, -1.0]), atol=1e-14)
-    u_half = unitary_from_hamiltonian(np.diag([0.0, np.pi]), t=0.5)
+    u_half = unitary_from_hamiltonian(*hermitian_eig(
+        np.diag([0.0, np.pi])), t=0.5)
     np.testing.assert_allclose(u_half, np.diag([1.0, -1.0j]), atol=1e-14)
 
 
@@ -313,6 +327,19 @@ def test_gibbs_qubit_oracle():
     np.testing.assert_allclose(ens.state.matrix,
                                np.diag([1.0 / z, np.exp(-1.0) / z]),
                                atol=1e-14)
+
+
+def test_gibbs_ensemble_keeps_the_eigenpair():
+    h = random_hermitian(4, np.random.default_rng(3))
+    ens = gibbs_ensemble(h, 0.7)
+    w, v = hermitian_eig(h)
+    np.testing.assert_array_equal(ens.energies, w)
+    np.testing.assert_array_equal(ens.basis, v)
+    assert not ens.energies.flags.writeable
+    assert not ens.basis.flags.writeable
+    np.testing.assert_allclose(
+        unitary_from_hamiltonian(ens.energies, ens.basis, 0.3),
+        (v * np.exp(-0.3j * w)) @ v.conj().T, atol=1e-14)
 
 
 def test_gibbs_constant_hamiltonian():

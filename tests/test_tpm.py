@@ -16,6 +16,7 @@ from conftest import (
     random_rank1_experiment,
 )
 from tpm_lab.errors import ValidationError
+from tpm_lab.linalg import hermitian_eig
 from tpm_lab.quantum import (
     DensityMatrix,
     ProjectorFamily,
@@ -47,15 +48,15 @@ def hadamard_setup():
     ens_second = gibbs_ensemble(h_second, 1.0)
     experiment = TpmExperiment(
         initial_state=ens_first.state,
-        first_measurement=eigen_measurement(h_first),
+        first_measurement=eigen_measurement(*hermitian_eig(h_first)),
         channel=channel_from_unitary(HADAMARD),
-        second_measurement=eigen_measurement(h_second))
+        second_measurement=eigen_measurement(*hermitian_eig(h_second)))
     return experiment, ens_first, ens_second
 
 
 def identity_same_basis_setup(state: DensityMatrix):
     h = np.diag([0.0, 1.0]).astype(complex)
-    family = eigen_measurement(h)
+    family = eigen_measurement(*hermitian_eig(h))
     experiment = TpmExperiment(
         initial_state=state, first_measurement=family,
         channel=standard_channel("identity", 2), second_measurement=family)
@@ -148,9 +149,11 @@ def test_second_marginal_vs_direct_choice():
                         + 0.1 * np.eye(2) / 2)
     experiment = TpmExperiment(
         initial_state=rho,
-        first_measurement=eigen_measurement(np.diag([0.0, 1.0])),
+        first_measurement=eigen_measurement(*hermitian_eig(
+            np.diag([0.0, 1.0]))),
         channel=channel_from_unitary(HADAMARD),
-        second_measurement=eigen_measurement(np.diag([0.0, 1.0])))
+        second_measurement=eigen_measurement(*hermitian_eig(
+            np.diag([0.0, 1.0]))))
     jd = joint_distribution(experiment)
     assert np.max(np.abs(direct_second_marginal(experiment)
                          - jd.p_second)) > 0.05
@@ -176,7 +179,7 @@ def test_factorization_residual_detects_rank2_projector():
     p0 = np.diag([1.0, 1.0, 0.0])
     p1 = np.diag([0.0, 0.0, 1.0])
     first = ProjectorFamily([p0, p1], [0.0, 1.0])
-    second = eigen_measurement(np.diag([0.0, 1.0, 2.0]))
+    second = eigen_measurement(*hermitian_eig(np.diag([0.0, 1.0, 2.0])))
     rho = DensityMatrix(np.array([[0.7, 0.1, 0.0],
                                   [0.1, 0.2, 0.05],
                                   [0.0, 0.05, 0.1]]))
@@ -329,9 +332,9 @@ def test_work_statistics_amplitude_damping_counterexample():
     ens = gibbs_ensemble(h, 1.0)
     experiment = TpmExperiment(
         initial_state=ens.state,
-        first_measurement=eigen_measurement(h),
+        first_measurement=eigen_measurement(*hermitian_eig(h)),
         channel=standard_channel("amplitude_damping", 2, 0.5),
-        second_measurement=eigen_measurement(h))
+        second_measurement=eigen_measurement(*hermitian_eig(h)))
     jd = joint_distribution(experiment)
     ws = work_statistics(jd, [0.0, 1.0], [0.0, 1.0], 1.0,
                          ens.partition_function, ens.partition_function)
@@ -363,9 +366,9 @@ def test_conditional_colsums_flag_nonunital_channel():
     ens = gibbs_ensemble(h, 1.0)
     experiment = TpmExperiment(
         initial_state=ens.state,
-        first_measurement=eigen_measurement(h),
+        first_measurement=eigen_measurement(*hermitian_eig(h)),
         channel=standard_channel("amplitude_damping", 2, 0.5),
-        second_measurement=eigen_measurement(h))
+        second_measurement=eigen_measurement(*hermitian_eig(h)))
     jd = joint_distribution(experiment)
     ws = work_statistics(jd, [0.0, 1.0], [0.0, 1.0], 1.0,
                          ens.partition_function, ens.partition_function)
@@ -437,9 +440,9 @@ def test_mi_dissipation_gap_identity_channel():
     ens = gibbs_ensemble(h, 1.0)
     experiment = TpmExperiment(
         initial_state=ens.state,
-        first_measurement=eigen_measurement(h),
+        first_measurement=eigen_measurement(*hermitian_eig(h)),
         channel=standard_channel("identity", 2),
-        second_measurement=eigen_measurement(h))
+        second_measurement=eigen_measurement(*hermitian_eig(h)))
     jd = joint_distribution(experiment)
     mi = mutual_information_table(jd)
     ws = work_statistics(jd, [0.0, 1.0], [0.0, 1.0], 1.0,
@@ -463,6 +466,8 @@ def test_experiment_dimension_mismatch():
     with pytest.raises(ValueError):
         TpmExperiment(
             initial_state=maximally_mixed(3),
-            first_measurement=eigen_measurement(np.diag([0.0, 1.0])),
+            first_measurement=eigen_measurement(*hermitian_eig(
+                np.diag([0.0, 1.0]))),
             channel=standard_channel("identity", 2),
-            second_measurement=eigen_measurement(np.diag([0.0, 1.0])))
+            second_measurement=eigen_measurement(*hermitian_eig(
+                np.diag([0.0, 1.0]))))
