@@ -1,8 +1,10 @@
 """Scenario runner: verify / jarzynski / sweep / sample over JSON configs.
 
-Commands exit 0 on pass, 1 when the checked identity fails its tolerance,
-2 on config errors, 3 on validation and numerical errors (a stable
-contract for CI).
+Exit codes, a stable contract for CI: 0 pass; 1 the checked identity
+fails its tolerance; 2 a ConfigError, logged with the field or option it
+names; 3 a ValidationError, logged with its invariant and residual, or an
+OverflowError or LinAlgError. The exception type alone picks the code:
+any other exception is a bug and propagates with its traceback.
 The data stream (CSV or JSON) goes to --out or stdout; diagnostic flags
 (NOT-FULL-SUPPORT, NON-UNITAL, DEGENERATE-SPECTRUM) go to stderr via
 logging and are never mixed into the data.
@@ -30,6 +32,7 @@ from .scenarios import (
     ROLE_SAMPLER,
     BuiltScenario,
     ScenarioConfig,
+    _number,
     build_scenario,
     derive_seed,
     load_scenario,
@@ -153,7 +156,9 @@ def verify_passed(row: ReportRow, tol: float = DEFAULT_VERIFY_TOL) -> bool:
 
 def jarzynski_passed(row: ReportRow,
                      tol: float = DEFAULT_JARZYNSKI_TOL) -> bool:
-    return abs(row.jarzynski_defect) <= tol
+    """Relative pass rule |lhs/rhs − 1| = |⟨e^{−β(W−ΔF)}⟩ − 1| ≤ tol, which
+    a constant shift c of a spectrum leaves unchanged (|lhs − rhs| ∝ e^{−βc})."""
+    return abs(row.jarzynski_lhs / row.jarzynski_rhs - 1.0) <= tol
 
 
 def run_sweep(config: ScenarioConfig, parameter: str,
@@ -178,8 +183,7 @@ def run_sample(config: ScenarioConfig, count: int,
     estimates ⟨e^{−βW}⟩, compared against the exact work average (which
     equals Z'/Z whenever the Jarzynski conditions hold).
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = _number(count, "--count", "[1, inf)", integer=True)
     if weight not in ("mi", "work"):
         raise ValueError(f"weight must be 'mi' or 'work', got {weight!r}")
     if count == 1:
@@ -253,7 +257,8 @@ def _write_output(text: str, out_path: str | None) -> None:
 def _load_config(args) -> ScenarioConfig:
     config = load_scenario(args.config)
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        config = replace(config, seed=_number(args.seed, "--seed",
+                                              "[0, inf)", integer=True))
     return config
 
 
@@ -280,8 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_jarzynski = sub.add_parser(
         "jarzynski", parents=[common],
         help="check ⟨e^{-βW}⟩ = Z'/Z")
-    p_jarzynski.add_argument("--tol", type=float,
-                             default=DEFAULT_JARZYNSKI_TOL)
+    p_jarzynski.add_argument(
+        "--tol", type=float, default=DEFAULT_JARZYNSKI_TOL,
+        help="relative tolerance on ⟨e^{-βW}⟩/(Z'/Z) − 1 (default %(default)g)")
     p_sweep = sub.add_parser(
         "sweep", parents=[common],
         help="re-run a scenario over a parameter grid")
@@ -300,20 +306,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def _dispatch(args) -> int:
     config = _load_config(args)
     if args.command in ("verify", "jarzynski"):
+        tol = _number(args.tol, "--tol", "[0, inf)")
         row = run_verify(config)
         text = (rows_to_csv([row]) if args.format == "csv"
                 else rows_to_json([row]))
         _write_output(text, args.out)
         if args.command == "verify":
-            ok = verify_passed(row, args.tol)
+            ok = verify_passed(row, tol)
             check = "exponential-average bookkeeping"
         else:
-            ok = jarzynski_passed(row, args.tol)
+            ok = jarzynski_passed(row, tol)
             check = "Jarzynski equality"
         if ok:
             log.info("PASS %s: %s", config.name, check)
             return EXIT_PASS
-        log.error("FAIL %s: %s (tol %g)", config.name, check, args.tol)
+        log.error("FAIL %s: %s (tol %g)", config.name, check, tol)
         return EXIT_IDENTITY_FAILURE
     if args.command == "sweep":
         rows = run_sweep(config, args.param, list(args.values))
@@ -333,10 +340,11 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except ConfigError as exc:
-        log.error("config error: %s", exc)
+        log.error("config error (field=%s): %s", exc.field, exc)
         return EXIT_CONFIG_ERROR
     except ValidationError as exc:
-        log.error("validation error: %s", exc)
+        log.error("validation error (invariant=%s, residual=%s): %s",
+                  exc.invariant, exc.residual, exc)
         return EXIT_VALIDATION_ERROR
     except OverflowError as exc:
         log.error("overflow: %s", exc)
@@ -344,9 +352,6 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_VALIDATION_ERROR
-    except ValueError as exc:
-        log.error("invalid request: %s", exc)
-        return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -56,11 +56,6 @@ def sample_trajectories(jd: JointDistribution, count: int,
     p = np.where(jd.support_mask, jd.p_joint, 0.0)
     row_mass = p.sum(axis=1)
     total = float(row_mass.sum())
-    if total <= jd.support_epsilon:
-        raise ValueError(
-            "distribution is degenerate: all probability mass lies below "
-            f"support epsilon {jd.support_epsilon:.1e}")
-
     first_cdf = np.cumsum(row_mass) / total
     # Zero-mass rows/cells occupy zero-width CDF intervals; searchsorted
     # with side='right' can never select them for u in [0, 1).

@@ -62,6 +62,27 @@ _CHANNEL_PARAM_KEYS = {
     "amplitude_damping": "gamma",
     "unitary_from_hamiltonian": "time",
 }
+# Range (interval notation) and integrality of each top-level number;
+# sweeps re-read beta and dim through the same rules.
+_TOP_LEVEL_NUMBERS = {"dim": ("[1, inf)", True), "beta": ("(0, inf)", False),
+                      "seed": ("[0, inf)", True)}
+
+
+def _number(value, field: str, interval: str = "(-inf, inf)",
+            integer: bool = False):
+    """The float (or, if ``integer``, whole-valued int) ``value``, or a
+    ConfigError naming ``field`` for a non-number, bool or null, or a value
+    outside ``interval``, e.g. "[0, 1)". Infinite ends are written open, so
+    NaN and ±inf never pass."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (lo < value or (interval[0] == "[" and value == lo))
+            and (value < hi or (interval[-1] == "]" and value == hi))
+            and not (integer and value % 1)):
+        return int(value) if integer else float(value)
+    raise ConfigError(
+        f"{field!r} must be {'an integer' if integer else 'a number'} in "
+        f"{interval}, got {value!r}", field=field)
 
 
 def derive_seed(base_seed: int, *key: int) -> int:
@@ -133,18 +154,8 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{source}: 'name' must be a nonempty string",
                           field="name")
-    dim = raw["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ConfigError(f"{source}: 'dim' must be a positive integer",
-                          field="dim")
-    beta = raw["beta"]
-    if not isinstance(beta, (int, float)) or isinstance(beta, bool) or beta <= 0:
-        raise ConfigError(f"{source}: 'beta' must be a positive number",
-                          field="beta")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"{source}: 'seed' must be a non-negative integer",
-                          field="seed")
+    dim, beta, seed = (_number(raw.get(key, 0), key, *_TOP_LEVEL_NUMBERS[key])
+                       for key in ("dim", "beta", "seed"))
     for spec_name in ("initial", "first_hamiltonian", "channel",
                       "second_hamiltonian", "first_measurement",
                       "second_measurement", "tolerances"):
@@ -158,7 +169,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
             f"{source}: unknown tolerance overrides {sorted(unknown_tol)}",
             field="tolerances")
     return ScenarioConfig(
-        name=name, dim=dim, beta=float(beta),
+        name=name, dim=dim, beta=beta,
         initial=dict(raw["initial"]),
         first_hamiltonian=dict(raw["first_hamiltonian"]),
         channel=dict(raw["channel"]),
@@ -208,20 +219,22 @@ def _build_hamiltonian(spec: dict, dim: int, seed: int, role: int,
             raise ConfigError(
                 f"{field_name!r} diagonal spec needs an 'energies' list of "
                 f"length {dim}", field=f"{field_name}.energies")
-        return np.diag(np.array(energies, dtype=float)).astype(np.complex128)
+        return np.diag([_number(e, f"{field_name}.energies[{k}]")
+                        for k, e in enumerate(energies)]).astype(np.complex128)
     if kind == "explicit":
         return _parse_matrix(spec.get("matrix"), dim, field_name)
     rng = np.random.default_rng(derive_seed(seed, role))
-    return random_hermitian(dim, rng, scale=float(spec.get("scale", 1.0)))
+    return random_hermitian(dim, rng, scale=_number(
+        spec.get("scale", 1.0), f"{field_name}.scale"))
 
 
 def _build_measurement(spec: dict, ensemble: GibbsEnsemble,
                        field_name: str) -> ProjectorFamily:
     kind = _kind_of(spec, field_name, ("eigenbasis", "projectors"))
     if kind == "eigenbasis":
-        gap = spec.get("degeneracy_gap")
-        return eigen_measurement(ensemble.energies, ensemble.basis,
-                                 None if gap is None else float(gap))
+        gap = (_number(spec["degeneracy_gap"], f"{field_name}.degeneracy_gap",
+                       "[0, inf)") if "degeneracy_gap" in spec else None)
+        return eigen_measurement(ensemble.energies, ensemble.basis, gap)
     mats = spec.get("projectors")
     if not isinstance(mats, list) or not mats:
         raise ConfigError(
@@ -236,7 +249,8 @@ def _build_measurement(spec: dict, ensemble: GibbsEnsemble,
     dim = len(ensemble.energies)
     parsed = [_parse_matrix(m, dim, f"{field_name}.projectors[{k}]")
               for k, m in enumerate(mats)]
-    return ProjectorFamily(parsed, [float(e) for e in energies])
+    return ProjectorFamily(parsed, [_number(e, f"{field_name}.energies[{k}]")
+                                    for k, e in enumerate(energies)])
 
 
 def _build_channel(config: ScenarioConfig,
@@ -251,17 +265,7 @@ def _build_channel(config: ScenarioConfig,
         return standard_channel("identity", dim)
     if kind in ("dephasing", "depolarizing", "amplitude_damping"):
         key = _CHANNEL_PARAM_KEYS[kind]
-        if key not in spec:
-            raise ConfigError(f"channel kind {kind!r} requires {key!r}",
-                              field=f"channel.{key}")
-        try:
-            param = float(spec[key])
-        except (TypeError, ValueError):
-            param = float("nan")
-        if not 0.0 <= param <= 1.0:
-            raise ConfigError(
-                f"channel {key!r} must be a number in [0, 1], got "
-                f"{spec[key]!r}", field=f"channel.{key}")
+        param = _number(spec.get(key), f"channel.{key}", "[0, 1]")
         if kind == "amplitude_damping" and dim != 2:
             raise ConfigError(
                 f"amplitude damping is defined for dim = 2, got dim = {dim}",
@@ -271,7 +275,7 @@ def _build_channel(config: ScenarioConfig,
         rng = np.random.default_rng(derive_seed(config.seed, ROLE_CHANNEL))
         return channel_from_unitary(haar_random_unitary(dim, rng))
     if kind == "unitary_from_hamiltonian":
-        t = float(spec.get("time", 1.0))
+        t = _number(spec.get("time", 1.0), "channel.time")
         return channel_from_unitary(unitary_from_hamiltonian(
             second_ensemble.energies, second_ensemble.basis, t))
     mats = spec.get("operators")
@@ -320,8 +324,9 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
                                first_measurement=first_meas,
                                channel=channel,
                                second_measurement=second_meas)
-    support_epsilon = float(config.tolerances.get("support_epsilon",
-                                                  DEFAULT_SUPPORT_EPSILON))
+    support_epsilon = _number(
+        config.tolerances.get("support_epsilon", DEFAULT_SUPPORT_EPSILON),
+        "tolerances.support_epsilon", "[0, 1)")
     return BuiltScenario(
         config=config, experiment=experiment,
         first_ensemble=first_ensemble, second_ensemble=second_ensemble,
@@ -342,27 +347,18 @@ def sweep_configs(config: ScenarioConfig, parameter: str,
             "expected 'beta', 'channel_param' or 'dim'")
     variants = []
     for k, value in enumerate(values):
-        seed_k = derive_seed(config.seed, ROLE_SWEEP, k)
-        label = f"{config.name}[{parameter}={value:g}]"
-        if parameter == "beta":
-            if value <= 0:
-                raise ValueError(f"swept beta must be positive, got {value}")
-            variants.append(replace(config, beta=float(value), seed=seed_k,
-                                    name=label))
-        elif parameter == "channel_param":
+        if parameter == "channel_param":
             kind = config.channel.get("kind")
             key = _CHANNEL_PARAM_KEYS.get(kind)
             if key is None:
-                raise ValueError(
-                    f"channel kind {kind!r} has no sweepable parameter")
-            channel = dict(config.channel)
-            channel[key] = float(value)
-            variants.append(replace(config, channel=channel, seed=seed_k,
-                                    name=label))
+                raise ConfigError(
+                    f"channel kind {kind!r} has no sweepable parameter",
+                    field="channel.kind")
+            change = {"channel": {**config.channel, key: float(value)}}
         else:
-            dim = int(value)
-            if dim != value or dim < 1:
-                raise ValueError(
-                    f"swept dim must be a positive integer, got {value}")
-            variants.append(replace(config, dim=dim, seed=seed_k, name=label))
+            change = {parameter: _number(value, parameter,
+                                         *_TOP_LEVEL_NUMBERS[parameter])}
+        variants.append(replace(
+            config, name=f"{config.name}[{parameter}={value:g}]",
+            seed=derive_seed(config.seed, ROLE_SWEEP, k), **change))
     return variants

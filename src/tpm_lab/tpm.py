@@ -130,8 +130,9 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
     """Build a :class:`JointDistribution` from a raw probability table.
 
     Checks bounds (entries within [−1e−12, 1 + 1e−12]) before clamping to
-    [0, 1], and normalization (Σ p = 1 within 1e−10); fills marginals,
-    conditionals and the support mask.
+    [0, 1], normalization (Σ p = 1 within 1e−10) and that some cell
+    exceeds ``support_epsilon``; fills marginals, conditionals and the
+    support mask.
     """
     p = np.array(p_joint, dtype=float)
     if p.ndim != 2:
@@ -157,6 +158,10 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
     p_cond = np.full_like(p, np.nan)
     p_cond[defined] = p[defined] / p_first[defined, None]
     mask = p > support_epsilon
+    if not mask.any():
+        raise ValidationError(
+            f"no outcome pair has probability above support epsilon "
+            f"{support_epsilon!r}", invariant="empty_support")
     return JointDistribution(
         p_joint=_freeze(p), p_first=_freeze(p_first), p_second=_freeze(p_second),
         p_cond=_freeze(p_cond), support_mask=_freeze(mask),
@@ -246,20 +251,16 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
     construction for any distribution that passed
     :func:`distribution_from_joint`).
     """
-    mask = jd.support_mask
-    rows, cols = np.nonzero(mask)
+    rows, cols = np.nonzero(jd.support_mask)
     i_table = np.full(jd.shape, np.nan)
-    exp_average = 0.0
     support_defect = jd.support_defect
-    average_mi = 0.0
-    if rows.size:
-        cond = jd.p_cond[rows, cols]
-        marginal = jd.p_second[cols]
-        joint = jd.p_joint[rows, cols]
-        i_vals = np.log(cond) - np.log(marginal)
-        i_table[rows, cols] = i_vals
-        exp_average = float(np.sum(joint * marginal / cond))
-        average_mi = float(np.sum(joint * i_vals))
+    cond = jd.p_cond[rows, cols]
+    marginal = jd.p_second[cols]
+    joint = jd.p_joint[rows, cols]
+    i_vals = np.log(cond) - np.log(marginal)
+    i_table[rows, cols] = i_vals
+    exp_average = float(np.sum(joint * marginal / cond))
+    average_mi = float(np.sum(joint * i_vals))
 
     bookkeeping = abs(exp_average + support_defect - 1.0)
     if bookkeeping > BOOKKEEPING_TOL:
@@ -270,10 +271,8 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
     # Log-sum inequality on the support S with q = p(n)p(m):
     # Σ_S p ln(p/q) ≥ P(S) ln(P(S)/Q(S)). Q(S) = Σ_S q is exp_average,
     # summed without the cancellation in 1 − support_defect.
-    jensen_bound = 0.0
-    if rows.size:
-        support_mass = float(np.sum(joint))
-        jensen_bound = support_mass * float(np.log(support_mass / exp_average))
+    support_mass = float(np.sum(joint))
+    jensen_bound = support_mass * float(np.log(support_mass / exp_average))
     if average_mi < jensen_bound - JENSEN_TOL:
         raise ValidationError(
             f"average mutual information {average_mi!r} is below its "
@@ -306,8 +305,6 @@ def exp_average_with_reference(jd: JointDistribution, q) -> float:
             f"reference is not normalized: sums to {total!r}")
     q = np.clip(q, 0.0, None)
     rows, cols = np.nonzero(jd.support_mask)
-    if not rows.size:
-        return 0.0
     return float(np.sum(jd.p_joint[rows, cols] * q[cols] / jd.p_cond[rows, cols]))
 
 
@@ -401,6 +398,4 @@ def compare_mi_to_dissipation(mi: MutualInformationTable,
             f"table shapes disagree: {mi.i_table.shape} vs "
             f"{ws.dissipation_table.shape}")
     mask = mi.support_mask
-    if not mask.any():
-        return 0.0
     return float(np.max(np.abs(mi.i_table[mask] - ws.dissipation_table[mask])))

@@ -180,6 +180,50 @@ def test_bad_channel_parameter_names_the_field(tmp_path, channel, field):
     assert cli.main(["verify", "--config", write_config(tmp_path, raw)]) == 2
 
 
+PROJECTORS = [{"re": [[1.0, 0.0], [0.0, 0.0]]},
+              {"re": [[0.0, 0.0], [0.0, 1.0]]}]
+
+
+@pytest.mark.parametrize("overrides, argv, field", [
+    ({"first_hamiltonian": {"kind": "random", "scale": None}}, [],
+     "first_hamiltonian.scale"),
+    ({"channel": {"kind": "unitary_from_hamiltonian", "time": None}}, [],
+     "channel.time"),
+    ({"first_measurement": {"kind": "eigenbasis", "degeneracy_gap": -1}}, [],
+     "first_measurement.degeneracy_gap"),
+    ({"beta": float("inf")}, [], "beta"),
+    ({"dim": 2.5}, [], "dim"),
+    ({"seed": True}, [], "seed"),
+    ({"first_hamiltonian": {"kind": "diagonal", "energies": ["a", 1.0]}}, [],
+     "first_hamiltonian.energies[0]"),
+    ({"second_measurement": {"kind": "projectors", "projectors": PROJECTORS,
+                             "energies": [0.0, "b"]}}, [],
+     "second_measurement.energies[1]"),
+    ({"tolerances": {"support_epsilon": None}}, [],
+     "tolerances.support_epsilon"),
+    ({"tolerances": {"support_epsilon": -1}}, [],
+     "tolerances.support_epsilon"),
+    ({"tolerances": {"support_epsilon": 1.0}}, [],
+     "tolerances.support_epsilon"),
+    ({}, ["sweep", "--param", "beta", "--values", "-1"], "beta"),
+    ({}, ["sweep", "--param", "dim", "--values", "2.5"], "dim"),
+    ({}, ["sweep", "--param", "channel_param", "--values", "0.5"],
+     "channel.kind"),
+    ({}, ["sample", "--count", "0"], "--count"),
+    ({}, ["verify", "--seed", "-1"], "--seed"),
+    ({}, ["jarzynski", "--tol", "nan"], "--tol"),
+])
+def test_bad_value_exits_2_naming_the_field(tmp_path, caplog, overrides,
+                                            argv, field):
+    command, *options = argv or ["verify"]
+    config = write_config(tmp_path, raw_config(**overrides))
+    with caplog.at_level("ERROR", logger="tpm_lab"):
+        code = cli.main([command, "--config", config, *options])
+    assert code == 2
+    assert caplog.records[-1].getMessage().startswith(
+        f"config error (field={field}): ")
+
+
 def test_amplitude_damping_beyond_a_qubit_names_dim(tmp_path):
     energies = {"kind": "diagonal", "energies": [0.0, 1.0, 2.0]}
     raw = raw_config(dim=3, first_hamiltonian=energies,
@@ -287,6 +331,24 @@ def test_verify_amplitude_damping_row():
     assert cli.verify_passed(row)
     assert row.unitality_residual == pytest.approx(0.5 * np.sqrt(2.0),
                                                    abs=1e-12)
+
+
+@pytest.mark.parametrize("config, shift, code", [
+    # Non-unital: the relative violation stays 0.231 at any shift, while
+    # |lhs − rhs| falls to 4.8e−10 at +20.
+    (SCENARIO_DIR / "amplitude_damping.json", 20.0, 1),
+    # Qubit Gibbs state through the identity: rhs = e^20 = 4.85e8, so
+    # |lhs − rhs| = 7.7e−7 although the relative defect is 1.6e−15.
+    (None, -20.0, 0),
+])
+def test_jarzynski_pass_rule_is_shift_invariant(tmp_path, config, shift,
+                                                code):
+    raw = (json.loads(config.read_text(encoding="utf-8")) if config
+           else raw_config())
+    energies = raw["second_hamiltonian"]["energies"]
+    raw["second_hamiltonian"]["energies"] = [e + shift for e in energies]
+    assert cli.main(["jarzynski", "--config", write_config(tmp_path, raw),
+                     "--out", str(tmp_path / "row.csv")]) == code
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -446,6 +508,14 @@ def test_main_exit_codes(tmp_path):
         "bad_state.json")
     assert cli.main(["verify", "--config", bad_state]) == 3
 
+    # Every cell at or below support_epsilon: no pass can be vacuous.
+    empty_support = write_config(tmp_path, raw_config(
+        tolerances={"support_epsilon": 0.99}), "empty_support.json")
+    for command, *options in (["verify"], ["jarzynski"],
+                              ["sample", "--count", "10"]):
+        assert cli.main([command, "--config", empty_support, *options,
+                         "--out", str(tmp_path / "out")]) == 3
+
     malformed = tmp_path / "broken.json"
     malformed.write_text("{not json", encoding="utf-8")
     assert cli.main(["verify", "--config", str(malformed)]) == 2
@@ -454,6 +524,26 @@ def test_main_exit_codes(tmp_path):
         first_hamiltonian={"kind": "diagonal", "energies": [0.0, 1e6]}),
         "overflow.json")
     assert cli.main(["verify", "--config", overflowing]) == 3
+
+
+def test_main_logs_error_fields_to_stderr(tmp_path, caplog, capsys):
+    bad_epsilon = write_config(tmp_path, raw_config(
+        tolerances={"support_epsilon": "x"}), "bad_epsilon.json")
+    bad_state = write_config(tmp_path, raw_config(
+        initial={"kind": "explicit",
+                 "matrix": {"re": [[0.9, 0.0], [0.0, 0.3]]}}),
+        "bad_state.json")
+    with caplog.at_level("ERROR", logger="tpm_lab"):
+        assert cli.main(["verify", "--config", bad_epsilon]) == 2
+        assert cli.main(["verify", "--config", bad_state]) == 3
+    config_line, validation_line = (r.getMessage() for r in caplog.records)
+    assert config_line.startswith(
+        "config error (field=tolerances.support_epsilon): ")
+    prefix = "validation error (invariant=unit_trace, residual="
+    assert validation_line.startswith(prefix)
+    residual = validation_line[len(prefix):].split(")")[0]
+    assert float(residual) == pytest.approx(0.2)
+    assert capsys.readouterr().out == ""
 
 
 def test_main_linalg_failure_is_validation_exit(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rank1_experiment
+from tpm_lab.errors import ValidationError
 from tpm_lab.sampler import estimate_exponential_average, sample_trajectories
 from tpm_lab.tpm import (
     distribution_from_joint,
@@ -139,9 +140,11 @@ def test_zero_width_cells_never_selected():
 
 
 def test_degenerate_distribution_raises():
-    jd = distribution_from_joint(np.array([[1.0]]), support_epsilon=2.0)
-    with pytest.raises(ValueError, match="degenerate"):
-        sample_trajectories(jd, 10, np.random.default_rng(0))
+    # An empty support is rejected when the table is built, so the sampler
+    # never sees one.
+    with pytest.raises(ValidationError) as err:
+        distribution_from_joint(np.array([[1.0]]), support_epsilon=2.0)
+    assert err.value.invariant == "empty_support"
 
 
 def test_count_and_sample_validation():
