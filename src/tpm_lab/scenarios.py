@@ -14,6 +14,7 @@ config plus a seed pins every number in the run.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -73,9 +74,11 @@ def _number(value, field: str, interval: str = "(-inf, inf)",
     """The float (or, if ``integer``, whole-valued int) ``value``, or a
     ConfigError naming ``field`` for a non-number, bool or null, or a value
     outside ``interval``, e.g. "[0, 1)". Infinite ends are written open, so
-    NaN and ±inf never pass."""
+    NaN and ±inf never pass, nor does an integer beyond double range
+    where a float is asked for."""
     lo, hi = (float(end) for end in interval[1:-1].split(","))
     if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (integer or abs(value) <= sys.float_info.max)
             and (lo < value or (interval[0] == "[" and value == lo))
             and (value < hi or (interval[-1] == "]" and value == hi))
             and not (integer and value % 1)):
@@ -133,6 +136,8 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(
             f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except ValueError as exc:  # an integer literal over the digit limit
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return scenario_from_dict(raw, source=str(path))
 
 

@@ -179,15 +179,17 @@ def joint_distribution(experiment: TpmExperiment,
     tr{Q_m Λ(P_n)}·tr(P_n ρ) deviates from it (``factorization_residual``).
 
     Everything is evaluated in the measurement bases, in one pass over the
-    channel's (K, d, d) Kraus stack, one operator at a time, at O(K·d³)
-    time and O(d²) working memory. With V, W the first and second bases,
-    G, H their (column × outcome) group-indicator matrices, A_i = W†Λ_iV,
-    and ρ̃ = V†ρV with the entries between different first groups zeroed
-    (the first measurement's dephasing):
+    channel's (K, d, d) Kraus stack, one operator at a time, plus one
+    O(d²) term for its replacement weight r: O(K·d³ + d²) time and O(d²)
+    working memory. With V, W the first and second bases, G, H their
+    (column × outcome) group-indicator matrices, A_i = W†Λ_iV, ρ̃ = V†ρV
+    with the entries between different first groups zeroed (the first
+    measurement's dephasing), and 1 the all-ones d×d matrix:
 
-    - p = Gᵀ (Σ_i Re[(A_i ρ̃) ⊙ Ā_i])ᵀ H;
-    - the factorized table is Gᵀ (Σ_i |A_i|²)ᵀ H with row n scaled by
-      p(n) = (Gᵀ diag ρ̃)_n.
+    - p = Gᵀ (Σ_i Re[(A_i ρ̃) ⊙ Ā_i] + (r/d)·1·diag ρ̃)ᵀ H, since
+      W†(I/d)W = I/d puts weight (r/d)·ρ̃_kk on every second-basis row;
+    - the factorized table is Gᵀ (Σ_i |A_i|² + (r/d)·1)ᵀ H with row n
+      scaled by p(n) = (Gᵀ diag ρ̃)_n.
     """
     first = experiment.first_measurement
     second = experiment.second_measurement
@@ -204,6 +206,9 @@ def joint_distribution(experiment: TpmExperiment,
         a_conj = a.conj()
         born += (a @ dephased * a_conj).real
         transition += (a * a_conj).real
+    r = experiment.channel.replacement
+    born += (r / dim) * dephased.diagonal().real
+    transition += r / dim
 
     g = np.eye(len(first))[first.groups]
     h = np.eye(len(second))[second.groups]

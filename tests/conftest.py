@@ -43,10 +43,26 @@ def dense_projectors(family: ProjectorFamily) -> list[np.ndarray]:
 
 
 def apply_kraus(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Σ_i Λ_i ρ Λ_i†, validated as a state, so a channel that breaks trace
-    or positivity fails loudly."""
-    out = sum(op @ rho.matrix @ op.conj().T for op in channel.kraus_ops)
+    """Σ_i Λ_i ρ Λ_i† + r·tr(ρ)·I/d, validated as a state, so a channel that
+    breaks trace or positivity fails loudly."""
+    out = sum(op @ rho.matrix @ op.conj().T for op in channel.kraus_ops) \
+        + channel.replacement * np.trace(rho.matrix) * np.eye(rho.dim) / rho.dim
     return DensityMatrix((out + out.conj().T) / 2)
+
+
+def weyl_depolarizing(dim: int, p: float) -> KrausChannel:
+    """The depolarizing channel ρ ↦ (1−p)ρ + p·I/d as d² + 1 explicit Kraus
+    operators and no replacement weight: √(1−p)·I, then the Weyl twirl
+    (√p/d)·X^a Z^b with (X^a Z^b)_jk = δ_{j, k+a mod d}·ω^{bk}, ω = e^{2πi/d},
+    since (1/d²) Σ_ab W_ab ρ W_ab† = tr(ρ)·I/d."""
+    k = np.arange(dim)
+    ops = [np.sqrt(1 - p) * np.eye(dim)]
+    for a in range(dim):
+        shift = np.eye(dim)[:, (k + a) % dim]  # column k is |k + a mod d⟩
+        for b in range(dim):
+            phases = np.exp(2j * np.pi * (b * k % dim) / dim)
+            ops.append(np.sqrt(p) / dim * shift * phases)
+    return KrausChannel(ops)
 
 
 def random_rank1_experiment(dim: int, rng: np.random.Generator,

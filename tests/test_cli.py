@@ -212,6 +212,10 @@ PROJECTORS = [{"re": [[1.0, 0.0], [0.0, 0.0]]},
     ({}, ["sample", "--count", "0"], "--count"),
     ({}, ["verify", "--seed", "-1"], "--seed"),
     ({}, ["jarzynski", "--tol", "nan"], "--tol"),
+    # JSON integers beyond double range, which float() cannot convert.
+    ({"beta": 10**400}, [], "beta"),
+    ({"first_hamiltonian": {"kind": "diagonal", "energies": [0.0, 10**400]}},
+     [], "first_hamiltonian.energies[1]"),
 ])
 def test_bad_value_exits_2_naming_the_field(tmp_path, caplog, overrides,
                                             argv, field):
@@ -518,6 +522,9 @@ def test_main_exit_codes(tmp_path):
 
     malformed = tmp_path / "broken.json"
     malformed.write_text("{not json", encoding="utf-8")
+    assert cli.main(["verify", "--config", str(malformed)]) == 2
+    # json.loads refuses an integer literal of over 4300 digits.
+    malformed.write_text('{"beta": 1' + "0" * 5000 + "}", encoding="utf-8")
     assert cli.main(["verify", "--config", str(malformed)]) == 2
 
     overflowing = write_config(tmp_path, raw_config(

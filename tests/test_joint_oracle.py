@@ -3,15 +3,23 @@
 ``reference_joint`` evaluates the Born rule term by term: one trace
 product per outcome pair, with each channel applied to the dense
 post-measurement state. It shares nothing with the engine but the
-experiment's inputs, and costs O(N·M·d² + N·K·d³).
+experiment's inputs, and costs O(N·M·d² + N·K·d³). The depolarizing
+channel, stored as one Kraus operator plus a replacement weight, is
+checked against its d² + 1 explicit Weyl Kraus operators.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import dense_projectors, random_rank1_experiment
+from conftest import (
+    dense_projectors,
+    random_rank1_experiment,
+    weyl_depolarizing,
+)
 from tpm_lab.linalg import haar_random_unitary, hermitian_eig
 from tpm_lab.quantum import (
     DensityMatrix,
@@ -40,6 +48,9 @@ def reference_joint(experiment: TpmExperiment, firsts=None, seconds=None):
     """
     rho = experiment.initial_state.matrix
     kraus = experiment.channel.kraus_ops
+    # The replacement term r·tr(X)·I/d of the channel, applied to X.
+    replaced = experiment.channel.replacement * np.eye(experiment.dim) \
+        / experiment.dim
     if firsts is None:
         firsts = dense_projectors(experiment.first_measurement)
     if seconds is None:
@@ -48,8 +59,10 @@ def reference_joint(experiment: TpmExperiment, firsts=None, seconds=None):
     p_factorized = np.zeros_like(p)
     for n, proj in enumerate(firsts):
         dephased = proj @ rho @ proj
-        evolved = sum(op @ dephased @ op.conj().T for op in kraus)
-        channel_of_proj = sum(op @ proj @ op.conj().T for op in kraus)
+        evolved = sum(op @ dephased @ op.conj().T for op in kraus) \
+            + np.trace(dephased) * replaced
+        channel_of_proj = sum(op @ proj @ op.conj().T for op in kraus) \
+            + np.trace(proj) * replaced
         weight = trace_product(proj, rho)
         for m, q in enumerate(seconds):
             # tr{Q τ Q} = tr{Q τ} since Q is idempotent.
@@ -58,8 +71,14 @@ def reference_joint(experiment: TpmExperiment, firsts=None, seconds=None):
     return p, float(np.max(np.abs(p - p_factorized)))
 
 
-def assert_matches_reference(experiment, firsts=None, seconds=None):
+def assert_matches_reference(experiment, firsts=None, seconds=None,
+                             reference_channel=None):
+    """The engine's table against ``reference_joint``, which evaluates the
+    experiment with ``reference_channel`` in place of its channel if one
+    is given."""
     jd = joint_distribution(experiment)
+    if reference_channel is not None:
+        experiment = dataclasses.replace(experiment, channel=reference_channel)
     p, residual = reference_joint(experiment, firsts, seconds)
     assert np.max(np.abs(jd.p_joint - p)) <= TOL
     assert abs(jd.factorization_residual - residual) <= TOL
@@ -127,15 +146,24 @@ def test_explicit_projector_family():
     ("amplitude_damping", [0, 1]),
     ("dephasing", [0, 0, 1, 2, 3]),
     ("depolarizing", [0, 1, 1, 2]),
+    ("depolarizing", [0, 1]),
+    ("depolarizing", [0, 0, 1]),
+    ("depolarizing", [0, 0, 1, 1, 1, 2, 3, 3]),
 ])
 def test_kraus_channels(kind, levels):
     dim = len(levels)
     rng = np.random.default_rng((105, dim))
-    channel = standard_channel(kind, dim, 0.37)
-    if kind == "depolarizing":
-        assert len(channel) == dim * dim + 1
     first = eigen_measurement(*hermitian_eig(
         degenerate_hamiltonian(levels, rng)))
     second = eigen_measurement(*hermitian_eig(
-        degenerate_hamiltonian(range(dim), rng)))
-    assert_matches_reference(experiment_of(first, channel, second, rng))
+        degenerate_hamiltonian(levels[::-1], rng)))
+    for p in (0.0, 0.37, 1.0):
+        channel = standard_channel(kind, dim, p)
+        reference = None
+        if kind == "depolarizing":
+            assert len(channel) == 1 and channel.replacement == p
+            reference = weyl_depolarizing(dim, p)
+        else:
+            assert channel.replacement == 0.0
+        assert_matches_reference(experiment_of(first, channel, second, rng),
+                                 reference_channel=reference)

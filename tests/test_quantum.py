@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import apply_kraus, dense_projectors
+from conftest import apply_kraus, dense_projectors, weyl_depolarizing
 from tpm_lab.errors import ValidationError
 from tpm_lab.linalg import haar_random_unitary, hermitian_eig, random_hermitian
 from tpm_lab.quantum import (
@@ -217,6 +217,30 @@ def test_kraus_channel_rejects_trace_decreasing_set():
     assert err.value.residual == pytest.approx(0.1, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale, replacement, residual", [
+    (np.sqrt(1.5), -0.5, 0.5),  # trace-preserving, but not CP
+    (0.0, 1.5, 0.5),
+    (1.0, np.nan, np.nan),
+    (1.0, np.inf, np.inf),
+], ids=["negative", "above-one", "nan", "inf"])
+def test_kraus_channel_rejects_replacement_weight_outside_unit_interval(
+        scale, replacement, residual):
+    with pytest.raises(ValidationError) as err:
+        KrausChannel([scale * np.eye(2)], replacement=replacement)
+    assert err.value.invariant == "replacement_weight"
+    assert err.value.residual == pytest.approx(residual, nan_ok=True)
+
+
+def test_kraus_channel_replacement_enters_completeness_and_unitality():
+    channel = KrausChannel([np.sqrt(0.25) * np.eye(3)], replacement=0.75)
+    assert channel.replacement == 0.75 and len(channel) == 1
+    assert channel.unitality_residual == 0.0
+    with pytest.raises(ValidationError) as err:
+        KrausChannel([np.sqrt(0.25) * np.eye(3)], replacement=0.5)
+    assert err.value.invariant == "completeness"
+    assert err.value.residual == pytest.approx(0.25 * np.sqrt(3.0))
+
+
 @pytest.mark.parametrize("ops, error, invariant", [
     ([], ValidationError, "nonempty"),
     ([np.array([1.0, 0.0])], ValidationError, "matrix_shape"),
@@ -259,11 +283,17 @@ def test_dephasing_interpolates_to_diagonal():
 
 
 def test_depolarizing_closed_form():
-    rho = random_density_matrix(3, np.random.default_rng(8))
+    # The stored form and the explicit Weyl stack the joint-table oracle
+    # uses both act as (1 − p)ρ + p·I/d.
+    rng = np.random.default_rng(8)
     p = 0.3
-    out = apply_kraus(standard_channel("depolarizing", 3, p), rho)
-    expected = (1 - p) * rho.matrix + p * np.eye(3) / 3
-    np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
+    for dim in (2, 3, 5):
+        rho = random_density_matrix(dim, rng)
+        expected = (1 - p) * rho.matrix + p * np.eye(dim) / dim
+        for channel in (standard_channel("depolarizing", dim, p),
+                        weyl_depolarizing(dim, p)):
+            out = apply_kraus(channel, rho)
+            np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
 
 
 def test_amplitude_damping_action():
