@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .sampler import (
+    MAX_COUNT,
     EstimatorReport,
     estimate_exponential_average,
     sample_trajectories,
@@ -181,9 +182,11 @@ def run_sample(config: ScenarioConfig, count: int,
     ``weight="mi"`` estimates ⟨e^{−I}⟩ against the engine's exact
     exponential average; ``weight="work"`` uses βW so the sample mean
     estimates ⟨e^{−βW}⟩, compared against the exact work average (which
-    equals Z'/Z whenever the Jarzynski conditions hold).
+    equals Z'/Z whenever the Jarzynski conditions hold). The estimate's
+    effective sample size and largest weight share go to stderr as one
+    INFO line; the report itself does not carry them.
     """
-    count = _number(count, "--count", "[1, inf)", integer=True)
+    count = _number(count, "--count", f"[1, {MAX_COUNT}]", integer=True)
     if weight not in ("mi", "work"):
         raise ValueError(f"weight must be 'mi' or 'work', got {weight!r}")
     if count == 1:
@@ -206,7 +209,12 @@ def run_sample(config: ScenarioConfig, count: int,
         exact = ws.jarzynski_lhs
     rng = np.random.default_rng(derive_seed(config.seed, ROLE_SAMPLER))
     samples = sample_trajectories(jd, count, rng)
-    return estimate_exponential_average(samples, weight_table, exact=exact)
+    report = estimate_exponential_average(samples, weight_table, exact=exact)
+    log.info("ESTIMATOR scenario=%s effective_sample_size=%.6g of %d "
+             "max_weight_share=%.6g", config.name,
+             report.effective_sample_size, report.sample_count,
+             report.max_weight_share)
+    return report
 
 
 def _format_value(value) -> str:

@@ -14,6 +14,7 @@ config plus a seed pins every number in the run.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -43,6 +44,7 @@ __all__ = [
     "scenario_from_dict",
     "build_scenario",
     "derive_seed",
+    "MAX_DIM",
 ]
 
 # Fixed role indices mixed into the seed so each random ingredient gets an
@@ -63,9 +65,12 @@ _CHANNEL_PARAM_KEYS = {
     "amplitude_damping": "gamma",
     "unitary_from_hamiltonian": "time",
 }
+# The largest dimension whose d×d complex128 matrices are addressable.
+MAX_DIM = math.isqrt(np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize)
 # Range (interval notation) and integrality of each top-level number;
 # sweeps re-read beta and dim through the same rules.
-_TOP_LEVEL_NUMBERS = {"dim": ("[1, inf)", True), "beta": ("(0, inf)", False),
+_TOP_LEVEL_NUMBERS = {"dim": (f"[1, {MAX_DIM}]", True),
+                      "beta": ("(0, inf)", False),
                       "seed": ("[0, inf)", True)}
 
 
@@ -75,8 +80,10 @@ def _number(value, field: str, interval: str = "(-inf, inf)",
     ConfigError naming ``field`` for a non-number, bool or null, or a value
     outside ``interval``, e.g. "[0, 1)". Infinite ends are written open, so
     NaN and ±inf never pass, nor does an integer beyond double range
-    where a float is asked for."""
-    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    where a float is asked for. Integer ends compare exactly, also
+    beyond 2⁵³."""
+    lo, hi = (int(end) if end.strip().lstrip("-").isdigit() else float(end)
+              for end in interval[1:-1].split(","))
     if (isinstance(value, (int, float)) and not isinstance(value, bool)
             and (integer or abs(value) <= sys.float_info.max)
             and (lo < value or (interval[0] == "[" and value == lo))

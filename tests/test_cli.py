@@ -15,7 +15,9 @@ from conftest import RESTRICTED_SUPPORT_EPSILON, RESTRICTED_SUPPORT_JOINT
 from tpm_lab import cli, quantum
 from tpm_lab.errors import ConfigError, ValidationError
 from tpm_lab.quantum import gibbs_ensemble, standard_channel
+from tpm_lab.sampler import MAX_COUNT
 from tpm_lab.scenarios import (
+    MAX_DIM,
     build_scenario,
     derive_seed,
     load_scenario,
@@ -226,6 +228,37 @@ def test_bad_value_exits_2_naming_the_field(tmp_path, caplog, overrides,
     assert code == 2
     assert caplog.records[-1].getMessage().startswith(
         f"config error (field={field}): ")
+
+
+@pytest.mark.parametrize("overrides, argv, field", [
+    ({"dim": 10**400}, [], "dim"),
+    ({"dim": MAX_DIM + 1}, [], "dim"),
+    ({}, ["sweep", "--param", "dim", "--values", "2", str(MAX_DIM + 1)],
+     "dim"),
+    ({}, ["sample", "--count", "10000000000000000000"], "--count"),
+    ({}, ["sample", "--count", str(MAX_COUNT + 1)], "--count"),
+])
+def test_unaddressable_size_exits_2_before_building(tmp_path, caplog,
+                                                    monkeypatch, overrides,
+                                                    argv, field):
+    # A d×d complex128 matrix and a count-long index array must be
+    # addressable; past that bound nothing is built or allocated.
+    def no_build(config):
+        raise AssertionError(f"built {config.name} past a size guard")
+
+    monkeypatch.setattr(cli, "build_scenario", no_build)
+    command, *options = argv or ["verify"]
+    config = write_config(tmp_path, raw_config(**overrides))
+    with caplog.at_level("ERROR", logger="tpm_lab"):
+        code = cli.main([command, "--config", config, *options])
+    assert code == 2
+    assert caplog.records[-1].getMessage().startswith(
+        f"config error (field={field}): ")
+
+
+def test_largest_addressable_dim_is_accepted():
+    assert 16 * MAX_DIM ** 2 <= np.iinfo(np.intp).max < 16 * (MAX_DIM + 1) ** 2
+    assert scenario_from_dict(raw_config(dim=MAX_DIM)).dim == MAX_DIM
 
 
 def test_amplitude_damping_beyond_a_qubit_names_dim(tmp_path):
