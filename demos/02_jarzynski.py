@@ -15,7 +15,6 @@ from tpm_lab import (
     channel_from_unitary,
     eigen_measurement,
     gibbs_ensemble,
-    hermitian_eig,
     joint_distribution,
     standard_channel,
     work_statistics,
@@ -31,9 +30,11 @@ def run(beta, channel, h_second):
     ens_second = gibbs_ensemble(h_second, beta)
     experiment = TpmExperiment(
         initial_state=ens_first.state,
-        first_measurement=eigen_measurement(*hermitian_eig(H_FIRST)),
+        first_measurement=eigen_measurement(ens_first.energies,
+                                            ens_first.basis),
         channel=channel,
-        second_measurement=eigen_measurement(*hermitian_eig(h_second)),
+        second_measurement=eigen_measurement(ens_second.energies,
+                                             ens_second.basis),
     )
     jd = joint_distribution(experiment)
     return work_statistics(

@@ -50,7 +50,6 @@ from .tpm import (
     WorkStatistics,
     compare_mi_to_dissipation,
     distribution_from_joint,
-    exp_average_with_reference,
     joint_distribution,
     mutual_information_table,
     work_statistics,
@@ -82,7 +81,6 @@ __all__ = [
     "joint_distribution",
     "distribution_from_joint",
     "mutual_information_table",
-    "exp_average_with_reference",
     "work_statistics",
     "compare_mi_to_dissipation",
     "EstimatorReport",

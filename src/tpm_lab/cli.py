@@ -3,7 +3,8 @@
 Exit codes, a stable contract for CI: 0 pass; 1 the checked identity
 fails its tolerance; 2 a ConfigError, logged with the field or option it
 names; 3 a ValidationError, logged with its invariant and residual, or an
-OverflowError or LinAlgError. The exception type alone picks the code:
+OverflowError, LinAlgError or MemoryError (a size that is addressable
+but does not fit in memory). The exception type alone picks the code:
 any other exception is a bug and propagates with its traceback.
 The data stream (CSV or JSON) goes to --out or stdout; diagnostic flags
 (NOT-FULL-SUPPORT, NON-UNITAL, DEGENERATE-SPECTRUM) go to stderr via
@@ -41,6 +42,7 @@ from .scenarios import (
 )
 from .tpm import (
     JointDistribution,
+    WorkStatistics,
     compare_mi_to_dissipation,
     joint_distribution,
     mutual_information_table,
@@ -50,7 +52,6 @@ from .tpm import (
 __all__ = [
     "ReportRow",
     "REPORT_COLUMNS",
-    "evaluate_scenario",
     "run_verify",
     "run_sweep",
     "run_sample",
@@ -95,8 +96,11 @@ class ReportRow:
 REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
-def _log_flags(built: BuiltScenario, jd: JointDistribution) -> None:
-    """Diagnostic flags of one scenario, on stderr via logging only."""
+def _joint(built: BuiltScenario) -> JointDistribution:
+    """The exact joint table of one scenario; its diagnostic flags go to
+    stderr via logging only."""
+    jd = joint_distribution(built.experiment,
+                            support_epsilon=built.support_epsilon)
     name = built.config.name
     if jd.support_defect > NOT_FULL_SUPPORT_FLAG:
         log.warning("NOT-FULL-SUPPORT scenario=%s support_defect=%.6g",
@@ -110,25 +114,25 @@ def _log_flags(built: BuiltScenario, jd: JointDistribution) -> None:
     if max_rank > 1:
         log.warning("DEGENERATE-SPECTRUM scenario=%s max_projector_rank=%d",
                     name, max_rank)
+    return jd
 
 
-def evaluate_scenario(built: BuiltScenario) -> ReportRow:
-    """Compute every report column for one built scenario."""
-    config = built.config
-    jd = joint_distribution(built.experiment,
-                            support_epsilon=built.support_epsilon)
+def _work(built: BuiltScenario, jd: JointDistribution) -> WorkStatistics:
+    """Work statistics of one scenario's joint table."""
+    return work_statistics(jd, built.experiment.first_measurement.energies,
+                           built.experiment.second_measurement.energies,
+                           built.config.beta,
+                           built.first_ensemble.partition_function,
+                           built.second_ensemble.partition_function)
+
+
+def run_verify(config: ScenarioConfig) -> ReportRow:
+    """Build a scenario and compute every report column."""
+    built = build_scenario(config)
+    jd = _joint(built)
     mi = mutual_information_table(jd)
-    ws = work_statistics(jd, built.experiment.first_measurement.energies,
-                         built.experiment.second_measurement.energies,
-                         config.beta,
-                         built.first_ensemble.partition_function,
-                         built.second_ensemble.partition_function)
-    gap = compare_mi_to_dissipation(mi, ws)
-    _log_flags(built, jd)
-
+    ws = _work(built, jd)
     colsums = ws.conditional_colsums
-    colsum_max_dev = (float(np.max(np.abs(colsums - 1.0)))
-                      if colsums.size else 0.0)
     return ReportRow(
         name=config.name, dim=config.dim, beta=config.beta,
         exp_avg_mi=mi.exp_average, support_defect=mi.support_defect,
@@ -136,14 +140,10 @@ def evaluate_scenario(built: BuiltScenario) -> ReportRow:
         jarzynski_lhs=ws.jarzynski_lhs, jarzynski_rhs=ws.jarzynski_rhs,
         jarzynski_defect=ws.jarzynski_defect,
         unitality_residual=built.experiment.channel.unitality_residual,
-        colsum_max_dev=colsum_max_dev,
+        colsum_max_dev=(float(np.max(np.abs(colsums - 1.0)))
+                        if colsums.size else 0.0),
         factorization_residual=jd.factorization_residual,
-        mi_vs_dissipation_gap=gap)
-
-
-def run_verify(config: ScenarioConfig) -> ReportRow:
-    """Build a scenario and compute its full report row."""
-    return evaluate_scenario(build_scenario(config))
+        mi_vs_dissipation_gap=compare_mi_to_dissipation(mi, ws))
 
 
 def verify_passed(row: ReportRow, tol: float = DEFAULT_VERIFY_TOL) -> bool:
@@ -192,21 +192,13 @@ def run_sample(config: ScenarioConfig, count: int,
     if count == 1:
         log.warning("count=1: std_error is degenerate (reported as 0)")
     built = build_scenario(config)
-    jd = joint_distribution(built.experiment,
-                            support_epsilon=built.support_epsilon)
-    _log_flags(built, jd)
+    jd = _joint(built)
     if weight == "mi":
         mi = mutual_information_table(jd)
-        weight_table = mi.i_table
-        exact = mi.exp_average
+        weight_table, exact = mi.i_table, mi.exp_average
     else:
-        ws = work_statistics(jd, built.experiment.first_measurement.energies,
-                             built.experiment.second_measurement.energies,
-                             config.beta,
-                             built.first_ensemble.partition_function,
-                             built.second_ensemble.partition_function)
-        weight_table = config.beta * ws.work_table
-        exact = ws.jarzynski_lhs
+        ws = _work(built, jd)
+        weight_table, exact = config.beta * ws.work_table, ws.jarzynski_lhs
     rng = np.random.default_rng(derive_seed(config.seed, ROLE_SAMPLER))
     samples = sample_trajectories(jd, count, rng)
     report = estimate_exponential_average(samples, weight_table, exact=exact)
@@ -313,32 +305,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> int:
     config = _load_config(args)
-    if args.command in ("verify", "jarzynski"):
-        tol = _number(args.tol, "--tol", "[0, inf)")
-        row = run_verify(config)
-        text = (rows_to_csv([row]) if args.format == "csv"
-                else rows_to_json([row]))
-        _write_output(text, args.out)
-        if args.command == "verify":
-            ok = verify_passed(row, tol)
-            check = "exponential-average bookkeeping"
-        else:
-            ok = jarzynski_passed(row, tol)
-            check = "Jarzynski equality"
-        if ok:
-            log.info("PASS %s: %s", config.name, check)
-            return EXIT_PASS
-        log.error("FAIL %s: %s (tol %g)", config.name, check, tol)
-        return EXIT_IDENTITY_FAILURE
+    if args.command == "sample":
+        report = run_sample(config, args.count, args.weight)
+        _write_output(_estimate_to_json(config, args.weight, report), args.out)
+        return EXIT_PASS
     if args.command == "sweep":
         rows = run_sweep(config, args.param, list(args.values))
-        text = (rows_to_csv(rows) if args.format == "csv"
-                else rows_to_json(rows))
-        _write_output(text, args.out)
+    else:
+        tol = _number(args.tol, "--tol", "[0, inf)")
+        rows = [run_verify(config)]
+    _write_output(rows_to_csv(rows) if args.format == "csv"
+                  else rows_to_json(rows), args.out)
+    if args.command == "sweep":
         return EXIT_PASS
-    report = run_sample(config, args.count, args.weight)
-    _write_output(_estimate_to_json(config, args.weight, report), args.out)
-    return EXIT_PASS
+    passed, check = ((verify_passed, "exponential-average bookkeeping")
+                     if args.command == "verify"
+                     else (jarzynski_passed, "Jarzynski equality"))
+    if passed(rows[0], tol):
+        log.info("PASS %s: %s", config.name, check)
+        return EXIT_PASS
+    log.error("FAIL %s: %s (tol %g)", config.name, check, tol)
+    return EXIT_IDENTITY_FAILURE
 
 
 def main(argv=None) -> int:
@@ -359,6 +346,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION_ERROR
     except np.linalg.LinAlgError as exc:
         log.error("numerical failure: %s", exc)
+        return EXIT_VALIDATION_ERROR
+    except MemoryError as exc:
+        log.error("out of memory: %s", exc)
         return EXIT_VALIDATION_ERROR
 
 

@@ -46,7 +46,6 @@ PROJECTOR_TOL = 1e-10    # ProjectorFamily: Hermiticity, idempotency,
                          # orthogonality and completeness residuals
 RANK_TOL = 1e-8          # ProjectorFamily: |tr P_n − round(tr P_n)|
 COMPLETENESS_TOL = 1e-8  # KrausChannel: ‖ΣΛ†Λ + rI − I‖_F
-UNITARITY_TOL = 1e-8     # channel_from_unitary: ‖U†U − I‖_F
 
 # Smallest eigenvalue weight, before normalization, of random_density_matrix.
 RANDOM_STATE_MIN_WEIGHT = 0.05
@@ -317,14 +316,13 @@ class GibbsEnsemble:
     built from: eigenvalues ascending, column k of ``basis`` the
     eigenvector of ``energies[k]`` (both read-only). Pass them to
     :func:`eigen_measurement` and :func:`unitary_from_hamiltonian`.
-    Z = tr e^{−βH} and F = −(1/β) ln Z.
+    Z = tr e^{−βH}.
     """
 
     energies: np.ndarray
     basis: np.ndarray
     beta: float
     partition_function: float
-    free_energy: float
 
     @property
     def state(self) -> DensityMatrix:
@@ -372,8 +370,7 @@ def gibbs_ensemble(hamiltonian, beta: float) -> GibbsEnsemble:
             f"|ln Z| = {abs(log_z):.3e} exceeds the exponent guard; "
             "the partition function is not representable")
     return GibbsEnsemble(energies=_freeze(w), basis=_freeze(v),
-                         beta=float(beta), partition_function=math.exp(log_z),
-                         free_energy=-log_z / beta)
+                         beta=float(beta), partition_function=math.exp(log_z))
 
 
 def eigen_measurement(energies, basis,
@@ -402,14 +399,10 @@ def eigen_measurement(energies, basis,
 
 
 def channel_from_unitary(u) -> KrausChannel:
-    """Wrap a unitary as a single-Kraus-operator channel."""
-    m = as_complex_matrix(u)
-    res = frobenius(m.conj().T @ m - np.eye(m.shape[0]))
-    if res > UNITARITY_TOL:
-        raise ValidationError(
-            f"matrix is not unitary: ‖U†U − I‖_F = {res:.3e} > {UNITARITY_TOL:.1e}",
-            invariant="unitarity", residual=res)
-    return KrausChannel([m])
+    """Wrap a unitary as a single-Kraus-operator channel. For one operator
+    the channel's completeness residual is ‖U†U − I‖_F, so a non-unitary
+    matrix is rejected as ``completeness``."""
+    return KrausChannel([u])
 
 
 def unitary_from_hamiltonian(energies, basis, t: float = 1.0) -> np.ndarray:

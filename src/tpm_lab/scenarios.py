@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,10 +55,6 @@ ROLE_CHANNEL = 2
 ROLE_SAMPLER = 3
 ROLE_SWEEP = 4
 
-_REQUIRED_FIELDS = ("name", "dim", "beta", "initial", "first_hamiltonian",
-                    "channel", "second_hamiltonian")
-_OPTIONAL_FIELDS = ("first_measurement", "second_measurement", "tolerances",
-                    "seed")
 _CHANNEL_PARAM_KEYS = {
     "dephasing": "p",
     "depolarizing": "p",
@@ -104,7 +100,11 @@ def derive_seed(base_seed: int, *key: int) -> int:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description (specs still in raw dict form)."""
+    """Validated scenario description (specs still in raw dict form).
+
+    Its fields are the config schema: a field without a default is
+    required, and a ``dict`` field is a spec that must be a JSON object.
+    """
 
     name: str
     dim: int
@@ -152,11 +152,13 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     """Validate a raw config dict into a :class:`ScenarioConfig`."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: config must be a JSON object")
-    for name in _REQUIRED_FIELDS:
-        if name not in raw:
-            raise ConfigError(f"{source}: missing required field {name!r}",
-                              field=name)
-    unknown = set(raw) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS)
+    schema = fields(ScenarioConfig)
+    for f in schema:
+        if (f.name not in raw and f.default is MISSING
+                and f.default_factory is MISSING):
+            raise ConfigError(f"{source}: missing required field {f.name!r}",
+                              field=f.name)
+    unknown = set(raw) - {f.name for f in schema}
     if unknown:
         raise ConfigError(
             f"{source}: unknown fields {sorted(unknown)}",
@@ -166,31 +168,21 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{source}: 'name' must be a nonempty string",
                           field="name")
-    dim, beta, seed = (_number(raw.get(key, 0), key, *_TOP_LEVEL_NUMBERS[key])
-                       for key in ("dim", "beta", "seed"))
-    for spec_name in ("initial", "first_hamiltonian", "channel",
-                      "second_hamiltonian", "first_measurement",
-                      "second_measurement", "tolerances"):
-        if spec_name in raw and not isinstance(raw[spec_name], dict):
+    numbers = {key: _number(raw[key], key, *rule)
+               for key, rule in _TOP_LEVEL_NUMBERS.items() if key in raw}
+    specs = {f.name: raw[f.name] for f in schema
+             if f.type == "dict" and f.name in raw}
+    for spec_name, spec in specs.items():
+        if not isinstance(spec, dict):
             raise ConfigError(f"{source}: {spec_name!r} must be an object",
                               field=spec_name)
-    tolerances = dict(raw.get("tolerances", {}))
-    unknown_tol = set(tolerances) - {"support_epsilon"}
+    unknown_tol = set(specs.get("tolerances", {})) - {"support_epsilon"}
     if unknown_tol:
         raise ConfigError(
             f"{source}: unknown tolerance overrides {sorted(unknown_tol)}",
             field="tolerances")
-    return ScenarioConfig(
-        name=name, dim=dim, beta=beta,
-        initial=dict(raw["initial"]),
-        first_hamiltonian=dict(raw["first_hamiltonian"]),
-        channel=dict(raw["channel"]),
-        second_hamiltonian=dict(raw["second_hamiltonian"]),
-        first_measurement=dict(raw.get("first_measurement",
-                                       {"kind": "eigenbasis"})),
-        second_measurement=dict(raw.get("second_measurement",
-                                        {"kind": "eigenbasis"})),
-        tolerances=tolerances, seed=seed)
+    return ScenarioConfig(name=name, **numbers,
+                          **{key: dict(spec) for key, spec in specs.items()})
 
 
 def _parse_matrix(spec, dim: int, field_name: str) -> np.ndarray:

@@ -38,7 +38,6 @@ __all__ = [
     "joint_distribution",
     "distribution_from_joint",
     "mutual_information_table",
-    "exp_average_with_reference",
     "work_statistics",
     "compare_mi_to_dissipation",
 ]
@@ -113,10 +112,6 @@ class JointDistribution:
     @property
     def shape(self) -> tuple[int, int]:
         return self.p_joint.shape
-
-    @property
-    def full_support(self) -> bool:
-        return bool(self.support_mask.all())
 
     @property
     def support_defect(self) -> float:
@@ -288,31 +283,6 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
         support_defect=support_defect, average_mi=average_mi)
 
 
-def exp_average_with_reference(jd: JointDistribution, q) -> float:
-    """Exponential average against an arbitrary reference distribution q(m).
-
-    Returns Σ p(n,m)·q(m)/p(m|n) over the support mask. The
-    conservation-of-probability argument goes through verbatim for any
-    normalized q in place of the true marginal p(m): on full support the
-    sum telescopes to Σ_n p(n) · Σ_m q(m) = 1. Passing q = p_second
-    reproduces ``exp_average`` of :func:`mutual_information_table`.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (jd.shape[1],):
-        raise ValueError(
-            f"reference must have shape ({jd.shape[1]},), got {q.shape}")
-    if not np.all(np.isfinite(q)) or float(q.min()) < -PROBABILITY_BOUND_TOL:
-        raise ValueError(
-            f"reference is not a probability vector: min entry {q.min()!r}")
-    total = float(q.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(
-            f"reference is not normalized: sums to {total!r}")
-    q = np.clip(q, 0.0, None)
-    rows, cols = np.nonzero(jd.support_mask)
-    return float(np.sum(jd.p_joint[rows, cols] * q[cols] / jd.p_cond[rows, cols]))
-
-
 @dataclass(frozen=True)
 class WorkStatistics:
     """Work table W_nm = E'_m − E_n and the exponential work average.
@@ -327,7 +297,6 @@ class WorkStatistics:
     """
 
     work_table: np.ndarray
-    beta: float
     delta_F: float
     jarzynski_lhs: float
     jarzynski_rhs: float
@@ -371,7 +340,8 @@ def work_statistics(jd: JointDistribution, first_energies, second_energies,
 
     positive = jd.p_joint > 0
     terms = np.zeros(jd.shape)
-    terms[positive] = jd.p_joint[positive] * np.exp(-beta * work[positive])
+    with np.errstate(over="ignore"):  # an overflow is the finite_lhs error
+        terms[positive] = jd.p_joint[positive] * np.exp(-beta * work[positive])
     lhs = float(terms.sum())
     if not np.isfinite(lhs):
         raise ValidationError(
@@ -382,7 +352,7 @@ def work_statistics(jd: JointDistribution, first_energies, second_energies,
     colsums = jd.p_cond[defined].sum(axis=0)
     dissipation = beta * (work - delta_f)
     return WorkStatistics(
-        work_table=_freeze(work), beta=float(beta), delta_F=float(delta_f),
+        work_table=_freeze(work), delta_F=float(delta_f),
         jarzynski_lhs=lhs, jarzynski_rhs=float(rhs),
         jarzynski_defect=lhs - float(rhs),
         conditional_colsums=_freeze(colsums),

@@ -211,7 +211,7 @@ def test_factorization_diagnostic():
 def test_monte_carlo_three_sigma_consistency():
     experiment = random_rank1_experiment(3, np.random.default_rng(52))
     jd = joint_distribution(experiment)
-    assert jd.full_support
+    assert jd.support_mask.all()
     mi = mutual_information_table(jd)
     hits = 0
     seeds = 100

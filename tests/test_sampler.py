@@ -125,7 +125,7 @@ def fixed_qutrit_scenario():
     estimator has nonzero spread and z-scores are defined."""
     experiment = random_rank1_experiment(3, np.random.default_rng(52))
     jd = joint_distribution(experiment)
-    assert jd.full_support
+    assert jd.support_mask.all()
     return jd, mutual_information_table(jd)
 
 

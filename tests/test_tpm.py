@@ -30,7 +30,6 @@ from tpm_lab.tpm import (
     TpmExperiment,
     compare_mi_to_dissipation,
     distribution_from_joint,
-    exp_average_with_reference,
     joint_distribution,
     mutual_information_table,
     work_statistics,
@@ -90,14 +89,14 @@ def test_joint_hadamard_oracle():
                                atol=1e-15)
     np.testing.assert_allclose(jd.p_second, [0.5, 0.5], atol=1e-15)
     np.testing.assert_allclose(jd.p_cond, 0.5 * np.ones((2, 2)), atol=1e-15)
-    assert jd.full_support
+    assert jd.support_mask.all()
     assert jd.factorization_residual <= 1e-15
 
 
 def test_joint_identity_same_basis():
     jd = joint_distribution(identity_same_basis_setup(maximally_mixed(2)))
     np.testing.assert_allclose(jd.p_joint, np.diag([0.5, 0.5]), atol=1e-15)
-    assert not jd.full_support
+    assert not jd.support_mask.all()
     np.testing.assert_array_equal(jd.support_mask,
                                   np.eye(2, dtype=bool))
     np.testing.assert_allclose(jd.p_cond, np.eye(2), atol=1e-15)
@@ -276,6 +275,31 @@ def test_average_mi_is_symmetric():
         assert forward == pytest.approx(backward, abs=1e-12)
 
 
+def exp_average_with_reference(jd, q) -> float:
+    """Exponential average against an arbitrary reference distribution q(m).
+
+    Returns Σ p(n,m)·q(m)/p(m|n) over the support mask. The
+    conservation-of-probability argument goes through verbatim for any
+    normalized q in place of the true marginal p(m): on full support the
+    sum telescopes to Σ_n p(n) · Σ_m q(m) = 1. Passing q = p_second
+    reproduces ``exp_average`` of :func:`mutual_information_table`.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.shape != (jd.shape[1],):
+        raise ValueError(
+            f"reference must have shape ({jd.shape[1]},), got {q.shape}")
+    if not np.all(np.isfinite(q)) or float(q.min()) < -1e-12:
+        raise ValueError(
+            f"reference is not a probability vector: min entry {q.min()!r}")
+    total = float(q.sum())
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"reference is not normalized: sums to {total!r}")
+    q = np.clip(q, 0.0, None)
+    rows, cols = np.nonzero(jd.support_mask)
+    return float(np.sum(jd.p_joint[rows, cols] * q[cols]
+                        / jd.p_cond[rows, cols]))
+
+
 def test_exp_average_with_reference():
     rng = np.random.default_rng(77)
     jd = joint_distribution(random_rank1_experiment(4, rng))
@@ -410,6 +434,17 @@ def test_zero_probability_cells_cannot_poison_work_average():
     ws = work_statistics(jd, [0.0, -2000.0], [0.0, -2000.0], 1.0, 1.0, 1.0)
     assert np.isfinite(ws.jarzynski_lhs)
     assert ws.jarzynski_lhs == pytest.approx(0.75, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_work_average_overflow_is_a_validation_error():
+    # The (1, 0) cell has work −699 − 1399 = −2098, so e^{−βW} is beyond
+    # double range: the overflow is the finite_lhs error, and numpy's own
+    # RuntimeWarning stays silent.
+    jd = distribution_from_joint(np.full((2, 2), 0.25))
+    with pytest.raises(ValidationError) as err:
+        work_statistics(jd, [700.0, 1399.0], [-699.0, 0.0], 1.0, 1.0, 1.0)
+    assert err.value.invariant == "finite_lhs"
 
 
 # --- mutual information vs dissipation --------------------------------------
