@@ -15,6 +15,7 @@ one deterministic scenario and shows the identity and its bookkeeping.
 import numpy as np
 
 from tpm_lab import (
+    DensityMatrix,
     TpmExperiment,
     channel_from_unitary,
     eigen_measurement,
@@ -23,16 +24,24 @@ from tpm_lab import (
     joint_distribution,
     maximally_mixed,
     mutual_information_table,
-    random_density_matrix,
     random_hermitian,
     standard_channel,
 )
+
+
+def random_state(dim, rng):
+    """A full-rank state: a Haar-rotated spectrum drawn from [0.05, 1]."""
+    weights = rng.uniform(0.05, 1.0, size=dim)
+    u = haar_random_unitary(dim, rng)
+    rho = (u * (weights / weights.sum())) @ u.conj().T
+    return DensityMatrix((rho + rho.conj().T) / 2)
+
 
 rng = np.random.default_rng(2)
 
 print("=== Random qutrit: Haar unitary evolution, full support ===")
 experiment = TpmExperiment(
-    initial_state=random_density_matrix(3, rng),
+    initial_state=random_state(3, rng),
     first_measurement=eigen_measurement(*hermitian_eig(
         random_hermitian(3, rng))),
     channel=channel_from_unitary(haar_random_unitary(3, rng)),

@@ -17,6 +17,7 @@ its error bar both undershoot. Watch it happen below.
 import numpy as np
 
 from tpm_lab import (
+    DensityMatrix,
     TpmExperiment,
     channel_from_unitary,
     eigen_measurement,
@@ -25,14 +26,22 @@ from tpm_lab import (
     hermitian_eig,
     joint_distribution,
     mutual_information_table,
-    random_density_matrix,
     random_hermitian,
     sample_trajectories,
 )
 
+
+def random_state(dim, rng):
+    """A full-rank state: a Haar-rotated spectrum drawn from [0.05, 1]."""
+    weights = rng.uniform(0.05, 1.0, size=dim)
+    u = haar_random_unitary(dim, rng)
+    rho = (u * (weights / weights.sum())) @ u.conj().T
+    return DensityMatrix((rho + rho.conj().T) / 2)
+
+
 build_rng = np.random.default_rng(52)
 experiment = TpmExperiment(
-    initial_state=random_density_matrix(3, build_rng),
+    initial_state=random_state(3, build_rng),
     first_measurement=eigen_measurement(*hermitian_eig(
         random_hermitian(3, build_rng))),
     channel=channel_from_unitary(haar_random_unitary(3, build_rng)),

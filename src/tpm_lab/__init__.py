@@ -26,7 +26,6 @@ from .quantum import (
     eigen_measurement,
     gibbs_ensemble,
     maximally_mixed,
-    random_density_matrix,
     standard_channel,
     unitary_from_hamiltonian,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "unitary_from_hamiltonian",
     "standard_channel",
     "maximally_mixed",
-    "random_density_matrix",
     "TpmExperiment",
     "JointDistribution",
     "MutualInformationTable",

@@ -17,7 +17,6 @@ from .errors import ValidationError
 from .linalg import (
     as_complex_matrix,
     frobenius,
-    haar_random_unitary,
     hermitian_eig,
     hermiticity_residual,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "unitary_from_hamiltonian",
     "standard_channel",
     "maximally_mixed",
-    "random_density_matrix",
 ]
 
 # Largest |exponent| passed to exp() when building Gibbs weights; beyond
@@ -46,9 +44,6 @@ PROJECTOR_TOL = 1e-10    # ProjectorFamily: Hermiticity, idempotency,
                          # orthogonality and completeness residuals
 RANK_TOL = 1e-8          # ProjectorFamily: |tr P_n − round(tr P_n)|
 COMPLETENESS_TOL = 1e-8  # KrausChannel: ‖ΣΛ†Λ + rI − I‖_F
-
-# Smallest eigenvalue weight, before normalization, of random_density_matrix.
-RANDOM_STATE_MIN_WEIGHT = 0.05
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -479,12 +474,3 @@ def maximally_mixed(dim: int) -> DensityMatrix:
     """The state I/dim."""
     return DensityMatrix(np.eye(dim) / dim)
 
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    """Random full-rank state: Haar-rotated spectrum bounded away from zero
-    (weights drawn from [RANDOM_STATE_MIN_WEIGHT, 1], then normalized)."""
-    weights = rng.uniform(RANDOM_STATE_MIN_WEIGHT, 1.0, size=dim)
-    weights /= weights.sum()
-    u = haar_random_unitary(dim, rng)
-    rho = (u * weights) @ u.conj().T
-    return DensityMatrix((rho + rho.conj().T) / 2)

@@ -54,23 +54,95 @@ class EstimatorReport:
     z_score: float | None = None
 
 
+def _guide_table(cdfs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Bucketed inverse-CDF guide table (Chen & Asau, 1974) for each row.
+
+    Bucket j of B covers [j/B, (j+1)/B), with B the largest power of two
+    ≤ 32·M, so scaling by B is exact: c ≤ j/B ⟺ ⌈c·B⌉ ≤ j, and c lies
+    strictly inside bucket j ⟺ ⌊c·B⌋ = j < c·B. ``guide[r, j]`` is the
+    count of row r's CDF values ≤ j/B, which is the right-side
+    ``searchsorted`` of every u in the bucket, or M + 1 where a CDF value
+    lies strictly inside the bucket and only a search can tell. Rows must
+    be nondecreasing and nonnegative. Returns ``(guide, B)``; the table is
+    (N, B) of ``np.min_scalar_type(M + 1)``, at most 32·N·M entries.
+    """
+    n_rows, n_cols = cdfs.shape
+    n_buckets = 1 << (32 * n_cols).bit_length() - 1
+    scaled = cdfs * n_buckets
+    step = n_cols + 1
+    # Row r holds count i on the buckets from ⌈c_{i−1}·B⌉ up to ⌈c_i·B⌉.
+    edges = np.zeros((n_rows, n_cols + 2), dtype=np.intp)
+    edges[:, 1:-1] = np.minimum(np.ceil(scaled), n_buckets)
+    edges[:, -1] = n_buckets
+    counts = np.arange(n_cols + 1, dtype=np.min_scalar_type(step))
+    guide = np.repeat(np.tile(counts, n_rows), np.diff(edges, axis=1).ravel())
+    guide = guide.reshape(n_rows, n_buckets)
+    inside = (np.floor(scaled) < scaled) & (scaled < n_buckets)
+    rows, cols = np.nonzero(inside)
+    guide[rows, np.floor(scaled[rows, cols]).astype(np.intp)] = step
+    return guide, n_buckets
+
+
+def _guided_search(cdfs: np.ndarray, u: np.ndarray,
+                   rows: np.ndarray | None = None) -> np.ndarray:
+    """``np.searchsorted(cdfs[rows[k]], u[k], side="right")`` for every k,
+    as ``np.intp``; ``rows=None`` searches the single row of a one-row
+    table.
+
+    Each uniform u = k·2⁻⁵³ in [0, 1) reads its bucket ⌊u·B⌋ (exact for
+    B a power of two) from the guide table; only the draws whose bucket
+    holds a CDF step, at most M/B < 1/16 of them, get a binary search,
+    grouped by row with one stable sort.
+    """
+    n_rows = cdfs.shape[0]
+    guide, n_buckets = _guide_table(cdfs)
+    step = cdfs.shape[1] + 1
+    index_type = (np.int32 if guide.size <= np.iinfo(np.int32).max
+                  else np.intp)
+    cell = (u * n_buckets).astype(index_type)
+    if rows is not None:
+        offset = rows.astype(index_type)
+        offset *= n_buckets
+        cell += offset
+        del offset
+    found = guide.ravel().take(cell)
+    del cell
+    todo = np.flatnonzero(found == step)
+    found = found.astype(np.intp)
+    todo_rows = np.zeros_like(todo) if rows is None else rows[todo]
+    # kind="stable" is numpy's radix sort on 8/16-bit keys.
+    todo = todo[np.argsort(todo_rows.astype(np.min_scalar_type(n_rows - 1)),
+                           kind="stable")]
+    row_counts = np.bincount(todo_rows, minlength=n_rows)
+    row_ends = np.cumsum(row_counts)
+    for r in np.flatnonzero(row_counts):
+        k = todo[row_ends[r] - row_counts[r]:row_ends[r]]
+        found[k] = np.searchsorted(cdfs[r], u[k], side="right")
+    return found
+
+
 def sample_trajectories(jd: JointDistribution, count: int,
                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``count`` i.i.d. outcome pairs from the joint distribution.
 
     Returns ``(ns, ms)``, two ``np.intp`` arrays of length ``count``.
-    Inverse-CDF sampling: all first outcomes n from p(n), then, for each
-    first outcome, its second outcomes m from the row p(·|n). Mass below
-    the distribution's support epsilon is dropped and the remainder
+    Inverse-CDF sampling: all first outcomes n from p(n), then every
+    draw's second outcome m from its row p(·|n). Mass below the
+    distribution's support epsilon is dropped and the remainder
     renormalized, so every returned pair lies on the support mask.
     Deterministic for a fixed generator state.
 
-    The draws are grouped by first outcome with one stable sort of ``ns``
-    (a radix sort while N fits in 16 bits), so each row's uniforms are one
-    contiguous slice searched once. Time is O(count·log M + N·M); peak
-    memory is four count-long 8-byte arrays, the returned pair included
-    (32 MB per 10⁶ draws), plus the N×M CDF table. ``count`` must lie in
-    [1, MAX_COUNT].
+    Both stages read a bucketed guide table instead of binary-searching
+    every draw, and give exactly the right-side ``searchsorted`` of each
+    uniform: the stream is that of a plain inverse-CDF draw. With B the
+    largest power of two ≤ 32·M (32·N for the first stage) and f the
+    fraction of draws whose bucket holds a CDF step (≤ M/B < 1/16), time is
+    O(count + N·B + f·count·log M). Peak memory is 28 bytes per draw
+    (28 MB per 10⁶ draws), reached while the second stage finds its
+    buckets: ``ns``, the uniforms and their scaled copy at 8 bytes each
+    and the 4-byte bucket index (8-byte beyond 2³¹ guide entries). On top
+    come the N×M CDF table and the (N, B) guide table of 1-, 2- or 4-byte
+    entries. ``count`` must lie in [1, MAX_COUNT].
     """
     if not 1 <= count <= MAX_COUNT:
         raise ValueError(f"count must be in [1, {MAX_COUNT}], got {count}")
@@ -81,27 +153,14 @@ def sample_trajectories(jd: JointDistribution, count: int,
     first_cdf = np.cumsum(row_mass) / total
     # Zero-mass rows/cells occupy zero-width CDF intervals; searchsorted
     # with side='right' can never select them for u in [0, 1).
-    ns = np.searchsorted(first_cdf, rng.random(count), side="right")
+    ns = _guided_search(first_cdf[None, :], rng.random(count))
     np.minimum(ns, n_rows - 1, out=ns)
 
     row_cdfs = np.cumsum(p, axis=1)
     row_totals = row_cdfs[:, -1].copy()
     row_totals[row_totals <= 0] = 1.0  # zero-mass rows are never selected
     row_cdfs /= row_totals[:, None]
-    u = rng.random(count)
-    # Any grouping order gives the same stream, since each uniform keeps
-    # its draw index; kind="stable" is numpy's radix sort on 8/16-bit keys.
-    order = np.argsort(ns.astype(np.min_scalar_type(n_rows - 1)),
-                       kind="stable")
-    u_grouped = u[order]
-    del u
-    row_counts = np.bincount(ns, minlength=n_rows)
-    row_ends = np.cumsum(row_counts)
-    ms = np.empty(count, dtype=np.intp)
-    for n in np.flatnonzero(row_counts):
-        a, b = row_ends[n] - row_counts[n], row_ends[n]
-        ms[order[a:b]] = np.searchsorted(row_cdfs[n], u_grouped[a:b],
-                                         side="right")
+    ms = _guided_search(row_cdfs, rng.random(count), ns)
     np.minimum(ms, n_cols - 1, out=ms)
     return ns, ms
 
@@ -119,13 +178,19 @@ def estimate_exponential_average(samples: tuple[np.ndarray, np.ndarray],
     The N×M table is exponentiated once and the samples gather from it,
     so time is O(count + N·M) and memory two count-long 8-byte arrays at
     a time beyond the samples and the N×M tables. A sampled index
-    outside the table raises ValueError.
+    outside the table, negative ones included, raises ValueError.
     """
-    ns, ms = samples
+    ns, ms = (np.asarray(index) for index in samples)
     if not len(ns):
         raise ValueError("need at least one sample")
     table = np.asarray(weight_table, dtype=float)
-    flat = np.ravel_multi_index((ns, ms), table.shape)
+    n_rows, n_cols = table.shape
+    if (ns.min() < 0 or ns.max() >= n_rows
+            or ms.min() < 0 or ms.max() >= n_cols):
+        raise ValueError(f"invalid entry in samples: an index pair lies "
+                         f"outside the {n_rows}×{n_cols} weight table")
+    flat = np.multiply(ns, n_cols, dtype=np.intp)
+    flat += ms
     nonfinite = np.flatnonzero((~np.isfinite(table)).ravel()[flat])
     if nonfinite.size:
         bad = int(nonfinite[0])

@@ -12,10 +12,12 @@ from tpm_lab.quantum import (
     channel_from_unitary,
     eigen_measurement,
     gibbs_ensemble,
-    random_density_matrix,
     standard_channel,
 )
 from tpm_lab.tpm import TpmExperiment
+
+# Smallest eigenvalue weight, before normalization, of random_density_matrix.
+RANDOM_STATE_MIN_WEIGHT = 0.05
 
 
 # A near-product joint table whose smallest cell sits just below a support
@@ -48,6 +50,16 @@ def apply_kraus(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     out = sum(op @ rho.matrix @ op.conj().T for op in channel.kraus_ops) \
         + channel.replacement * np.trace(rho.matrix) * np.eye(rho.dim) / rho.dim
     return DensityMatrix((out + out.conj().T) / 2)
+
+
+def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
+    """Random full-rank state: Haar-rotated spectrum bounded away from zero
+    (weights drawn from [RANDOM_STATE_MIN_WEIGHT, 1], then normalized)."""
+    weights = rng.uniform(RANDOM_STATE_MIN_WEIGHT, 1.0, size=dim)
+    weights /= weights.sum()
+    u = haar_random_unitary(dim, rng)
+    rho = (u * weights) @ u.conj().T
+    return DensityMatrix((rho + rho.conj().T) / 2)
 
 
 def weyl_depolarizing(dim: int, p: float) -> KrausChannel:

@@ -17,6 +17,7 @@ from conftest import (
     dense_projectors,
     random_gibbs_setup,
     random_nonunitary_channel,
+    random_density_matrix,
     random_rank1_experiment,
 )
 from tpm_lab import cli
@@ -30,7 +31,6 @@ from tpm_lab.quantum import (
     eigen_measurement,
     gibbs_ensemble,
     maximally_mixed,
-    random_density_matrix,
     standard_channel,
 )
 from tpm_lab.sampler import estimate_exponential_average, sample_trajectories

@@ -17,6 +17,7 @@ import pytest
 
 from conftest import (
     dense_projectors,
+    random_density_matrix,
     random_rank1_experiment,
     weyl_depolarizing,
 )
@@ -26,7 +27,6 @@ from tpm_lab.quantum import (
     ProjectorFamily,
     channel_from_unitary,
     eigen_measurement,
-    random_density_matrix,
     standard_channel,
 )
 from tpm_lab.tpm import TpmExperiment, joint_distribution

@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import apply_kraus, dense_projectors, weyl_depolarizing
+from conftest import (
+    apply_kraus,
+    dense_projectors,
+    random_density_matrix,
+    weyl_depolarizing,
+)
 from tpm_lab.errors import ValidationError
 from tpm_lab.linalg import haar_random_unitary, hermitian_eig, random_hermitian
 from tpm_lab.quantum import (
@@ -16,7 +21,6 @@ from tpm_lab.quantum import (
     eigen_measurement,
     gibbs_ensemble,
     maximally_mixed,
-    random_density_matrix,
     standard_channel,
     unitary_from_hamiltonian,
 )

@@ -14,6 +14,8 @@ from tpm_lab.errors import ValidationError
 from tpm_lab.sampler import (
     MAX_COUNT,
     EstimatorReport,
+    _guide_table,
+    _guided_search,
     estimate_exponential_average,
     sample_trajectories,
 )
@@ -79,6 +81,34 @@ def mask_loop_draw(jd, count, rng):
         drawn = ns == n
         ms[drawn] = np.searchsorted(row_cdfs[n], u[drawn], side="right")
     ms = np.minimum(ms, p.shape[1] - 1)
+    return ns, ms
+
+
+def grouped_sort_draw(jd, count, rng):
+    """Oracle draw that binary-searches every uniform: the draws are grouped
+    by first outcome with one stable sort of ``ns``, and each row's second
+    outcomes come from one ``searchsorted`` over its contiguous slice."""
+    p = np.where(jd.support_mask, jd.p_joint, 0.0)
+    n_rows, n_cols = p.shape
+    row_mass = p.sum(axis=1)
+    first_cdf = np.cumsum(row_mass) / float(row_mass.sum())
+    ns = np.searchsorted(first_cdf, rng.random(count), side="right")
+    ns = np.minimum(ns, n_rows - 1)
+    row_cdfs = np.cumsum(p, axis=1)
+    row_totals = row_cdfs[:, -1].copy()
+    row_totals[row_totals <= 0] = 1.0
+    row_cdfs /= row_totals[:, None]
+    u = rng.random(count)
+    order = np.argsort(ns, kind="stable")
+    u_grouped = u[order]
+    row_counts = np.bincount(ns, minlength=n_rows)
+    row_ends = np.cumsum(row_counts)
+    ms = np.empty(count, dtype=np.intp)
+    for n in np.flatnonzero(row_counts):
+        a, b = row_ends[n] - row_counts[n], row_ends[n]
+        ms[order[a:b]] = np.searchsorted(row_cdfs[n], u_grouped[a:b],
+                                         side="right")
+    ms = np.minimum(ms, n_cols - 1)
     return ns, ms
 
 
@@ -170,16 +200,87 @@ def many_row_distribution(rows: int, cols: int):
 @pytest.mark.parametrize("jd", [
     distribution_from_joint(np.array([[0.1, 0.0, 0.6, 0.3]])),
     zero_mass_row_table(),
+    many_row_distribution(16, 16),
+    many_row_distribution(64, 64),
+    many_row_distribution(128, 128),
     many_row_distribution(300, 5),  # uint16 sort key
-], ids=["N=1", "N=3", "N=300"])
+], ids=["N=1", "N=3", "N=16", "N=64", "N=128", "N=300"])
 def test_stream_matches_mask_loop(jd):
     for seed in range(3):
         samples = sample_trajectories(jd, 30_000,
                                       np.random.default_rng(900 + seed))
         oracle = mask_loop_draw(jd, 30_000, np.random.default_rng(900 + seed))
         assert_same_stream(samples, oracle)
+        assert_same_stream(samples, grouped_sort_draw(
+            jd, 30_000, np.random.default_rng(900 + seed)))
         counts = cell_counts(samples, jd.shape)
         assert np.all(counts[~jd.support_mask] == 0)
+
+
+def normalized_cdfs(p) -> np.ndarray:
+    """Row CDFs as the sampler builds them; a zero-mass row stays zero."""
+    cdfs = np.cumsum(np.asarray(p, dtype=float), axis=1)
+    totals = cdfs[:, -1].copy()
+    totals[totals <= 0] = 1.0
+    return cdfs / totals[:, None]
+
+
+def zero_width_cells_in_one_bucket():
+    """Row 0 piles 100 zero-width cells on each of two CDF values that sit
+    strictly inside one bucket; row 1 has 1e−12 cells between them."""
+    gap = np.zeros(100)
+    return normalized_cdfs([
+        np.concatenate([[0.3], gap, [1e-9], gap, [0.7 - 1e-9]]),
+        np.concatenate([[0.3], np.full(100, 1e-12), [1e-9],
+                        np.full(100, 1e-12), [0.7 - 1e-9 - 2e-10]])])
+
+
+GUIDED_SEARCH_CASES = {
+    # Every CDF step on a bucket edge; the second row ends above 1.
+    "dyadic": np.array([[0.25, 0.5, 1.0], [0.125, 0.5, 1.0 + 2.0 ** -52]]),
+    "zero-width": zero_width_cells_in_one_bucket(),
+    "zero-mass-row": normalized_cdfs([[0.2, 0.0, 0.8], [0.0, 0.0, 0.0],
+                                      [0.0, 0.0, 1.0]]),
+    "M=1": normalized_cdfs([[1.0], [0.0], [3.0]]),
+    "N=1": normalized_cdfs([[0.1, 0.0, 0.6, 0.3]]),
+    # A first-outcome CDF whose cumulative sum rounds below 1.
+    "ends-below-1": np.array([[0.5, 1.0 - 2.0 ** -53]]),
+    # uint16 guide table.
+    "300-outcome": normalized_cdfs(
+        np.random.default_rng(3).random((4, 300)) ** 4),
+}
+
+
+def edge_uniforms(cdfs: np.ndarray, n_buckets: int) -> np.ndarray:
+    """Uniforms in [0, 1) on and next to every bucket edge j/B and every
+    CDF value, plus 0, 1 − 2⁻⁵³ and random ones."""
+    edges = np.arange(n_buckets + 1) / n_buckets
+    points = np.concatenate([edges, cdfs.ravel()])
+    u = np.concatenate([points, np.nextafter(points, 0.0),
+                        np.nextafter(points, 1.0), [0.0, 1.0 - 2.0 ** -53],
+                        np.random.default_rng(8).random(5000)])
+    return u[(0.0 <= u) & (u < 1.0)]
+
+
+@pytest.mark.parametrize("name", GUIDED_SEARCH_CASES)
+def test_guided_search_matches_searchsorted(name):
+    cdfs = GUIDED_SEARCH_CASES[name]
+    n_rows, n_cols = cdfs.shape
+    guide, n_buckets = _guide_table(cdfs)
+    assert guide.shape == (n_rows, n_buckets)
+    assert guide.dtype == np.min_scalar_type(n_cols + 1)
+    assert guide.nbytes <= 32 * n_rows * n_cols * guide.itemsize
+    u = edge_uniforms(cdfs, n_buckets)
+    rows = np.random.default_rng(9).integers(0, n_rows, u.size)
+    want = np.empty(u.size, dtype=np.intp)
+    for r in range(n_rows):
+        drawn = rows == r
+        want[drawn] = np.searchsorted(cdfs[r], u[drawn], side="right")
+    got = _guided_search(cdfs, u, rows)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, want)
+    if n_rows == 1:
+        np.testing.assert_array_equal(_guided_search(cdfs, u), want)
 
 
 def off_support_weight_tables():
