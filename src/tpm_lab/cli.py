@@ -128,7 +128,12 @@ def _work(built: BuiltScenario, jd: JointDistribution) -> WorkStatistics:
 
 def run_verify(config: ScenarioConfig) -> ReportRow:
     """Build a scenario and compute every report column."""
-    built = build_scenario(config)
+    return _row(build_scenario(config))
+
+
+def _row(built: BuiltScenario) -> ReportRow:
+    """Every report column of a built scenario."""
+    config = built.config
     jd = _joint(built)
     mi = mutual_information_table(jd)
     ws = _work(built, jd)
@@ -170,9 +175,21 @@ def run_sweep(config: ScenarioConfig, parameter: str,
     and the point index, so sweep output is reproducible regardless of any
     future execution-order changes. An empty value list yields an empty
     report.
+
+    Each point is built with the previous point's scenario as
+    ``previous`` (see :func:`build_scenario`), so what the swept value
+    and the point's seed leave unchanged is built once: a fixed
+    Hamiltonian is diagonalised and its measurement validated at the
+    first point only, and a fixed channel or non-thermal initial state is
+    validated once. Only that one previous scenario is held. Every check,
+    report row, log line and error equals that of running
+    :func:`run_verify` on each point.
     """
-    return [run_verify(variant)
-            for variant in sweep_configs(config, parameter, values)]
+    rows, built = [], None
+    for variant in sweep_configs(config, parameter, values):
+        built = build_scenario(variant, previous=built)
+        rows.append(_row(built))
+    return rows
 
 
 def run_sample(config: ScenarioConfig, count: int,

@@ -306,12 +306,12 @@ class KrausChannel:
 class GibbsEnsemble:
     """Thermal bundle of a Hamiltonian H at inverse temperature β.
 
-    Built by :func:`gibbs_ensemble`. ``energies`` and ``basis`` are H's
-    eigenpair, the one diagonalisation of H that everything downstream is
-    built from: eigenvalues ascending, column k of ``basis`` the
-    eigenvector of ``energies[k]`` (both read-only). Pass them to
-    :func:`eigen_measurement` and :func:`unitary_from_hamiltonian`.
-    Z = tr e^{−βH}.
+    Built by :func:`gibbs_ensemble`, and at another β by :meth:`at_beta`.
+    ``energies`` and ``basis`` are H's eigenpair, the one diagonalisation
+    of H that everything downstream is built from: eigenvalues ascending,
+    column k of ``basis`` the eigenvector of ``energies[k]`` (both
+    read-only). Pass them to :func:`eigen_measurement` and
+    :func:`unitary_from_hamiltonian`. Z = tr e^{−βH}.
     """
 
     energies: np.ndarray
@@ -328,6 +328,17 @@ class GibbsEnsemble:
         rho = (v * (weights / float(np.sum(weights)))) @ v.conj().T
         return DensityMatrix((rho + rho.conj().T) / 2)
 
+    def at_beta(self, beta: float) -> GibbsEnsemble:
+        """The same Hamiltonian's ensemble at inverse temperature ``beta``.
+
+        The held eigenpair is reused, not recomputed: H is not
+        diagonalised again. Z, the β > 0 check and both exponent guards
+        run through the code :func:`gibbs_ensemble` uses, so
+        ``gibbs_ensemble(h, a).at_beta(b)`` equals ``gibbs_ensemble(h, b)``
+        field for field and raises the same errors.
+        """
+        return _thermal(self.energies, self.basis, beta)
+
 
 def gibbs_ensemble(hamiltonian, beta: float) -> GibbsEnsemble:
     """Construct the Gibbs ensemble of a Hamiltonian at inverse temperature β.
@@ -337,7 +348,8 @@ def gibbs_ensemble(hamiltonian, beta: float) -> GibbsEnsemble:
     eigenpair, not the matrix. Eigenvalues are shifted by their minimum
     before exponentiating, and the shift is compensated in ln Z, so
     moderate β·spread never overflows. Natural units k = 1 throughout, so
-    β = 1/T.
+    β = 1/T. :meth:`GibbsEnsemble.at_beta` re-temperatures the eigenpair
+    through the same Z and guard code.
 
     Raises
     ------
@@ -349,9 +361,15 @@ def gibbs_ensemble(hamiltonian, beta: float) -> GibbsEnsemble:
         If β·spread exceeds the exponent guard, or if Z itself is not
         representable in double precision.
     """
+    w, v = hermitian_eig(hamiltonian)
+    return _thermal(_freeze(w), _freeze(v), beta)
+
+
+def _thermal(w: np.ndarray, v: np.ndarray, beta: float) -> GibbsEnsemble:
+    """The ensemble of the eigenpair ``(w, v)`` at β: Z and both exponent
+    guards."""
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    w, v = hermitian_eig(hamiltonian)
     e_min = float(w[0])
     spread = float(w[-1] - w[0])
     if beta * spread > GIBBS_EXPONENT_GUARD:
@@ -364,8 +382,8 @@ def gibbs_ensemble(hamiltonian, beta: float) -> GibbsEnsemble:
         raise OverflowError(
             f"|ln Z| = {abs(log_z):.3e} exceeds the exponent guard; "
             "the partition function is not representable")
-    return GibbsEnsemble(energies=_freeze(w), basis=_freeze(v),
-                         beta=float(beta), partition_function=math.exp(log_z))
+    return GibbsEnsemble(energies=w, basis=v, beta=float(beta),
+                         partition_function=math.exp(log_z))
 
 
 def eigen_measurement(energies, basis,

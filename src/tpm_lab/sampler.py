@@ -54,20 +54,24 @@ class EstimatorReport:
     z_score: float | None = None
 
 
-def _guide_table(cdfs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Bucketed inverse-CDF guide table (Chen & Asau, 1974) for each row.
+def _guide_table(cdfs: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+    """Bucketed inverse-CDF guide table (Chen & Asau, 1974) for each row,
+    sized for ``count`` draws.
 
     Bucket j of B covers [j/B, (j+1)/B), with B the largest power of two
-    ≤ 32·M, so scaling by B is exact: c ≤ j/B ⟺ ⌈c·B⌉ ≤ j, and c lies
-    strictly inside bucket j ⟺ ⌊c·B⌋ = j < c·B. ``guide[r, j]`` is the
-    count of row r's CDF values ≤ j/B, which is the right-side
-    ``searchsorted`` of every u in the bucket, or M + 1 where a CDF value
-    lies strictly inside the bucket and only a search can tell. Rows must
-    be nondecreasing and nonnegative. Returns ``(guide, B)``; the table is
-    (N, B) of ``np.min_scalar_type(M + 1)``, at most 32·N·M entries.
+    ≤ min(32·M, max(1, count // N)), so scaling by B is exact: c ≤ j/B ⟺
+    ⌈c·B⌉ ≤ j, and c lies strictly inside bucket j ⟺ ⌊c·B⌋ = j < c·B.
+    ``guide[r, j]`` is the count of row r's CDF values ≤ j/B, which is
+    the right-side ``searchsorted`` of every u in the bucket, or M + 1
+    where a CDF value lies strictly inside the bucket and only a search
+    can tell. Rows must be nondecreasing and nonnegative. Returns
+    ``(guide, B)``; the table is (N, B) of ``np.min_scalar_type(M + 1)``,
+    at most min(32·N·M, max(N, count)) entries, so it never outgrows the
+    draws it serves.
     """
     n_rows, n_cols = cdfs.shape
-    n_buckets = 1 << (32 * n_cols).bit_length() - 1
+    n_buckets = 1 << min(32 * n_cols,
+                         max(1, count // n_rows)).bit_length() - 1
     scaled = cdfs * n_buckets
     step = n_cols + 1
     # Row r holds count i on the buckets from ⌈c_{i−1}·B⌉ up to ⌈c_i·B⌉.
@@ -91,11 +95,12 @@ def _guided_search(cdfs: np.ndarray, u: np.ndarray,
 
     Each uniform u = k·2⁻⁵³ in [0, 1) reads its bucket ⌊u·B⌋ (exact for
     B a power of two) from the guide table; only the draws whose bucket
-    holds a CDF step, at most M/B < 1/16 of them, get a binary search,
-    grouped by row with one stable sort.
+    holds a CDF step get a binary search, grouped by row with one stable
+    sort. That is at most M/B of them, under 1/16 unless fewer than 32·M
+    draws per row cap B.
     """
     n_rows = cdfs.shape[0]
-    guide, n_buckets = _guide_table(cdfs)
+    guide, n_buckets = _guide_table(cdfs, u.size)
     step = cdfs.shape[1] + 1
     index_type = (np.int32 if guide.size <= np.iinfo(np.int32).max
                   else np.intp)
@@ -135,14 +140,16 @@ def sample_trajectories(jd: JointDistribution, count: int,
     Both stages read a bucketed guide table instead of binary-searching
     every draw, and give exactly the right-side ``searchsorted`` of each
     uniform: the stream is that of a plain inverse-CDF draw. With B the
-    largest power of two ≤ 32·M (32·N for the first stage) and f the
-    fraction of draws whose bucket holds a CDF step (≤ M/B < 1/16), time is
-    O(count + N·B + f·count·log M). Peak memory is 28 bytes per draw
+    largest power of two ≤ min(32·M, max(1, count // N)) (N = 1 and M = N
+    for the first stage) and f the fraction of draws whose bucket holds a
+    CDF step (≤ M/B, under 1/16 when B is not capped by the count), time
+    is O(count + N·B + f·count·log M). Peak memory is 28 bytes per draw
     (28 MB per 10⁶ draws), reached while the second stage finds its
     buckets: ``ns``, the uniforms and their scaled copy at 8 bytes each
     and the 4-byte bucket index (8-byte beyond 2³¹ guide entries). On top
     come the N×M CDF table and the (N, B) guide table of 1-, 2- or 4-byte
-    entries. ``count`` must lie in [1, MAX_COUNT].
+    entries, at most max(N, count) of them. ``count`` must lie in
+    [1, MAX_COUNT].
     """
     if not 1 <= count <= MAX_COUNT:
         raise ValueError(f"count must be in [1, {MAX_COUNT}], got {count}")

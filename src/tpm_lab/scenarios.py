@@ -303,27 +303,72 @@ def _build_initial(config: ScenarioConfig,
                                        config.dim, "initial"))
 
 
-def build_scenario(config: ScenarioConfig) -> BuiltScenario:
+def _unchanged(config: ScenarioConfig, previous: BuiltScenario | None,
+               spec_name: str, *rebuilt_kinds: str) -> bool:
+    """Whether ``previous`` was built at ``config``'s dim from the very same
+    ``spec_name`` spec object, of a kind not in ``rebuilt_kinds``."""
+    spec = getattr(config, spec_name)
+    return (previous is not None and previous.config.dim == config.dim
+            and getattr(previous.config, spec_name) is spec
+            and spec.get("kind") not in rebuilt_kinds)
+
+
+def build_scenario(config: ScenarioConfig, *,
+                   previous: BuiltScenario | None = None) -> BuiltScenario:
     """Turn a validated config into live objects.
+
+    ``previous``, the scenario built for the point before in a sweep,
+    lends every ingredient whose inputs ``config`` leaves unchanged: the
+    same dim, the same spec object (:func:`sweep_configs` passes an
+    unchanged spec through as it is) and no dependence on the seed.
+
+    - A Hamiltonian's eigenpair, unless its kind is ``random``, and then
+      also its measurement family if that spec is unchanged too.
+    - The channel, unless its kind is ``haar_random``, or is
+      ``unitary_from_hamiltonian`` and the second eigenpair was rebuilt.
+    - A ``maximally_mixed`` or ``explicit`` initial state.
+
+    Whatever depends on β is recomputed at every point: Z and the
+    exponent guards (:meth:`GibbsEnsemble.at_beta`), and the Gibbs state
+    with its validation. Every builder is deterministic, so the result,
+    and any error raised, equals that of a build without ``previous``.
 
     Raises :class:`ConfigError` for schema-level problems and
     :class:`~tpm_lab.errors.ValidationError` when a constructed object
     violates its invariants (e.g. an explicit state that is not PSD).
     """
-    h_first = _build_hamiltonian(config.first_hamiltonian, config.dim,
-                                 config.seed, ROLE_FIRST_HAMILTONIAN,
-                                 "first_hamiltonian")
-    h_second = _build_hamiltonian(config.second_hamiltonian, config.dim,
-                                  config.seed, ROLE_SECOND_HAMILTONIAN,
-                                  "second_hamiltonian")
-    first_ensemble = gibbs_ensemble(h_first, config.beta)
-    second_ensemble = gibbs_ensemble(h_second, config.beta)
-    first_meas = _build_measurement(config.first_measurement, first_ensemble,
-                                    "first_measurement")
-    second_meas = _build_measurement(config.second_measurement,
-                                     second_ensemble, "second_measurement")
-    channel = _build_channel(config, second_ensemble)
-    initial = _build_initial(config, first_ensemble)
+    first_kept = _unchanged(config, previous, "first_hamiltonian", "random")
+    second_kept = _unchanged(config, previous, "second_hamiltonian", "random")
+    h_first = None if first_kept else _build_hamiltonian(
+        config.first_hamiltonian, config.dim, config.seed,
+        ROLE_FIRST_HAMILTONIAN, "first_hamiltonian")
+    h_second = None if second_kept else _build_hamiltonian(
+        config.second_hamiltonian, config.dim, config.seed,
+        ROLE_SECOND_HAMILTONIAN, "second_hamiltonian")
+    first_ensemble = (previous.first_ensemble.at_beta(config.beta)
+                      if first_kept else gibbs_ensemble(h_first, config.beta))
+    second_ensemble = (previous.second_ensemble.at_beta(config.beta)
+                       if second_kept
+                       else gibbs_ensemble(h_second, config.beta))
+    first_meas = (previous.experiment.first_measurement
+                  if first_kept and _unchanged(config, previous,
+                                               "first_measurement")
+                  else _build_measurement(config.first_measurement,
+                                          first_ensemble, "first_measurement"))
+    second_meas = (previous.experiment.second_measurement
+                   if second_kept and _unchanged(config, previous,
+                                                 "second_measurement")
+                   else _build_measurement(config.second_measurement,
+                                           second_ensemble,
+                                           "second_measurement"))
+    channel = (previous.experiment.channel
+               if _unchanged(config, previous, "channel", "haar_random")
+               and (second_kept or config.channel.get("kind")
+                    != "unitary_from_hamiltonian")
+               else _build_channel(config, second_ensemble))
+    initial = (previous.experiment.initial_state
+               if _unchanged(config, previous, "initial", "gibbs")
+               else _build_initial(config, first_ensemble))
     experiment = TpmExperiment(initial_state=initial,
                                first_measurement=first_meas,
                                channel=channel,
@@ -343,7 +388,9 @@ def sweep_configs(config: ScenarioConfig, parameter: str,
 
     Each variant gets a deterministic seed derived from the base seed and
     its position in the value list, and a name suffixed with the swept
-    parameter so report rows stay distinguishable.
+    parameter so report rows stay distinguishable. Every spec the sweep
+    does not change is the base config's own object, which is how
+    :func:`build_scenario` recognises it as unchanged.
     """
     if parameter not in ("beta", "channel_param", "dim"):
         raise ValueError(

@@ -483,6 +483,116 @@ def test_sweep_points_have_derived_seeds():
     assert [v.seed for v in variants] == [v.seed for v in again]
 
 
+# Sweeps beyond the shipped files: a β sweep whose every ingredient but the
+# Gibbs weights is reusable (explicit state and Hamiltonian, projector list,
+# gapped eigenbasis, e^{−iHt} of a fixed H); one whose e^{−iHt} must follow
+# a random H redrawn at every point; and a dim sweep that returns to
+# earlier dims, with a reusable channel and state between equal dims.
+BUILD_MIX_RAW = raw_config(
+    name="build_mix",
+    initial={"kind": "explicit", "matrix": {"re": [[0.7, 0.1], [0.1, 0.3]]}},
+    first_hamiltonian={"kind": "diagonal", "energies": [0.0, 1.0]},
+    second_hamiltonian={"kind": "explicit",
+                        "matrix": {"re": [[0.0, 0.5], [0.5, 1.0]]}},
+    channel={"kind": "unitary_from_hamiltonian", "time": 0.7},
+    first_measurement={"kind": "projectors", "energies": [0.0, 1.0],
+                       "projectors": [{"re": [[1.0, 0.0], [0.0, 0.0]]},
+                                      {"re": [[0.0, 0.0], [0.0, 1.0]]}]},
+    second_measurement={"kind": "eigenbasis", "degeneracy_gap": 0.1})
+RANDOM_EVOLUTION_RAW = raw_config(
+    name="random_evolution", second_hamiltonian={"kind": "random"},
+    channel={"kind": "unitary_from_hamiltonian", "time": 0.7})
+DIM_RETURN_RAW = raw_config(
+    name="dim_return", initial={"kind": "maximally_mixed"},
+    first_hamiltonian={"kind": "random"},
+    second_hamiltonian={"kind": "random", "scale": 0.5},
+    channel={"kind": "depolarizing", "p": 0.3})
+BETAS = [0.3, 0.5, 1.0, 2.0, 4.0]
+SWEEP_ORACLE_CASES = [
+    *((path.name, "beta", BETAS) for path in SHIPPED),
+    ("amplitude_damping.json", "channel_param", [0.0, 0.25, 0.5, 0.75, 1.0]),
+    ("random_full_support.json", "dim", [2, 3, 4]),
+    (BUILD_MIX_RAW, "beta", BETAS),
+    (RANDOM_EVOLUTION_RAW, "beta", BETAS),
+    (DIM_RETURN_RAW, "dim", [2, 2, 3, 3, 2]),
+]
+
+
+def sweep_base(source):
+    if isinstance(source, dict):
+        return scenario_from_dict(source)
+    return load_scenario(SCENARIO_DIR / source)
+
+
+@pytest.mark.parametrize("source, parameter, values", SWEEP_ORACLE_CASES,
+                         ids=lambda x: x["name"] if isinstance(x, dict)
+                         else None)
+def test_sweep_matches_the_per_point_loop(caplog, source, parameter, values):
+    # The oracle builds every point from scratch; run_sweep lends each
+    # point the previous one's ingredients.
+    config = sweep_base(source)
+    with caplog.at_level("DEBUG", logger="tpm_lab"):
+        oracle = [cli.run_verify(variant)
+                  for variant in sweep_configs(config, parameter, values)]
+        oracle_log = [(r.levelname, r.getMessage()) for r in caplog.records]
+        caplog.clear()
+        rows = cli.run_sweep(config, parameter, values)
+        sweep_log = [(r.levelname, r.getMessage()) for r in caplog.records]
+    assert cli.rows_to_csv(rows) == cli.rows_to_csv(oracle)
+    assert cli.rows_to_json(rows) == cli.rows_to_json(oracle)
+    assert sweep_log == oracle_log
+
+
+@pytest.mark.parametrize("name, parameter, values, eig_calls, channels", [
+    ("qubit_hadamard.json", "beta", BETAS, 2, 1),
+    ("random_full_support.json", "beta", BETAS, 10, 5),
+    ("amplitude_damping.json", "channel_param",
+     [0.0, 0.25, 0.5, 0.75, 1.0], 2, 5),
+])
+def test_sweep_builds_unchanged_ingredients_once(monkeypatch, name, parameter,
+                                                 values, eig_calls, channels):
+    calls = {"eig": 0, "channel": 0}
+    hermitian_eig = quantum.hermitian_eig
+    channel_init = quantum.KrausChannel.__init__
+
+    def counting_eig(a):
+        calls["eig"] += 1
+        return hermitian_eig(a)
+
+    def counting_channel(self, *args, **kwargs):
+        calls["channel"] += 1
+        channel_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(quantum, "hermitian_eig", counting_eig)
+    monkeypatch.setattr(quantum.KrausChannel, "__init__", counting_channel)
+    rows = cli.run_sweep(load_scenario(SCENARIO_DIR / name), parameter,
+                         values)
+    assert len(rows) == 5
+    assert calls == {"eig": eig_calls, "channel": channels}
+
+
+@pytest.mark.parametrize("name, argv, code, message", [
+    # Point 2's β·spread is 1e6, past the exponent guard.
+    ("qubit_hadamard.json", ["--param", "beta", "--values", "1", "1000000"],
+     3, "overflow: beta * spectral spread = 1.000e+06 exceeds"),
+    ("amplitude_damping.json",
+     ["--param", "channel_param", "--values", "0.2", "1.5"],
+     2, "config error (field=channel.gamma): "),
+    # Two energies do not fit dim 3: nothing built at dim 2 is lent.
+    ("qubit_hadamard.json", ["--param", "dim", "--values", "2", "3"],
+     2, "config error (field=first_hamiltonian.energies): "),
+])
+def test_sweep_later_point_errors_keep_their_exit_codes(tmp_path, caplog,
+                                                        name, argv, code,
+                                                        message):
+    out = tmp_path / "sweep.csv"
+    with caplog.at_level("ERROR", logger="tpm_lab"):
+        assert cli.main(["sweep", "--config", str(SCENARIO_DIR / name),
+                         *argv, "--out", str(out)]) == code
+    assert caplog.records[-1].getMessage().startswith(message)
+    assert not out.exists()
+
+
 # --- sampling ----------------------------------------------------------------
 
 def test_run_sample_work_weight_matches_partition_ratio():

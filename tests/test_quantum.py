@@ -11,6 +11,7 @@ from conftest import (
     random_density_matrix,
     weyl_depolarizing,
 )
+from tpm_lab import quantum
 from tpm_lab.errors import ValidationError
 from tpm_lab.linalg import haar_random_unitary, hermitian_eig, random_hermitian
 from tpm_lab.quantum import (
@@ -409,17 +410,41 @@ def test_gibbs_shift_invariance():
 
 
 def test_gibbs_overflow_guards():
-    with pytest.raises(OverflowError):
-        gibbs_ensemble(np.diag([0.0, 1e6]), 1.0)
-    with pytest.raises(OverflowError):
-        gibbs_ensemble(-800.0 * np.eye(2), 1.0)
+    for h in (np.diag([0.0, 1e6]), -800.0 * np.eye(2)):
+        with pytest.raises(OverflowError):
+            gibbs_ensemble(h, 1.0)
+        held = gibbs_ensemble(h, 1e-6)  # both guards pass at this β
+        with pytest.raises(OverflowError):
+            held.at_beta(1.0)
 
 
 def test_gibbs_rejects_nonpositive_beta():
-    with pytest.raises(ValueError):
-        gibbs_ensemble(np.diag([0.0, 1.0]), 0.0)
-    with pytest.raises(ValueError):
-        gibbs_ensemble(np.diag([0.0, 1.0]), -1.0)
+    held = gibbs_ensemble(np.diag([0.0, 1.0]), 1.0)
+    for beta in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            gibbs_ensemble(np.diag([0.0, 1.0]), beta)
+        with pytest.raises(ValueError):
+            held.at_beta(beta)
+
+
+def test_at_beta_equals_a_fresh_ensemble_without_a_new_eig(monkeypatch):
+    h = random_hermitian(5, np.random.default_rng(32))
+    betas = (0.1, 0.4, 2.5)
+    fresh = [gibbs_ensemble(h, beta) for beta in betas]
+    held = gibbs_ensemble(h, 0.4)
+
+    def no_eig(a):
+        raise AssertionError("at_beta diagonalised H again")
+
+    monkeypatch.setattr(quantum, "hermitian_eig", no_eig)
+    for beta, want in zip(betas, fresh):
+        got = held.at_beta(beta)
+        assert got.energies is held.energies and got.basis is held.basis
+        np.testing.assert_array_equal(got.energies, want.energies)
+        np.testing.assert_array_equal(got.basis, want.basis)
+        assert (got.beta, got.partition_function) == (
+            want.beta, want.partition_function)
+        np.testing.assert_array_equal(got.state.matrix, want.state.matrix)
 
 
 def test_gibbs_thermodynamic_consistency():

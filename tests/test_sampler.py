@@ -206,13 +206,14 @@ def many_row_distribution(rows: int, cols: int):
     many_row_distribution(300, 5),  # uint16 sort key
 ], ids=["N=1", "N=3", "N=16", "N=64", "N=128", "N=300"])
 def test_stream_matches_mask_loop(jd):
-    for seed in range(3):
-        samples = sample_trajectories(jd, 30_000,
+    # At 50 draws the count, not 32·M, sets the guide tables' size.
+    for seed, count in [(0, 30_000), (1, 30_000), (2, 30_000), (3, 50)]:
+        samples = sample_trajectories(jd, count,
                                       np.random.default_rng(900 + seed))
-        oracle = mask_loop_draw(jd, 30_000, np.random.default_rng(900 + seed))
+        oracle = mask_loop_draw(jd, count, np.random.default_rng(900 + seed))
         assert_same_stream(samples, oracle)
         assert_same_stream(samples, grouped_sort_draw(
-            jd, 30_000, np.random.default_rng(900 + seed)))
+            jd, count, np.random.default_rng(900 + seed)))
         counts = cell_counts(samples, jd.shape)
         assert np.all(counts[~jd.support_mask] == 0)
 
@@ -264,23 +265,49 @@ def edge_uniforms(cdfs: np.ndarray, n_buckets: int) -> np.ndarray:
 
 @pytest.mark.parametrize("name", GUIDED_SEARCH_CASES)
 def test_guided_search_matches_searchsorted(name):
-    cdfs = GUIDED_SEARCH_CASES[name]
+    # None searches every uniform in one call, where B = 32·M or its
+    # power-of-two floor; a few draws per row cap B at their count.
+    for draws_per_row in (None, 1, 3, 40):
+        check_guided_search(GUIDED_SEARCH_CASES[name], draws_per_row)
+
+
+def check_guided_search(cdfs, draws_per_row):
     n_rows, n_cols = cdfs.shape
-    guide, n_buckets = _guide_table(cdfs)
+    count = 10**9 if draws_per_row is None else draws_per_row * n_rows
+    guide, n_buckets = _guide_table(cdfs, count)
     assert guide.shape == (n_rows, n_buckets)
     assert guide.dtype == np.min_scalar_type(n_cols + 1)
     assert guide.nbytes <= 32 * n_rows * n_cols * guide.itemsize
+    assert guide.nbytes <= 8 * (count + n_rows)
+    if draws_per_row is not None:
+        assert n_buckets <= draws_per_row
     u = edge_uniforms(cdfs, n_buckets)
     rows = np.random.default_rng(9).integers(0, n_rows, u.size)
     want = np.empty(u.size, dtype=np.intp)
     for r in range(n_rows):
         drawn = rows == r
         want[drawn] = np.searchsorted(cdfs[r], u[drawn], side="right")
-    got = _guided_search(cdfs, u, rows)
+    chunk = u.size if draws_per_row is None else count
+    got = np.concatenate([_guided_search(cdfs, u[k:k + chunk],
+                                         rows[k:k + chunk])
+                          for k in range(0, u.size, chunk)])
     assert got.dtype == np.intp
     np.testing.assert_array_equal(got, want)
     if n_rows == 1:
-        np.testing.assert_array_equal(_guided_search(cdfs, u), want)
+        np.testing.assert_array_equal(
+            np.concatenate([_guided_search(cdfs, u[k:k + chunk])
+                            for k in range(0, u.size, chunk)]), want)
+
+
+def test_guide_table_grows_with_the_count_not_the_table():
+    # A 1024×1024 table drawn 10³ times: 32·N·M buckets would
+    # be 2²⁵ entries (64 MiB); the capped table has one bucket per row.
+    cdfs = normalized_cdfs(np.random.default_rng(4).random((1024, 1024)))
+    guide, n_buckets = _guide_table(cdfs, 1000)
+    assert n_buckets == 1
+    assert guide.nbytes <= 8 * (1000 + 1024)
+    assert _guide_table(cdfs, 1024 * 5000)[1] == 4096
+    assert _guide_table(cdfs, 10**9)[1] == 32 * 1024
 
 
 def off_support_weight_tables():
