@@ -4,9 +4,9 @@ The exact engine enumerates every outcome pair, but a laboratory only
 sees sampled trajectories. This script draws trajectories from a random
 full-support scenario and estimates <e^{-I}> at increasing sample counts
 against the exact value, with the standard error s/sqrt(n) (which is
-exactly the delete-one jackknife error of a sample mean). A sample is a
-pair of index arrays (ns, ms): draw k landed on outcome pair
-(ns[k], ms[k]).
+exactly the delete-one jackknife error of a sample mean). A sample is an
+array of flat cell indices: draw k landed on cell cells[k] = n*M + m of
+the N x M joint table, and np.divmod(cells, M) gives the pairs (n, m).
 
 Exponential averages are the textbook hazard of this kind of estimation:
 a large share of the average is carried by rare outcome pairs with large
@@ -51,8 +51,8 @@ experiment = TpmExperiment(
 jd = joint_distribution(experiment)
 mi = mutual_information_table(jd)
 print(f"exact exponential average: {mi.exp_average:.15f}")
-heavy_cell = np.unravel_index(np.nanargmin(mi.i_table), mi.i_table.shape)
-biggest_weight = float(np.exp(-mi.i_table[heavy_cell]))
+heavy_cell = int(np.nanargmin(mi.i_table))  # the flat index n*M + m
+biggest_weight = float(np.exp(-mi.i_table.flat[heavy_cell]))
 print(f"rarest outcome pair: p(n, m) = {jd.p_joint.min():.2e}; "
       f"largest weight e^(-I) = {biggest_weight:.1f}")
 print()
@@ -61,10 +61,10 @@ print("=== Convergence with sample count (one sampling seed) ===")
 print(f"{'count':>8}  {'estimate':>12}  {'std error':>10}  {'z':>7}  "
       f"{'heavy hits':>10}")
 for count in (100, 1_000, 10_000, 100_000):
-    ns, ms = sample_trajectories(jd, count, np.random.default_rng(7))
-    est = estimate_exponential_average((ns, ms), mi.i_table,
+    cells = sample_trajectories(jd, count, np.random.default_rng(7))
+    est = estimate_exponential_average(cells, mi.i_table,
                                        exact=mi.exp_average)
-    heavy_hits = int(np.sum((ns == heavy_cell[0]) & (ms == heavy_cell[1])))
+    heavy_hits = int(np.sum(cells == heavy_cell))
     print(f"{count:8d}  {est.mean:12.6f}  {est.std_error:10.6f}  "
           f"{est.z_score:7.2f}  {heavy_hits:10d}")
 print("Small counts can miss the rare heavy cells entirely; the estimate")
@@ -76,8 +76,8 @@ print()
 print("=== Coverage across 50 sampling seeds at 10^4 samples ===")
 zs = []
 for seed in range(50):
-    samples = sample_trajectories(jd, 10_000, np.random.default_rng(seed))
-    est = estimate_exponential_average(samples, mi.i_table,
+    cells = sample_trajectories(jd, 10_000, np.random.default_rng(seed))
+    est = estimate_exponential_average(cells, mi.i_table,
                                        exact=mi.exp_average)
     zs.append(est.z_score)
 zs = np.array(zs)

@@ -1,7 +1,8 @@
 """Monte Carlo sampling of outcome pairs and exponential-average estimation.
 
-A sample is a pair of ``np.intp`` index arrays ``(ns, ms)``: draw k is the
-outcome pair (ns[k], ms[k]). Exponential averages are notoriously
+A sample is one array of flat cell indices of the N×M joint table: draw k
+is the outcome pair (n, m) with cells[k] = n·M + m, in the smallest
+unsigned type that holds N·M. Exponential averages are notoriously
 heavy-tailed estimators; this module exists to demonstrate that behavior
 against the exact values, not to fix it (no importance sampling, no
 variance reduction).
@@ -23,8 +24,12 @@ __all__ = [
     "MAX_COUNT",
 ]
 
-# The largest sample count whose np.intp index arrays are addressable.
+# The largest sample count whose 8-byte per-draw arrays (the uniforms and
+# the gather indices) are addressable.
 MAX_COUNT = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
+
+# Cells or buckets per block of rows while a guide table is built.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -56,42 +61,55 @@ class EstimatorReport:
 
 def _guide_table(cdfs: np.ndarray, count: int) -> tuple[np.ndarray, int]:
     """Bucketed inverse-CDF guide table (Chen & Asau, 1974) for each row,
-    sized for ``count`` draws.
+    sized for ``count`` draws, whose entries are flat cell labels.
 
     Bucket j of B covers [j/B, (j+1)/B), with B the largest power of two
     ≤ min(32·M, max(1, count // N)), so scaling by B is exact: c ≤ j/B ⟺
-    ⌈c·B⌉ ≤ j, and c lies strictly inside bucket j ⟺ ⌊c·B⌋ = j < c·B.
-    ``guide[r, j]`` is the count of row r's CDF values ≤ j/B, which is
-    the right-side ``searchsorted`` of every u in the bucket, or M + 1
-    where a CDF value lies strictly inside the bucket and only a search
-    can tell. Rows must be nondecreasing and nonnegative. Returns
-    ``(guide, B)``; the table is (N, B) of ``np.min_scalar_type(M + 1)``,
-    at most min(32·N·M, max(N, count)) entries, so it never outgrows the
-    draws it serves.
+    ⌈c·B⌉ ≤ j, and c lies strictly inside bucket j ⟺ j < c·B < ⌈c·B⌉ =
+    j + 1. Only a row's first M − 1 CDF values are read: the count of
+    them ≤ u is min(searchsorted(row, u, side="right"), M − 1).
+    ``guide[r, j]`` is the label r·M + that count, shared by every u in
+    the bucket, or the dtype's maximum, never a label, where one of those
+    values lies strictly inside the bucket and only a search can tell.
+    Rows must be nondecreasing and nonnegative. Returns ``(guide, B)``;
+    the table is (N, B) of ``np.min_scalar_type(N·M)``, at most
+    min(32·N·M, max(N, count)) entries, so it never outgrows the draws it
+    serves. It is built a block of about 2¹⁶ cells or buckets at a time,
+    which bounds the build's temporaries whatever N·M.
     """
     n_rows, n_cols = cdfs.shape
     n_buckets = 1 << min(32 * n_cols,
                          max(1, count // n_rows)).bit_length() - 1
-    scaled = cdfs * n_buckets
-    step = n_cols + 1
-    # Row r holds count i on the buckets from ⌈c_{i−1}·B⌉ up to ⌈c_i·B⌉.
-    edges = np.zeros((n_rows, n_cols + 2), dtype=np.intp)
-    edges[:, 1:-1] = np.minimum(np.ceil(scaled), n_buckets)
-    edges[:, -1] = n_buckets
-    counts = np.arange(n_cols + 1, dtype=np.min_scalar_type(step))
-    guide = np.repeat(np.tile(counts, n_rows), np.diff(edges, axis=1).ravel())
-    guide = guide.reshape(n_rows, n_buckets)
-    inside = (np.floor(scaled) < scaled) & (scaled < n_buckets)
-    rows, cols = np.nonzero(inside)
-    guide[rows, np.floor(scaled[rows, cols]).astype(np.intp)] = step
+    guide = np.empty((n_rows, n_buckets),
+                     dtype=np.min_scalar_type(n_rows * n_cols))
+    flat = guide.reshape(-1)
+    block = max(1, _BLOCK_CELLS // max(n_cols, n_buckets))
+    for start in range(0, n_rows, block):
+        stop = min(start + block, n_rows)
+        scaled = cdfs[start:stop, :-1] * n_buckets
+        ceil = np.ceil(scaled)
+        inside = (scaled < ceil) & (scaled < n_buckets)
+        np.minimum(ceil, n_buckets, out=ceil)
+        # Row r holds label r·M + i on the buckets from ⌈c_{i−1}·B⌉ up to
+        # ⌈c_i·B⌉.
+        edges = np.zeros((stop - start, n_cols + 1), dtype=np.intp)
+        edges[:, 1:-1] = ceil
+        edges[:, -1] = n_buckets
+        labels = np.arange(start * n_cols, stop * n_cols, dtype=guide.dtype)
+        block_guide = flat[start * n_buckets:stop * n_buckets]
+        block_guide[:] = np.repeat(labels, np.diff(edges, axis=1).ravel())
+        # A value inside a bucket marks bucket ⌈c·B⌉ − 1 of its row.
+        ceil += np.arange(-1, (stop - start) * n_buckets - 1, n_buckets,
+                          dtype=float)[:, None]
+        block_guide[ceil[inside].astype(np.intp)] = np.iinfo(guide.dtype).max
     return guide, n_buckets
 
 
 def _guided_search(cdfs: np.ndarray, u: np.ndarray,
                    rows: np.ndarray | None = None) -> np.ndarray:
-    """``np.searchsorted(cdfs[rows[k]], u[k], side="right")`` for every k,
-    as ``np.intp``; ``rows=None`` searches the single row of a one-row
-    table.
+    """The label r·M + min(searchsorted(cdfs[r], u[k], side="right"), M − 1)
+    of every draw k, with r = rows[k], in the guide table's dtype;
+    ``rows=None`` searches the single row of a one-row table.
 
     Each uniform u = k·2⁻⁵³ in [0, 1) reads its bucket ⌊u·B⌋ (exact for
     B a power of two) from the guide table; only the draws whose bucket
@@ -99,21 +117,17 @@ def _guided_search(cdfs: np.ndarray, u: np.ndarray,
     sort. That is at most M/B of them, under 1/16 unless fewer than 32·M
     draws per row cap B.
     """
-    n_rows = cdfs.shape[0]
+    n_rows, n_cols = cdfs.shape
     guide, n_buckets = _guide_table(cdfs, u.size)
-    step = cdfs.shape[1] + 1
     index_type = (np.int32 if guide.size <= np.iinfo(np.int32).max
                   else np.intp)
-    cell = (u * n_buckets).astype(index_type)
+    bucket = np.empty(u.size, dtype=index_type)
+    np.multiply(u, n_buckets, out=bucket, casting="unsafe")
     if rows is not None:
-        offset = rows.astype(index_type)
-        offset *= n_buckets
-        cell += offset
-        del offset
-    found = guide.ravel().take(cell)
-    del cell
-    todo = np.flatnonzero(found == step)
-    found = found.astype(np.intp)
+        bucket += np.multiply(rows, n_buckets, dtype=index_type)
+    found = guide.ravel().take(bucket)
+    del bucket
+    todo = np.flatnonzero(found == np.iinfo(found.dtype).max)
     todo_rows = np.zeros_like(todo) if rows is None else rows[todo]
     # kind="stable" is numpy's radix sort on 8/16-bit keys.
     todo = todo[np.argsort(todo_rows.astype(np.min_scalar_type(n_rows - 1)),
@@ -122,96 +136,95 @@ def _guided_search(cdfs: np.ndarray, u: np.ndarray,
     row_ends = np.cumsum(row_counts)
     for r in np.flatnonzero(row_counts):
         k = todo[row_ends[r] - row_counts[r]:row_ends[r]]
-        found[k] = np.searchsorted(cdfs[r], u[k], side="right")
+        found[k] = (np.searchsorted(cdfs[r, :-1], u[k], side="right")
+                    + r * n_cols)
     return found
 
 
 def sample_trajectories(jd: JointDistribution, count: int,
-                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                        rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` i.i.d. outcome pairs from the joint distribution.
 
-    Returns ``(ns, ms)``, two ``np.intp`` arrays of length ``count``.
-    Inverse-CDF sampling: all first outcomes n from p(n), then every
-    draw's second outcome m from its row p(·|n). Mass below the
-    distribution's support epsilon is dropped and the remainder
-    renormalized, so every returned pair lies on the support mask.
-    Deterministic for a fixed generator state.
+    Returns the flat cell index n·M + m of each draw, an array of length
+    ``count`` in the smallest unsigned type that holds N·M;
+    ``np.divmod(cells, M)`` gives the pairs (n, m). Inverse-CDF sampling:
+    all first outcomes n from p(n), then every draw's second outcome m
+    from its row p(·|n). Mass below the distribution's support epsilon is
+    dropped and the remainder renormalized, so every returned cell lies on
+    the support mask. Deterministic for a fixed generator state.
 
     Both stages read a bucketed guide table instead of binary-searching
     every draw, and give exactly the right-side ``searchsorted`` of each
-    uniform: the stream is that of a plain inverse-CDF draw. With B the
-    largest power of two ≤ min(32·M, max(1, count // N)) (N = 1 and M = N
-    for the first stage) and f the fraction of draws whose bucket holds a
-    CDF step (≤ M/B, under 1/16 when B is not capped by the count), time
-    is O(count + N·B + f·count·log M). Peak memory is 28 bytes per draw
-    (28 MB per 10⁶ draws), reached while the second stage finds its
-    buckets: ``ns``, the uniforms and their scaled copy at 8 bytes each
-    and the 4-byte bucket index (8-byte beyond 2³¹ guide entries). On top
-    come the N×M CDF table and the (N, B) guide table of 1-, 2- or 4-byte
-    entries, at most max(N, count) of them. ``count`` must lie in
-    [1, MAX_COUNT].
+    uniform: the stream is that of a plain inverse-CDF draw. The first
+    stage's labels are the first outcomes n; the second stage's guide
+    table, indexed by n, holds the cells themselves. With B the largest
+    power of two ≤ min(32·M, max(1, count // N)) (N = 1 and M = N for the
+    first stage) and f the fraction of draws whose bucket holds a CDF step
+    (≤ M/B, under 1/16 when B is not capped by the count), time is
+    O(count + N·B + f·count·log M). Peak memory is 23 bytes per draw at
+    d = 16 (22 MiB traced per 10⁶ draws), reached while the second stage
+    gathers its guide entries: the uniforms at 8 bytes, the 4-byte bucket
+    indices (8-byte beyond 2³¹ guide entries) and the 8-byte copy that
+    ``take`` makes of them, the first outcomes and the cells (1 and 2
+    bytes at d = 16). On top come the N×M CDF table and the (N, B) guide
+    table of 1-, 2-, 4- or 8-byte labels, at most max(N, count) of them.
+    ``count`` must lie in [1, MAX_COUNT].
     """
     if not 1 <= count <= MAX_COUNT:
         raise ValueError(f"count must be in [1, {MAX_COUNT}], got {count}")
     p = np.where(jd.support_mask, jd.p_joint, 0.0)
-    n_rows, n_cols = p.shape
     row_mass = p.sum(axis=1)
     total = float(row_mass.sum())
     first_cdf = np.cumsum(row_mass) / total
     # Zero-mass rows/cells occupy zero-width CDF intervals; searchsorted
     # with side='right' can never select them for u in [0, 1).
     ns = _guided_search(first_cdf[None, :], rng.random(count))
-    np.minimum(ns, n_rows - 1, out=ns)
 
-    row_cdfs = np.cumsum(p, axis=1)
+    row_cdfs = np.cumsum(p, axis=1, out=p)  # in place: one N×M table
     row_totals = row_cdfs[:, -1].copy()
     row_totals[row_totals <= 0] = 1.0  # zero-mass rows are never selected
     row_cdfs /= row_totals[:, None]
-    ms = _guided_search(row_cdfs, rng.random(count), ns)
-    np.minimum(ms, n_cols - 1, out=ms)
-    return ns, ms
+    return _guided_search(row_cdfs, rng.random(count), ns)
 
 
-def estimate_exponential_average(samples: tuple[np.ndarray, np.ndarray],
-                                 weight_table,
+def estimate_exponential_average(cells: np.ndarray, weight_table,
                                  exact: float | None = None) -> EstimatorReport:
-    """Estimate ⟨e^{−w}⟩ from sampled outcome pairs ``(ns, ms)``.
+    """Estimate ⟨e^{−w}⟩ from sampled flat cell indices ``cells``.
 
-    ``weight_table[n, m]`` gives the exponent for pair (n, m); it must be
-    finite at every sampled pair (off-support cells may be NaN or of any
-    size — they are never sampled). The error bar is s/√n, the delete-one
-    jackknife standard error of the sample mean.
+    Draw k is the cell n·M + m of the N×M ``weight_table``, whose entry
+    is the exponent for pair (n, m); it must be finite at every sampled
+    cell (off-support cells may be NaN or of any size — they are never
+    sampled). The error bar is s/√n, the delete-one jackknife standard
+    error of the sample mean.
 
-    The N×M table is exponentiated once and the samples gather from it,
-    so time is O(count + N·M) and memory two count-long 8-byte arrays at
-    a time beyond the samples and the N×M tables. A sampled index
-    outside the table, negative ones included, raises ValueError.
+    The N×M table is exponentiated once, with every non-finite weight
+    mapped to NaN, and the cells gather from it, so time is O(count + N·M)
+    and memory two count-long 8-byte arrays at a time beyond the cells and
+    the N×M tables. A cell outside the table, negative ones included,
+    raises ValueError, and so does a sampled non-finite weight, naming the
+    pair of the first draw that hit one.
     """
-    ns, ms = (np.asarray(index) for index in samples)
-    if not len(ns):
+    cells = np.asarray(cells)
+    if not cells.size:
         raise ValueError("need at least one sample")
     table = np.asarray(weight_table, dtype=float)
     n_rows, n_cols = table.shape
-    if (ns.min() < 0 or ns.max() >= n_rows
-            or ms.min() < 0 or ms.max() >= n_cols):
-        raise ValueError(f"invalid entry in samples: an index pair lies "
-                         f"outside the {n_rows}×{n_cols} weight table")
-    flat = np.multiply(ns, n_cols, dtype=np.intp)
-    flat += ms
-    nonfinite = np.flatnonzero((~np.isfinite(table)).ravel()[flat])
-    if nonfinite.size:
-        bad = int(nonfinite[0])
-        raise ValueError(
-            f"non-finite weight at sampled pair "
-            f"({ns[bad]}, {ms[bad]}): {table[ns[bad], ms[bad]]!r}")
-    # Unsampled off-support cells may overflow or be NaN; only the
-    # sampled (finite) cells are read.
-    with np.errstate(over="ignore", invalid="ignore"):
-        exp_table = np.exp(-table)
-    values = exp_table.ravel()[flat]
-    del flat
-    n = values.size
+    if (cells.dtype.kind not in "iu" or cells.max() >= table.size
+            or (cells.dtype.kind == "i" and cells.min() < 0)):
+        raise ValueError(f"invalid entry in samples: not a cell index of "
+                         f"the {n_rows}×{n_cols} weight table")
+    # Unsampled off-support cells may overflow or be NaN; e^{−w} of a
+    # non-finite w is NaN here, so a sampled one makes the total NaN.
+    exp_table = np.full(table.shape, np.nan)
+    with np.errstate(over="ignore"):
+        np.exp(-table, out=exp_table, where=np.isfinite(table))
+    values = exp_table.ravel().take(cells)
     total = float(values.sum())
+    if math.isnan(total):
+        pair = divmod(int(cells[np.flatnonzero(np.isnan(values))[0]]), n_cols)
+        raise ValueError(f"non-finite weight at sampled pair {pair}: "
+                         f"{table[pair]!r}")
+    n = values.size
     mean = total / n
     largest = float(values.max())
     s = 0.0

@@ -37,11 +37,9 @@ def uniform_2x2():
     return distribution_from_joint(np.full((2, 2), 0.25))
 
 
-def cell_counts(samples, shape) -> np.ndarray:
+def cell_counts(cells, shape) -> np.ndarray:
     """Number of draws that landed in each cell (n, m)."""
-    ns, ms = samples
-    flat = np.ravel_multi_index((ns, ms), shape)
-    return np.bincount(flat, minlength=shape[0] * shape[1]).reshape(shape)
+    return np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape)
 
 
 def reference_draw(jd, count, rng):
@@ -159,10 +157,12 @@ def fixed_qutrit_scenario():
     return jd, mutual_information_table(jd)
 
 
-def assert_same_stream(samples, reference):
-    for got, want in zip(samples, reference):
-        assert got.dtype == np.intp
-        np.testing.assert_array_equal(got, want)
+def assert_same_stream(cells, reference, shape):
+    """``cells`` is the oracle's ns·M + ms, in the smallest unsigned type
+    that holds N·M."""
+    ns, ms = reference
+    assert cells.dtype == np.min_scalar_type(shape[0] * shape[1])
+    np.testing.assert_array_equal(cells, ns * shape[1] + ms)
 
 
 @pytest.mark.parametrize("dim", [3, 16])
@@ -170,22 +170,22 @@ def test_stream_matches_reference_draw(dim):
     for seed in range(5):
         jd = joint_distribution(
             random_rank1_experiment(dim, np.random.default_rng(600 + seed)))
-        samples = sample_trajectories(jd, 20_000,
-                                      np.random.default_rng(700 + seed))
+        cells = sample_trajectories(jd, 20_000,
+                                    np.random.default_rng(700 + seed))
         reference = reference_draw(jd, 20_000,
                                    np.random.default_rng(700 + seed))
-        assert_same_stream(samples, reference)
+        assert_same_stream(cells, reference, jd.shape)
 
 
 def test_stream_matches_reference_with_zero_mass_row_and_cells():
     jd = zero_mass_row_table()
     for seed in range(5):
-        samples = sample_trajectories(jd, 20_000,
-                                      np.random.default_rng(800 + seed))
+        cells = sample_trajectories(jd, 20_000,
+                                    np.random.default_rng(800 + seed))
         reference = reference_draw(jd, 20_000,
                                    np.random.default_rng(800 + seed))
-        assert_same_stream(samples, reference)
-        counts = cell_counts(samples, jd.shape)
+        assert_same_stream(cells, reference, jd.shape)
+        counts = cell_counts(cells, jd.shape)
         assert np.all(counts[~jd.support_mask] == 0)
         assert np.all(counts[jd.support_mask] > 0)
 
@@ -204,17 +204,21 @@ def many_row_distribution(rows: int, cols: int):
     many_row_distribution(64, 64),
     many_row_distribution(128, 128),
     many_row_distribution(300, 5),  # uint16 sort key
-], ids=["N=1", "N=3", "N=16", "N=64", "N=128", "N=300"])
+    many_row_distribution(15, 17),  # 255 cells: uint8, marker 255
+    many_row_distribution(85, 3),  # 255 cells; 50 draws < N give B = 1
+    many_row_distribution(128, 2),  # 256 cells: uint16; B = 1 at 50 draws
+], ids=["N=1", "N=3", "N=16", "N=64", "N=128", "N=300", "NM=255",
+        "NM=255,M=3", "NM=256,M=2"])
 def test_stream_matches_mask_loop(jd):
     # At 50 draws the count, not 32·M, sets the guide tables' size.
     for seed, count in [(0, 30_000), (1, 30_000), (2, 30_000), (3, 50)]:
-        samples = sample_trajectories(jd, count,
-                                      np.random.default_rng(900 + seed))
+        cells = sample_trajectories(jd, count,
+                                    np.random.default_rng(900 + seed))
         oracle = mask_loop_draw(jd, count, np.random.default_rng(900 + seed))
-        assert_same_stream(samples, oracle)
-        assert_same_stream(samples, grouped_sort_draw(
-            jd, count, np.random.default_rng(900 + seed)))
-        counts = cell_counts(samples, jd.shape)
+        assert_same_stream(cells, oracle, jd.shape)
+        assert_same_stream(cells, grouped_sort_draw(
+            jd, count, np.random.default_rng(900 + seed)), jd.shape)
+        counts = cell_counts(cells, jd.shape)
         assert np.all(counts[~jd.support_mask] == 0)
 
 
@@ -249,6 +253,12 @@ GUIDED_SEARCH_CASES = {
     # uint16 guide table.
     "300-outcome": normalized_cdfs(
         np.random.default_rng(3).random((4, 300)) ** 4),
+    # 255 cells: uint8 labels up to 254 and the marker 255.
+    "255-cell": normalized_cdfs(
+        np.random.default_rng(5).random((15, 17)) ** 4),
+    # 256 cells: uint16.
+    "256-cell": normalized_cdfs(
+        np.random.default_rng(6).random((16, 16)) ** 4),
 }
 
 
@@ -276,22 +286,24 @@ def check_guided_search(cdfs, draws_per_row):
     count = 10**9 if draws_per_row is None else draws_per_row * n_rows
     guide, n_buckets = _guide_table(cdfs, count)
     assert guide.shape == (n_rows, n_buckets)
-    assert guide.dtype == np.min_scalar_type(n_cols + 1)
+    assert guide.dtype == np.min_scalar_type(n_rows * n_cols)
     assert guide.nbytes <= 32 * n_rows * n_cols * guide.itemsize
     assert guide.nbytes <= 8 * (count + n_rows)
     if draws_per_row is not None:
         assert n_buckets <= draws_per_row
     u = edge_uniforms(cdfs, n_buckets)
     rows = np.random.default_rng(9).integers(0, n_rows, u.size)
+    # The label of a draw in row r is r·M + its clamped search.
     want = np.empty(u.size, dtype=np.intp)
     for r in range(n_rows):
         drawn = rows == r
         want[drawn] = np.searchsorted(cdfs[r], u[drawn], side="right")
+    want = rows * n_cols + np.minimum(want, n_cols - 1)
     chunk = u.size if draws_per_row is None else count
     got = np.concatenate([_guided_search(cdfs, u[k:k + chunk],
                                          rows[k:k + chunk])
                           for k in range(0, u.size, chunk)])
-    assert got.dtype == np.intp
+    assert got.dtype == guide.dtype
     np.testing.assert_array_equal(got, want)
     if n_rows == 1:
         np.testing.assert_array_equal(
@@ -332,12 +344,13 @@ def test_estimate_matches_gather_then_exp(weight):
     assert np.isnan(table[~jd.support_mask]).any()
     assert (table[~jd.support_mask] == -1000.0).any()
     for seed in range(3):
-        samples = sample_trajectories(jd, 50_000,
-                                      np.random.default_rng(950 + seed))
+        cells = sample_trajectories(jd, 50_000,
+                                    np.random.default_rng(950 + seed))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = estimate_exponential_average(samples, table, exact=0.9)
-        oracle = gather_exp_estimate(samples, table, exact=0.9)
+            report = estimate_exponential_average(cells, table, exact=0.9)
+        oracle = gather_exp_estimate(np.divmod(cells, jd.shape[1]), table,
+                                     exact=0.9)
         assert report.mean == oracle.mean
         assert report.std_error == oracle.std_error
         assert report.z_score == oracle.z_score
@@ -349,29 +362,39 @@ def test_estimate_matches_gather_then_exp(weight):
 
 @pytest.mark.parametrize("ns, ms", [
     ([0, 2], [0, 1]),
-    ([0, 1], [0, 2]),
-    ([0, -1], [0, 0]),  # fancy indexing wrapped this around; now it raises
+    ([0, 1], [0, 2]),  # cell N·M itself
+    ([0, -1], [0, 0]),  # fancy indexing would wrap this around
 ])
 def test_sample_outside_the_table_raises(ns, ms):
+    cells = np.multiply(ns, 2) + ms
     with pytest.raises(ValueError, match="invalid entry"):
-        estimate_exponential_average((np.array(ns), np.array(ms)),
-                                     np.zeros((2, 2)))
+        estimate_exponential_average(cells, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("cells", [
+    np.array([0, 4], dtype=np.uint8),
+    np.array([-(2**62), 0]),
+    np.array([0.0, 1.0]),
+    np.array([True, False]),
+], ids=["unsigned", "far-negative", "float", "bool"])
+def test_cell_outside_the_table_or_not_an_index_raises(cells):
+    with pytest.raises(ValueError, match="invalid entry"):
+        estimate_exponential_average(cells, np.zeros((2, 2)))
 
 
 def test_reliability_of_equal_and_dominated_weights():
-    samples = (np.zeros(8, np.intp), np.array([0] * 7 + [1]))
-    flat = estimate_exponential_average(samples, np.zeros((1, 2)))
+    cells = np.array([0] * 7 + [1])
+    flat = estimate_exponential_average(cells, np.zeros((1, 2)))
     assert flat.effective_sample_size == pytest.approx(8.0, rel=1e-15)
     assert flat.max_weight_share == pytest.approx(1 / 8, rel=1e-15)
     # One draw of weight e^4 against seven of weight 1.
-    heavy = estimate_exponential_average(samples, np.array([[0.0, -4.0]]))
+    heavy = estimate_exponential_average(cells, np.array([[0.0, -4.0]]))
     big = np.exp(4.0)
     assert heavy.effective_sample_size == pytest.approx(
         (big + 7) ** 2 / (big ** 2 + 7), rel=1e-14)
     assert heavy.max_weight_share == pytest.approx(big / (big + 7),
                                                    rel=1e-15)
-    single = estimate_exponential_average((np.array([0]), np.array([1])),
-                                          np.zeros((1, 2)))
+    single = estimate_exponential_average(np.array([1]), np.zeros((1, 2)))
     assert single.effective_sample_size == 1.0
     assert single.max_weight_share == 1.0
 
@@ -399,10 +422,9 @@ def test_sample_stdout_matches_oracles(monkeypatch, capsys, caplog, config,
 
 def test_point_mass_distribution():
     jd = distribution_from_joint(np.array([[1.0]]))
-    samples = sample_trajectories(jd, 50, np.random.default_rng(0))
-    ns, ms = samples
-    assert np.all(ns == 0) and np.all(ms == 0)
-    report = estimate_exponential_average(samples, np.array([[0.7]]))
+    cells = sample_trajectories(jd, 50, np.random.default_rng(0))
+    assert np.all(cells == 0)
+    report = estimate_exponential_average(cells, np.array([[0.7]]))
     assert report.sample_count == 50
     assert report.mean == pytest.approx(np.exp(-0.7), abs=1e-15)
     assert report.std_error == 0.0
@@ -411,15 +433,15 @@ def test_point_mass_distribution():
 
 def test_uniform_marginal_frequencies():
     count = 10_000
-    samples = sample_trajectories(uniform_2x2(), count,
-                                  np.random.default_rng(3))
-    ns, ms = samples
+    cells = sample_trajectories(uniform_2x2(), count,
+                                np.random.default_rng(3))
+    ns, ms = np.divmod(cells, 2)
     # Binomial(10^4, 1/2) has sigma = 50; allow 4 sigma.
     assert abs(ns.sum() - count / 2) < 200
     assert abs(ms.sum() - count / 2) < 200
-    cells = cell_counts(samples, (2, 2))
+    counts = cell_counts(cells, (2, 2))
     # Binomial(10^4, 1/4) has sigma ~ 43; allow 4 sigma.
-    assert np.all(np.abs(cells - count / 4) < 175)
+    assert np.all(np.abs(counts - count / 4) < 175)
 
 
 def test_sampling_is_deterministic_per_seed():
@@ -427,20 +449,21 @@ def test_sampling_is_deterministic_per_seed():
     a = sample_trajectories(jd, 100, np.random.default_rng(11))
     b = sample_trajectories(jd, 100, np.random.default_rng(11))
     c = sample_trajectories(jd, 100, np.random.default_rng(12))
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    assert not all(np.array_equal(x, y) for x, y in zip(a, c))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_never_samples_off_support():
     jd = distribution_from_joint(np.diag([0.5, 0.5]))
-    ns, ms = sample_trajectories(jd, 1000, np.random.default_rng(5))
+    ns, ms = np.divmod(sample_trajectories(jd, 1000,
+                                           np.random.default_rng(5)), 2)
     assert np.all(ns == ms)
 
 
 def test_zero_width_cells_never_selected():
     jd = distribution_from_joint(np.array([[0.5, 0.0, 0.5]]))
-    _, ms = sample_trajectories(jd, 1000, np.random.default_rng(17))
-    assert np.all(np.isin(ms, (0, 2)))
+    cells = sample_trajectories(jd, 1000, np.random.default_rng(17))
+    assert np.all(np.isin(cells, (0, 2)))
 
 
 def test_degenerate_distribution_raises():
@@ -456,22 +479,29 @@ def test_count_and_sample_validation():
     for count in (0, MAX_COUNT + 1):
         with pytest.raises(ValueError, match="count must be in"):
             sample_trajectories(jd, count, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        estimate_exponential_average((np.empty(0, np.intp),
-                                      np.empty(0, np.intp)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="at least one sample"):
+        estimate_exponential_average(np.empty(0, np.intp), np.zeros((2, 2)))
 
 
 def test_nonfinite_weight_rejected():
-    samples = (np.array([0]), np.array([1]))
-    weights = np.array([[0.0, np.nan], [0.0, 0.0]])
-    with pytest.raises(ValueError, match=r"\(0, 1\)"):
-        estimate_exponential_average(samples, weights)
+    # e^{−inf} = 0 is finite, yet an infinite weight is rejected too.
+    cells = np.array([0, 4, 5, 1, 5], dtype=np.uint8)
+    for bad in (np.nan, np.inf, -np.inf):
+        weights = np.zeros((2, 3))
+        weights[1, 2] = bad
+        with pytest.raises(ValueError,
+                           match=r"sampled pair \(1, 2\)") as err:
+            estimate_exponential_average(cells, weights)
+        assert str(err.value).endswith(repr(weights[1, 2]))
+        # Unsampled, the same weight is never read.
+        report = estimate_exponential_average(cells[[0, 1, 3]], weights)
+        assert report.mean == 1.0
 
 
 def test_all_zero_weights():
-    samples = sample_trajectories(uniform_2x2(), 200,
-                                  np.random.default_rng(1))
-    report = estimate_exponential_average(samples, np.zeros((2, 2)),
+    cells = sample_trajectories(uniform_2x2(), 200,
+                                np.random.default_rng(1))
+    report = estimate_exponential_average(cells, np.zeros((2, 2)),
                                           exact=1.0)
     assert report.mean == 1.0
     assert report.std_error == 0.0
@@ -480,9 +510,9 @@ def test_all_zero_weights():
 
 
 def test_single_sample_has_zero_std_error():
-    samples = sample_trajectories(uniform_2x2(), 1,
-                                  np.random.default_rng(9))
-    report = estimate_exponential_average(samples,
+    cells = sample_trajectories(uniform_2x2(), 1,
+                                np.random.default_rng(9))
+    report = estimate_exponential_average(cells,
                                           np.arange(4.0).reshape(2, 2))
     assert report.sample_count == 1
     assert report.std_error == 0.0
@@ -493,10 +523,11 @@ def test_jackknife_matches_classic_standard_error():
     # For a plain sample mean the delete-one jackknife reduces exactly to
     # s / sqrt(n) with s the ddof=1 standard deviation.
     weights = np.array([[0.1, 0.7], [0.3, 1.9]])
-    samples = sample_trajectories(uniform_2x2(), 500,
-                                  np.random.default_rng(23))
-    report = estimate_exponential_average(samples, weights)
-    values = np.array([np.exp(-weights[n, m]) for n, m in zip(*samples)])
+    cells = sample_trajectories(uniform_2x2(), 500,
+                                np.random.default_rng(23))
+    report = estimate_exponential_average(cells, weights)
+    values = np.array([np.exp(-weights[n, m])
+                       for n, m in zip(*np.divmod(cells, 2))])
     n = len(values)
     classic = np.std(values, ddof=1) / np.sqrt(n)
     leave_one_out = (values.sum() - values) / (n - 1)
@@ -509,8 +540,8 @@ def test_jackknife_matches_classic_standard_error():
 
 def test_z_score_within_three_sigma_on_full_support():
     jd, mi = fixed_qutrit_scenario()
-    samples = sample_trajectories(jd, 100_000, np.random.default_rng(99))
-    report = estimate_exponential_average(samples, mi.i_table,
+    cells = sample_trajectories(jd, 100_000, np.random.default_rng(99))
+    report = estimate_exponential_average(cells, mi.i_table,
                                           exact=mi.exp_average)
     assert report.exact_value == pytest.approx(1.0, abs=1e-10)
     assert abs(report.z_score) <= 3.0
@@ -520,9 +551,9 @@ def test_z_scores_roughly_standard_normal_across_seeds():
     jd, mi = fixed_qutrit_scenario()
     zs = []
     for seed in range(200):
-        samples = sample_trajectories(jd, 10_000,
-                                      np.random.default_rng(4000 + seed))
-        report = estimate_exponential_average(samples, mi.i_table,
+        cells = sample_trajectories(jd, 10_000,
+                                    np.random.default_rng(4000 + seed))
+        report = estimate_exponential_average(cells, mi.i_table,
                                               exact=mi.exp_average)
         zs.append(report.z_score)
     zs = np.array(zs)
@@ -536,9 +567,9 @@ def test_empirical_frequencies_match_joint_chi_square():
     passes = 0
     seeds = 40
     for seed in range(seeds):
-        samples = sample_trajectories(jd, count,
-                                      np.random.default_rng(5000 + seed))
-        observed = cell_counts(samples, jd.shape)
+        cells = sample_trajectories(jd, count,
+                                    np.random.default_rng(5000 + seed))
+        observed = cell_counts(cells, jd.shape)
         expected = count * jd.p_joint
         statistic = float(np.sum((observed - expected) ** 2 / expected))
         # 9 cells, 1 constraint: 8 degrees of freedom.
