@@ -24,12 +24,16 @@ __all__ = [
     "MAX_COUNT",
 ]
 
-# The largest sample count whose 8-byte per-draw arrays (the uniforms and
-# the gather indices) are addressable.
-MAX_COUNT = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
+# The largest sample count whose 8-byte per-draw array, the estimator's
+# gathered weights, is addressable; the uniforms and the gather indices
+# live a block of draws at a time.
+MAX_COUNT = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 # Cells or buckets per block of rows while a guide table is built.
 _BLOCK_CELLS = 1 << 16
+
+# Draws per block while a sample is drawn or its weights are gathered.
+_BLOCK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -105,39 +109,70 @@ def _guide_table(cdfs: np.ndarray, count: int) -> tuple[np.ndarray, int]:
     return guide, n_buckets
 
 
-def _guided_search(cdfs: np.ndarray, u: np.ndarray,
+def _guided_search(cdfs: np.ndarray, count: int, rng: np.random.Generator,
                    rows: np.ndarray | None = None) -> np.ndarray:
-    """The label r·M + min(searchsorted(cdfs[r], u[k], side="right"), M − 1)
-    of every draw k, with r = rows[k], in the guide table's dtype;
-    ``rows=None`` searches the single row of a one-row table.
+    """The label r·M + min(searchsorted(cdfs[r], u_k, side="right"), M − 1)
+    of draws k < ``count``, with r = rows[k] and u_k the generator's next
+    ``count`` uniforms, in the guide table's dtype; ``rows=None`` searches
+    the single row of a one-row table. The generator is left exactly as
+    one ``rng.random(count)`` call leaves it.
 
-    Each uniform u = k·2⁻⁵³ in [0, 1) reads its bucket ⌊u·B⌋ (exact for
-    B a power of two) from the guide table; only the draws whose bucket
-    holds a CDF step get a binary search, grouped by row with one stable
-    sort. That is at most M/B of them, under 1/16 unless fewer than 32·M
-    draws per row cap B.
+    The guide table is sized once for the whole count; the draws then run
+    a block of ``_BLOCK_DRAWS`` at a time through two reused buffers. Each
+    uniform u = k·2⁻⁵³ in [0, 1) reads its bucket ⌊u·B⌋ (exact for B a
+    power of two) from the guide table; only the draws whose bucket holds
+    a CDF step keep their index and uniform. After the last block they
+    get a binary search, grouped by row with one stable sort. That is at
+    most M/B of them, under 1/16 unless fewer than 32·M draws per row cap
+    B.
     """
     n_rows, n_cols = cdfs.shape
-    guide, n_buckets = _guide_table(cdfs, u.size)
-    index_type = (np.int32 if guide.size <= np.iinfo(np.int32).max
-                  else np.intp)
-    bucket = np.empty(u.size, dtype=index_type)
-    np.multiply(u, n_buckets, out=bucket, casting="unsafe")
-    if rows is not None:
-        bucket += np.multiply(rows, n_buckets, dtype=index_type)
-    found = guide.ravel().take(bucket)
-    del bucket
-    todo = np.flatnonzero(found == np.iinfo(found.dtype).max)
-    todo_rows = np.zeros_like(todo) if rows is None else rows[todo]
+    guide, n_buckets = _guide_table(cdfs, count)
+    flat_guide = guide.reshape(-1)
+    marker = np.iinfo(guide.dtype).max
+    found = np.empty(count, dtype=guide.dtype)
+    index_type = np.int32 if count <= np.iinfo(np.int32).max else np.intp
+    u = np.empty(min(count, _BLOCK_DRAWS))
+    bucket = np.empty(u.size, dtype=np.intp)
+    todo, todo_u = [], []
+    for start in range(0, count, u.size):
+        stop = min(start + u.size, count)
+        u_block, bucket_block = u[:stop - start], bucket[:stop - start]
+        rng.random(out=u_block)
+        # u·B is exact, so the buffer holds it and the intp bucket index
+        # r·B + ⌊u·B⌋ is summed in place, with no index copy in ``take``.
+        u_block *= n_buckets
+        if rows is None:
+            np.copyto(bucket_block, u_block, casting="unsafe")
+        else:
+            np.multiply(rows[start:stop], n_buckets, out=bucket_block,
+                        dtype=np.intp)
+            np.add(bucket_block, u_block, out=bucket_block, dtype=np.intp,
+                   casting="unsafe")
+        # Every bucket index lies in the table, so "clip" never moves one;
+        # unlike "raise", it writes straight into ``found``.
+        block = found[start:stop]
+        flat_guide.take(bucket_block, out=block, mode="clip")
+        hit = np.flatnonzero(block == marker)
+        hit_u = u_block[hit]
+        hit_u /= n_buckets
+        todo_u.append(hit_u)
+        hit += start
+        todo.append(hit.astype(index_type, copy=False))
+    del u, bucket, u_block, bucket_block  # the block buffers
+    todo, todo_u = np.concatenate(todo), np.concatenate(todo_u)
+    todo_rows = (np.zeros(todo.size, np.uint8) if rows is None
+                 else rows[todo])
     # kind="stable" is numpy's radix sort on 8/16-bit keys.
-    todo = todo[np.argsort(todo_rows.astype(np.min_scalar_type(n_rows - 1)),
-                           kind="stable")]
+    order = np.argsort(
+        todo_rows.astype(np.min_scalar_type(n_rows - 1), copy=False),
+        kind="stable")
     row_counts = np.bincount(todo_rows, minlength=n_rows)
     row_ends = np.cumsum(row_counts)
     for r in np.flatnonzero(row_counts):
-        k = todo[row_ends[r] - row_counts[r]:row_ends[r]]
-        found[k] = (np.searchsorted(cdfs[r, :-1], u[k], side="right")
-                    + r * n_cols)
+        k = order[row_ends[r] - row_counts[r]:row_ends[r]]
+        found[todo[k]] = (np.searchsorted(cdfs[r, :-1], todo_u[k],
+                                          side="right") + r * n_cols)
     return found
 
 
@@ -161,14 +196,15 @@ def sample_trajectories(jd: JointDistribution, count: int,
     power of two ≤ min(32·M, max(1, count // N)) (N = 1 and M = N for the
     first stage) and f the fraction of draws whose bucket holds a CDF step
     (≤ M/B, under 1/16 when B is not capped by the count), time is
-    O(count + N·B + f·count·log M). Peak memory is 23 bytes per draw at
-    d = 16 (22 MiB traced per 10⁶ draws), reached while the second stage
-    gathers its guide entries: the uniforms at 8 bytes, the 4-byte bucket
-    indices (8-byte beyond 2³¹ guide entries) and the 8-byte copy that
-    ``take`` makes of them, the first outcomes and the cells (1 and 2
-    bytes at d = 16). On top come the N×M CDF table and the (N, B) guide
-    table of 1-, 2-, 4- or 8-byte labels, at most max(N, count) of them.
-    ``count`` must lie in [1, MAX_COUNT].
+    O(count + N·B + f·count·log M). Each stage runs a block of
+    ``_BLOCK_DRAWS`` draws at a time, so the only count-long arrays are
+    the first outcomes and the cells (1 and 2 bytes at d = 16). On top
+    come 12 bytes per binary-searched draw (its index and uniform), 16
+    bytes per block draw of reused buffers (1 MiB), the N×M CDF table and
+    the (N, B) guide table of 1-, 2-, 4- or 8-byte labels, at most
+    max(N, count) of them: 4.2 MiB traced per 10⁶ draws at d = 16, about
+    3.3 bytes per draw beyond the buffers. ``count`` must lie in
+    [1, MAX_COUNT].
     """
     if not 1 <= count <= MAX_COUNT:
         raise ValueError(f"count must be in [1, {MAX_COUNT}], got {count}")
@@ -178,13 +214,13 @@ def sample_trajectories(jd: JointDistribution, count: int,
     first_cdf = np.cumsum(row_mass) / total
     # Zero-mass rows/cells occupy zero-width CDF intervals; searchsorted
     # with side='right' can never select them for u in [0, 1).
-    ns = _guided_search(first_cdf[None, :], rng.random(count))
+    ns = _guided_search(first_cdf[None, :], count, rng)
 
     row_cdfs = np.cumsum(p, axis=1, out=p)  # in place: one N×M table
     row_totals = row_cdfs[:, -1].copy()
     row_totals[row_totals <= 0] = 1.0  # zero-mass rows are never selected
     row_cdfs /= row_totals[:, None]
-    return _guided_search(row_cdfs, rng.random(count), ns)
+    return _guided_search(row_cdfs, count, rng, ns)
 
 
 def estimate_exponential_average(cells: np.ndarray, weight_table,
@@ -198,9 +234,10 @@ def estimate_exponential_average(cells: np.ndarray, weight_table,
     error of the sample mean.
 
     The N×M table is exponentiated once, with every non-finite weight
-    mapped to NaN, and the cells gather from it, so time is O(count + N·M)
-    and memory two count-long 8-byte arrays at a time beyond the cells and
-    the N×M tables. A cell outside the table, negative ones included,
+    mapped to NaN, and the cells gather from it a block at a time, so
+    time is O(count + N·M) and memory one count-long 8-byte array beyond
+    the cells and the N×M tables; the standard deviation is formed in it
+    in place, bit for bit as ``std(ddof=1)``. A cell outside the table, negative ones included,
     raises ValueError, and so does a sampled non-finite weight, naming the
     pair of the first draw that hit one.
     """
@@ -218,7 +255,15 @@ def estimate_exponential_average(cells: np.ndarray, weight_table,
     exp_table = np.full(table.shape, np.nan)
     with np.errstate(over="ignore"):
         np.exp(-table, out=exp_table, where=np.isfinite(table))
-    values = exp_table.ravel().take(cells)
+    flat_exp = exp_table.reshape(-1)
+    values = np.empty(cells.size)
+    # Every cell was checked to lie in the table, so "clip" never moves
+    # one; unlike "raise", it writes straight into ``values``. A block's
+    # cells are copied to intp by ``take``, so they are gathered a block at
+    # a time.
+    for start in range(0, cells.size, _BLOCK_DRAWS):
+        stop = start + _BLOCK_DRAWS
+        flat_exp.take(cells[start:stop], out=values[start:stop], mode="clip")
     total = float(values.sum())
     if math.isnan(total):
         pair = divmod(int(cells[np.flatnonzero(np.isnan(values))[0]]), n_cols)
@@ -232,7 +277,12 @@ def estimate_exponential_average(cells: np.ndarray, weight_table,
         # s is shift-invariant; measuring from one sample makes it exactly 0
         # for a constant sample, whose mean need not round to the constant.
         values -= values[0]
-        s = float(values.std(ddof=1))
+        # values.std(ddof=1) in place, in the order of numpy's own _var.
+        mean_shifted = np.add.reduce(values, keepdims=True)
+        np.true_divide(mean_shifted, n, out=mean_shifted)
+        np.subtract(values, mean_shifted, out=values)
+        np.square(values, out=values)
+        s = math.sqrt(float(np.add.reduce(values)) / (n - 1))
     std_error = s / math.sqrt(n)
     if 0.0 < total < math.inf and math.isfinite(s):
         # (Σw)²/Σw² with Σw² = (n − 1)s² + n·mean², two nonnegative terms.

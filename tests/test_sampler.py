@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,9 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import random_rank1_experiment
-from tpm_lab import cli
+from tpm_lab import cli, sampler
 from tpm_lab.errors import ValidationError
 from tpm_lab.sampler import (
+    _BLOCK_DRAWS,
     MAX_COUNT,
     EstimatorReport,
     _guide_table,
@@ -273,12 +276,38 @@ def edge_uniforms(cdfs: np.ndarray, n_buckets: int) -> np.ndarray:
     return u[(0.0 <= u) & (u < 1.0)]
 
 
+class FixedUniforms:
+    """Stands in for a generator: ``random(out=)`` writes the next of the
+    given uniforms, in order, as a generator writes its stream."""
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+        self.used = 0
+
+    def random(self, *, out: np.ndarray) -> np.ndarray:
+        out[...] = self.u[self.used:self.used + out.size]
+        self.used += out.size
+        return out
+
+
 @pytest.mark.parametrize("name", GUIDED_SEARCH_CASES)
-def test_guided_search_matches_searchsorted(name):
+def test_guided_search_matches_searchsorted(monkeypatch, name):
     # None searches every uniform in one call, where B = 32·M or its
-    # power-of-two floor; a few draws per row cap B at their count.
-    for draws_per_row in (None, 1, 3, 40):
-        check_guided_search(GUIDED_SEARCH_CASES[name], draws_per_row)
+    # power-of-two floor; a few draws per row cap B at their count. Blocks
+    # of 61 draws split every call at odd places.
+    for block_draws in (_BLOCK_DRAWS, 61):
+        monkeypatch.setattr(sampler, "_BLOCK_DRAWS", block_draws)
+        for draws_per_row in (None, 1, 3, 40):
+            check_guided_search(GUIDED_SEARCH_CASES[name], draws_per_row)
+
+
+def guided_search(cdfs, u, rows=None):
+    """``_guided_search`` of the uniforms ``u``, fed through ``random(out=)``
+    of a stand-in generator, which must be used up exactly."""
+    uniforms = FixedUniforms(u)
+    found = _guided_search(cdfs, u.size, uniforms, rows)
+    assert uniforms.used == u.size
+    return found
 
 
 def check_guided_search(cdfs, draws_per_row):
@@ -300,14 +329,14 @@ def check_guided_search(cdfs, draws_per_row):
         want[drawn] = np.searchsorted(cdfs[r], u[drawn], side="right")
     want = rows * n_cols + np.minimum(want, n_cols - 1)
     chunk = u.size if draws_per_row is None else count
-    got = np.concatenate([_guided_search(cdfs, u[k:k + chunk],
-                                         rows[k:k + chunk])
+    got = np.concatenate([guided_search(cdfs, u[k:k + chunk],
+                                        rows[k:k + chunk])
                           for k in range(0, u.size, chunk)])
     assert got.dtype == guide.dtype
     np.testing.assert_array_equal(got, want)
     if n_rows == 1:
         np.testing.assert_array_equal(
-            np.concatenate([_guided_search(cdfs, u[k:k + chunk])
+            np.concatenate([guided_search(cdfs, u[k:k + chunk])
                             for k in range(0, u.size, chunk)]), want)
 
 
@@ -320,6 +349,80 @@ def test_guide_table_grows_with_the_count_not_the_table():
     assert guide.nbytes <= 8 * (1000 + 1024)
     assert _guide_table(cdfs, 1024 * 5000)[1] == 4096
     assert _guide_table(cdfs, 10**9)[1] == 32 * 1024
+
+
+@pytest.mark.parametrize("jd", [
+    distribution_from_joint(np.array([[0.1, 0.0, 0.6, 0.3]])),
+    zero_mass_row_table(),
+    many_row_distribution(15, 17),  # 255 cells: uint8, marker 255
+    many_row_distribution(16, 16),  # 256 cells: uint16
+], ids=["N=1", "zero-mass-row", "NM=255", "NM=256"])
+def test_stream_across_block_boundaries(jd):
+    for count in (1, _BLOCK_DRAWS - 1, _BLOCK_DRAWS, _BLOCK_DRAWS + 1,
+                  3 * _BLOCK_DRAWS + 7):
+        rng = np.random.default_rng(count)
+        cells = sample_trajectories(jd, count, rng)
+        assert cells.shape == (count,)
+        assert_same_stream(cells, reference_draw(
+            jd, count, np.random.default_rng(count)), jd.shape)
+        assert_same_stream(cells, mask_loop_draw(
+            jd, count, np.random.default_rng(count)), jd.shape)
+        # Block by block, the draw reads exactly the uniforms of
+        # rng.random(count) for each stage, and no more.
+        twin = np.random.default_rng(count)
+        twin.random(2 * count)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_draw_and_estimate_peak_memory_follow_from_the_design():
+    # d = 16 and 10⁶ draws, as in the benchmark's sample-mc workload.
+    table = np.random.default_rng(16).random((16, 16)) ** 3
+    jd = distribution_from_joint(table / table.sum())
+    weights = np.random.default_rng(17).standard_normal((16, 16))
+    count = 10**6
+    n_rows, n_cols = jd.shape
+    first_buckets = _guide_table(np.ones((1, n_rows)), count)[1]
+    guide, n_buckets = _guide_table(normalized_cdfs(jd.p_joint), count)
+    tracemalloc.start()
+    try:
+        cells = sample_trajectories(jd, count, np.random.default_rng(0))
+        draw_peak = tracemalloc.get_traced_memory()[1]
+        # The estimate's peak counts the cells it reads, not what the draw
+        # left cached.
+        before = tracemalloc.get_traced_memory()[0] - cells.nbytes
+        tracemalloc.reset_peak()
+        estimate_exponential_average(cells, weights)
+        estimate_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # Array headers, views and numpy's small caches.
+    objects = 1 << 13
+    # A draw is marked for a binary search when its bucket holds a CDF
+    # step; those buckets carry under M/B of the mass in either stage.
+    marked_share = max(n_rows / first_buckets, n_cols / n_buckets)
+    draw_bound = (
+        # The count-long outputs: first outcomes, then cells.
+        count * (np.min_scalar_type(n_rows).itemsize + cells.itemsize)
+        # Block buffers: uniforms and intp bucket indices, the block's
+        # marker mask and the intp positions of its marked draws.
+        + _BLOCK_DRAWS * (8 + 8 + 1 + 8 * marked_share)
+        # An int32 index and a uniform per marked draw.
+        + 12 * count * marked_share
+        # numpy's ufunc buffer, where the rows and the scaled uniforms are
+        # cast to intp.
+        + 8 * np.getbufsize()
+        # The N×M CDF table, the guide tables and three N-long vectors.
+        + 8 * n_rows * n_cols + guide.nbytes + first_buckets
+        + 8 * 3 * n_rows + objects)
+    assert draw_peak <= draw_bound
+    estimate_bound = (
+        # The cells and their gathered 8-byte values.
+        count * (8 + cells.itemsize)
+        # ``take``'s intp copy of one block of cells.
+        + 8 * _BLOCK_DRAWS
+        # −w, e^{−w} and the finiteness mask of the N×M weight table.
+        + 17 * n_rows * n_cols + objects)
+    assert estimate_peak <= estimate_bound
 
 
 def off_support_weight_tables():
@@ -358,6 +461,22 @@ def test_estimate_matches_gather_then_exp(weight):
             oracle.effective_sample_size, rel=1e-12)
         assert report.max_weight_share == pytest.approx(
             oracle.max_weight_share, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 127, 128, 129, 65_535, 65_536, 65_537,
+                               10**6 + 1])
+def test_estimate_is_numpy_mean_and_std_bit_for_bit(n):
+    # The estimator forms the ddof = 1 variance in place, in numpy's own
+    # order; a numpy whose std sums differently fails here.
+    rng = np.random.default_rng(n)
+    for scale in (0.1, 1.0, 5.0, 30.0):
+        table = scale * rng.standard_normal((16, 16))
+        cells = rng.integers(0, table.size, n).astype(np.uint16)
+        report = estimate_exponential_average(cells, table)
+        values = np.exp(-table).ravel()[cells]
+        assert report.mean == float(values.sum()) / n
+        shifted = values - values[0]
+        assert report.std_error == float(shifted.std(ddof=1)) / math.sqrt(n)
 
 
 @pytest.mark.parametrize("ns, ms", [
