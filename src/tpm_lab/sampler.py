@@ -63,50 +63,51 @@ class EstimatorReport:
     z_score: float | None = None
 
 
-def _guide_table(cdfs: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+def _guide_table(cdfs: np.ndarray,
+                 count: int) -> tuple[np.ndarray, np.ndarray]:
     """Bucketed inverse-CDF guide table (Chen & Asau, 1974) for each row,
-    sized for ``count`` draws, whose entries are flat cell labels.
+    sized for ``count`` draws, with the bounds table it is read from;
+    entries of both are flat cell labels.
 
     Bucket j of B covers [j/B, (j+1)/B), with B the largest power of two
     ≤ min(32·M, max(1, count // N)), so scaling by B is exact: c ≤ j/B ⟺
-    ⌈c·B⌉ ≤ j, and c lies strictly inside bucket j ⟺ j < c·B < ⌈c·B⌉ =
-    j + 1. Only a row's first M − 1 CDF values are read: the count of
+    ⌈c·B⌉ ≤ j. Only a row's first M − 1 CDF values are read: the count of
     them ≤ u is min(searchsorted(row, u, side="right"), M − 1).
-    ``guide[r, j]`` is the label r·M + that count, shared by every u in
-    the bucket, or the dtype's maximum, never a label, where one of those
-    values lies strictly inside the bucket and only a search can tell.
-    Rows must be nondecreasing and nonnegative. Returns ``(guide, B)``;
-    the table is (N, B) of ``np.min_scalar_type(N·M)``, at most
-    min(32·N·M, max(N, count)) entries, so it never outgrows the draws it
-    serves. It is built a block of about 2¹⁶ cells or buckets at a time,
-    which bounds the build's temporaries whatever N·M.
+    ``bounds[r, j]`` is the label r·M + the count of them ≤ j/B, capped
+    at column B by r·M + M − 1, so every u in bucket j has its label
+    between ``bounds[r, j]`` and ``bounds[r, j + 1]``. ``guide[r, j]`` is
+    that label where the two agree, and the dtype's maximum, never a
+    label, where a CDF value in (j/B, (j+1)/B] leaves a search to tell.
+    Rows must be nondecreasing and nonnegative. Returns ``(guide,
+    bounds)``, of shapes (N, B) and (N, B + 1) and dtype
+    ``np.min_scalar_type(N·M)``; the guide has at most min(32·N·M,
+    max(N, count)) entries, so neither table outgrows the draws it
+    serves. Both are built a block of about 2¹⁶ cells or buckets at a
+    time, which bounds the build's temporaries whatever N·M.
     """
     n_rows, n_cols = cdfs.shape
     n_buckets = 1 << min(32 * n_cols,
                          max(1, count // n_rows)).bit_length() - 1
-    guide = np.empty((n_rows, n_buckets),
-                     dtype=np.min_scalar_type(n_rows * n_cols))
-    flat = guide.reshape(-1)
+    dtype = np.min_scalar_type(n_rows * n_cols)
+    guide = np.empty((n_rows, n_buckets), dtype=dtype)
+    bounds = np.empty((n_rows, n_buckets + 1), dtype=dtype)
+    flat = bounds.reshape(-1)
     block = max(1, _BLOCK_CELLS // max(n_cols, n_buckets))
     for start in range(0, n_rows, block):
         stop = min(start + block, n_rows)
-        scaled = cdfs[start:stop, :-1] * n_buckets
-        ceil = np.ceil(scaled)
-        inside = (scaled < ceil) & (scaled < n_buckets)
-        np.minimum(ceil, n_buckets, out=ceil)
-        # Row r holds label r·M + i on the buckets from ⌈c_{i−1}·B⌉ up to
-        # ⌈c_i·B⌉.
+        ceil = np.ceil(cdfs[start:stop, :-1] * n_buckets)
+        # Row r holds label r·M + i on the columns from ⌈c_{i−1}·B⌉ up to
+        # ⌈c_i·B⌉, capped at B; its last label also holds column B.
         edges = np.zeros((stop - start, n_cols + 1), dtype=np.intp)
-        edges[:, 1:-1] = ceil
-        edges[:, -1] = n_buckets
-        labels = np.arange(start * n_cols, stop * n_cols, dtype=guide.dtype)
-        block_guide = flat[start * n_buckets:stop * n_buckets]
-        block_guide[:] = np.repeat(labels, np.diff(edges, axis=1).ravel())
-        # A value inside a bucket marks bucket ⌈c·B⌉ − 1 of its row.
-        ceil += np.arange(-1, (stop - start) * n_buckets - 1, n_buckets,
-                          dtype=float)[:, None]
-        block_guide[ceil[inside].astype(np.intp)] = np.iinfo(guide.dtype).max
-    return guide, n_buckets
+        edges[:, 1:-1] = np.minimum(ceil, n_buckets, out=ceil)
+        edges[:, -1] = n_buckets + 1
+        labels = np.arange(start * n_cols, stop * n_cols, dtype=dtype)
+        flat[start * (n_buckets + 1):stop * (n_buckets + 1)] = np.repeat(
+            labels, np.diff(edges, axis=1).ravel())
+        lower, upper = bounds[start:stop, :-1], bounds[start:stop, 1:]
+        guide[start:stop] = np.where(lower == upper, lower,
+                                     np.iinfo(dtype).max)
+    return guide, bounds
 
 
 def _guided_search(cdfs: np.ndarray, count: int, rng: np.random.Generator,
@@ -120,21 +121,20 @@ def _guided_search(cdfs: np.ndarray, count: int, rng: np.random.Generator,
     The guide table is sized once for the whole count; the draws then run
     a block of ``_BLOCK_DRAWS`` at a time through two reused buffers. Each
     uniform u = k·2⁻⁵³ in [0, 1) reads its bucket ⌊u·B⌋ (exact for B a
-    power of two) from the guide table; only the draws whose bucket holds
-    a CDF step keep their index and uniform. After the last block they
-    get a binary search, grouped by row with one stable sort. That is at
-    most M/B of them, under 1/16 unless fewer than 32·M draws per row cap
-    B.
+    power of two) from the guide table. A draw whose bucket holds a CDF
+    step is finished in its block, by a bisection between the bucket's
+    two bounds over the row's CDF values: one vectorised step per bit of
+    the widest such range in the block. That is at most M/B of the draws,
+    under 1/16 unless fewer than 32·M draws per row cap B. Nothing but
+    the output outlives a block.
     """
-    n_rows, n_cols = cdfs.shape
-    guide, n_buckets = _guide_table(cdfs, count)
-    flat_guide = guide.reshape(-1)
-    marker = np.iinfo(guide.dtype).max
+    guide, bounds = _guide_table(cdfs, count)
+    n_buckets = guide.shape[1]
+    flat_guide, flat_bounds = guide.reshape(-1), bounds.reshape(-1)
+    flat_cdfs = cdfs.reshape(-1)
     found = np.empty(count, dtype=guide.dtype)
-    index_type = np.int32 if count <= np.iinfo(np.int32).max else np.intp
     u = np.empty(min(count, _BLOCK_DRAWS))
     bucket = np.empty(u.size, dtype=np.intp)
-    todo, todo_u = [], []
     for start in range(0, count, u.size):
         stop = min(start + u.size, count)
         u_block, bucket_block = u[:stop - start], bucket[:stop - start]
@@ -153,26 +153,31 @@ def _guided_search(cdfs: np.ndarray, count: int, rng: np.random.Generator,
         # unlike "raise", it writes straight into ``found``.
         block = found[start:stop]
         flat_guide.take(bucket_block, out=block, mode="clip")
-        hit = np.flatnonzero(block == marker)
-        hit_u = u_block[hit]
-        hit_u /= n_buckets
-        todo_u.append(hit_u)
-        hit += start
-        todo.append(hit.astype(index_type, copy=False))
-    del u, bucket, u_block, bucket_block  # the block buffers
-    todo, todo_u = np.concatenate(todo), np.concatenate(todo_u)
-    todo_rows = (np.zeros(todo.size, np.uint8) if rows is None
-                 else rows[todo])
-    # kind="stable" is numpy's radix sort on 8/16-bit keys.
-    order = np.argsort(
-        todo_rows.astype(np.min_scalar_type(n_rows - 1), copy=False),
-        kind="stable")
-    row_counts = np.bincount(todo_rows, minlength=n_rows)
-    row_ends = np.cumsum(row_counts)
-    for r in np.flatnonzero(row_counts):
-        k = order[row_ends[r] - row_counts[r]:row_ends[r]]
-        found[todo[k]] = (np.searchsorted(cdfs[r, :-1], todo_u[k],
-                                          side="right") + r * n_cols)
+        hit = np.flatnonzero(block == np.iinfo(guide.dtype).max)
+        hit_u = u_block[hit] / n_buckets
+        # The block's spent buffers take the bisection's probes and the CDF
+        # values read at them. Bucket r·B + j has its bounds at
+        # r·(B + 1) + j and the next entry.
+        probe, cdf = bucket[:hit.size], u[:hit.size]
+        bucket_block.take(hit, out=probe)
+        probe += probe >> n_buckets.bit_length() - 1
+        last = np.subtract(flat_bounds.take(probe), 1, dtype=np.intp)
+        probe += 1
+        top = np.subtract(flat_bounds.take(probe), 1, dtype=np.intp)
+        # The labels in (last, top] are all among their row's first M − 1,
+        # and the draw's label is one past the last of them whose CDF value
+        # is ≤ u: one bisection step per bit of the block's widest range.
+        np.subtract(top, last, out=probe)
+        for k in reversed(range(int(probe.max(initial=0)).bit_length())):
+            np.add(last, 1 << k, out=probe)
+            np.minimum(probe, top, out=probe)
+            flat_cdfs.take(probe, out=cdf, mode="clip")
+            # last = probe where the CDF value there is ≤ u, branch-free.
+            probe -= last
+            probe *= cdf <= hit_u
+            last += probe
+        last += 1
+        block[hit] = last
     return found
 
 
@@ -197,13 +202,16 @@ def sample_trajectories(jd: JointDistribution, count: int,
     first stage) and f the fraction of draws whose bucket holds a CDF step
     (≤ M/B, under 1/16 when B is not capped by the count), time is
     O(count + N·B + f·count·log M). Each stage runs a block of
-    ``_BLOCK_DRAWS`` draws at a time, so the only count-long arrays are
-    the first outcomes and the cells (1 and 2 bytes at d = 16). On top
-    come 12 bytes per binary-searched draw (its index and uniform), 16
-    bytes per block draw of reused buffers (1 MiB), the N×M CDF table and
-    the (N, B) guide table of 1-, 2-, 4- or 8-byte labels, at most
-    max(N, count) of them: 4.2 MiB traced per 10⁶ draws at d = 16, about
-    3.3 bytes per draw beyond the buffers. ``count`` must lie in
+    ``_BLOCK_DRAWS`` draws at a time and finishes every draw inside its
+    block, so the only count-long arrays are the first outcomes and the
+    cells (1 and 2 bytes at d = 16). On top come 16 bytes per block draw
+    of reused buffers (1 MiB), 32 bytes and a label per block draw whose
+    bucket holds a CDF step (its position, uniform and two bounds), the
+    N×M CDF table, and the (N, B) guide and (N, B + 1) bounds tables of
+    1-, 2-, 4- or 8-byte labels, the guide at most max(N, count) of them.
+    Traced per 10⁶ draws: 4.0 MiB at d = 16, about 3.2 bytes per draw
+    beyond the buffers; 21 MiB at d = 1024, where B = 512 and 81% of the
+    second stage's draws are bisected. ``count`` must lie in
     [1, MAX_COUNT].
     """
     if not 1 <= count <= MAX_COUNT:

@@ -206,7 +206,7 @@ def many_row_distribution(rows: int, cols: int):
     many_row_distribution(16, 16),
     many_row_distribution(64, 64),
     many_row_distribution(128, 128),
-    many_row_distribution(300, 5),  # uint16 sort key
+    many_row_distribution(300, 5),  # uint16 first outcomes
     many_row_distribution(15, 17),  # 255 cells: uint8, marker 255
     many_row_distribution(85, 3),  # 255 cells; 50 draws < N give B = 1
     many_row_distribution(128, 2),  # 256 cells: uint16; B = 1 at 50 draws
@@ -243,6 +243,24 @@ def zero_width_cells_in_one_bucket():
                         np.full(100, 1e-12), [0.7 - 1e-9 - 2e-10]])])
 
 
+def four_nonzero_cells_per_row(d: int) -> np.ndarray:
+    """Row CDFs with four nonzero cells per row, at random columns, so
+    runs of zero-width cells share their CDF value."""
+    rng = np.random.default_rng(d)
+    p = np.zeros((d, d))
+    for row in p:
+        row[rng.choice(d, 4, replace=False)] = rng.random(4)
+    return normalized_cdfs(p)
+
+
+def one_heavy_cell_per_row(d: int) -> np.ndarray:
+    """Row CDFs with one cell of mass 1 and d − 1 cells of 10⁻⁹, so the CDF
+    values crowd into the first and the last bucket."""
+    p = np.full((d, d), 1e-9)
+    p[np.arange(d), np.random.default_rng(d).integers(0, d, d)] = 1.0
+    return normalized_cdfs(p)
+
+
 GUIDED_SEARCH_CASES = {
     # Every CDF step on a bucket edge; the second row ends above 1.
     "dyadic": np.array([[0.25, 0.5, 1.0], [0.125, 0.5, 1.0 + 2.0 ** -52]]),
@@ -253,6 +271,8 @@ GUIDED_SEARCH_CASES = {
     "N=1": normalized_cdfs([[0.1, 0.0, 0.6, 0.3]]),
     # A first-outcome CDF whose cumulative sum rounds below 1.
     "ends-below-1": np.array([[0.5, 1.0 - 2.0 ** -53]]),
+    # One that passes 1 before a zero-mass last outcome.
+    "above-1-early": np.array([[0.5, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -52]]),
     # uint16 guide table.
     "300-outcome": normalized_cdfs(
         np.random.default_rng(3).random((4, 300)) ** 4),
@@ -262,6 +282,11 @@ GUIDED_SEARCH_CASES = {
     # 256 cells: uint16.
     "256-cell": normalized_cdfs(
         np.random.default_rng(6).random((16, 16)) ** 4),
+    # d = 64: a few draws per row leave few buckets, each bisected across
+    # many CDF values.
+    "geometric": normalized_cdfs(np.tile(0.97 ** np.arange(64), (64, 1))),
+    "four-nonzero": four_nonzero_cells_per_row(64),
+    "heavy-and-tiny": one_heavy_cell_per_row(64),
 }
 
 
@@ -313,13 +338,28 @@ def guided_search(cdfs, u, rows=None):
 def check_guided_search(cdfs, draws_per_row):
     n_rows, n_cols = cdfs.shape
     count = 10**9 if draws_per_row is None else draws_per_row * n_rows
-    guide, n_buckets = _guide_table(cdfs, count)
+    guide, bounds = _guide_table(cdfs, count)
+    n_buckets = guide.shape[1]
+    assert n_buckets & (n_buckets - 1) == 0
     assert guide.shape == (n_rows, n_buckets)
-    assert guide.dtype == np.min_scalar_type(n_rows * n_cols)
-    assert guide.nbytes <= 32 * n_rows * n_cols * guide.itemsize
-    assert guide.nbytes <= 8 * (count + n_rows)
+    assert bounds.shape == (n_rows, n_buckets + 1)
+    assert guide.dtype == bounds.dtype == np.min_scalar_type(n_rows * n_cols)
+    assert guide.size <= 32 * n_rows * n_cols
+    assert guide.size <= max(n_rows, count)
     if draws_per_row is not None:
         assert n_buckets <= draws_per_row
+    # Column j of a row's bounds counts its first M − 1 CDF values ≤ j/B,
+    # and all of them at j = B; the guide keeps the label of a bucket
+    # whose two bounds agree.
+    edges = np.arange(n_buckets + 1) / n_buckets
+    want_bounds = np.array([np.searchsorted(row[:-1], edges, side="right")
+                            for row in cdfs])
+    want_bounds[:, -1] = n_cols - 1
+    want_bounds += np.arange(n_rows)[:, None] * n_cols
+    np.testing.assert_array_equal(bounds, want_bounds)
+    lower, upper = want_bounds[:, :-1], want_bounds[:, 1:]
+    np.testing.assert_array_equal(
+        guide, np.where(lower == upper, lower, np.iinfo(guide.dtype).max))
     u = edge_uniforms(cdfs, n_buckets)
     rows = np.random.default_rng(9).integers(0, n_rows, u.size)
     # The label of a draw in row r is r·M + its clamped search.
@@ -344,11 +384,12 @@ def test_guide_table_grows_with_the_count_not_the_table():
     # A 1024×1024 table drawn 10³ times: 32·N·M buckets would
     # be 2²⁵ entries (64 MiB); the capped table has one bucket per row.
     cdfs = normalized_cdfs(np.random.default_rng(4).random((1024, 1024)))
-    guide, n_buckets = _guide_table(cdfs, 1000)
-    assert n_buckets == 1
-    assert guide.nbytes <= 8 * (1000 + 1024)
-    assert _guide_table(cdfs, 1024 * 5000)[1] == 4096
-    assert _guide_table(cdfs, 10**9)[1] == 32 * 1024
+    guide, bounds = _guide_table(cdfs, 1000)
+    assert guide.shape == (1024, 1)
+    assert guide.size <= max(1024, 1000)
+    assert bounds.size == 1024 * (1 + 1)
+    assert _guide_table(cdfs, 1024 * 5000)[0].shape[1] == 4096
+    assert _guide_table(cdfs, 10**9)[0].shape[1] == 32 * 1024
 
 
 @pytest.mark.parametrize("jd", [
@@ -376,13 +417,23 @@ def test_stream_across_block_boundaries(jd):
 
 def test_draw_and_estimate_peak_memory_follow_from_the_design():
     # d = 16 and 10⁶ draws, as in the benchmark's sample-mc workload.
-    table = np.random.default_rng(16).random((16, 16)) ** 3
+    check_peak_memory(16)
+
+
+def test_draw_peak_memory_where_the_count_caps_the_buckets():
+    # At d = 1024, 10⁶ draws cap B at 512 < M, so about 81% of the
+    # second stage's draws are bisected.
+    check_peak_memory(1024)
+
+
+def check_peak_memory(dim):
+    table = np.random.default_rng(dim).random((dim, dim)) ** 3
     jd = distribution_from_joint(table / table.sum())
-    weights = np.random.default_rng(17).standard_normal((16, 16))
+    weights = np.random.default_rng(17).standard_normal((dim, dim))
     count = 10**6
     n_rows, n_cols = jd.shape
-    first_buckets = _guide_table(np.ones((1, n_rows)), count)[1]
-    guide, n_buckets = _guide_table(normalized_cdfs(jd.p_joint), count)
+    first_tables = _guide_table(np.ones((1, n_rows)), count)
+    guide, bounds = _guide_table(normalized_cdfs(jd.p_joint), count)
     tracemalloc.start()
     try:
         cells = sample_trajectories(jd, count, np.random.default_rng(0))
@@ -397,23 +448,28 @@ def test_draw_and_estimate_peak_memory_follow_from_the_design():
         tracemalloc.stop()
     # Array headers, views and numpy's small caches.
     objects = 1 << 13
-    # A draw is marked for a binary search when its bucket holds a CDF
-    # step; those buckets carry under M/B of the mass in either stage.
-    marked_share = max(n_rows / first_buckets, n_cols / n_buckets)
+    # A draw is marked for a bisection when its bucket holds a CDF step;
+    # those buckets carry under M/B of the mass in either stage.
+    marked_share = min(1.0, max(n_rows / first_tables[0].shape[1],
+                                n_cols / guide.shape[1]))
     draw_bound = (
         # The count-long outputs: first outcomes, then cells.
         count * (np.min_scalar_type(n_rows).itemsize + cells.itemsize)
-        # Block buffers: uniforms and intp bucket indices, the block's
-        # marker mask and the intp positions of its marked draws.
-        + _BLOCK_DRAWS * (8 + 8 + 1 + 8 * marked_share)
-        # An int32 index and a uniform per marked draw.
-        + 12 * count * marked_share
-        # numpy's ufunc buffer, where the rows and the scaled uniforms are
-        # cast to intp.
+        # Block buffers: uniforms and intp bucket indices, and the block's
+        # marker mask.
+        + _BLOCK_DRAWS * (8 + 8 + 1)
+        # A block's marked draws, each with its position, uniform and two
+        # intp bounds, and the labels read from the bounds table or a
+        # bisection step's mask; their probes and CDF values reuse the
+        # block buffers.
+        + _BLOCK_DRAWS * marked_share * (8 * 4 + cells.itemsize)
+        # numpy's ufunc buffer, where the rows, the scaled uniforms and the
+        # bounds are cast to intp.
         + 8 * np.getbufsize()
-        # The N×M CDF table, the guide tables and three N-long vectors.
-        + 8 * n_rows * n_cols + guide.nbytes + first_buckets
-        + 8 * 3 * n_rows + objects)
+        # The N×M CDF table, both stages' guide and bounds tables and three
+        # N-long vectors.
+        + 8 * n_rows * n_cols + guide.nbytes + bounds.nbytes
+        + sum(t.nbytes for t in first_tables) + 8 * 3 * n_rows + objects)
     assert draw_peak <= draw_bound
     estimate_bound = (
         # The cells and their gathered 8-byte values.
