@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -163,7 +164,17 @@ def verify_passed(row: ReportRow, tol: float = DEFAULT_VERIFY_TOL) -> bool:
 def jarzynski_passed(row: ReportRow,
                      tol: float = DEFAULT_JARZYNSKI_TOL) -> bool:
     """Relative pass rule |lhs/rhs − 1| = |⟨e^{−β(W−ΔF)}⟩ − 1| ≤ tol, which
-    a constant shift c of a spectrum leaves unchanged (|lhs − rhs| ∝ e^{−βc})."""
+    a constant shift c of a spectrum leaves unchanged (|lhs − rhs| ∝ e^{−βc}).
+
+    The rule needs rhs = Z'/Z as a positive finite double. When the ratio
+    underflows to 0 (or overflows), no verdict can be read from it, so it
+    raises :class:`ValidationError` (``representable_rhs``) rather than
+    dividing by zero."""
+    if not 0.0 < row.jarzynski_rhs < math.inf:
+        raise ValidationError(
+            f"Z'/Z = {row.jarzynski_rhs!r} is not a positive finite double; "
+            f"the relative Jarzynski check cannot be formed",
+            invariant="representable_rhs")
     return abs(row.jarzynski_lhs / row.jarzynski_rhs - 1.0) <= tol
 
 
@@ -331,14 +342,17 @@ def _dispatch(args) -> int:
     else:
         tol = _number(args.tol, "--tol", "[0, inf)")
         rows = [run_verify(config)]
+        rule, check = ((verify_passed, "exponential-average bookkeeping")
+                       if args.command == "verify"
+                       else (jarzynski_passed, "Jarzynski equality"))
+        # Read before the report is written: a row whose check cannot be
+        # formed is a validation error, which writes no report.
+        passed = rule(rows[0], tol)
     _write_output(rows_to_csv(rows) if args.format == "csv"
                   else rows_to_json(rows), args.out)
     if args.command == "sweep":
         return EXIT_PASS
-    passed, check = ((verify_passed, "exponential-average bookkeeping")
-                     if args.command == "verify"
-                     else (jarzynski_passed, "Jarzynski equality"))
-    if passed(rows[0], tol):
+    if passed:
         log.info("PASS %s: %s", config.name, check)
         return EXIT_PASS
     log.error("FAIL %s: %s (tol %g)", config.name, check, tol)

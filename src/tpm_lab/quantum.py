@@ -61,6 +61,16 @@ class DensityMatrix:
         array is left as it was). A residual of any of the three
         invariants above :data:`STATE_TOL` raises :class:`ValidationError`
         naming the invariant.
+
+    Positivity is accepted when a Cholesky factorization m = R†R
+    succeeds. That proves m + ΔA ≻ 0 for a backward error
+    |ΔA| ≤ γ_{d+1}·|R†|·|R|, γ_k = k·u/(1 − k·u) with u = 2⁻⁵³ (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
+    Thm. 10.3), so ‖ΔA‖₂ ≲ d·γ_{d+1}·‖m‖₂ and λ_min(m) ≥ −‖ΔA‖₂: within
+    :data:`STATE_TOL` for a unit-trace m up to d = 900, and no new
+    constant. Only when the factorization fails (a singular state, such
+    as a pure one, or an invalid one) is the smallest eigenvalue computed,
+    and below −:data:`STATE_TOL` it is rejected.
     """
 
     def __init__(self, matrix):
@@ -76,11 +86,14 @@ class DensityMatrix:
             raise ValidationError(
                 f"state trace is {tr:.12g}, not 1: residual {trace_res:.3e} > {STATE_TOL:.1e}",
                 invariant="unit_trace", residual=trace_res)
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -STATE_TOL:
-            raise ValidationError(
-                f"state is not positive semidefinite: min eigenvalue {min_eig:.3e} < -{STATE_TOL:.1e}",
-                invariant="positive_semidefinite", residual=-min_eig)
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(m)[0])
+            if min_eig < -STATE_TOL:
+                raise ValidationError(
+                    f"state is not positive semidefinite: min eigenvalue {min_eig:.3e} < -{STATE_TOL:.1e}",
+                    invariant="positive_semidefinite", residual=-min_eig)
         self.matrix = _freeze(m)
         self.dim = m.shape[0]
 
@@ -113,8 +126,18 @@ class ProjectorFamily:
     - completeness: (‖G − I‖_F² + d − r)^½ = ‖ΣP − I‖_F;
     - integer rank: tr P_n = tr G_nn.
 
-    Residuals above :data:`PROJECTOR_TOL` (rank: :data:`RANK_TOL`) raise
-    :class:`ValidationError` naming the invariant.
+    One test accepts a family with r = d: δ·(1 + δ) ≤ :data:`PROJECTOR_TOL`
+    with δ = ‖G − I‖_F, and every group's trace tr G_nn within
+    :data:`RANK_TOL` of its size, which is then its rank. The bound is
+    derived, not tuned: with E = G − I, G_ab = E_ab and
+    G_nn² − G_nn = G_nn·E_nn, so ‖G_ab‖_F ≤ δ and
+    ‖G_nn² − G_nn‖_F ≤ ‖G_nn‖₂·‖E_nn‖_F ≤ (1 + δ)·δ, and completeness
+    is δ itself. It costs the one product G and a sum over its diagonal.
+    Any other family (r ≠ d, or past the bound) is diagnosed invariant by
+    invariant in the order above, block by block, and a residual above
+    :data:`PROJECTOR_TOL` (rank: :data:`RANK_TOL`) raises
+    :class:`ValidationError` naming the invariant; so does a dense
+    projector that fails its own checks.
     """
 
     def __init__(self, projectors=None, energies=None, *, basis=None,
@@ -135,45 +158,17 @@ class ProjectorFamily:
             n_out = int(groups.max()) + 1
         dim, cols = basis.shape
         groups = groups.astype(np.intp)
-        indicator = np.eye(n_out)[groups]
         gram = basis.conj().T @ basis
-
-        # Squared block norms of G, except that each diagonal block G_nn
-        # is replaced by G_nn² − G_nn: ‖P_n² − P_n‖_F on the diagonal of
-        # ``norms``, ‖P_a P_b‖_F off it.
-        same = groups[:, None] == groups[None, :]
-        diag_blocks = np.where(same, gram, 0.0)
-        blocks = np.where(same, diag_blocks @ diag_blocks - diag_blocks, gram)
-        norms = np.sqrt(indicator.T @ np.abs(blocks) ** 2 @ indicator)
-        bad = np.flatnonzero(np.diagonal(norms) > PROJECTOR_TOL)
-        if bad.size:
-            k = int(bad[0])
-            res = float(norms[k, k])
-            raise ValidationError(
-                f"projector {k} is not idempotent: ‖P² − P‖_F = {res:.3e} > {PROJECTOR_TOL:.1e}",
-                invariant="idempotency", residual=res)
-        bad = np.argwhere(np.triu(norms > PROJECTOR_TOL, 1))
-        if bad.size:
-            a, b = (int(i) for i in bad[0])
-            res = float(norms[a, b])
-            raise ValidationError(
-                f"projectors {a} and {b} are not orthogonal: "
-                f"‖P_a P_b‖_F = {res:.3e} > {PROJECTOR_TOL:.1e}",
-                invariant="orthogonality", residual=res)
-        res = math.sqrt(max(frobenius(gram - np.eye(cols)) ** 2 + dim - cols,
-                            0.0))
-        if res > PROJECTOR_TOL:
-            raise ValidationError(
-                f"projector family is not complete: ‖ΣP − I‖_F = {res:.3e} > {PROJECTOR_TOL:.1e}",
-                invariant="completeness", residual=res)
-        ranks = []
-        for k, tr in enumerate(indicator.T @ gram.diagonal().real):
-            rank = round(tr)
-            if abs(tr - rank) > RANK_TOL:
-                raise ValidationError(
-                    f"projector {k} has non-integer trace {float(tr)!r}",
-                    invariant="integer_rank", residual=float(abs(tr - rank)))
-            ranks.append(rank)
+        delta = frobenius(gram - np.eye(cols))
+        sizes = np.bincount(groups, minlength=n_out)
+        traces = np.bincount(groups, weights=gram.diagonal().real,
+                             minlength=n_out)
+        if (cols == dim and delta * (1.0 + delta) <= PROJECTOR_TOL
+                and np.all(np.abs(traces - sizes) <= RANK_TOL)):
+            ranks = tuple(sizes.tolist())
+        else:
+            ranks = _diagnose_family(gram, groups, n_out, math.sqrt(
+                max(delta ** 2 + dim - cols, 0.0)))
         if energies is not None:
             energies = tuple(float(e) for e in energies)
             if len(energies) != n_out:
@@ -182,7 +177,7 @@ class ProjectorFamily:
         self.dim = dim
         self.basis = _freeze(basis)
         self.groups = _freeze(groups)
-        self.ranks = tuple(ranks)
+        self.ranks = ranks
         self.energies = energies
 
     def __len__(self) -> int:
@@ -225,6 +220,51 @@ def _basis_of_projectors(projectors):
         columns.append(v[:, keep])
         groups.extend([k] * int(keep.sum()))
     return np.hstack(columns), np.array(groups, dtype=np.intp), len(mats)
+
+
+def _diagnose_family(gram: np.ndarray, groups: np.ndarray, n_out: int,
+                     completeness: float) -> tuple[int, ...]:
+    """Check a family's invariants one by one off its Gram matrix
+    G = V†V: raise :class:`ValidationError` naming the first one violated,
+    in the order idempotency, orthogonality, completeness, integer rank,
+    or return the ranks if none is. ``completeness`` is
+    (‖G − I‖_F² + d − r)^½."""
+    indicator = np.eye(n_out)[groups]
+    # Squared block norms of G, except that each diagonal block G_nn
+    # is replaced by G_nn² − G_nn: ‖P_n² − P_n‖_F on the diagonal of
+    # ``norms``, ‖P_a P_b‖_F off it.
+    same = groups[:, None] == groups[None, :]
+    diag_blocks = np.where(same, gram, 0.0)
+    blocks = np.where(same, diag_blocks @ diag_blocks - diag_blocks, gram)
+    norms = np.sqrt(indicator.T @ np.abs(blocks) ** 2 @ indicator)
+    bad = np.flatnonzero(np.diagonal(norms) > PROJECTOR_TOL)
+    if bad.size:
+        k = int(bad[0])
+        res = float(norms[k, k])
+        raise ValidationError(
+            f"projector {k} is not idempotent: ‖P² − P‖_F = {res:.3e} > {PROJECTOR_TOL:.1e}",
+            invariant="idempotency", residual=res)
+    bad = np.argwhere(np.triu(norms > PROJECTOR_TOL, 1))
+    if bad.size:
+        a, b = (int(i) for i in bad[0])
+        res = float(norms[a, b])
+        raise ValidationError(
+            f"projectors {a} and {b} are not orthogonal: "
+            f"‖P_a P_b‖_F = {res:.3e} > {PROJECTOR_TOL:.1e}",
+            invariant="orthogonality", residual=res)
+    if completeness > PROJECTOR_TOL:
+        raise ValidationError(
+            f"projector family is not complete: ‖ΣP − I‖_F = {completeness:.3e} > {PROJECTOR_TOL:.1e}",
+            invariant="completeness", residual=completeness)
+    ranks = []
+    for k, tr in enumerate(indicator.T @ gram.diagonal().real):
+        rank = round(tr)
+        if abs(tr - rank) > RANK_TOL:
+            raise ValidationError(
+                f"projector {k} has non-integer trace {float(tr)!r}",
+                invariant="integer_rank", residual=float(abs(tr - rank)))
+        ranks.append(rank)
+    return tuple(ranks)
 
 
 class KrausChannel:

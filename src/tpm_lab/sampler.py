@@ -73,11 +73,14 @@ def _guide_table(cdfs: np.ndarray,
     ≤ min(32·M, max(1, count // N)), so scaling by B is exact: c ≤ j/B ⟺
     ⌈c·B⌉ ≤ j. Only a row's first M − 1 CDF values are read: the count of
     them ≤ u is min(searchsorted(row, u, side="right"), M − 1).
-    ``bounds[r, j]`` is the label r·M + the count of them ≤ j/B, capped
-    at column B by r·M + M − 1, so every u in bucket j has its label
-    between ``bounds[r, j]`` and ``bounds[r, j + 1]``. ``guide[r, j]`` is
-    that label where the two agree, and the dtype's maximum, never a
-    label, where a CDF value in (j/B, (j+1)/B] leaves a search to tell.
+    ``bounds[r, j]`` is the label r·M + the count of them ≤ j/B, except
+    that column B counts those < 1, since no u < 1 reaches a CDF value of
+    1, so every u in bucket j has its label between ``bounds[r, j]`` and
+    ``bounds[r, j + 1]``. ``guide[r, j]`` is that label where the two
+    agree, and the dtype's maximum, never a label, where a CDF value in
+    (j/B, (j+1)/B) leaves a search to tell. A value exactly at an inner
+    edge (j+1)/B < 1 marks bucket j too, needlessly: the search then
+    finds the lower bound.
     Rows must be nondecreasing and nonnegative. Returns ``(guide,
     bounds)``, of shapes (N, B) and (N, B + 1) and dtype
     ``np.min_scalar_type(N·M)``; the guide has at most min(32·N·M,
@@ -97,9 +100,13 @@ def _guide_table(cdfs: np.ndarray,
         stop = min(start + block, n_rows)
         ceil = np.ceil(cdfs[start:stop, :-1] * n_buckets)
         # Row r holds label r·M + i on the columns from ⌈c_{i−1}·B⌉ up to
-        # ⌈c_i·B⌉, capped at B; its last label also holds column B.
+        # ⌈c_i·B⌉, capped at B, or up to B + 1 where c_i is 1, which no
+        # u < 1 reaches; its last label also holds column B, so column B
+        # holds the count of values < 1.
         edges = np.zeros((stop - start, n_cols + 1), dtype=np.intp)
-        edges[:, 1:-1] = np.minimum(ceil, n_buckets, out=ceil)
+        np.minimum(ceil, n_buckets, out=ceil)
+        ceil += cdfs[start:stop, :-1] >= 1.0
+        edges[:, 1:-1] = ceil
         edges[:, -1] = n_buckets + 1
         labels = np.arange(start * n_cols, stop * n_cols, dtype=dtype)
         flat[start * (n_buckets + 1):stop * (n_buckets + 1)] = np.repeat(

@@ -6,6 +6,7 @@ import copy
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -724,6 +725,40 @@ def test_work_overflow_fails_only_commands_that_read_work(tmp_path, caplog,
         assert out == ""
     else:
         assert json.loads(out)["exact_value"] == pytest.approx(1.0)
+
+
+# Every guard passes, but Z'/Z cannot be formed as a positive finite
+# double: e^{−1398} underflows to 0 (and so does ⟨e^{−βW}⟩), and
+# e^{710}·(1 + e^{−10}) overflows while ⟨e^{−βW}⟩ ≈ e^{700} does not.
+RATIO_UNDERFLOW_RAW = raw_config(
+    name="ratio_underflow",
+    first_hamiltonian={"kind": "diagonal", "energies": [-699.0, -698.0]},
+    channel={"kind": "identity"},
+    second_hamiltonian={"kind": "diagonal", "energies": [699.0, 700.0]})
+RATIO_OVERFLOW_RAW = raw_config(
+    name="ratio_overflow",
+    initial={"kind": "explicit", "matrix": {"re": [[1.0, 0.0], [0.0, 0.0]]}},
+    first_hamiltonian={"kind": "diagonal", "energies": [700.0, 1400.0]},
+    channel={"kind": "kraus", "operators": [{"re": [[0.0, 1.0], [1.0, 0.0]]}]},
+    second_hamiltonian={"kind": "diagonal", "energies": [-10.0, 0.0]})
+
+
+@pytest.mark.parametrize("raw, rhs", [
+    (RATIO_UNDERFLOW_RAW, 0.0),
+    (RATIO_OVERFLOW_RAW, math.inf),
+], ids=["underflow", "overflow"])
+def test_jarzynski_unrepresentable_ratio_is_a_validation_error(
+        tmp_path, caplog, capsys, raw, rhs):
+    config = write_config(tmp_path, raw)
+    with caplog.at_level("INFO", logger="tpm_lab"):
+        assert cli.main(["jarzynski", "--config", config]) == 3
+    assert capsys.readouterr().out == ""
+    assert caplog.records[-1].getMessage().startswith(
+        "validation error (invariant=representable_rhs, ")
+    # verify, which reads no ratio, passes on the same config.
+    assert cli.main(["verify", "--config", config]) == 0
+    row, = parse_report_csv(capsys.readouterr().out)
+    assert row.jarzynski_rhs == rhs
 
 
 def test_main_logs_error_fields_to_stderr(tmp_path, caplog, capsys):

@@ -349,17 +349,24 @@ def check_guided_search(cdfs, draws_per_row):
     if draws_per_row is not None:
         assert n_buckets <= draws_per_row
     # Column j of a row's bounds counts its first M − 1 CDF values ≤ j/B,
-    # and all of them at j = B; the guide keeps the label of a bucket
-    # whose two bounds agree.
+    # and those < 1 at j = B; the guide keeps the label of a bucket whose
+    # two bounds agree.
     edges = np.arange(n_buckets + 1) / n_buckets
     want_bounds = np.array([np.searchsorted(row[:-1], edges, side="right")
                             for row in cdfs])
-    want_bounds[:, -1] = n_cols - 1
+    want_bounds[:, -1] = [np.searchsorted(row[:-1], 1.0) for row in cdfs]
     want_bounds += np.arange(n_rows)[:, None] * n_cols
     np.testing.assert_array_equal(bounds, want_bounds)
     lower, upper = want_bounds[:, :-1], want_bounds[:, 1:]
     np.testing.assert_array_equal(
         guide, np.where(lower == upper, lower, np.iinfo(guide.dtype).max))
+    # So a bucket is marked where a CDF value lies strictly inside it, or
+    # on its upper edge below 1.
+    np.testing.assert_array_equal(
+        guide == np.iinfo(guide.dtype).max,
+        [[np.any((j < row[:-1] * n_buckets) & (row[:-1] * n_buckets <= j + 1)
+                 & (row[:-1] < 1.0)) for j in range(n_buckets)]
+         for row in cdfs])
     u = edge_uniforms(cdfs, n_buckets)
     rows = np.random.default_rng(9).integers(0, n_rows, u.size)
     # The label of a draw in row r is r·M + its clamped search.
@@ -380,6 +387,27 @@ def check_guided_search(cdfs, draws_per_row):
                             for k in range(0, u.size, chunk)]), want)
 
 
+def test_guide_marks_exactly_the_buckets_with_a_cdf_value_inside():
+    # Four zero-mass last columns put each row's last CDF values at exactly
+    # 1, which no u < 1 reaches, so bucket B − 1 is marked only where a
+    # value lies in ((B − 1)/B, 1). Random values miss every inner edge,
+    # so the marked buckets are those with a value in (j/B, (j+1)/B).
+    p = np.random.default_rng(15).random((16, 16))
+    p[:, 12:] = 0.0
+    cdfs = normalized_cdfs(p)
+    guide, _ = _guide_table(cdfs, 10**6)
+    n_buckets = guide.shape[1]
+    scaled = cdfs[:, :-1] * n_buckets
+    inside = np.zeros(guide.shape, dtype=bool)
+    for row, values in zip(inside, scaled):
+        strict = values != np.floor(values)
+        row[np.floor(values[strict]).astype(np.intp)] = True
+    marked = guide == np.iinfo(guide.dtype).max
+    np.testing.assert_array_equal(marked, inside)
+    assert not marked[:, -1].any()
+    check_guided_search(cdfs, None)
+
+
 def test_guide_table_grows_with_the_count_not_the_table():
     # A 1024×1024 table drawn 10³ times: 32·N·M buckets would
     # be 2²⁵ entries (64 MiB); the capped table has one bucket per row.
@@ -392,12 +420,21 @@ def test_guide_table_grows_with_the_count_not_the_table():
     assert _guide_table(cdfs, 10**9)[0].shape[1] == 32 * 1024
 
 
+def trailing_zero_mass_table():
+    """A 16×16 table whose last four columns have zero mass, so every
+    row's last CDF values are exactly 1."""
+    table = np.random.default_rng(16).random((16, 16))
+    table[:, 12:] = 0.0
+    return distribution_from_joint(table / table.sum())
+
+
 @pytest.mark.parametrize("jd", [
     distribution_from_joint(np.array([[0.1, 0.0, 0.6, 0.3]])),
     zero_mass_row_table(),
     many_row_distribution(15, 17),  # 255 cells: uint8, marker 255
     many_row_distribution(16, 16),  # 256 cells: uint16
-], ids=["N=1", "zero-mass-row", "NM=255", "NM=256"])
+    trailing_zero_mass_table(),
+], ids=["N=1", "zero-mass-row", "NM=255", "NM=256", "zero-mass-columns"])
 def test_stream_across_block_boundaries(jd):
     for count in (1, _BLOCK_DRAWS - 1, _BLOCK_DRAWS, _BLOCK_DRAWS + 1,
                   3 * _BLOCK_DRAWS + 7):
