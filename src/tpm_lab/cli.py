@@ -138,7 +138,6 @@ def _row(built: BuiltScenario) -> ReportRow:
     jd = _joint(built)
     mi = mutual_information_table(jd)
     ws = _work(built, jd)
-    colsums = ws.conditional_colsums
     return ReportRow(
         name=config.name, dim=config.dim, beta=config.beta,
         exp_avg_mi=mi.exp_average, support_defect=mi.support_defect,
@@ -146,8 +145,7 @@ def _row(built: BuiltScenario) -> ReportRow:
         jarzynski_lhs=ws.jarzynski_lhs, jarzynski_rhs=ws.jarzynski_rhs,
         jarzynski_defect=ws.jarzynski_defect,
         unitality_residual=built.experiment.channel.unitality_residual,
-        colsum_max_dev=(float(np.max(np.abs(colsums - 1.0)))
-                        if colsums.size else 0.0),
+        colsum_max_dev=float(np.max(np.abs(ws.conditional_colsums - 1.0))),
         factorization_residual=jd.factorization_residual,
         mi_vs_dissipation_gap=compare_mi_to_dissipation(mi, ws))
 
@@ -166,10 +164,11 @@ def jarzynski_passed(row: ReportRow,
     """Relative pass rule |lhs/rhs − 1| = |⟨e^{−β(W−ΔF)}⟩ − 1| ≤ tol, which
     a constant shift c of a spectrum leaves unchanged (|lhs − rhs| ∝ e^{−βc}).
 
-    The rule needs rhs = Z'/Z as a positive finite double. When the ratio
-    underflows to 0 (or overflows), no verdict can be read from it, so it
-    raises :class:`ValidationError` (``representable_rhs``) rather than
-    dividing by zero."""
+    The rule needs rhs = Z'/Z as a positive finite double. A ratio that
+    overflows never reaches it (:func:`~tpm_lab.tpm.work_statistics`
+    raises ``finite_rhs``); when the ratio underflows to 0, no verdict can
+    be read from it, so it raises :class:`ValidationError`
+    (``representable_rhs``) rather than dividing by zero."""
     if not 0.0 < row.jarzynski_rhs < math.inf:
         raise ValidationError(
             f"Z'/Z = {row.jarzynski_rhs!r} is not a positive finite double; "

@@ -123,16 +123,22 @@ class ProjectorFamily:
     - idempotency: ‖G_nn² − G_nn‖_F = ‖P_n² − P_n‖_F;
     - orthogonality: ‖G_ab‖_F, which equals ‖P_a P_b‖_F for orthonormal
       columns within each group;
-    - completeness: (‖G − I‖_F² + d − r)^½ = ‖ΣP − I‖_F;
+    - completeness: ‖ΣP − I‖_F, which is (‖G − I‖_F² + d − r)^½, and
+      ‖G − I‖_F itself at r = d. A dense family's completeness is instead
+      summed from the matrices it was given, in O(N·d²): its eigenvectors
+      have unit norm whatever the matrices' scale, so G cannot see a
+      family whose projectors are each too long by less than the
+      idempotency bound;
     - integer rank: tr P_n = tr G_nn.
 
     One test accepts a family with r = d: δ·(1 + δ) ≤ :data:`PROJECTOR_TOL`
-    with δ = ‖G − I‖_F, and every group's trace tr G_nn within
-    :data:`RANK_TOL` of its size, which is then its rank. The bound is
-    derived, not tuned: with E = G − I, G_ab = E_ab and
-    G_nn² − G_nn = G_nn·E_nn, so ‖G_ab‖_F ≤ δ and
-    ‖G_nn² − G_nn‖_F ≤ ‖G_nn‖₂·‖E_nn‖_F ≤ (1 + δ)·δ, and completeness
-    is δ itself. It costs the one product G and a sum over its diagonal.
+    with δ = ‖G − I‖_F, completeness within :data:`PROJECTOR_TOL`, and
+    every group's trace tr G_nn within :data:`RANK_TOL` of its size, which
+    is then its rank. The bound is derived, not tuned: with E = G − I,
+    G_ab = E_ab and G_nn² − G_nn = G_nn·E_nn, so ‖G_ab‖_F ≤ δ and
+    ‖G_nn² − G_nn‖_F ≤ ‖G_nn‖₂·‖E_nn‖_F ≤ (1 + δ)·δ, and a basis's
+    completeness is δ itself. It costs the one product G and a sum over
+    its diagonal.
     Any other family (r ≠ d, or past the bound) is diagnosed invariant by
     invariant in the order above, block by block, and a residual above
     :data:`PROJECTOR_TOL` (rank: :data:`RANK_TOL`) raises
@@ -145,7 +151,8 @@ class ProjectorFamily:
         if (projectors is None) == (basis is None):
             raise ValueError("give either projectors or basis and groups")
         if projectors is not None:
-            basis, groups, n_out = _basis_of_projectors(projectors)
+            basis, groups, n_out, completeness = _basis_of_projectors(
+                projectors)
         else:
             basis = as_complex_matrix(basis, square=False).copy()
             groups = np.asarray(groups)
@@ -156,19 +163,25 @@ class ProjectorFamily:
                     f"groups must hold one non-negative integer label per "
                     f"basis column ({basis.shape[1]}), got {groups!r}")
             n_out = int(groups.max()) + 1
+            completeness = None
         dim, cols = basis.shape
         groups = groups.astype(np.intp)
         gram = basis.conj().T @ basis
         delta = frobenius(gram - np.eye(cols))
+        if completeness is None:
+            # At r = d this is δ itself: adding d before subtracting r
+            # would lose any δ² below ulp(d)/2.
+            completeness = delta if cols == dim else math.sqrt(
+                max(delta ** 2 + dim - cols, 0.0))
         sizes = np.bincount(groups, minlength=n_out)
         traces = np.bincount(groups, weights=gram.diagonal().real,
                              minlength=n_out)
         if (cols == dim and delta * (1.0 + delta) <= PROJECTOR_TOL
+                and completeness <= PROJECTOR_TOL
                 and np.all(np.abs(traces - sizes) <= RANK_TOL)):
             ranks = tuple(sizes.tolist())
         else:
-            ranks = _diagnose_family(gram, groups, n_out, math.sqrt(
-                max(delta ** 2 + dim - cols, 0.0)))
+            ranks = _diagnose_family(gram, groups, n_out, completeness)
         if energies is not None:
             energies = tuple(float(e) for e in energies)
             if len(energies) != n_out:
@@ -193,8 +206,9 @@ class ProjectorFamily:
 
 
 def _basis_of_projectors(projectors):
-    """Basis columns, their group labels and the outcome count of a list of
-    dense projectors, checking each one's Hermiticity and idempotency."""
+    """Basis columns, their group labels, the outcome count and the
+    completeness residual ‖Σ_n P_n − I‖_F of a list of dense projectors,
+    checking each one's Hermiticity and idempotency."""
     mats = [as_complex_matrix(p) for p in projectors]
     if not mats:
         raise ValidationError("projector family is empty",
@@ -219,7 +233,8 @@ def _basis_of_projectors(projectors):
         keep = w > 0.5
         columns.append(v[:, keep])
         groups.extend([k] * int(keep.sum()))
-    return np.hstack(columns), np.array(groups, dtype=np.intp), len(mats)
+    return (np.hstack(columns), np.array(groups, dtype=np.intp), len(mats),
+            frobenius(sum(mats) - np.eye(dim)))
 
 
 def _diagnose_family(gram: np.ndarray, groups: np.ndarray, n_out: int,
@@ -227,8 +242,8 @@ def _diagnose_family(gram: np.ndarray, groups: np.ndarray, n_out: int,
     """Check a family's invariants one by one off its Gram matrix
     G = V†V: raise :class:`ValidationError` naming the first one violated,
     in the order idempotency, orthogonality, completeness, integer rank,
-    or return the ranks if none is. ``completeness`` is
-    (‖G − I‖_F² + d − r)^½."""
+    or return the ranks if none is. ``completeness`` is the family's
+    ‖ΣP − I‖_F, computed by the caller."""
     indicator = np.eye(n_out)[groups]
     # Squared block norms of G, except that each diagonal block G_nn
     # is replaced by G_nn² − G_nn: ‖P_n² − P_n‖_F on the diagonal of

@@ -78,7 +78,9 @@ class TpmExperiment:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """The exact outcome table p(n,m) and everything derived from it.
+    """The exact outcome table p(n,m), its two marginals and its support,
+    each formed once; a conditional p(m|n) = p(n,m)/p(n) is divided out
+    where it is read.
 
     Attributes
     ----------
@@ -89,12 +91,10 @@ class JointDistribution:
         marginal *after* the first measurement's dephasing — the true
         marginal of the outcome pair, which is what the mutual information
         is defined against.
-    p_cond : (N, M) array
-        Conditionals p(m|n); rows with p(n) ≤ support_epsilon are NaN
-        (undefined), everywhere else p(n,m) = p(m|n)·p(n) holds by
-        construction.
     support_mask : (N, M) bool array
         True where p(n,m) > support_epsilon.
+    support_defect : float
+        1 − Σ p(n)p(m) over the support: the product mass it leaves out.
     factorization_residual : float
         max |p(n,m) − tr{Q_m Λ(P_n)}·tr(P_n ρ)|: how far the rank-1
         factorized form of the Born rule is from the exact unfactorized
@@ -104,20 +104,14 @@ class JointDistribution:
     p_joint: np.ndarray
     p_first: np.ndarray
     p_second: np.ndarray
-    p_cond: np.ndarray
     support_mask: np.ndarray
+    support_defect: float
     support_epsilon: float
     factorization_residual: float
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.p_joint.shape
-
-    @property
-    def support_defect(self) -> float:
-        """1 − Σ p(n)p(m) over the support: the product mass it leaves out."""
-        rows, cols = np.nonzero(self.support_mask)
-        return 1.0 - float(np.sum(self.p_first[rows] * self.p_second[cols]))
 
 
 def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EPSILON,
@@ -126,8 +120,8 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
 
     Checks bounds (entries within [−1e−12, 1 + 1e−12]) before clamping to
     [0, 1], normalization (Σ p = 1 within 1e−10) and that some cell
-    exceeds ``support_epsilon``; fills marginals, conditionals and the
-    support mask.
+    exceeds ``support_epsilon``; fills the marginals, the support mask and
+    the support defect.
     """
     p = np.array(p_joint, dtype=float)
     if p.ndim != 2:
@@ -141,7 +135,7 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
             f"probabilities out of bounds: min {low:.3e}, max {high:.3e}",
             invariant="probability_bounds",
             residual=max(-low, high - 1.0))
-    p = np.clip(p, 0.0, 1.0)
+    np.clip(p, 0.0, 1.0, out=p)
     total = float(p.sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValidationError(
@@ -149,17 +143,16 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
             invariant="normalization", residual=abs(total - 1.0))
     p_first = p.sum(axis=1)
     p_second = p.sum(axis=0)
-    defined = p_first > support_epsilon
-    p_cond = np.full_like(p, np.nan)
-    p_cond[defined] = p[defined] / p_first[defined, None]
     mask = p > support_epsilon
     if not mask.any():
         raise ValidationError(
             f"no outcome pair has probability above support epsilon "
             f"{support_epsilon!r}", invariant="empty_support")
+    rows, cols = np.nonzero(mask)
     return JointDistribution(
         p_joint=_freeze(p), p_first=_freeze(p_first), p_second=_freeze(p_second),
-        p_cond=_freeze(p_cond), support_mask=_freeze(mask),
+        support_mask=_freeze(mask),
+        support_defect=1.0 - float(np.sum(p_first[rows] * p_second[cols])),
         support_epsilon=float(support_epsilon),
         factorization_residual=float(factorization_residual))
 
@@ -254,9 +247,9 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
     rows, cols = np.nonzero(jd.support_mask)
     i_table = np.full(jd.shape, np.nan)
     support_defect = jd.support_defect
-    cond = jd.p_cond[rows, cols]
-    marginal = jd.p_second[cols]
     joint = jd.p_joint[rows, cols]
+    cond = joint / jd.p_first[rows]
+    marginal = jd.p_second[cols]
     i_vals = np.log(cond) - np.log(marginal)
     i_table[rows, cols] = i_vals
     exp_average = float(np.sum(joint * marginal / cond))
@@ -288,12 +281,16 @@ class WorkStatistics:
     """Work table W_nm = E'_m − E_n and the exponential work average.
 
     ``jarzynski_lhs`` is the exact sum Σ p(n,m) e^{−βW_nm};
-    ``jarzynski_rhs`` is Z'/Z = e^{−βΔF}. Their difference
+    ``jarzynski_rhs`` is Z'/Z = e^{−βΔF}; both are finite, since
+    :func:`work_statistics` raises rather than return an infinite side.
+    Their difference
     (``jarzynski_defect``) vanishes exactly when the conditional matrix is
     doubly stochastic and the initial state is Gibbs in the first
     measurement basis — ``conditional_colsums`` is the direct diagnostic:
     the identity requires every column sum Σ_n p(m|n) to equal 1, which a
-    unital channel with rank-1 projectors delivers.
+    unital channel with rank-1 projectors delivers. Each p(m|n) is
+    p(n,m)/p(n), divided out of the joint table on the rows with
+    p(n) > support_epsilon.
     """
 
     work_table: np.ndarray
@@ -322,6 +319,10 @@ def work_statistics(jd: JointDistribution, first_energies, second_energies,
     Z, Z_prime : float
         Initial and final partition functions (> 0); the right-hand side
         is Z'/Z and ΔF = −(1/β) ln(Z'/Z).
+
+    Raises :class:`ValidationError` when ⟨e^{−βW}⟩ overflows
+    (``finite_lhs``) or Z'/Z does (``finite_rhs``), so no statistics
+    carry an infinite side; Z'/Z may underflow to 0.
     """
     e_first = np.asarray(first_energies, dtype=float)
     e_second = np.asarray(second_energies, dtype=float)
@@ -347,9 +348,12 @@ def work_statistics(jd: JointDistribution, first_energies, second_energies,
         raise ValidationError(
             "exponential work average overflowed", invariant="finite_lhs")
     rhs = Z_prime / Z
+    if not np.isfinite(rhs):
+        raise ValidationError(
+            f"Z'/Z = {Z_prime!r}/{Z!r} overflowed", invariant="finite_rhs")
 
     defined = jd.p_first > jd.support_epsilon
-    colsums = jd.p_cond[defined].sum(axis=0)
+    colsums = (jd.p_joint[defined] / jd.p_first[defined, None]).sum(axis=0)
     dissipation = beta * (work - delta_f)
     return WorkStatistics(
         work_table=_freeze(work), delta_F=float(delta_f),

@@ -6,7 +6,6 @@ import copy
 import csv
 import io
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -743,22 +742,48 @@ RATIO_OVERFLOW_RAW = raw_config(
     second_hamiltonian={"kind": "diagonal", "energies": [-10.0, 0.0]})
 
 
-@pytest.mark.parametrize("raw, rhs", [
-    (RATIO_UNDERFLOW_RAW, 0.0),
-    (RATIO_OVERFLOW_RAW, math.inf),
+@pytest.mark.parametrize("raw, invariant", [
+    (RATIO_UNDERFLOW_RAW, "representable_rhs"),
+    (RATIO_OVERFLOW_RAW, "finite_rhs"),
 ], ids=["underflow", "overflow"])
 def test_jarzynski_unrepresentable_ratio_is_a_validation_error(
-        tmp_path, caplog, capsys, raw, rhs):
+        tmp_path, caplog, capsys, raw, invariant):
     config = write_config(tmp_path, raw)
     with caplog.at_level("INFO", logger="tpm_lab"):
         assert cli.main(["jarzynski", "--config", config]) == 3
     assert capsys.readouterr().out == ""
     assert caplog.records[-1].getMessage().startswith(
-        "validation error (invariant=representable_rhs, ")
-    # verify, which reads no ratio, passes on the same config.
-    assert cli.main(["verify", "--config", config]) == 0
-    row, = parse_report_csv(capsys.readouterr().out)
-    assert row.jarzynski_rhs == rhs
+        f"validation error (invariant={invariant}, ")
+    # verify reads no ratio, and a ratio of 0 is a finite report value, so
+    # it passes on the underflow config; an infinite ratio never reaches a
+    # report.
+    if raw is RATIO_UNDERFLOW_RAW:
+        assert cli.main(["verify", "--config", config]) == 0
+        row, = parse_report_csv(capsys.readouterr().out)
+        assert row.jarzynski_rhs == 0.0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify"], 3),
+    (["jarzynski"], 3),
+    (["sweep", "--param", "beta", "--values", "1"], 3),
+    (["sample", "--count", "1000", "--weight", "work"], 3),
+    (["sample", "--count", "1000", "--weight", "mi"], 0),
+])
+def test_ratio_overflow_fails_only_commands_that_read_work(
+        tmp_path, caplog, capsys, argv, code):
+    # sample --weight mi never builds the work statistics, so it passes.
+    config = write_config(tmp_path, RATIO_OVERFLOW_RAW)
+    command, *options = argv
+    with caplog.at_level("ERROR", logger="tpm_lab"):
+        assert cli.main([command, "--config", config, *options]) == code
+    out = capsys.readouterr().out
+    if code == 3:
+        assert caplog.records[-1].getMessage().startswith(
+            "validation error (invariant=finite_rhs, ")
+        assert out == ""
+    else:
+        assert json.loads(out)["exact_value"] == pytest.approx(1.0)
 
 
 def test_main_logs_error_fields_to_stderr(tmp_path, caplog, capsys):

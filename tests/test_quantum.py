@@ -132,6 +132,26 @@ def test_projector_family_from_projectors_stores_basis_and_groups():
         np.testing.assert_allclose(dense, expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("form", ["basis", "dense"])
+@pytest.mark.parametrize("dim", [16, 64, 256])
+def test_projector_family_rejects_a_uniformly_scaled_basis(dim, form):
+    # Every column of a Haar basis 1 + 4.5e−11 long: each projector's
+    # idempotency residual is 9e−11, inside its bound, but
+    # ‖ΣP − I‖_F = 9e−11·√d is not. The basis form must not round the
+    # d·(9e−11)² away by adding d first, and the dense form must not judge
+    # the unit-norm eigenvectors of the matrices instead of the matrices.
+    u = haar_random_unitary(dim, np.random.default_rng(dim))
+    scale = 1.0 + 4.5e-11
+    with pytest.raises(ValidationError) as err:
+        if form == "basis":
+            ProjectorFamily(basis=u * scale, groups=np.arange(dim))
+        else:
+            ProjectorFamily([scale ** 2 * np.outer(c, c.conj()) for c in u.T])
+    assert err.value.invariant == "completeness"
+    assert err.value.residual == pytest.approx(9e-11 * np.sqrt(dim),
+                                               rel=1e-5)
+
+
 def test_projector_family_basis_residuals_are_the_dense_ones():
     # Each residual read off the Gram matrix V†V equals the one of the
     # dense projectors V_n V_n†.

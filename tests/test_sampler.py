@@ -319,11 +319,14 @@ class FixedUniforms:
 def test_guided_search_matches_searchsorted(monkeypatch, name):
     # None searches every uniform in one call, where B = 32·M or its
     # power-of-two floor; a few draws per row cap B at their count. Blocks
-    # of 61 draws split every call at odd places.
-    for block_draws in (_BLOCK_DRAWS, 61):
-        monkeypatch.setattr(sampler, "_BLOCK_DRAWS", block_draws)
-        for draws_per_row in (None, 1, 3, 40):
-            check_guided_search(GUIDED_SEARCH_CASES[name], draws_per_row)
+    # of 61 draws split every call at odd places; the table does not
+    # depend on them, so it is checked once per count.
+    cdfs = GUIDED_SEARCH_CASES[name]
+    for draws_per_row in (None, 1, 3, 40):
+        n_buckets = check_guide_table(cdfs, draws_per_row)
+        for block_draws in (_BLOCK_DRAWS, 61):
+            monkeypatch.setattr(sampler, "_BLOCK_DRAWS", block_draws)
+            check_guided_search(cdfs, draws_per_row, n_buckets)
 
 
 def guided_search(cdfs, u, rows=None):
@@ -335,9 +338,16 @@ def guided_search(cdfs, u, rows=None):
     return found
 
 
-def check_guided_search(cdfs, draws_per_row):
+def guide_count(cdfs, draws_per_row):
+    """The draw count a table is sized for: ``None`` leaves B uncapped."""
+    return 10**9 if draws_per_row is None else draws_per_row * len(cdfs)
+
+
+def check_guide_table(cdfs, draws_per_row):
+    """Check the guide and bounds tables sized for ``draws_per_row`` draws
+    per row against a search per bucket edge; returns their B."""
     n_rows, n_cols = cdfs.shape
-    count = 10**9 if draws_per_row is None else draws_per_row * n_rows
+    count = guide_count(cdfs, draws_per_row)
     guide, bounds = _guide_table(cdfs, count)
     n_buckets = guide.shape[1]
     assert n_buckets & (n_buckets - 1) == 0
@@ -362,11 +372,20 @@ def check_guided_search(cdfs, draws_per_row):
         guide, np.where(lower == upper, lower, np.iinfo(guide.dtype).max))
     # So a bucket is marked where a CDF value lies strictly inside it, or
     # on its upper edge below 1.
+    j = np.arange(n_buckets)[:, None]
     np.testing.assert_array_equal(
         guide == np.iinfo(guide.dtype).max,
-        [[np.any((j < row[:-1] * n_buckets) & (row[:-1] * n_buckets <= j + 1)
-                 & (row[:-1] < 1.0)) for j in range(n_buckets)]
+        [np.any((j < row[:-1] * n_buckets) & (row[:-1] * n_buckets <= j + 1)
+                & (row[:-1] < 1.0), axis=1)
          for row in cdfs])
+    return n_buckets
+
+
+def check_guided_search(cdfs, draws_per_row, n_buckets):
+    """Check ``_guided_search`` on the edge uniforms of B buckets against
+    ``searchsorted``, in chunks of the count the table was sized for."""
+    n_rows, n_cols = cdfs.shape
+    count = guide_count(cdfs, draws_per_row)
     u = edge_uniforms(cdfs, n_buckets)
     rows = np.random.default_rng(9).integers(0, n_rows, u.size)
     # The label of a draw in row r is r·M + its clamped search.
@@ -379,7 +398,7 @@ def check_guided_search(cdfs, draws_per_row):
     got = np.concatenate([guided_search(cdfs, u[k:k + chunk],
                                         rows[k:k + chunk])
                           for k in range(0, u.size, chunk)])
-    assert got.dtype == guide.dtype
+    assert got.dtype == np.min_scalar_type(n_rows * n_cols)
     np.testing.assert_array_equal(got, want)
     if n_rows == 1:
         np.testing.assert_array_equal(
@@ -405,7 +424,7 @@ def test_guide_marks_exactly_the_buckets_with_a_cdf_value_inside():
     marked = guide == np.iinfo(guide.dtype).max
     np.testing.assert_array_equal(marked, inside)
     assert not marked[:, -1].any()
-    check_guided_search(cdfs, None)
+    check_guided_search(cdfs, None, check_guide_table(cdfs, None))
 
 
 def test_guide_table_grows_with_the_count_not_the_table():

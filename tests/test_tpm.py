@@ -88,7 +88,8 @@ def test_joint_hadamard_oracle():
     np.testing.assert_allclose(jd.p_first, [1.0 / z, np.exp(-1.0) / z],
                                atol=1e-15)
     np.testing.assert_allclose(jd.p_second, [0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(jd.p_cond, 0.5 * np.ones((2, 2)), atol=1e-15)
+    np.testing.assert_allclose(jd.p_joint / jd.p_first[:, None],
+                               0.5 * np.ones((2, 2)), atol=1e-15)
     assert jd.support_mask.all()
     assert jd.factorization_residual <= 1e-15
 
@@ -99,7 +100,8 @@ def test_joint_identity_same_basis():
     assert not jd.support_mask.all()
     np.testing.assert_array_equal(jd.support_mask,
                                   np.eye(2, dtype=bool))
-    np.testing.assert_allclose(jd.p_cond, np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(jd.p_joint / jd.p_first[:, None], np.eye(2),
+                               atol=1e-15)
 
 
 def test_joint_distribution_random_properties():
@@ -119,7 +121,8 @@ def test_joint_distribution_random_properties():
                                    atol=1e-15)
         defined = jd.p_first > jd.support_epsilon
         np.testing.assert_allclose(
-            jd.p_cond[defined] * jd.p_first[defined, None],
+            jd.p_joint[defined] / jd.p_first[defined, None]
+            * jd.p_first[defined, None],
             jd.p_joint[defined], atol=1e-14)
         # Rank-1 first projectors make the factorized Born rule exact.
         assert jd.factorization_residual <= 1e-12
@@ -297,7 +300,7 @@ def exp_average_with_reference(jd, q) -> float:
     q = np.clip(q, 0.0, None)
     rows, cols = np.nonzero(jd.support_mask)
     return float(np.sum(jd.p_joint[rows, cols] * q[cols]
-                        / jd.p_cond[rows, cols]))
+                        / (jd.p_joint[rows, cols] / jd.p_first[rows])))
 
 
 def test_exp_average_with_reference():

@@ -1,11 +1,13 @@
 """The one-test accept rules of ProjectorFamily and DensityMatrix against
 reference validators that check every invariant on every input.
 
-``reference_family`` checks a family block by block off its Gram matrix
-and ``reference_positivity`` reads the smallest eigenvalue. A seeded loop
-feeds both sides families and states just inside and just outside each
-bound, and the two must agree on accept or reject, on the ranks, and on
-the invariant and residual of every rejection.
+``reference_family`` checks a family block by block off its Gram matrix,
+``reference_dense_family`` checks dense projectors on the matrices as
+given, and ``reference_positivity`` reads the smallest eigenvalue. A
+seeded loop feeds both sides families and states just inside and just
+outside each bound, and the two must agree on accept or reject, on the
+ranks, and on the invariant and residual of every rejection (a dense
+family's residuals to a relative 1e−6).
 """
 
 from __future__ import annotations
@@ -49,14 +51,48 @@ def reference_family(basis, groups):
         for b in range(a + 1, n_out):
             if norms[a, b] > PROJECTOR_TOL:
                 return "orthogonality", float(norms[a, b])
-    res = math.sqrt(max(float(np.linalg.norm(gram - np.eye(cols))) ** 2
-                        + dim - cols, 0.0))
+    # ‖ΣP − I‖_F² = ‖G − I‖_F² + d − r; at r = d it is ‖G − I‖_F itself,
+    # whose square adding d first would round away.
+    res = float(np.linalg.norm(gram - np.eye(cols)))
+    if cols != dim:
+        res = math.sqrt(max(res ** 2 + dim - cols, 0.0))
     if res > PROJECTOR_TOL:
         return "completeness", res
     ranks = []
     for tr in indicator.T @ gram.diagonal().real:
         if abs(tr - round(tr)) > RANK_TOL:
             return "integer_rank", float(abs(tr - round(tr)))
+        ranks.append(round(tr))
+    return "ok", tuple(ranks)
+
+
+def reference_dense_family(projectors):
+    """``("ok", ranks)`` or ``(invariant, residual)`` of the first violated
+    invariant of dense projectors, each read off the matrices as given:
+    Hermiticity and idempotency projector by projector, then
+    orthogonality ‖P_a P_b‖_F, completeness ‖ΣP − I‖_F and integer rank
+    tr P_n."""
+    mats = [np.asarray(p, dtype=np.complex128) for p in projectors]
+    for p in mats:
+        res = float(np.linalg.norm(p - p.conj().T))
+        if res > PROJECTOR_TOL:
+            return "hermiticity", res
+        res = float(np.linalg.norm(p @ p - p))
+        if res > PROJECTOR_TOL:
+            return "idempotency", res
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            res = float(np.linalg.norm(mats[a] @ mats[b]))
+            if res > PROJECTOR_TOL:
+                return "orthogonality", res
+    res = float(np.linalg.norm(sum(mats) - np.eye(len(mats[0]))))
+    if res > PROJECTOR_TOL:
+        return "completeness", res
+    ranks = []
+    for p in mats:
+        tr = float(np.trace(p).real)
+        if abs(tr - round(tr)) > RANK_TOL:
+            return "integer_rank", abs(tr - round(tr))
         ranks.append(round(tr))
     return "ok", tuple(ranks)
 
@@ -72,6 +108,13 @@ def reference_positivity(matrix):
 def family_verdict(basis, groups):
     try:
         return "ok", ProjectorFamily(basis=basis, groups=groups).ranks
+    except ValidationError as err:
+        return err.invariant, err.residual
+
+
+def dense_family_verdict(projectors):
+    try:
+        return "ok", ProjectorFamily(projectors).ranks
     except ValidationError as err:
         return err.invariant, err.residual
 
@@ -175,6 +218,36 @@ def test_family_fast_rule_is_the_derived_bound(monkeypatch):
         assert family_verdict(stretched, groups) == \
             reference_family(stretched, groups)
         assert bool(calls) is diagnosed
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dense_family_accept_rule_matches_the_reference(seed):
+    # The same families as dense projectors V_n V_n†, plus a Haar basis
+    # whose every column is stretched so that ‖ΣP − I‖_F ≈ factor·tol
+    # while each projector's idempotency residual, ≈ factor·tol/√d, passes
+    # down to d = 2: only the sum of the given matrices shows the defect.
+    # Orthogonality is read off cleaned eigenvectors, whose residuals
+    # agree with the dense ones to second order, so residuals are compared
+    # to a relative 1e−6.
+    cases = [[basis[:, groups == n] @ basis[:, groups == n].conj().T
+              for n in range(int(groups.max()) + 1)]
+             for basis, groups in family_cases(seed)]
+    u = haar_random_unitary(int(np.random.default_rng(seed).integers(2, 12)),
+                            np.random.default_rng(seed))
+    for factor in (0.49, 0.99, 1.01, 1.3):
+        stretch = 1.0 + factor * PROJECTOR_TOL / (2.0 * math.sqrt(len(u)))
+        cases.append([np.outer(c, c.conj()) * stretch ** 2 for c in u.T])
+    verdicts = []
+    for projectors in cases:
+        want = reference_dense_family(projectors)
+        got = dense_family_verdict(projectors)
+        assert got[0] == want[0]
+        if want[0] == "ok":
+            assert got == want
+        else:
+            assert got[1] == pytest.approx(want[1], rel=1e-6)
+        verdicts.append(want[0])
+    assert verdicts[-4:] == ["ok"] * 2 + ["completeness"] * 2
 
 
 def state_with_min_eigenvalue(dim, min_eig, rng):
