@@ -52,50 +52,48 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 class DensityMatrix:
-    """A quantum state: Hermitian, positive semidefinite, unit trace.
+    """A quantum state, stored as its spectral pair ρ = U diag(λ) U†: the
+    read-only ``weights`` λ and ``basis`` U.
 
-    Parameters
-    ----------
-    matrix : array_like
-        Square complex matrix, stored as a read-only copy (the caller's
-        array is left as it was). A residual of any of the three
-        invariants above :data:`STATE_TOL` raises :class:`ValidationError`
-        naming the invariant.
-
-    Positivity is accepted when a Cholesky factorization m = R†R
-    succeeds. That proves m + ΔA ≻ 0 for a backward error
-    |ΔA| ≤ γ_{d+1}·|R†|·|R|, γ_k = k·u/(1 − k·u) with u = 2⁻⁵³ (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
-    Thm. 10.3), so ‖ΔA‖₂ ≲ d·γ_{d+1}·‖m‖₂ and λ_min(m) ≥ −‖ΔA‖₂: within
-    :data:`STATE_TOL` for a unit-trace m up to d = 900, and no new
-    constant. Only when the factorization fails (a singular state, such
-    as a pure one, or an invalid one) is the smallest eigenvalue computed,
-    and below −:data:`STATE_TOL` it is rejected.
+    An explicit ``matrix`` is checked for Hermiticity and unit trace as
+    given, then diagonalised by one ``eigh``. :attr:`GibbsEnsemble.state`
+    and :func:`maximally_mixed` build the pair on a basis the package
+    made, so only their weights are checked: finite, summing to 1. Either
+    way λ_min ≥ −:data:`STATE_TOL`, or :class:`ValidationError` names the
+    invariant and its residual.
     """
 
     def __init__(self, matrix):
-        m = as_complex_matrix(matrix).copy()
+        m = as_complex_matrix(matrix)
         res = hermiticity_residual(m)
         if res > STATE_TOL:
             raise ValidationError(
                 f"state is not Hermitian: ‖ρ − ρ†‖_F = {res:.3e} > {STATE_TOL:.1e}",
                 invariant="hermiticity", residual=res)
-        tr = complex(np.trace(m))
-        trace_res = abs(tr - 1.0)
+        self._store(complex(np.trace(m)), *np.linalg.eigh(m))
+
+    @classmethod
+    def _spectral(cls, weights: np.ndarray, basis: np.ndarray) -> DensityMatrix:
+        if not np.isfinite(weights).all():
+            raise ValidationError("state weights contain non-finite entries",
+                                  invariant="finite_entries")
+        state = cls.__new__(cls)
+        state._store(float(np.sum(weights)), weights, basis)
+        return state
+
+    def _store(self, trace, weights: np.ndarray, basis: np.ndarray) -> None:
+        trace_res = abs(trace - 1.0)
         if trace_res > STATE_TOL:
             raise ValidationError(
-                f"state trace is {tr:.12g}, not 1: residual {trace_res:.3e} > {STATE_TOL:.1e}",
+                f"state trace is {trace:.12g}, not 1: residual {trace_res:.3e} > {STATE_TOL:.1e}",
                 invariant="unit_trace", residual=trace_res)
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            min_eig = float(np.linalg.eigvalsh(m)[0])
-            if min_eig < -STATE_TOL:
-                raise ValidationError(
-                    f"state is not positive semidefinite: min eigenvalue {min_eig:.3e} < -{STATE_TOL:.1e}",
-                    invariant="positive_semidefinite", residual=-min_eig)
-        self.matrix = _freeze(m)
-        self.dim = m.shape[0]
+        min_eig = float(np.min(weights))
+        if min_eig < -STATE_TOL:
+            raise ValidationError(
+                f"state is not positive semidefinite: min eigenvalue {min_eig:.3e} < -{STATE_TOL:.1e}",
+                invariant="positive_semidefinite", residual=-min_eig)
+        self.weights, self.basis = _freeze(weights), _freeze(basis)
+        self.dim = len(weights)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
@@ -293,10 +291,7 @@ class KrausChannel:
     read-only too. ``replacement`` is r, the weight with which the map
     replaces its input by the maximally mixed state; it must be finite and
     in [0, 1], which keeps the map completely positive. The exact engine
-    costs O(K·d³ + d²): O(d³) per Kraus operator and O(d²) for the
-    replacement term. The depolarizing channel is one Kraus operator
-    √(1−p)·I with r = p, so it costs O(d³) rather than the O(d⁵) of its
-    d² + 1 Weyl Kraus operators.
+    costs O(d³) per Kraus operator and O(d²) for the replacement term.
 
     Trace preservation (‖ΣΛ†Λ + rI − I‖_F ≤ :data:`COMPLETENESS_TOL`) is
     enforced at construction; unitality (‖ΣΛΛ† + rI − I‖_F) is measured
@@ -376,12 +371,11 @@ class GibbsEnsemble:
 
     @property
     def state(self) -> DensityMatrix:
-        """The Gibbs state ρ = e^{−βH}/Z, built and validated each time it
-        is read, so an ensemble whose state is never read never forms ρ."""
-        w, v = self.energies, self.basis
-        weights = np.exp(-self.beta * (w - w[0]))
-        rho = (v * (weights / float(np.sum(weights)))) @ v.conj().T
-        return DensityMatrix((rho + rho.conj().T) / 2)
+        """The Gibbs state e^{−βH}/Z, built in O(d) each time it is read:
+        the normalised weights e^{−β(E_k − E_0)} on ``basis``."""
+        weights = np.exp(-self.beta * (self.energies - self.energies[0]))
+        return DensityMatrix._spectral(weights / float(np.sum(weights)),
+                                       self.basis)
 
     def at_beta(self, beta: float) -> GibbsEnsemble:
         """The same Hamiltonian's ensemble at inverse temperature ``beta``.
@@ -403,8 +397,7 @@ def gibbs_ensemble(hamiltonian, beta: float) -> GibbsEnsemble:
     eigenpair, not the matrix. Eigenvalues are shifted by their minimum
     before exponentiating, and the shift is compensated in ln Z, so
     moderate β·spread never overflows. Natural units k = 1 throughout, so
-    β = 1/T. :meth:`GibbsEnsemble.at_beta` re-temperatures the eigenpair
-    through the same Z and guard code.
+    β = 1/T.
 
     Raises
     ------
@@ -544,6 +537,7 @@ def standard_channel(kind: str, dim: int,
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
-    """The state I/dim."""
-    return DensityMatrix(np.eye(dim) / dim)
+    """The state I/dim: weights 1/dim on the identity basis."""
+    return DensityMatrix._spectral(np.full(dim, 1.0 / dim),
+                                   np.eye(dim, dtype=np.complex128))
 

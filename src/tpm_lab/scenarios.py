@@ -329,9 +329,9 @@ def build_scenario(config: ScenarioConfig, *,
     - A ``maximally_mixed`` or ``explicit`` initial state.
 
     Whatever depends on β is recomputed at every point: Z and the
-    exponent guards (:meth:`GibbsEnsemble.at_beta`), and the Gibbs state
-    with its validation. Every builder is deterministic, so the result,
-    and any error raised, equals that of a build without ``previous``.
+    exponent guards (:meth:`GibbsEnsemble.at_beta`), and the Gibbs
+    weights. Every builder is deterministic, so the result, and any error
+    raised, equals that of a build without ``previous``.
 
     Raises :class:`ConfigError` for schema-level problems and
     :class:`~tpm_lab.errors.ValidationError` when a constructed object

@@ -23,7 +23,7 @@ unital evolution. All logarithms are natural (nats).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,12 +62,7 @@ class TpmExperiment:
     second_measurement: ProjectorFamily
 
     def __post_init__(self):
-        dims = {
-            "initial_state": self.initial_state.dim,
-            "first_measurement": self.first_measurement.dim,
-            "channel": self.channel.dim,
-            "second_measurement": self.second_measurement.dim,
-        }
+        dims = {f.name: getattr(self, f.name).dim for f in fields(self)}
         if len(set(dims.values())) != 1:
             raise ValueError(f"experiment dimensions disagree: {dims}")
 
@@ -170,10 +165,12 @@ def joint_distribution(experiment: TpmExperiment,
     channel's (K, d, d) Kraus stack, one operator at a time, plus one
     O(d²) term for its replacement weight r: O(K·d³ + d²) time and O(d²)
     working memory. With V, W the first and second bases, G, H their
-    (column × outcome) group-indicator matrices, A_i = W†Λ_iV, ρ̃ = V†ρV
-    with the entries between different first groups zeroed (the first
-    measurement's dephasing), and 1 the all-ones d×d matrix:
+    (column × outcome) group-indicator matrices, A_i = W†Λ_iV, and 1 the
+    all-ones d×d matrix:
 
+    - ρ̃ is diag(λ) when the state's basis U is V entry for entry (a Gibbs
+      state in its own eigenbasis), else R diag(λ) R† with R = V†U and the
+      entries between different first groups zeroed (the dephasing);
     - p = Gᵀ (Σ_i Re[(A_i ρ̃) ⊙ Ā_i] + (r/d)·1·diag ρ̃)ᵀ H, since
       W†(I/d)W = I/d puts weight (r/d)·ρ̃_kk on every second-basis row;
     - the factorized table is Gᵀ (Σ_i |A_i|² + (r/d)·1)ᵀ H with row n
@@ -183,8 +180,13 @@ def joint_distribution(experiment: TpmExperiment,
     second = experiment.second_measurement
     v = first.basis
     w_dag = second.basis.conj().T
-    dephased = np.where(first.groups[:, None] == first.groups[None, :],
-                        v.conj().T @ experiment.initial_state.matrix @ v, 0.0)
+    state = experiment.initial_state
+    if np.array_equal(state.basis, v):
+        dephased = np.diag(state.weights)
+    else:
+        rot = v.conj().T @ state.basis
+        dephased = np.where(first.groups[:, None] == first.groups[None, :],
+                            (rot * state.weights) @ rot.conj().T, 0.0)
 
     dim = experiment.dim
     born = np.zeros((dim, dim))
@@ -322,7 +324,8 @@ def work_statistics(jd: JointDistribution, first_energies, second_energies,
 
     Raises :class:`ValidationError` when ⟨e^{−βW}⟩ overflows
     (``finite_lhs``) or Z'/Z does (``finite_rhs``), so no statistics
-    carry an infinite side; Z'/Z may underflow to 0.
+    carry an infinite side; Z'/Z may underflow to 0. A term whose factor
+    e^{−βW} overflows is formed as exp(ln p − βW) instead.
     """
     e_first = np.asarray(first_energies, dtype=float)
     e_second = np.asarray(second_energies, dtype=float)
@@ -343,6 +346,8 @@ def work_statistics(jd: JointDistribution, first_energies, second_energies,
     terms = np.zeros(jd.shape)
     with np.errstate(over="ignore"):  # an overflow is the finite_lhs error
         terms[positive] = jd.p_joint[positive] * np.exp(-beta * work[positive])
+        redo = ~np.isfinite(terms)
+        terms[redo] = np.exp(np.log(jd.p_joint[redo]) - beta * work[redo])
     lhs = float(terms.sum())
     if not np.isfinite(lhs):
         raise ValidationError(

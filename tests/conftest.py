@@ -44,11 +44,17 @@ def dense_projectors(family: ProjectorFamily) -> list[np.ndarray]:
             for n in range(len(family))]
 
 
+def dense(state: DensityMatrix) -> np.ndarray:
+    """The dense matrix ρ = U diag(λ) U† of a state's spectral pair."""
+    return (state.basis * state.weights) @ state.basis.conj().T
+
+
 def apply_kraus(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Σ_i Λ_i ρ Λ_i† + r·tr(ρ)·I/d, validated as a state, so a channel that
     breaks trace or positivity fails loudly."""
-    out = sum(op @ rho.matrix @ op.conj().T for op in channel.kraus_ops) \
-        + channel.replacement * np.trace(rho.matrix) * np.eye(rho.dim) / rho.dim
+    m = dense(rho)
+    out = sum(op @ m @ op.conj().T for op in channel.kraus_ops) \
+        + channel.replacement * np.trace(m) * np.eye(rho.dim) / rho.dim
     return DensityMatrix((out + out.conj().T) / 2)
 
 

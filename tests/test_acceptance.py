@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense,
     dense_projectors,
     random_gibbs_setup,
     random_nonunitary_channel,
@@ -195,9 +196,9 @@ def test_factorization_diagnostic():
     direct = 0.0
     for proj in dense_projectors(first):
         for q in dense_projectors(second):
-            exact = np.trace(q @ proj @ rho.matrix @ proj).real
+            exact = np.trace(q @ proj @ dense(rho) @ proj).real
             factorized = (np.trace(q @ proj).real
-                          * np.trace(proj @ rho.matrix).real)
+                          * np.trace(proj @ dense(rho)).real)
             direct = max(direct, abs(exact - factorized))
     rank2_ok = (jd.factorization_residual > 1e-3
                 and abs(jd.factorization_residual - direct) <= 1e-12)
@@ -280,7 +281,7 @@ def test_thermodynamic_consistency():
         h = random_hermitian(dim, rng)
         beta = float(rng.uniform(0.2, 3.0))
         ens = gibbs_ensemble(h, beta)
-        energy = float(np.trace(ens.state.matrix @ h).real)
+        energy = float(np.trace(dense(ens.state) @ h).real)
         log_z = lambda b: np.log(gibbs_ensemble(h, b).partition_function)
         finite_diff = -(log_z(beta + step) - log_z(beta - step)) / (2 * step)
         worst = max(worst,

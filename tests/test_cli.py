@@ -11,7 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import RESTRICTED_SUPPORT_EPSILON, RESTRICTED_SUPPORT_JOINT
+from conftest import (
+    RESTRICTED_SUPPORT_EPSILON,
+    RESTRICTED_SUPPORT_JOINT,
+    dense,
+)
 from tpm_lab import cli, quantum
 from tpm_lab.errors import ConfigError, ValidationError
 from tpm_lab.quantum import gibbs_ensemble, standard_channel
@@ -297,9 +301,11 @@ def test_amplitude_damping_beyond_a_qubit_names_dim(tmp_path):
 ])
 def test_build_diagonalises_each_hamiltonian_once(monkeypatch, initial,
                                                   channel):
-    eig_calls, eigh_calls, states = [], [], []
+    # Both states are built from their spectral pair, never from a dense
+    # matrix: no DensityMatrix(matrix) call, and no factorization.
+    eig_calls, eigh_calls, states, cholesky_calls = [], [], [], []
     hermitian_eig, eigh = quantum.hermitian_eig, np.linalg.eigh
-    density_init = quantum.DensityMatrix.__init__
+    spectral = quantum.DensityMatrix._spectral
 
     def counting_eig(a):
         eig_calls.append(a)
@@ -309,13 +315,19 @@ def test_build_diagonalises_each_hamiltonian_once(monkeypatch, initial,
         eigh_calls.append(a)
         return eigh(a, *args, **kwargs)
 
-    def counting_init(self, matrix):
-        states.append(matrix)
-        density_init(self, matrix)
+    def counting_spectral(weights, basis):
+        states.append(weights)
+        return spectral(weights, basis)
+
+    def dense_init(self, matrix):
+        raise AssertionError("a state was built from a dense matrix")
 
     monkeypatch.setattr(quantum, "hermitian_eig", counting_eig)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(quantum.DensityMatrix, "__init__", counting_init)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky_calls.append)
+    monkeypatch.setattr(quantum.DensityMatrix, "_spectral",
+                        staticmethod(counting_spectral))
+    monkeypatch.setattr(quantum.DensityMatrix, "__init__", dense_init)
     raw = raw_config(dim=4, initial={"kind": initial},
                      first_hamiltonian={"kind": "random"},
                      second_hamiltonian={"kind": "random"}, channel=channel)
@@ -323,6 +335,7 @@ def test_build_diagonalises_each_hamiltonian_once(monkeypatch, initial,
     assert len(eig_calls) == 2
     assert len(eigh_calls) == 2
     assert len(states) == 1
+    assert cholesky_calls == []
 
 
 def test_derive_seed_is_stable_and_role_separated():
@@ -425,7 +438,7 @@ def test_sweep_gamma_matches_brute_force():
     rows = cli.run_sweep(config, "channel_param", [0.0, 0.5, 1.0])
     h = np.diag([0.0, 1.0]).astype(complex)
     ens = gibbs_ensemble(h, 1.0)
-    p_first = np.diag(ens.state.matrix).real
+    p_first = np.diag(dense(ens.state)).real
     for row, gamma in zip(rows, [0.0, 0.5, 1.0]):
         channel = standard_channel("amplitude_damping", 2, gamma)
         lhs = 0.0
@@ -724,6 +737,52 @@ def test_work_overflow_fails_only_commands_that_read_work(tmp_path, caplog,
         assert out == ""
     else:
         assert json.loads(out)["exact_value"] == pytest.approx(1.0)
+
+
+# The work average is finite, ≈ Z'/Z = e^{271}, but one cell has
+# p(n,m) ≈ e^{−444}/2 and −βW = 715, so its factor e^{−βW} overflows: the
+# term is formed as exp(ln p − βW), and every command passes.
+TERM_OVERFLOW_RAW = raw_config(
+    name="term_overflow",
+    first_hamiltonian={"kind": "diagonal", "energies": [0.0, 444.0]},
+    channel=WORK_OVERFLOW_RAW["channel"],
+    second_hamiltonian={"kind": "diagonal", "energies": [-271.0, 239.0]})
+
+
+@pytest.mark.parametrize("command", ["verify", "jarzynski"])
+def test_overflowing_work_factor_is_not_an_overflow(tmp_path, capsys,
+                                                    command):
+    config = write_config(tmp_path, TERM_OVERFLOW_RAW)
+    assert cli.main([command, "--config", config]) == 0
+    row, = parse_report_csv(capsys.readouterr().out)
+    assert row.jarzynski_rhs == pytest.approx(np.exp(271.0), rel=1e-12)
+    assert abs(row.jarzynski_lhs / row.jarzynski_rhs - 1.0) <= 1e-14
+
+
+# Valid Gibbs scenarios whose dense ρ = V diag(g) V† lost the small
+# weights g_n to rounding, which e^{βE_n} then amplified: each failed the
+# Jarzynski check while the state was stored as a dense matrix.
+# random_full_support.json has β·spread 48.7 at β = 20 and 97.4 at β = 40;
+# the Haar configs 30.0 at d = 64 and 63.6 at d = 256.
+HAAR_SCALE_ONE = {"name": "haar_scale_one", "beta": 1.0, "seed": 3,
+                  "first_hamiltonian": {"kind": "random", "scale": 1.0},
+                  "channel": {"kind": "haar_random"},
+                  "second_hamiltonian": {"kind": "random", "scale": 1.0}}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"beta": 20.0},
+    {"beta": 40.0},
+    {**HAAR_SCALE_ONE, "dim": 64},
+    {**HAAR_SCALE_ONE, "dim": 256},
+], ids=["beta20", "beta40", "haar_d64", "haar_d256"])
+def test_jarzynski_holds_at_large_beta_spread(tmp_path, capsys, overrides):
+    raw = json.loads((SCENARIO_DIR / "random_full_support.json").read_text(
+        encoding="utf-8"))
+    config = write_config(tmp_path, {**raw, **overrides})
+    assert cli.main(["jarzynski", "--config", config]) == 0
+    row, = parse_report_csv(capsys.readouterr().out)
+    assert abs(row.jarzynski_lhs / row.jarzynski_rhs - 1.0) <= 1e-14
 
 
 # Every guard passes, but Z'/Z cannot be formed as a positive finite

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense,
     dense_projectors,
     random_density_matrix,
     random_rank1_experiment,
@@ -46,7 +47,7 @@ def reference_joint(experiment: TpmExperiment, firsts=None, seconds=None):
     measurements; pass the original matrices of an explicit family to
     keep the reference independent of its stored basis.
     """
-    rho = experiment.initial_state.matrix
+    rho = dense(experiment.initial_state)
     kraus = experiment.channel.kraus_ops
     # The replacement term r·tr(X)·I/d of the channel, applied to X.
     replaced = experiment.channel.replacement * np.eye(experiment.dim) \

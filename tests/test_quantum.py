@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     apply_kraus,
+    dense,
     dense_projectors,
     random_density_matrix,
     weyl_depolarizing,
@@ -39,7 +40,10 @@ def projector(ket: np.ndarray) -> np.ndarray:
 def test_density_matrix_accepts_valid_state():
     rho = DensityMatrix(np.diag([0.3, 0.7]))
     assert rho.dim == 2
-    assert not rho.matrix.flags.writeable
+    assert not rho.weights.flags.writeable
+    assert not rho.basis.flags.writeable
+    assert not hasattr(rho, "matrix")
+    np.testing.assert_allclose(rho.weights, [0.3, 0.7], atol=1e-16)
 
 
 def test_density_matrix_stores_a_copy():
@@ -47,7 +51,7 @@ def test_density_matrix_stores_a_copy():
     rho = DensityMatrix(m)
     assert m.flags.writeable
     m[0, 0] = 0.9
-    assert rho.matrix[0, 0] == 0.3
+    assert dense(rho)[0, 0] == pytest.approx(0.3, abs=1e-16)
 
 
 def test_density_matrix_rejects_bad_trace():
@@ -71,7 +75,10 @@ def test_density_matrix_rejects_negative_eigenvalue():
 
 
 def test_maximally_mixed():
-    np.testing.assert_allclose(maximally_mixed(4).matrix, np.eye(4) / 4)
+    state = maximally_mixed(4)
+    np.testing.assert_array_equal(state.weights, np.full(4, 0.25))
+    np.testing.assert_array_equal(state.basis, np.eye(4))
+    np.testing.assert_allclose(dense(state), np.eye(4) / 4)
 
 
 def test_random_density_matrix_full_rank():
@@ -79,7 +86,7 @@ def test_random_density_matrix_full_rank():
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 9))
         rho = random_density_matrix(dim, rng)
-        eigs = np.linalg.eigvalsh(rho.matrix)
+        eigs = np.linalg.eigvalsh(dense(rho))
         assert eigs[0] > 1e-4
 
 
@@ -299,14 +306,14 @@ def test_standard_channel_parameter_validation():
 def test_dephasing_interpolates_to_diagonal():
     rho = random_density_matrix(3, np.random.default_rng(4))
     out0 = apply_kraus(standard_channel("dephasing", 3, 0.0), rho)
-    np.testing.assert_allclose(out0.matrix, rho.matrix, atol=1e-14)
+    np.testing.assert_allclose(dense(out0), dense(rho), atol=1e-14)
     out1 = apply_kraus(standard_channel("dephasing", 3, 1.0), rho)
-    np.testing.assert_allclose(out1.matrix, np.diag(np.diag(rho.matrix)),
+    np.testing.assert_allclose(dense(out1), np.diag(np.diag(dense(rho))),
                                atol=1e-14)
     p = 0.4
     outp = apply_kraus(standard_channel("dephasing", 3, p), rho)
-    expected = (1 - p) * rho.matrix + p * np.diag(np.diag(rho.matrix))
-    np.testing.assert_allclose(outp.matrix, expected, atol=1e-14)
+    expected = (1 - p) * dense(rho) + p * np.diag(np.diag(dense(rho)))
+    np.testing.assert_allclose(dense(outp), expected, atol=1e-14)
 
 
 def test_depolarizing_closed_form():
@@ -316,21 +323,21 @@ def test_depolarizing_closed_form():
     p = 0.3
     for dim in (2, 3, 5):
         rho = random_density_matrix(dim, rng)
-        expected = (1 - p) * rho.matrix + p * np.eye(dim) / dim
+        expected = (1 - p) * dense(rho) + p * np.eye(dim) / dim
         for channel in (standard_channel("depolarizing", dim, p),
                         weyl_depolarizing(dim, p)):
             out = apply_kraus(channel, rho)
-            np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
+            np.testing.assert_allclose(dense(out), expected, atol=1e-12)
 
 
 def test_amplitude_damping_action():
     out = apply_kraus(standard_channel("amplitude_damping", 2, 0.4),
                       maximally_mixed(2))
-    np.testing.assert_allclose(out.matrix, np.diag([0.7, 0.3]), atol=1e-14)
+    np.testing.assert_allclose(dense(out), np.diag([0.7, 0.3]), atol=1e-14)
     rho = random_density_matrix(2, np.random.default_rng(2))
     drained = apply_kraus(standard_channel("amplitude_damping", 2, 1.0),
                           rho)
-    np.testing.assert_allclose(drained.matrix, np.diag([1.0, 0.0]),
+    np.testing.assert_allclose(dense(drained), np.diag([1.0, 0.0]),
                                atol=1e-12)
 
 
@@ -382,7 +389,7 @@ def test_gibbs_qubit_oracle():
     assert ens.partition_function == pytest.approx(z, abs=1e-14)
     assert np.log(ens.partition_function) == pytest.approx(np.log(z),
                                                            abs=1e-14)
-    np.testing.assert_allclose(ens.state.matrix,
+    np.testing.assert_allclose(dense(ens.state),
                                np.diag([1.0 / z, np.exp(-1.0) / z]),
                                atol=1e-14)
 
@@ -407,13 +414,13 @@ def test_gibbs_constant_hamiltonian():
         dim * np.exp(-beta * c), rel=1e-13)
     assert -np.log(ens.partition_function) / beta == pytest.approx(
         c - np.log(dim) / beta, abs=1e-13)
-    np.testing.assert_allclose(ens.state.matrix, np.eye(dim) / dim,
+    np.testing.assert_allclose(dense(ens.state), np.eye(dim) / dim,
                                atol=1e-14)
 
 
 def test_gibbs_low_temperature_limit():
     ens = gibbs_ensemble(np.diag([0.0, 1.0]), 50.0)
-    assert ens.state.matrix[0, 0] == pytest.approx(1.0, abs=1e-20)
+    assert dense(ens.state)[0, 0] == pytest.approx(1.0, abs=1e-20)
     assert ens.partition_function == pytest.approx(1.0, abs=1e-20)
 
 
@@ -423,7 +430,7 @@ def test_gibbs_shift_invariance():
     beta, shift = 1.3, 57.0
     base = gibbs_ensemble(h, beta)
     shifted = gibbs_ensemble(h + shift * np.eye(4), beta)
-    np.testing.assert_allclose(shifted.state.matrix, base.state.matrix,
+    np.testing.assert_allclose(dense(shifted.state), dense(base.state),
                                atol=1e-12)
     assert shifted.partition_function == pytest.approx(
         base.partition_function * np.exp(-beta * shift), rel=1e-12)
@@ -464,7 +471,7 @@ def test_at_beta_equals_a_fresh_ensemble_without_a_new_eig(monkeypatch):
         np.testing.assert_array_equal(got.basis, want.basis)
         assert (got.beta, got.partition_function) == (
             want.beta, want.partition_function)
-        np.testing.assert_array_equal(got.state.matrix, want.state.matrix)
+        np.testing.assert_array_equal(dense(got.state), dense(want.state))
 
 
 def test_gibbs_thermodynamic_consistency():
@@ -476,7 +483,7 @@ def test_gibbs_thermodynamic_consistency():
         h = random_hermitian(dim, rng)
         beta = float(rng.uniform(0.2, 3.0))
         ens = gibbs_ensemble(h, beta)
-        energy = float(np.trace(ens.state.matrix @ h).real)
+        energy = float(np.trace(dense(ens.state) @ h).real)
         log_z = lambda b: np.log(gibbs_ensemble(h, b).partition_function)
         finite_diff = -(log_z(beta + step) - log_z(beta - step)) / (2 * step)
         assert abs(finite_diff - energy) <= 1e-6 * max(1.0, abs(energy))

@@ -10,6 +10,7 @@ from conftest import (
     RESTRICTED_SUPPORT_EPSILON,
     RESTRICTED_SUPPORT_JOINT,
     apply_kraus,
+    dense,
     dense_projectors,
     random_gibbs_setup,
     random_nonunitary_channel,
@@ -132,7 +133,7 @@ def direct_second_marginal(experiment: TpmExperiment) -> np.ndarray:
     """tr{Q_m Λ(ρ)}: the final-outcome distribution with the first
     measurement skipped."""
     evolved = apply_kraus(experiment.channel, experiment.initial_state)
-    return np.array([np.trace(q @ evolved.matrix).real
+    return np.array([np.trace(q @ dense(evolved)).real
                      for q in dense_projectors(experiment.second_measurement)])
 
 
@@ -195,9 +196,9 @@ def test_factorization_residual_detects_rank2_projector():
     worst = 0.0
     for proj in dense_projectors(first):
         for q in dense_projectors(second):
-            exact = np.trace(q @ proj @ rho.matrix @ proj).real
+            exact = np.trace(q @ proj @ dense(rho) @ proj).real
             factorized = (np.trace(q @ proj).real
-                          * np.trace(proj @ rho.matrix).real)
+                          * np.trace(proj @ dense(rho)).real)
             worst = max(worst, abs(exact - factorized))
     assert jd.factorization_residual == pytest.approx(worst, abs=1e-15)
 
