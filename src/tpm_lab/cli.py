@@ -20,7 +20,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,9 +75,9 @@ EXIT_CONFIG_ERROR = 2
 EXIT_VALIDATION_ERROR = 3
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """One scenario's worth of verification numbers, in column order."""
+class ReportRow(NamedTuple):
+    """One scenario's worth of verification numbers, in column order, as
+    an immutable ``NamedTuple``."""
 
     name: str
     dim: int
@@ -94,7 +94,7 @@ class ReportRow:
     mi_vs_dissipation_gap: float
 
 
-REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
+REPORT_COLUMNS = ReportRow._fields
 
 
 def _joint(built: BuiltScenario) -> JointDistribution:
@@ -284,7 +284,7 @@ def _write_output(text: str, out_path: str | None) -> None:
 def _load_config(args) -> ScenarioConfig:
     config = load_scenario(args.config)
     if args.seed is not None:
-        config = replace(config, seed=_number(args.seed, "--seed",
+        config = config._replace(seed=_number(args.seed, "--seed",
                                               "[0, inf)", integer=True))
     return config
 
@@ -330,6 +330,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, when the module is imported: every main() call parses with
+# it, and parsing leaves it unchanged.
+_PARSER = _build_parser()
+
+
 def _dispatch(args) -> int:
     config = _load_config(args)
     if args.command == "sample":
@@ -359,9 +364,12 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one ``tpm-lab`` command on ``argv`` (default ``sys.argv[1:]``)
+    and return its exit code. It may be called repeatedly in one process;
+    every call parses with the one parser built at import."""
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s: %(message)s")
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _dispatch(args)
     except ConfigError as exc:

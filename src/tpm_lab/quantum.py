@@ -9,7 +9,7 @@ read-only) and all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -352,9 +352,9 @@ class KrausChannel:
                 f"unitality_residual={self.unitality_residual:.3e})")
 
 
-@dataclass(frozen=True)
-class GibbsEnsemble:
-    """Thermal bundle of a Hamiltonian H at inverse temperature β.
+class GibbsEnsemble(NamedTuple):
+    """Thermal bundle of a Hamiltonian H at inverse temperature β, an
+    immutable ``NamedTuple``.
 
     Built by :func:`gibbs_ensemble`, and at another β by :meth:`at_beta`.
     ``energies`` and ``basis`` are H's eigenpair, the one diagonalisation

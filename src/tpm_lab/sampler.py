@@ -11,7 +11,7 @@ variance reduction).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +36,9 @@ _BLOCK_CELLS = 1 << 16
 _BLOCK_DRAWS = 1 << 16
 
 
-@dataclass(frozen=True)
-class EstimatorReport:
-    """Sample mean with its standard error and optional exact comparison.
+class EstimatorReport(NamedTuple):
+    """Sample mean with its standard error and optional exact comparison,
+    as an immutable ``NamedTuple``.
 
     ``std_error`` is s/√n with s the ddof=1 sample standard deviation,
     which is exactly the delete-one jackknife error of a sample mean.

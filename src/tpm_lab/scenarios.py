@@ -16,8 +16,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -70,6 +72,16 @@ _TOP_LEVEL_NUMBERS = {"dim": (f"[1, {MAX_DIM}]", True),
                       "seed": ("[0, inf)", True)}
 
 
+@cache
+def _bounds(interval: str) -> tuple:
+    """The ends of ``interval``, each an int if written as one, and
+    whether each is closed; parsed once per distinct interval text, of
+    which the package writes a fixed few."""
+    lo, hi = (int(end) if end.strip().lstrip("-").isdigit() else float(end)
+              for end in interval[1:-1].split(","))
+    return lo, hi, interval[0] == "[", interval[-1] == "]"
+
+
 def _number(value, field: str, interval: str = "(-inf, inf)",
             integer: bool = False):
     """The float (or, if ``integer``, whole-valued int) ``value``, or a
@@ -78,12 +90,11 @@ def _number(value, field: str, interval: str = "(-inf, inf)",
     NaN and ±inf never pass, nor does an integer beyond double range
     where a float is asked for. Integer ends compare exactly, also
     beyond 2⁵³."""
-    lo, hi = (int(end) if end.strip().lstrip("-").isdigit() else float(end)
-              for end in interval[1:-1].split(","))
+    lo, hi, lo_closed, hi_closed = _bounds(interval)
     if (isinstance(value, (int, float)) and not isinstance(value, bool)
             and (integer or abs(value) <= sys.float_info.max)
-            and (lo < value or (interval[0] == "[" and value == lo))
-            and (value < hi or (interval[-1] == "]" and value == hi))
+            and (lo < value or (lo_closed and value == lo))
+            and (value < hi or (hi_closed and value == hi))
             and not (integer and value % 1)):
         return int(value) if integer else float(value)
     raise ConfigError(
@@ -98,12 +109,14 @@ def derive_seed(base_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Validated scenario description (specs still in raw dict form).
+class ScenarioConfig(NamedTuple):
+    """Validated scenario description (specs still in raw dict form), an
+    immutable ``NamedTuple``: derive a variant with ``_replace``.
 
-    Its fields are the config schema: a field without a default is
+    Its ``_fields`` are the config schema: a field without a default is
     required, and a ``dict`` field is a spec that must be a JSON object.
+    The default specs are read-only mappings, so no config can change
+    another's.
     """
 
     name: str
@@ -113,15 +126,20 @@ class ScenarioConfig:
     first_hamiltonian: dict
     channel: dict
     second_hamiltonian: dict
-    first_measurement: dict = field(default_factory=lambda: {"kind": "eigenbasis"})
-    second_measurement: dict = field(default_factory=lambda: {"kind": "eigenbasis"})
-    tolerances: dict = field(default_factory=dict)
+    first_measurement: dict = MappingProxyType({"kind": "eigenbasis"})
+    second_measurement: dict = MappingProxyType({"kind": "eigenbasis"})
+    tolerances: dict = MappingProxyType({})
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class BuiltScenario:
-    """A ScenarioConfig turned into live objects, ready to evaluate."""
+# The spec fields of the schema, the ones annotated ``dict``.
+_SPEC_FIELDS = tuple(name for name, kind
+                     in get_type_hints(ScenarioConfig).items() if kind is dict)
+
+
+class BuiltScenario(NamedTuple):
+    """A ScenarioConfig turned into live objects, ready to evaluate, as an
+    immutable ``NamedTuple``."""
 
     config: ScenarioConfig
     experiment: TpmExperiment
@@ -152,13 +170,12 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     """Validate a raw config dict into a :class:`ScenarioConfig`."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: config must be a JSON object")
-    schema = fields(ScenarioConfig)
-    for f in schema:
-        if (f.name not in raw and f.default is MISSING
-                and f.default_factory is MISSING):
-            raise ConfigError(f"{source}: missing required field {f.name!r}",
-                              field=f.name)
-    unknown = set(raw) - {f.name for f in schema}
+    schema = ScenarioConfig._fields
+    for name in schema:
+        if name not in raw and name not in ScenarioConfig._field_defaults:
+            raise ConfigError(f"{source}: missing required field {name!r}",
+                              field=name)
+    unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(
             f"{source}: unknown fields {sorted(unknown)}",
@@ -170,8 +187,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
                           field="name")
     numbers = {key: _number(raw[key], key, *rule)
                for key, rule in _TOP_LEVEL_NUMBERS.items() if key in raw}
-    specs = {f.name: raw[f.name] for f in schema
-             if f.type == "dict" and f.name in raw}
+    specs = {name: raw[name] for name in _SPEC_FIELDS if name in raw}
     for spec_name, spec in specs.items():
         if not isinstance(spec, dict):
             raise ConfigError(f"{source}: {spec_name!r} must be an object",
@@ -409,7 +425,7 @@ def sweep_configs(config: ScenarioConfig, parameter: str,
         else:
             change = {parameter: _number(value, parameter,
                                          *_TOP_LEVEL_NUMBERS[parameter])}
-        variants.append(replace(
-            config, name=f"{config.name}[{parameter}={value:g}]",
+        variants.append(config._replace(
+            name=f"{config.name}[{parameter}={value:g}]",
             seed=derive_seed(config.seed, ROLE_SWEEP, k), **change))
     return variants

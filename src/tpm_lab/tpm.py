@@ -23,7 +23,7 @@ unital evolution. All logarithms are natural (nats).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,33 +49,43 @@ BOOKKEEPING_TOL = 1e-10
 JENSEN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TpmExperiment:
-    """One prepare–evolve–measure scenario.
-
-    All four ingredients must share the same Hilbert space dimension.
-    """
-
+class _TpmExperimentFields(NamedTuple):
     initial_state: DensityMatrix
     first_measurement: ProjectorFamily
     channel: KrausChannel
     second_measurement: ProjectorFamily
 
-    def __post_init__(self):
-        dims = {f.name: getattr(self, f.name).dim for f in fields(self)}
+
+class TpmExperiment(_TpmExperimentFields):
+    """One prepare–evolve–measure scenario, an immutable ``NamedTuple``.
+
+    All four ingredients must share the same Hilbert space dimension; a
+    record built with ``TpmExperiment(...)`` or ``_replace`` whose
+    dimensions disagree raises ValueError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        dims = {name: part.dim for name, part in zip(self._fields, self)}
         if len(set(dims.values())) != 1:
             raise ValueError(f"experiment dimensions disagree: {dims}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def dim(self) -> int:
         return self.initial_state.dim
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(NamedTuple):
     """The exact outcome table p(n,m), its two marginals and its support,
-    each formed once; a conditional p(m|n) = p(n,m)/p(n) is divided out
-    where it is read.
+    each formed once, as an immutable ``NamedTuple``; a conditional
+    p(m|n) = p(n,m)/p(n) is divided out where it is read.
 
     Attributes
     ----------
@@ -169,7 +179,8 @@ def joint_distribution(experiment: TpmExperiment,
     all-ones d×d matrix:
 
     - ρ̃ is diag(λ) when the state's basis U is V entry for entry (a Gibbs
-      state in its own eigenbasis), else R diag(λ) R† with R = V†U and the
+      state in its own eigenbasis), and A_i ρ̃ is then A_i with column k
+      scaled by λ_k, O(d²); else ρ̃ is R diag(λ) R† with R = V†U and the
       entries between different first groups zeroed (the dephasing);
     - p = Gᵀ (Σ_i Re[(A_i ρ̃) ⊙ Ā_i] + (r/d)·1·diag ρ̃)ᵀ H, since
       W†(I/d)W = I/d puts weight (r/d)·ρ̃_kk on every second-basis row;
@@ -182,11 +193,12 @@ def joint_distribution(experiment: TpmExperiment,
     w_dag = second.basis.conj().T
     state = experiment.initial_state
     if np.array_equal(state.basis, v):
-        dephased = np.diag(state.weights)
+        dephased, populations = None, state.weights
     else:
         rot = v.conj().T @ state.basis
         dephased = np.where(first.groups[:, None] == first.groups[None, :],
                             (rot * state.weights) @ rot.conj().T, 0.0)
+        populations = dephased.diagonal().real
 
     dim = experiment.dim
     born = np.zeros((dim, dim))
@@ -194,25 +206,26 @@ def joint_distribution(experiment: TpmExperiment,
     for op in experiment.channel.kraus_ops:
         a = w_dag @ op @ v
         a_conj = a.conj()
-        born += (a @ dephased * a_conj).real
+        a_rho = a * populations if dephased is None else a @ dephased
+        born += (a_rho * a_conj).real
         transition += (a * a_conj).real
     r = experiment.channel.replacement
-    born += (r / dim) * dephased.diagonal().real
+    born += (r / dim) * populations
     transition += r / dim
 
     g = np.eye(len(first))[first.groups]
     h = np.eye(len(second))[second.groups]
     p = g.T @ born.T @ h
-    p_first = g.T @ dephased.diagonal().real
+    p_first = g.T @ populations
     p_factorized = (g.T @ transition.T @ h) * p_first[:, None]
     residual = float(np.max(np.abs(p - p_factorized)))
     return distribution_from_joint(p, support_epsilon,
                                    factorization_residual=residual)
 
 
-@dataclass(frozen=True)
-class MutualInformationTable:
-    """Single-trial mutual information and its exponential average.
+class MutualInformationTable(NamedTuple):
+    """Single-trial mutual information and its exponential average, as an
+    immutable ``NamedTuple``.
 
     ``i_table[n, m]`` is ln p(m|n) − ln p(m) on the support mask and NaN
     elsewhere. ``exp_average`` is Σ p(n,m)·p(m)/p(m|n) over the support,
@@ -278,9 +291,9 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
         support_defect=support_defect, average_mi=average_mi)
 
 
-@dataclass(frozen=True)
-class WorkStatistics:
-    """Work table W_nm = E'_m − E_n and the exponential work average.
+class WorkStatistics(NamedTuple):
+    """Work table W_nm = E'_m − E_n and the exponential work average, as
+    an immutable ``NamedTuple``.
 
     ``jarzynski_lhs`` is the exact sum Σ p(n,m) e^{−βW_nm};
     ``jarzynski_rhs`` is Z'/Z = e^{−βΔF}; both are finite, since

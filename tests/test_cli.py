@@ -953,3 +953,49 @@ def test_main_sweep_bad_param_value_is_config_error(tmp_path):
                      str(SCENARIO_DIR / "qubit_hadamard.json"),
                      "--param", "channel_param", "--values", "0.5"])
     assert code == 2  # kraus-list channels have no sweepable parameter
+
+
+def test_main_calls_share_the_parser_built_at_import(capsys, caplog,
+                                                     monkeypatch):
+    # Each call's stdout, stderr, log and exit code equal those of the same
+    # argv parsed by a freshly built parser, so no call leaves state in
+    # the shared one.
+    config = str(SCENARIO_DIR / "random_full_support.json")
+    argvs = [
+        ["verify", "--config", config],
+        ["jarzynski", "--config", config],
+        ["sweep", "--config", config, "--param", "beta",
+         "--values", "0.5", "2"],
+        ["sweep", "--config", config, "--param", "beta"],
+        ["sample", "--config", config, "--count", "2000", "--weight", "mi"],
+        ["sample", "--config", config, "--count", "2000",
+         "--weight", "work"],
+        ["verify", "--config", config, "--seed", "11"],
+        ["verify"],
+        ["verify", "--config", config],
+    ]
+    parser = cli._PARSER
+
+    def run(argv):
+        caplog.clear()
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, caplog.text
+
+    with caplog.at_level("INFO", logger="tpm_lab"):
+        shared = [run(argv) for argv in argvs]
+        assert cli._PARSER is parser
+        assert parser.parse_args(argvs[3]).values == []
+        fresh = []
+        for argv in argvs:
+            monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+            fresh.append(run(argv))
+    assert [code for code, *_ in shared] == [0] * 7 + [2, 0]
+    assert shared[3][1] == ",".join(cli.REPORT_COLUMNS) + "\n"
+    assert "usage: tpm-lab verify" in shared[7][2]
+    assert shared[0][1] != shared[6][1]
+    assert shared[8] == shared[0]
+    assert shared == fresh

@@ -10,8 +10,6 @@ checked against its d² + 1 explicit Weyl Kraus operators.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -79,7 +77,7 @@ def assert_matches_reference(experiment, firsts=None, seconds=None,
     is given."""
     jd = joint_distribution(experiment)
     if reference_channel is not None:
-        experiment = dataclasses.replace(experiment, channel=reference_channel)
+        experiment = experiment._replace(channel=reference_channel)
     p, residual = reference_joint(experiment, firsts, seconds)
     assert np.max(np.abs(jd.p_joint - p)) <= TOL
     assert abs(jd.factorization_residual - residual) <= TOL
