@@ -2,7 +2,10 @@
 
 A sample is one array of flat cell indices of the N×M joint table: draw k
 is the outcome pair (n, m) with cells[k] = n·M + m, in the smallest
-unsigned type that holds N·M. Exponential averages are notoriously
+unsigned type that holds N·M. A draw runs on every CPU the process may
+use, each thread drawing a contiguous slice of the sample from its own
+stretch of the one generator stream, so a seed gives the same sample on
+any number of CPUs. Exponential averages are notoriously
 heavy-tailed estimators; this module exists to demonstrate that behavior
 against the exact values, not to fix it (no importance sampling, no
 variance reduction).
@@ -11,6 +14,8 @@ variance reduction).
 from __future__ import annotations
 
 import math
+import os
+from threading import Thread
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +68,14 @@ class EstimatorReport(NamedTuple):
     z_score: float | None = None
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 def _guide_table(cdfs: np.ndarray,
                  count: int) -> tuple[np.ndarray, np.ndarray]:
     """Bucketed inverse-CDF guide table (Chen & Asau, 1974) for each row,
@@ -70,9 +83,12 @@ def _guide_table(cdfs: np.ndarray,
     entries of both are flat cell labels.
 
     Bucket j of B covers [j/B, (j+1)/B), with B the largest power of two
-    ≤ min(32·M, max(1, count // N)), so scaling by B is exact: c ≤ j/B ⟺
-    ⌈c·B⌉ ≤ j. Only a row's first M − 1 CDF values are read: the count of
-    them ≤ u is min(searchsorted(row, u, side="right"), M − 1).
+    ≤ min(max(32·M, 2¹⁶ // N), max(1, count // N)), so scaling by B is
+    exact: c ≤ j/B ⟺ ⌈c·B⌉ ≤ j. A small table thus gets at least about a
+    block's worth, 2¹⁶, of buckets, so fewer of its draws are bisected;
+    from M = 64 up, 32·M sets B. Only a row's first M − 1 CDF values are
+    read: the count of them ≤ u is min(searchsorted(row, u,
+    side="right"), M − 1).
     ``bounds[r, j]`` is the label r·M + the count of them ≤ j/B, except
     that column B counts those < 1, since no u < 1 reaches a CDF value of
     1, so every u in bucket j has its label between ``bounds[r, j]`` and
@@ -83,13 +99,14 @@ def _guide_table(cdfs: np.ndarray,
     finds the lower bound.
     Rows must be nondecreasing and nonnegative. Returns ``(guide,
     bounds)``, of shapes (N, B) and (N, B + 1) and dtype
-    ``np.min_scalar_type(N·M)``; the guide has at most min(32·N·M,
-    max(N, count)) entries, so neither table outgrows the draws it
-    serves. Both are built a block of about 2¹⁶ cells or buckets at a
-    time, which bounds the build's temporaries whatever N·M.
+    ``np.min_scalar_type(N·M)``; the guide has at most
+    min(max(32·N·M, 2¹⁶), max(N, count)) entries, so neither table
+    outgrows the draws it serves. Both are built a block of about 2¹⁶
+    cells or buckets at a time, which bounds the build's temporaries
+    whatever N·M.
     """
     n_rows, n_cols = cdfs.shape
-    n_buckets = 1 << min(32 * n_cols,
+    n_buckets = 1 << min(max(32 * n_cols, _BLOCK_CELLS // n_rows),
                          max(1, count // n_rows)).bit_length() - 1
     dtype = np.min_scalar_type(n_rows * n_cols)
     guide = np.empty((n_rows, n_buckets), dtype=dtype)
@@ -117,29 +134,31 @@ def _guide_table(cdfs: np.ndarray,
     return guide, bounds
 
 
-def _guided_search(cdfs: np.ndarray, count: int, rng: np.random.Generator,
-                   rows: np.ndarray | None = None) -> np.ndarray:
-    """The label r·M + min(searchsorted(cdfs[r], u_k, side="right"), M − 1)
-    of draws k < ``count``, with r = rows[k] and u_k the generator's next
-    ``count`` uniforms, in the guide table's dtype; ``rows=None`` searches
-    the single row of a one-row table. The generator is left exactly as
-    one ``rng.random(count)`` call leaves it.
+def _guided_search(cdfs: np.ndarray, tables: tuple[np.ndarray, np.ndarray],
+                   rng: np.random.Generator, found: np.ndarray,
+                   rows: np.ndarray | None = None) -> None:
+    """Write into ``found`` the label r·M + min(searchsorted(cdfs[r], u_k,
+    side="right"), M − 1) of each draw k < ``found.size``, with r =
+    rows[k] and u_k the generator's next ``found.size`` uniforms;
+    ``rows=None`` searches the single row of a one-row table. ``tables``
+    is ``_guide_table(cdfs, ...)``, read and never written, so slices of
+    one draw may search it at once. The generator is left exactly as one
+    ``rng.random(found.size)`` call leaves it.
 
-    The guide table is sized once for the whole count; the draws then run
-    a block of ``_BLOCK_DRAWS`` at a time through two reused buffers. Each
-    uniform u = k·2⁻⁵³ in [0, 1) reads its bucket ⌊u·B⌋ (exact for B a
-    power of two) from the guide table. A draw whose bucket holds a CDF
-    step is finished in its block, by a bisection between the bucket's
-    two bounds over the row's CDF values: one vectorised step per bit of
-    the widest such range in the block. That is at most M/B of the draws,
-    under 1/16 unless fewer than 32·M draws per row cap B. Nothing but
-    the output outlives a block.
+    The draws run a block of ``_BLOCK_DRAWS`` at a time through two
+    buffers of this call. Each uniform u = k·2⁻⁵³ in [0, 1) reads its
+    bucket ⌊u·B⌋ (exact for B a power of two) from the guide table. A
+    draw whose bucket holds a CDF step is finished in its block, by a
+    bisection between the bucket's two bounds over the row's CDF values:
+    one vectorised step per bit of the widest such range in the block.
+    That is at most M/B of the draws, under 1/16 unless the count caps B.
+    Nothing but the output outlives a block.
     """
-    guide, bounds = _guide_table(cdfs, count)
+    guide, bounds = tables
     n_buckets = guide.shape[1]
     flat_guide, flat_bounds = guide.reshape(-1), bounds.reshape(-1)
     flat_cdfs = cdfs.reshape(-1)
-    found = np.empty(count, dtype=guide.dtype)
+    count = found.size
     u = np.empty(min(count, _BLOCK_DRAWS))
     bucket = np.empty(u.size, dtype=np.intp)
     for start in range(0, count, u.size):
@@ -185,7 +204,23 @@ def _guided_search(cdfs: np.ndarray, count: int, rng: np.random.Generator,
             last += probe
         last += 1
         block[hit] = last
-    return found
+
+
+def _slices(count: int, bit_generator) -> list[tuple[int, int]]:
+    """The draws [a, b) of each worker: one slice per CPU this process may
+    run on, at most one per full block of draws, split on block edges.
+    One slice unless ``bit_generator`` can skip ahead by 64-bit outputs:
+    ``PCG64.advance(k)`` (and ``PCG64DXSM``'s) skips exactly the k outputs
+    of k doubles, where ``Philox.advance`` counts blocks of four."""
+    workers = min(_cpu_count(), count // _BLOCK_DRAWS)
+    # Read at call time: importing the package loads no numpy.random.
+    skippable = (np.random.PCG64, np.random.PCG64DXSM)
+    if workers < 2 or not isinstance(bit_generator, skippable):
+        return [(0, count)]
+    n_blocks = -(-count // _BLOCK_DRAWS)
+    edges = [min(count, k * n_blocks // workers * _BLOCK_DRAWS)
+             for k in range(workers + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def sample_trajectories(jd: JointDistribution, count: int,
@@ -195,47 +230,112 @@ def sample_trajectories(jd: JointDistribution, count: int,
     Returns the flat cell index n·M + m of each draw, an array of length
     ``count`` in the smallest unsigned type that holds N·M;
     ``np.divmod(cells, M)`` gives the pairs (n, m). Inverse-CDF sampling:
-    all first outcomes n from p(n), then every draw's second outcome m
-    from its row p(·|n). Mass below the distribution's support epsilon is
-    dropped and the remainder renormalized, so every returned cell lies on
-    the support mask. Deterministic for a fixed generator state.
+    all first outcomes n from p(n), one uniform each, then every draw's
+    second outcome m from its row p(·|n), one more uniform each. Mass
+    below the distribution's support epsilon is dropped and the remainder
+    renormalized, so every returned cell lies on the support mask.
+    Deterministic for a fixed generator state, which is left as
+    ``rng.random(2 * count)`` leaves it, whatever the number of CPUs.
 
     Both stages read a bucketed guide table instead of binary-searching
     every draw, and give exactly the right-side ``searchsorted`` of each
     uniform: the stream is that of a plain inverse-CDF draw. The first
     stage's labels are the first outcomes n; the second stage's guide
     table, indexed by n, holds the cells themselves. With B the largest
-    power of two ≤ min(32·M, max(1, count // N)) (N = 1 and M = N for the
-    first stage) and f the fraction of draws whose bucket holds a CDF step
-    (≤ M/B, under 1/16 when B is not capped by the count), time is
-    O(count + N·B + f·count·log M). Each stage runs a block of
-    ``_BLOCK_DRAWS`` draws at a time and finishes every draw inside its
-    block, so the only count-long arrays are the first outcomes and the
-    cells (1 and 2 bytes at d = 16). On top come 16 bytes per block draw
-    of reused buffers (1 MiB), 32 bytes and a label per block draw whose
-    bucket holds a CDF step (its position, uniform and two bounds), the
-    N×M CDF table, and the (N, B) guide and (N, B + 1) bounds tables of
-    1-, 2-, 4- or 8-byte labels, the guide at most max(N, count) of them.
-    Traced per 10⁶ draws: 4.0 MiB at d = 16, about 3.2 bytes per draw
-    beyond the buffers; 21 MiB at d = 1024, where B = 512 and 81% of the
-    second stage's draws are bisected. ``count`` must lie in
-    [1, MAX_COUNT].
+    power of two ≤ min(max(32·M, 2¹⁶ // N), max(1, count // N)) (N = 1 and
+    M = N for the first stage) and f the fraction of draws whose bucket
+    holds a CDF step (≤ M/B, under 1/16 when B is not capped by the
+    count), time is O(count + N·B + f·count·log M).
+
+    The draws are split into contiguous slices on block edges, one per
+    CPU the process may run on and at most one per full block of
+    ``_BLOCK_DRAWS`` draws, each drawn by its own thread; the caller's
+    thread draws the first. Draw k reads uniform k of the stream in the
+    first stage and uniform count + k in the second, and
+    ``Generator.random`` reads one 64-bit output per double, so the
+    worker of slice [a, b) reads a copy of the generator advanced to a,
+    then another advanced to count + a, and every draw reads the uniform
+    it reads in one slice. The guide tables are built once and only read.
+    A generator that cannot skip ahead by outputs, such as ``MT19937``,
+    draws one slice. An exception in any slice is raised in the caller
+    after every worker has finished.
+
+    Each slice runs a block of ``_BLOCK_DRAWS`` draws at a time and
+    finishes every draw inside its block, so the only count-long arrays
+    are the first outcomes and the cells (1 and 2 bytes at d = 16). Per
+    slice come 16 bytes per block draw of reused buffers (1 MiB), and 32
+    bytes and a label per block draw whose bucket holds a CDF step (its
+    position, uniform and two bounds); shared are the N×M CDF table and
+    the (N, B) guide and (N, B + 1) bounds tables of 1-, 2-, 4- or 8-byte
+    labels, the guide at most max(N, count) of them. Traced per 10⁶
+    draws on one slice and on two: 4.3 and 5.4 MiB at d = 16, about 3.5
+    bytes per draw beyond the buffers; 21 and 25 MiB at d = 1024, where
+    B = 512 and 81% of the second stage's draws are bisected. ``count``
+    must lie in [1, MAX_COUNT].
     """
     if not 1 <= count <= MAX_COUNT:
         raise ValueError(f"count must be in [1, {MAX_COUNT}], got {count}")
     p = np.where(jd.support_mask, jd.p_joint, 0.0)
     row_mass = p.sum(axis=1)
     total = float(row_mass.sum())
-    first_cdf = np.cumsum(row_mass) / total
     # Zero-mass rows/cells occupy zero-width CDF intervals; searchsorted
     # with side='right' can never select them for u in [0, 1).
-    ns = _guided_search(first_cdf[None, :], count, rng)
-
+    first_cdf = (np.cumsum(row_mass) / total)[None, :]
     row_cdfs = np.cumsum(p, axis=1, out=p)  # in place: one N×M table
     row_totals = row_cdfs[:, -1].copy()
     row_totals[row_totals <= 0] = 1.0  # zero-mass rows are never selected
     row_cdfs /= row_totals[:, None]
-    return _guided_search(row_cdfs, count, rng, ns)
+    first_tables = _guide_table(first_cdf, count)
+    row_tables = _guide_table(row_cdfs, count)
+    ns = np.empty(count, dtype=first_tables[0].dtype)
+    cells = np.empty(count, dtype=row_tables[0].dtype)
+
+    def draw(first: np.random.Generator, second: np.random.Generator,
+             a: int, b: int) -> None:
+        _guided_search(first_cdf, first_tables, first, ns[a:b])
+        _guided_search(row_cdfs, row_tables, second, cells[a:b], ns[a:b])
+
+    bit_generator = rng.bit_generator
+    slices = _slices(count, bit_generator)
+    if len(slices) == 1:
+        draw(rng, rng, 0, count)
+        return cells
+    state = bit_generator.state
+
+    def stream(offset: int) -> np.random.Generator:
+        copy = type(bit_generator)()
+        copy.state = state
+        copy.advance(offset)
+        return np.random.Generator(copy)
+
+    streams = [(stream(a), stream(count + a)) for a, _ in slices]
+    errors: list[BaseException | None] = [None] * len(slices)
+
+    def run(k: int) -> None:
+        try:
+            draw(*streams[k], *slices[k])
+        except BaseException as exc:  # raised again by the caller
+            errors[k] = exc
+
+    threads = []
+    try:
+        for k in range(1, len(slices)):
+            threads.append(Thread(target=run, args=(k,)))
+            threads[-1].start()
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    # ``advance`` also drops a buffered 32-bit half output, which no double
+    # reads, so it is put back.
+    bit_generator.advance(2 * count)
+    end = bit_generator.state
+    end.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
+    bit_generator.state = end
+    return cells
 
 
 def estimate_exponential_average(cells: np.ndarray, weight_table,

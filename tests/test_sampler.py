@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,6 +18,7 @@ from conftest import random_rank1_experiment
 from tpm_lab import cli, sampler
 from tpm_lab.errors import ValidationError
 from tpm_lab.sampler import (
+    _BLOCK_CELLS,
     _BLOCK_DRAWS,
     MAX_COUNT,
     EstimatorReport,
@@ -158,6 +163,29 @@ def fixed_qutrit_scenario():
     jd = joint_distribution(experiment)
     assert jd.support_mask.all()
     return jd, mutual_information_table(jd)
+
+
+@pytest.fixture
+def worker_threads(monkeypatch):
+    """Every thread the sampler starts, in the order it starts them."""
+    started = []
+
+    class RecordedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(sampler, "Thread", RecordedThread)
+    return started
+
+
+def assert_no_thread_alive(threads):
+    """No thread of ``threads`` runs once the call that started it
+    returned or raised; each is joined, with a timeout, either way."""
+    alive = [thread for thread in threads if thread.is_alive()]
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not alive
 
 
 def assert_same_stream(cells, reference, shape):
@@ -317,8 +345,9 @@ class FixedUniforms:
 
 @pytest.mark.parametrize("name", GUIDED_SEARCH_CASES)
 def test_guided_search_matches_searchsorted(monkeypatch, name):
-    # None searches every uniform in one call, where B = 32·M or its
-    # power-of-two floor; a few draws per row cap B at their count. Blocks
+    # None searches every uniform in one call, in the table of B the
+    # power-of-two floor of max(32·M, 2¹⁶ // N); a few draws per row cap B
+    # at their count. Blocks
     # of 61 draws split every call at odd places; the table does not
     # depend on them, so it is checked once per count.
     cdfs = GUIDED_SEARCH_CASES[name]
@@ -329,11 +358,14 @@ def test_guided_search_matches_searchsorted(monkeypatch, name):
             check_guided_search(cdfs, draws_per_row, n_buckets)
 
 
-def guided_search(cdfs, u, rows=None):
-    """``_guided_search`` of the uniforms ``u``, fed through ``random(out=)``
-    of a stand-in generator, which must be used up exactly."""
+def guided_search(cdfs, u, count, rows=None):
+    """``_guided_search`` of the uniforms ``u`` in the tables sized for
+    ``count`` draws, fed through ``random(out=)`` of a stand-in generator,
+    which must be used up exactly."""
     uniforms = FixedUniforms(u)
-    found = _guided_search(cdfs, u.size, uniforms, rows)
+    tables = _guide_table(cdfs, count)
+    found = np.empty(u.size, dtype=tables[0].dtype)
+    _guided_search(cdfs, tables, uniforms, found, rows)
     assert uniforms.used == u.size
     return found
 
@@ -354,7 +386,9 @@ def check_guide_table(cdfs, draws_per_row):
     assert guide.shape == (n_rows, n_buckets)
     assert bounds.shape == (n_rows, n_buckets + 1)
     assert guide.dtype == bounds.dtype == np.min_scalar_type(n_rows * n_cols)
-    assert guide.size <= 32 * n_rows * n_cols
+    # B ≤ max(32·M, 2¹⁶ // N): at most 32 buckets per cell, or one block's
+    # worth of buckets for a small table.
+    assert guide.size <= max(32 * n_rows * n_cols, _BLOCK_CELLS)
     assert guide.size <= max(n_rows, count)
     if draws_per_row is not None:
         assert n_buckets <= draws_per_row
@@ -382,8 +416,9 @@ def check_guide_table(cdfs, draws_per_row):
 
 
 def check_guided_search(cdfs, draws_per_row, n_buckets):
-    """Check ``_guided_search`` on the edge uniforms of B buckets against
-    ``searchsorted``, in chunks of the count the table was sized for."""
+    """Check ``_guided_search`` in the tables of B buckets, on their edge
+    uniforms, against ``searchsorted``, in chunks of at most the count the
+    tables were sized for."""
     n_rows, n_cols = cdfs.shape
     count = guide_count(cdfs, draws_per_row)
     u = edge_uniforms(cdfs, n_buckets)
@@ -395,14 +430,14 @@ def check_guided_search(cdfs, draws_per_row, n_buckets):
         want[drawn] = np.searchsorted(cdfs[r], u[drawn], side="right")
     want = rows * n_cols + np.minimum(want, n_cols - 1)
     chunk = u.size if draws_per_row is None else count
-    got = np.concatenate([guided_search(cdfs, u[k:k + chunk],
+    got = np.concatenate([guided_search(cdfs, u[k:k + chunk], count,
                                         rows[k:k + chunk])
                           for k in range(0, u.size, chunk)])
     assert got.dtype == np.min_scalar_type(n_rows * n_cols)
     np.testing.assert_array_equal(got, want)
     if n_rows == 1:
         np.testing.assert_array_equal(
-            np.concatenate([guided_search(cdfs, u[k:k + chunk])
+            np.concatenate([guided_search(cdfs, u[k:k + chunk], count)
                             for k in range(0, u.size, chunk)]), want)
 
 
@@ -437,6 +472,16 @@ def test_guide_table_grows_with_the_count_not_the_table():
     assert bounds.size == 1024 * (1 + 1)
     assert _guide_table(cdfs, 1024 * 5000)[0].shape[1] == 4096
     assert _guide_table(cdfs, 10**9)[0].shape[1] == 32 * 1024
+    # A small table gets 2¹⁶ // N buckets per row where 32·M would be
+    # fewer, still at most count // N; from M = 64 up, 32·M sets B.
+    first = np.ones((1, 16))
+    assert _guide_table(first, 10**6)[0].shape == (1, 1 << 16)
+    assert _guide_table(first, 1000)[0].shape == (1, 512)
+    small = normalized_cdfs(np.random.default_rng(5).random((16, 16)))
+    assert _guide_table(small, 10**9)[0].shape == (16, 4096)
+    assert _guide_table(small, 16 * 1000)[0].shape == (16, 512)
+    wide = normalized_cdfs(np.random.default_rng(6).random((64, 64)))
+    assert _guide_table(wide, 10**9)[0].shape == (64, 32 * 64)
 
 
 def trailing_zero_mass_table():
@@ -454,21 +499,121 @@ def trailing_zero_mass_table():
     many_row_distribution(16, 16),  # 256 cells: uint16
     trailing_zero_mass_table(),
 ], ids=["N=1", "zero-mass-row", "NM=255", "NM=256", "zero-mass-columns"])
-def test_stream_across_block_boundaries(jd):
-    for count in (1, _BLOCK_DRAWS - 1, _BLOCK_DRAWS, _BLOCK_DRAWS + 1,
-                  3 * _BLOCK_DRAWS + 7):
-        rng = np.random.default_rng(count)
-        cells = sample_trajectories(jd, count, rng)
-        assert cells.shape == (count,)
-        assert_same_stream(cells, reference_draw(
-            jd, count, np.random.default_rng(count)), jd.shape)
-        assert_same_stream(cells, mask_loop_draw(
-            jd, count, np.random.default_rng(count)), jd.shape)
-        # Block by block, the draw reads exactly the uniforms of
-        # rng.random(count) for each stage, and no more.
-        twin = np.random.default_rng(count)
-        twin.random(2 * count)
-        assert rng.bit_generator.state == twin.bit_generator.state
+def test_stream_across_block_boundaries(monkeypatch, worker_threads, jd):
+    # The draw is forced onto 1, 2 and 3 workers, and, with blocks of 61
+    # draws so that there are enough of them, onto more workers than the
+    # process has CPUs; a short switch interval makes their threads
+    # interleave as often as they can. A worker per full block at most,
+    # and one slice below two blocks.
+    many = sampler._cpu_count() + 2
+    references = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for block, workers in [(_BLOCK_DRAWS, 1), (_BLOCK_DRAWS, 2),
+                               (_BLOCK_DRAWS, 3), (61, many)]:
+            monkeypatch.setattr(sampler, "_BLOCK_DRAWS", block)
+            monkeypatch.setattr(sampler, "_cpu_count", lambda: workers)
+            for count in (1, block - 1, block, block + 1, 3 * block + 7,
+                          workers * block + 7):
+                worker_threads.clear()
+                rng = np.random.default_rng(count)
+                cells = sample_trajectories(jd, count, rng)
+                assert cells.shape == (count,)
+                slices = min(workers, count // block)
+                assert len(worker_threads) == (slices - 1 if slices > 1
+                                               else 0)
+                assert_no_thread_alive(worker_threads)
+                if count not in references:
+                    references[count] = reference_draw(
+                        jd, count, np.random.default_rng(count))
+                    assert_same_stream(cells, mask_loop_draw(
+                        jd, count, np.random.default_rng(count)), jd.shape)
+                assert_same_stream(cells, references[count], jd.shape)
+                # Slice by slice, the draw reads exactly the uniforms of
+                # rng.random(count) for each stage, and no more.
+                twin = np.random.default_rng(count)
+                twin.random(2 * count)
+                assert rng.bit_generator.state == twin.bit_generator.state
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("bit_generator, threads", [
+    (np.random.PCG64DXSM, 2),
+    (np.random.MT19937, 0),
+    # Philox.advance(k) skips k blocks of four outputs, not k outputs.
+    (np.random.Philox, 0),
+    (np.random.SFC64, 0),
+])
+def test_stream_of_every_bit_generator(monkeypatch, worker_threads,
+                                       bit_generator, threads):
+    # A generator that cannot skip ahead output by output draws one slice
+    # on the caller's generator. Each holds a buffered 32-bit half output,
+    # which ``random`` never reads, and keeps it.
+    monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
+    jd = many_row_distribution(16, 16)
+    count = 3 * _BLOCK_DRAWS + 7
+    rng, twin = (np.random.Generator(bit_generator(5)) for _ in range(2))
+    rng.integers(2**32, dtype=np.uint32)
+    twin.integers(2**32, dtype=np.uint32)
+    cells = sample_trajectories(jd, count, rng)
+    assert len(worker_threads) == threads
+    assert_no_thread_alive(worker_threads)
+    assert_same_stream(cells, reference_draw(jd, count, twin), jd.shape)
+    np.testing.assert_array_equal(rng.integers(2**32, size=3, dtype=np.uint32),
+                                  twin.integers(2**32, size=3,
+                                                dtype=np.uint32))
+    np.testing.assert_array_equal(rng.random(3), twin.random(3))
+
+
+class SliceFailure(Exception):
+    pass
+
+
+def fail_in_workers(monkeypatch, error):
+    """Make every slice but the caller's raise ``error``."""
+    search = sampler._guided_search
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise error("slice failed")
+        search(*args)
+
+    monkeypatch.setattr(sampler, "_guided_search", failing)
+    monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
+
+
+@pytest.mark.parametrize("error", [SliceFailure, MemoryError])
+def test_error_in_a_slice_reaches_the_caller(monkeypatch, worker_threads,
+                                             error):
+    fail_in_workers(monkeypatch, error)
+    with pytest.raises(error, match="slice failed"):
+        sample_trajectories(many_row_distribution(16, 16),
+                            3 * _BLOCK_DRAWS, np.random.default_rng(0))
+    assert len(worker_threads) == 2
+    assert_no_thread_alive(worker_threads)
+
+
+def test_memory_error_in_a_slice_exits_3(monkeypatch, caplog, worker_threads):
+    fail_in_workers(monkeypatch, MemoryError)
+    argv = ["sample", "--config", str(SCENARIO_DIR / "qubit_hadamard.json"),
+            "--count", str(3 * _BLOCK_DRAWS)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION_ERROR
+    assert "out of memory: slice failed" in caplog.text
+    assert len(worker_threads) == 2
+    assert_no_thread_alive(worker_threads)
+
+
+def test_import_starts_no_thread_and_loads_no_numpy_random():
+    # A fresh process pays for threads and numpy.random only once it draws.
+    code = ("import sys, threading, tpm_lab.cli; "
+            "print(threading.active_count(), 'numpy.random' in sys.modules)")
+    package_root = Path(sampler.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(package_root)))
+    assert done.stdout.split() == ["1", "False"]
 
 
 def test_draw_and_estimate_peak_memory_follow_from_the_design():
@@ -508,24 +653,31 @@ def check_peak_memory(dim):
     # those buckets carry under M/B of the mass in either stage.
     marked_share = min(1.0, max(n_rows / first_tables[0].shape[1],
                                 n_cols / guide.shape[1]))
+    # Each slice's worker holds its own block buffers and temporaries.
+    workers = len(sampler._slices(count,
+                                  np.random.default_rng(0).bit_generator))
     draw_bound = (
         # The count-long outputs: first outcomes, then cells.
         count * (np.min_scalar_type(n_rows).itemsize + cells.itemsize)
-        # Block buffers: uniforms and intp bucket indices, and the block's
-        # marker mask.
-        + _BLOCK_DRAWS * (8 + 8 + 1)
-        # A block's marked draws, each with its position, uniform and two
-        # intp bounds, and the labels read from the bounds table or a
-        # bisection step's mask; their probes and CDF values reuse the
-        # block buffers.
-        + _BLOCK_DRAWS * marked_share * (8 * 4 + cells.itemsize)
-        # numpy's ufunc buffer, where the rows, the scaled uniforms and the
-        # bounds are cast to intp.
-        + 8 * np.getbufsize()
+        + workers * (
+            # Block buffers: uniforms and intp bucket indices, and the
+            # block's marker mask.
+            _BLOCK_DRAWS * (8 + 8 + 1)
+            # A block's marked draws, each with its position, uniform and
+            # two intp bounds, and the labels read from the bounds table or
+            # a bisection step's mask; their probes and CDF values reuse
+            # the block buffers.
+            + _BLOCK_DRAWS * marked_share * (8 * 4 + cells.itemsize)
+            # numpy's ufunc buffer, where the rows, the scaled uniforms and
+            # the bounds are cast to intp.
+            + 8 * np.getbufsize()
+            # Array headers, views and numpy's small caches; a worker's
+            # thread and its two generators.
+            + objects)
         # The N×M CDF table, both stages' guide and bounds tables and three
         # N-long vectors.
         + 8 * n_rows * n_cols + guide.nbytes + bounds.nbytes
-        + sum(t.nbytes for t in first_tables) + 8 * 3 * n_rows + objects)
+        + sum(t.nbytes for t in first_tables) + 8 * 3 * n_rows)
     assert draw_peak <= draw_bound
     estimate_bound = (
         # The cells and their gathered 8-byte values.
