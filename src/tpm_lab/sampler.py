@@ -2,13 +2,16 @@
 
 A sample is one array of flat cell indices of the N×M joint table: draw k
 is the outcome pair (n, m) with cells[k] = n·M + m, in the smallest
-unsigned type that holds N·M. A draw runs on every CPU the process may
-use, each thread drawing a contiguous slice of the sample from its own
-stretch of the one generator stream, so a seed gives the same sample on
-any number of CPUs. Exponential averages are notoriously
-heavy-tailed estimators; this module exists to demonstrate that behavior
-against the exact values, not to fix it (no importance sampling, no
-variance reduction).
+unsigned type that holds N·M. It is the only array that grows with the
+count: 2 bytes per draw at d = 16. A draw runs on every CPU the process
+may use, each thread drawing a contiguous slice of the sample from its
+own stretch of the one generator stream, so a seed gives the same sample
+on any number of CPUs. The estimator sums the sampled weights leaf by
+leaf along numpy's own pairwise-summation tree, also on every CPU, so its
+sums are bit for bit those of one whole-array reduction. Exponential
+averages are notoriously heavy-tailed estimators; this module exists to
+demonstrate that behavior against the exact values, not to fix it (no
+importance sampling, no variance reduction).
 """
 
 from __future__ import annotations
@@ -29,16 +32,22 @@ __all__ = [
     "MAX_COUNT",
 ]
 
-# The largest sample count whose 8-byte per-draw array, the estimator's
-# gathered weights, is addressable; the uniforms and the gather indices
-# live a block of draws at a time.
-MAX_COUNT = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+# The largest sample count whose one count-long array, the cells, is
+# addressable with labels of up to 8 bytes; the uniforms, the gather
+# indices and the gathered weights live a block or a leaf of draws at a
+# time.
+MAX_COUNT = np.iinfo(np.intp).max // np.dtype(np.uint64).itemsize
 
 # Cells or buckets per block of rows while a guide table is built.
 _BLOCK_CELLS = 1 << 16
 
-# Draws per block while a sample is drawn or its weights are gathered.
+# Draws per block while a sample is drawn, and the least number of draws
+# per leaf while its weights are summed.
 _BLOCK_DRAWS = 1 << 16
+
+# numpy sums a contiguous float64 run of at most this many values in one
+# unrolled loop, and a longer one as the sum of its two halves.
+_PAIRWISE_BLOCK = 128
 
 
 class EstimatorReport(NamedTuple):
@@ -76,11 +85,40 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _guide_table(cdfs: np.ndarray,
-                 count: int) -> tuple[np.ndarray, np.ndarray]:
+def _on_threads(target, jobs: list[tuple]) -> None:
+    """Call ``target(*args)`` for each argument tuple of ``jobs``, each on
+    a thread of its own, the first on the caller's thread. Once every call
+    has finished, the first exception among them, in job order, is raised
+    again in the caller."""
+    errors: list[BaseException | None] = [None] * len(jobs)
+
+    def run(k: int) -> None:
+        try:
+            target(*jobs[k])
+        except BaseException as exc:  # raised again by the caller
+            errors[k] = exc
+
+    threads = []
+    try:
+        for k in range(1, len(jobs)):
+            threads.append(Thread(target=run, args=(k,)))
+            threads[-1].start()
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def _guide_table(cdfs: np.ndarray, count: int,
+                 dtype=None) -> tuple[np.ndarray, np.ndarray]:
     """Bucketed inverse-CDF guide table (Chen & Asau, 1974) for each row,
     sized for ``count`` draws, with the bounds table it is read from;
-    entries of both are flat cell labels.
+    entries of both are flat cell labels of ``dtype``, by default
+    ``np.min_scalar_type(N·M)``, an unsigned type whose maximum is no
+    label.
 
     Bucket j of B covers [j/B, (j+1)/B), with B the largest power of two
     ≤ min(max(32·M, 2¹⁶ // N), max(1, count // N)), so scaling by B is
@@ -98,8 +136,8 @@ def _guide_table(cdfs: np.ndarray,
     edge (j+1)/B < 1 marks bucket j too, needlessly: the search then
     finds the lower bound.
     Rows must be nondecreasing and nonnegative. Returns ``(guide,
-    bounds)``, of shapes (N, B) and (N, B + 1) and dtype
-    ``np.min_scalar_type(N·M)``; the guide has at most
+    bounds)``, of shapes (N, B) and (N, B + 1) and dtype ``dtype``, built
+    in it so that the marker is its maximum; the guide has at most
     min(max(32·N·M, 2¹⁶), max(N, count)) entries, so neither table
     outgrows the draws it serves. Both are built a block of about 2¹⁶
     cells or buckets at a time, which bounds the build's temporaries
@@ -108,7 +146,8 @@ def _guide_table(cdfs: np.ndarray,
     n_rows, n_cols = cdfs.shape
     n_buckets = 1 << min(max(32 * n_cols, _BLOCK_CELLS // n_rows),
                          max(1, count // n_rows)).bit_length() - 1
-    dtype = np.min_scalar_type(n_rows * n_cols)
+    if dtype is None:
+        dtype = np.min_scalar_type(n_rows * n_cols)
     guide = np.empty((n_rows, n_buckets), dtype=dtype)
     bounds = np.empty((n_rows, n_buckets + 1), dtype=dtype)
     flat = bounds.reshape(-1)
@@ -140,7 +179,9 @@ def _guided_search(cdfs: np.ndarray, tables: tuple[np.ndarray, np.ndarray],
     """Write into ``found`` the label r·M + min(searchsorted(cdfs[r], u_k,
     side="right"), M − 1) of each draw k < ``found.size``, with r =
     rows[k] and u_k the generator's next ``found.size`` uniforms;
-    ``rows=None`` searches the single row of a one-row table. ``tables``
+    ``rows=None`` searches the single row of a one-row table. ``rows`` may
+    be ``found`` itself: a block's rows are read before its labels are
+    written over them. ``tables``
     is ``_guide_table(cdfs, ...)``, read and never written, so slices of
     one draw may search it at once. The generator is left exactly as one
     ``rng.random(found.size)`` call leaves it.
@@ -152,7 +193,9 @@ def _guided_search(cdfs: np.ndarray, tables: tuple[np.ndarray, np.ndarray],
     bisection between the bucket's two bounds over the row's CDF values:
     one vectorised step per bit of the widest such range in the block.
     That is at most M/B of the draws, under 1/16 unless the count caps B.
-    Nothing but the output outlives a block.
+    Nothing but the output outlives a block: the call's own memory is the
+    two buffers, 16 bytes per block draw, and its marked draws'
+    temporaries.
     """
     guide, bounds = tables
     n_buckets = guide.shape[1]
@@ -207,8 +250,10 @@ def _guided_search(cdfs: np.ndarray, tables: tuple[np.ndarray, np.ndarray],
 
 
 def _slices(count: int, bit_generator) -> list[tuple[int, int]]:
-    """The draws [a, b) of each worker: one slice per CPU this process may
-    run on, at most one per full block of draws, split on block edges.
+    """The draws [a, b) of each worker: with W the number of CPUs this
+    process may run on, capped at one per full block of draws, the W even
+    slices [k·count // W, (k + 1)·count // W). Draw k reads uniform k
+    wherever its slice starts, so the split leaves the stream as it is.
     One slice unless ``bit_generator`` can skip ahead by 64-bit outputs:
     ``PCG64.advance(k)`` (and ``PCG64DXSM``'s) skips exactly the k outputs
     of k doubles, where ``Philox.advance`` counts blocks of four."""
@@ -217,9 +262,7 @@ def _slices(count: int, bit_generator) -> list[tuple[int, int]]:
     skippable = (np.random.PCG64, np.random.PCG64DXSM)
     if workers < 2 or not isinstance(bit_generator, skippable):
         return [(0, count)]
-    n_blocks = -(-count // _BLOCK_DRAWS)
-    edges = [min(count, k * n_blocks // workers * _BLOCK_DRAWS)
-             for k in range(workers + 1)]
+    edges = [k * count // workers for k in range(workers + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
 
@@ -240,15 +283,16 @@ def sample_trajectories(jd: JointDistribution, count: int,
     Both stages read a bucketed guide table instead of binary-searching
     every draw, and give exactly the right-side ``searchsorted`` of each
     uniform: the stream is that of a plain inverse-CDF draw. The first
-    stage's labels are the first outcomes n; the second stage's guide
-    table, indexed by n, holds the cells themselves. With B the largest
-    power of two ≤ min(max(32·M, 2¹⁶ // N), max(1, count // N)) (N = 1 and
-    M = N for the first stage) and f the fraction of draws whose bucket
-    holds a CDF step (≤ M/B, under 1/16 when B is not capped by the
-    count), time is O(count + N·B + f·count·log M).
+    stage's labels are the first outcomes n, in the cells' dtype, and are
+    written into the cells; the second stage's guide table, indexed by n,
+    holds the cells themselves, which are written over them. With B the
+    largest power of two ≤ min(max(32·M, 2¹⁶ // N), max(1, count // N))
+    (N = 1 and M = N for the first stage) and f the fraction of draws
+    whose bucket holds a CDF step (≤ M/B, under 1/16 when B is not capped
+    by the count), time is O(count + N·B + f·count·log M).
 
-    The draws are split into contiguous slices on block edges, one per
-    CPU the process may run on and at most one per full block of
+    The draws are split into even contiguous slices (``_slices``), one
+    per CPU the process may run on and at most one per full block of
     ``_BLOCK_DRAWS`` draws, each drawn by its own thread; the caller's
     thread draws the first. Draw k reads uniform k of the stream in the
     first stage and uniform count + k in the second, and
@@ -261,17 +305,17 @@ def sample_trajectories(jd: JointDistribution, count: int,
     after every worker has finished.
 
     Each slice runs a block of ``_BLOCK_DRAWS`` draws at a time and
-    finishes every draw inside its block, so the only count-long arrays
-    are the first outcomes and the cells (1 and 2 bytes at d = 16). Per
-    slice come 16 bytes per block draw of reused buffers (1 MiB), and 32
-    bytes and a label per block draw whose bucket holds a CDF step (its
-    position, uniform and two bounds); shared are the N×M CDF table and
-    the (N, B) guide and (N, B + 1) bounds tables of 1-, 2-, 4- or 8-byte
-    labels, the guide at most max(N, count) of them. Traced per 10⁶
-    draws on one slice and on two: 4.3 and 5.4 MiB at d = 16, about 3.5
-    bytes per draw beyond the buffers; 21 and 25 MiB at d = 1024, where
-    B = 512 and 81% of the second stage's draws are bisected. ``count``
-    must lie in [1, MAX_COUNT].
+    finishes every draw inside its block, so the only count-long array is
+    the cells: 1, 2, 4 or 8 bytes per draw, 2 at d = 16. Per slice come
+    16 bytes per block draw of reused buffers (1 MiB), and 32 bytes and a
+    label per block draw whose bucket holds a CDF step (its position,
+    uniform and two bounds); shared are the N×M CDF table and the (N, B)
+    guide and (N, B + 1) bounds tables of each stage, the guide at most
+    max(N, count) labels. Traced per 10⁶ draws on one slice and on two:
+    3.5 and 4.5 MiB at d = 16, about 2.6 bytes per draw beyond the
+    buffers; 20 and 23 MiB at d = 1024, where B = 512 and 81% of the
+    second stage's draws are bisected. ``count`` must lie in
+    [1, MAX_COUNT].
     """
     if not 1 <= count <= MAX_COUNT:
         raise ValueError(f"count must be in [1, {MAX_COUNT}], got {count}")
@@ -285,15 +329,16 @@ def sample_trajectories(jd: JointDistribution, count: int,
     row_totals = row_cdfs[:, -1].copy()
     row_totals[row_totals <= 0] = 1.0  # zero-mass rows are never selected
     row_cdfs /= row_totals[:, None]
-    first_tables = _guide_table(first_cdf, count)
     row_tables = _guide_table(row_cdfs, count)
-    ns = np.empty(count, dtype=first_tables[0].dtype)
     cells = np.empty(count, dtype=row_tables[0].dtype)
+    first_tables = _guide_table(first_cdf, count, cells.dtype)
 
     def draw(first: np.random.Generator, second: np.random.Generator,
              a: int, b: int) -> None:
-        _guided_search(first_cdf, first_tables, first, ns[a:b])
-        _guided_search(row_cdfs, row_tables, second, cells[a:b], ns[a:b])
+        # A slice's cells first hold its first outcomes, which the second
+        # stage reads as its rows.
+        _guided_search(first_cdf, first_tables, first, cells[a:b])
+        _guided_search(row_cdfs, row_tables, second, cells[a:b], cells[a:b])
 
     bit_generator = rng.bit_generator
     slices = _slices(count, bit_generator)
@@ -308,27 +353,8 @@ def sample_trajectories(jd: JointDistribution, count: int,
         copy.advance(offset)
         return np.random.Generator(copy)
 
-    streams = [(stream(a), stream(count + a)) for a, _ in slices]
-    errors: list[BaseException | None] = [None] * len(slices)
-
-    def run(k: int) -> None:
-        try:
-            draw(*streams[k], *slices[k])
-        except BaseException as exc:  # raised again by the caller
-            errors[k] = exc
-
-    threads = []
-    try:
-        for k in range(1, len(slices)):
-            threads.append(Thread(target=run, args=(k,)))
-            threads[-1].start()
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
+    _on_threads(draw, [(stream(a), stream(count + a), a, b)
+                       for a, b in slices])
     # ``advance`` also drops a buffered 32-bit half output, which no double
     # reads, so it is put back.
     bit_generator.advance(2 * count)
@@ -336,6 +362,43 @@ def sample_trajectories(jd: JointDistribution, count: int,
     end.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
     bit_generator.state = end
     return cells
+
+
+def _pairwise_leaves(start: int, stop: int, size: int):
+    """The leaves [a, b), in order, of numpy's pairwise summation of the
+    values [start, stop): a node longer than ``size`` (at least
+    ``_PAIRWISE_BLOCK``) splits at a + n₂, with n₂ = ⌊(b − a)/2⌋ rounded
+    down to a multiple of 8, as ``np.add.reduce`` splits a contiguous
+    float64 run."""
+    if stop - start <= size:
+        yield start, stop
+        return
+    half = (stop - start) // 2
+    half -= half % 8
+    yield from _pairwise_leaves(start, start + half, size)
+    yield from _pairwise_leaves(start + half, stop, size)
+
+
+def _pairwise_total(leaf_sums, length: int, size: int) -> float:
+    """Numpy's pairwise sum of ``length`` values from the sums of the
+    leaves of ``_pairwise_leaves(0, length, size)``, taken in order from
+    the iterator ``leaf_sums``: the nodes add up in the order of the
+    whole-array reduction, so the total is bit for bit its result."""
+    if length <= size:
+        return next(leaf_sums)
+    half = length // 2
+    half -= half % 8
+    left = _pairwise_total(leaf_sums, half, size)
+    return left + _pairwise_total(leaf_sums, length - half, size)
+
+
+def _gather(flat_exp: np.ndarray, cells: np.ndarray, a: int, b: int,
+            buffer: np.ndarray) -> np.ndarray:
+    """The sampled weights e^{−w} of draws [a, b), written into the front
+    of ``buffer`` and returned; ``take`` copies the b − a cells to intp.
+    Every cell was checked to lie in the table, so "clip" never moves
+    one; unlike "raise", it writes straight into the buffer."""
+    return flat_exp.take(cells[a:b], out=buffer[:b - a], mode="clip")
 
 
 def estimate_exponential_average(cells: np.ndarray, weight_table,
@@ -349,12 +412,22 @@ def estimate_exponential_average(cells: np.ndarray, weight_table,
     error of the sample mean.
 
     The N×M table is exponentiated once, with every non-finite weight
-    mapped to NaN, and the cells gather from it a block at a time, so
-    time is O(count + N·M) and memory one count-long 8-byte array beyond
-    the cells and the N×M tables; the standard deviation is formed in it
-    in place, bit for bit as ``std(ddof=1)``. A cell outside the table, negative ones included,
-    raises ValueError, and so does a sampled non-finite weight, naming the
-    pair of the first draw that hit one.
+    mapped to NaN, and the sampled weights w are never held all at once.
+    They are summed leaf by leaf along numpy's own pairwise-summation
+    tree over the count (``_pairwise_leaves``, leaves of at most
+    L = max(``_BLOCK_DRAWS``, 128) draws), and the leaf sums are added up
+    in the tree's order, so Σw, Σ(w − w₀) and Σ((w − w₀) − m)² are bit
+    for bit the whole-array ``sum`` and ``std(ddof=1)`` of the gathered
+    weights. Each leaf is gathered into a buffer twice: once for Σw, max w
+    and Σ(w − w₀), once for the squares. Both passes split the leaves into
+    contiguous runs, one per CPU the process may run on, each on its own
+    thread. Time is O(count + N·M); memory beyond the cells is the N×M
+    tables and, per run, a leaf of weights and its cells' intp copy, at
+    most 16·L bytes (1 MiB). Traced per 10⁶ draws at d = 16, of which
+    1.9 MiB are the cells: 2.9 MiB on one run, 3.9 on two. A cell outside
+    the table, negative ones included, raises ValueError, and so does a
+    sampled non-finite weight, naming the pair of the first draw that hit
+    one.
     """
     cells = np.asarray(cells)
     if not cells.size:
@@ -371,33 +444,56 @@ def estimate_exponential_average(cells: np.ndarray, weight_table,
     with np.errstate(over="ignore"):
         np.exp(-table, out=exp_table, where=np.isfinite(table))
     flat_exp = exp_table.reshape(-1)
-    values = np.empty(cells.size)
-    # Every cell was checked to lie in the table, so "clip" never moves
-    # one; unlike "raise", it writes straight into ``values``. A block's
-    # cells are copied to intp by ``take``, so they are gathered a block at
-    # a time.
-    for start in range(0, cells.size, _BLOCK_DRAWS):
-        stop = start + _BLOCK_DRAWS
-        flat_exp.take(cells[start:stop], out=values[start:stop], mode="clip")
-    total = float(values.sum())
+    n = cells.size
+    size = max(_BLOCK_DRAWS, _PAIRWISE_BLOCK)
+    leaves = list(_pairwise_leaves(0, n, size))
+    workers = min(_cpu_count(), len(leaves))
+    runs = [(range(k * len(leaves) // workers,
+                   (k + 1) * len(leaves) // workers),)
+            for k in range(workers)]
+    # s is shift-invariant; measuring from one sample makes it exactly 0
+    # for a constant sample, whose mean need not round to the constant.
+    first = flat_exp[cells[0]]
+    sums, maxima, shifted, squares = ([0.0] * len(leaves) for _ in range(4))
+
+    def first_pass(run: range) -> None:
+        buffer = np.empty(min(n, size))
+        for k in run:
+            values = _gather(flat_exp, cells, *leaves[k], buffer)
+            sums[k] = float(np.add.reduce(values))
+            maxima[k] = float(values.max())
+            values -= first
+            shifted[k] = float(np.add.reduce(values))
+
+    _on_threads(first_pass, runs)
+    total = _pairwise_total(iter(sums), n, size)
     if math.isnan(total):
-        pair = divmod(int(cells[np.flatnonzero(np.isnan(values))[0]]), n_cols)
+        # Every weight is ≥ 0, so a leaf's sum is NaN just where the leaf
+        # holds a NaN weight.
+        a, b = leaves[next(k for k, leaf_sum in enumerate(sums)
+                           if math.isnan(leaf_sum))]
+        bad = np.isnan(_gather(flat_exp, cells, a, b, np.empty(b - a)))
+        pair = divmod(int(cells[a + np.flatnonzero(bad)[0]]), n_cols)
         raise ValueError(f"non-finite weight at sampled pair {pair}: "
                          f"{table[pair]!r}")
-    n = values.size
     mean = total / n
-    largest = float(values.max())
+    largest = max(maxima)
     s = 0.0
     if n > 1:
-        # s is shift-invariant; measuring from one sample makes it exactly 0
-        # for a constant sample, whose mean need not round to the constant.
-        values -= values[0]
-        # values.std(ddof=1) in place, in the order of numpy's own _var.
-        mean_shifted = np.add.reduce(values, keepdims=True)
-        np.true_divide(mean_shifted, n, out=mean_shifted)
-        np.subtract(values, mean_shifted, out=values)
-        np.square(values, out=values)
-        s = math.sqrt(float(np.add.reduce(values)) / (n - 1))
+        # values.std(ddof=1), leaf by leaf, in the order of numpy's _var.
+        mean_shifted = _pairwise_total(iter(shifted), n, size) / n
+
+        def second_pass(run: range) -> None:
+            buffer = np.empty(min(n, size))
+            for k in run:
+                values = _gather(flat_exp, cells, *leaves[k], buffer)
+                values -= first
+                values -= mean_shifted
+                np.square(values, out=values)
+                squares[k] = float(np.add.reduce(values))
+
+        _on_threads(second_pass, runs)
+        s = math.sqrt(_pairwise_total(iter(squares), n, size) / (n - 1))
     std_error = s / math.sqrt(n)
     if 0.0 < total < math.inf and math.isfinite(s):
         # (Σw)²/Σw² with Σw² = (n − 1)s² + n·mean², two nonnegative terms.

@@ -484,6 +484,25 @@ def test_guide_table_grows_with_the_count_not_the_table():
     assert _guide_table(wide, 10**9)[0].shape == (64, 32 * 64)
 
 
+def test_guide_table_in_a_wider_dtype_marks_with_its_maximum():
+    # The first stage's tables are built in the cells' dtype. A uint8
+    # table cast to uint16 would keep its marker 255, which reads as a
+    # label there.
+    first = normalized_cdfs(np.random.default_rng(7).random((1, 16)) ** 4)
+    narrow, narrow_bounds = _guide_table(first, 10**6)
+    wide, wide_bounds = _guide_table(first, 10**6, np.uint16)
+    assert narrow.dtype == np.uint8 and wide.dtype == np.uint16
+    marked = narrow == np.iinfo(np.uint8).max
+    assert marked.any()
+    np.testing.assert_array_equal(wide == np.iinfo(np.uint16).max, marked)
+    np.testing.assert_array_equal(wide[~marked], narrow[~marked])
+    np.testing.assert_array_equal(wide_bounds, narrow_bounds)
+    u = edge_uniforms(first, narrow.shape[1])
+    found = np.empty(u.size, dtype=np.uint16)
+    _guided_search(first, (wide, wide_bounds), FixedUniforms(u), found)
+    np.testing.assert_array_equal(found, guided_search(first, u, 10**6))
+
+
 def trailing_zero_mass_table():
     """A 16×16 table whose last four columns have zero mass, so every
     row's last CDF values are exactly 1."""
@@ -537,6 +556,20 @@ def test_stream_across_block_boundaries(monkeypatch, worker_threads, jd):
                 assert rng.bit_generator.state == twin.bit_generator.state
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_slices_split_the_draws_evenly(monkeypatch):
+    # Even slices, each at least one full block; draw k reads uniform k
+    # wherever its slice starts.
+    pcg = np.random.PCG64()
+    for workers, count, edges in [
+            (2, 10**6, [0, 500_000, 10**6]),
+            (3, 10**6 + 2, [0, 333_334, 666_668, 10**6 + 2]),
+            (3, 2 * _BLOCK_DRAWS + 1, [0, _BLOCK_DRAWS, 2 * _BLOCK_DRAWS + 1]),
+            (3, 2 * _BLOCK_DRAWS - 1, [0, 2 * _BLOCK_DRAWS - 1])]:
+        monkeypatch.setattr(sampler, "_cpu_count", lambda: workers)
+        assert sampler._slices(count, pcg) == list(zip(edges[:-1],
+                                                       edges[1:]))
 
 
 @pytest.mark.parametrize("bit_generator, threads", [
@@ -633,8 +666,8 @@ def check_peak_memory(dim):
     weights = np.random.default_rng(17).standard_normal((dim, dim))
     count = 10**6
     n_rows, n_cols = jd.shape
-    first_tables = _guide_table(np.ones((1, n_rows)), count)
     guide, bounds = _guide_table(normalized_cdfs(jd.p_joint), count)
+    first_tables = _guide_table(np.ones((1, n_rows)), count, guide.dtype)
     tracemalloc.start()
     try:
         cells = sample_trajectories(jd, count, np.random.default_rng(0))
@@ -657,8 +690,9 @@ def check_peak_memory(dim):
     workers = len(sampler._slices(count,
                                   np.random.default_rng(0).bit_generator))
     draw_bound = (
-        # The count-long outputs: first outcomes, then cells.
-        count * (np.min_scalar_type(n_rows).itemsize + cells.itemsize)
+        # The one count-long array: the cells, which first hold the first
+        # outcomes.
+        count * cells.itemsize
         + workers * (
             # Block buffers: uniforms and intp bucket indices, and the
             # block's marker mask.
@@ -679,13 +713,18 @@ def check_peak_memory(dim):
         + 8 * n_rows * n_cols + guide.nbytes + bounds.nbytes
         + sum(t.nbytes for t in first_tables) + 8 * 3 * n_rows)
     assert draw_peak <= draw_bound
+    # Each run of leaves has its own thread, leaf buffer and objects.
+    leaf = max(_BLOCK_DRAWS, 128)
+    runs = min(sampler._cpu_count(),
+               len(list(sampler._pairwise_leaves(0, count, leaf))))
     estimate_bound = (
-        # The cells and their gathered 8-byte values.
-        count * (8 + cells.itemsize)
-        # ``take``'s intp copy of one block of cells.
-        + 8 * _BLOCK_DRAWS
+        # The cells.
+        count * cells.itemsize
+        # Per run, one leaf of gathered 8-byte weights and ``take``'s intp
+        # copy of its cells.
+        + runs * (16 * leaf + objects)
         # −w, e^{−w} and the finiteness mask of the N×M weight table.
-        + 17 * n_rows * n_cols + objects)
+        + 17 * n_rows * n_cols)
     assert estimate_peak <= estimate_bound
 
 
@@ -727,20 +766,97 @@ def test_estimate_matches_gather_then_exp(weight):
             oracle.max_weight_share, rel=1e-15)
 
 
-@pytest.mark.parametrize("n", [2, 127, 128, 129, 65_535, 65_536, 65_537,
-                               10**6 + 1])
-def test_estimate_is_numpy_mean_and_std_bit_for_bit(n):
-    # The estimator forms the ddof = 1 variance in place, in numpy's own
-    # order; a numpy whose std sums differently fails here.
+@pytest.mark.parametrize("n", [1, 2, 8, 127, 128, 129, 65_535, 65_536,
+                               65_537, 3 * 65_536 + 5, 10**6 + 1, 10**6 + 7])
+def test_estimate_is_numpy_mean_and_std_bit_for_bit(monkeypatch,
+                                                    worker_threads, n):
+    # The estimator sums leaf by leaf along numpy's own pairwise tree and
+    # forms the ddof = 1 variance in numpy's own order, on 1, 2 and 3
+    # workers. Blocks of 61 draws leave leaves of the 128-value floor,
+    # numpy's unrolled run, summed by more workers than the process has
+    # CPUs; a short switch interval makes their threads interleave as
+    # often as they can. A numpy whose sum or std adds differently fails
+    # here.
+    many = sampler._cpu_count() + 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        check_estimate_bit_for_bit(monkeypatch, worker_threads, n, many)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def check_estimate_bit_for_bit(monkeypatch, worker_threads, n, many):
     rng = np.random.default_rng(n)
     for scale in (0.1, 1.0, 5.0, 30.0):
         table = scale * rng.standard_normal((16, 16))
         cells = rng.integers(0, table.size, n).astype(np.uint16)
-        report = estimate_exponential_average(cells, table)
         values = np.exp(-table).ravel()[cells]
-        assert report.mean == float(values.sum()) / n
-        shifted = values - values[0]
-        assert report.std_error == float(shifted.std(ddof=1)) / math.sqrt(n)
+        total = float(values.sum())
+        s = float((values - values[0]).std(ddof=1)) if n > 1 else 0.0
+        cv = s / (total / n)
+        for block, workers in [(_BLOCK_DRAWS, 1), (_BLOCK_DRAWS, 2),
+                               (_BLOCK_DRAWS, 3), (61, many)]:
+            monkeypatch.setattr(sampler, "_BLOCK_DRAWS", block)
+            monkeypatch.setattr(sampler, "_cpu_count", lambda: workers)
+            worker_threads.clear()
+            report = estimate_exponential_average(cells, table)
+            assert report.mean == total / n
+            assert report.std_error == s / math.sqrt(n)
+            assert report.effective_sample_size == (
+                n / (1.0 + (1.0 - 1.0 / n) * cv * cv))
+            assert report.effective_sample_size == pytest.approx(
+                total ** 2 / float(np.sum(values ** 2)), rel=1e-12)
+            assert report.max_weight_share == float(values.max()) / total
+            # One pass without a spread to measure, two with one.
+            leaves = sampler._pairwise_leaves(0, n, max(block, 128))
+            runs = min(workers, len(list(leaves)))
+            assert len(worker_threads) == (1 + (n > 1)) * (runs - 1)
+            assert_no_thread_alive(worker_threads)
+
+
+def test_nonfinite_weight_names_the_first_draw_in_the_last_leaf(
+        monkeypatch, worker_threads):
+    # Three runs of leaves; the NaN weights are sampled only in the last
+    # leaf, which a worker thread sums, and the first draw to hit one
+    # names its pair. One more in an earlier leaf is named instead.
+    monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
+    count = 3 * _BLOCK_DRAWS + 5
+    leaves = list(sampler._pairwise_leaves(0, count, _BLOCK_DRAWS))
+    assert len(leaves) == 4
+    weights = np.zeros((4, 4))
+    weights[3, 0] = weights[1, 2] = np.nan
+    cells = np.zeros(count, dtype=np.uint8)
+    start = leaves[-1][0]
+    cells[[start + 5, start + 9, count - 1]] = [3 * 4, 1 * 4 + 2, 3 * 4]
+    for pair in [r"\(3, 0\)", r"\(1, 2\)"]:
+        worker_threads.clear()
+        with pytest.raises(ValueError, match=f"sampled pair {pair}"):
+            estimate_exponential_average(cells, weights)
+        assert len(worker_threads) == 2
+        assert_no_thread_alive(worker_threads)
+        cells[leaves[1][0] + 3] = 1 * 4 + 2
+
+
+@pytest.mark.parametrize("error", [SliceFailure, MemoryError])
+def test_error_in_a_run_of_leaves_reaches_the_caller(
+        monkeypatch, worker_threads, error):
+    # The last worker's gather fails; the others finish, every thread is
+    # joined and the error reaches the caller with its type.
+    gather = sampler._gather
+
+    def failing(*args):
+        if threading.current_thread() is worker_threads[-1]:
+            raise error("leaf failed")
+        return gather(*args)
+
+    monkeypatch.setattr(sampler, "_gather", failing)
+    monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
+    with pytest.raises(error, match="leaf failed"):
+        estimate_exponential_average(
+            np.zeros(3 * _BLOCK_DRAWS + 5, dtype=np.uint8), np.zeros((2, 2)))
+    assert len(worker_threads) == 2
+    assert_no_thread_alive(worker_threads)
 
 
 @pytest.mark.parametrize("ns, ms", [
