@@ -4,9 +4,9 @@ The exact engine enumerates every outcome pair, but a laboratory only
 sees sampled trajectories. This script draws trajectories from a random
 full-support scenario and estimates <e^{-I}> at increasing sample counts
 against the exact value, with the standard error s/sqrt(n) (which is
-exactly the delete-one jackknife error of a sample mean). A sample is an
-array of flat cell indices: draw k landed on cell cells[k] = n*M + m of
-the N x M joint table, and np.divmod(cells, M) gives the pairs (n, m).
+exactly the delete-one jackknife error of a sample mean). A sample is its
+cell counts: counts[n, m] is the number of draws that landed on the
+outcome pair (n, m) of the N x M joint table.
 
 Exponential averages are the textbook hazard of this kind of estimation:
 a large share of the average is carried by rare outcome pairs with large
@@ -61,10 +61,10 @@ print("=== Convergence with sample count (one sampling seed) ===")
 print(f"{'count':>8}  {'estimate':>12}  {'std error':>10}  {'z':>7}  "
       f"{'heavy hits':>10}")
 for count in (100, 1_000, 10_000, 100_000):
-    cells = sample_trajectories(jd, count, np.random.default_rng(7))
-    est = estimate_exponential_average(cells, mi.i_table,
+    counts = sample_trajectories(jd, count, np.random.default_rng(7))
+    est = estimate_exponential_average(counts, mi.i_table,
                                        exact=mi.exp_average)
-    heavy_hits = int(np.sum(cells == heavy_cell))
+    heavy_hits = int(counts.flat[heavy_cell])
     print(f"{count:8d}  {est.mean:12.6f}  {est.std_error:10.6f}  "
           f"{est.z_score:7.2f}  {heavy_hits:10d}")
 print("Small counts can miss the rare heavy cells entirely; the estimate")
@@ -76,8 +76,8 @@ print()
 print("=== Coverage across 50 sampling seeds at 10^4 samples ===")
 zs = []
 for seed in range(50):
-    cells = sample_trajectories(jd, 10_000, np.random.default_rng(seed))
-    est = estimate_exponential_average(cells, mi.i_table,
+    counts = sample_trajectories(jd, 10_000, np.random.default_rng(seed))
+    est = estimate_exponential_average(counts, mi.i_table,
                                        exact=mi.exp_average)
     zs.append(est.z_score)
 zs = np.array(zs)

@@ -1,17 +1,16 @@
 """Monte Carlo sampling of outcome pairs and exponential-average estimation.
 
-A sample is one array of flat cell indices of the N×M joint table: draw k
-is the outcome pair (n, m) with cells[k] = n·M + m, in the smallest
-unsigned type that holds N·M. It is the only array that grows with the
-count: 2 bytes per draw at d = 16. A draw runs on every CPU the process
-may use, each thread drawing a contiguous slice of the sample from its
-own stretch of the one generator stream, so a seed gives the same sample
-on any number of CPUs. The estimator sums the sampled weights leaf by
-leaf along numpy's own pairwise-summation tree, also on every CPU, so its
-sums are bit for bit those of one whole-array reduction. Exponential
-averages are notoriously heavy-tailed estimators; this module exists to
-demonstrate that behavior against the exact values, not to fix it (no
-importance sampling, no variance reduction).
+A sample is its cell counts: how many draws landed on each outcome pair
+(n, m) of the N×M joint table. The draws are i.i.d., so the counts carry
+every statistic of the estimate, and no array grows with the count. A
+draw runs on every CPU the process may use, each thread drawing and
+counting a contiguous slice of the sample, a block at a time, from its
+own stretch of the one generator stream, so a seed gives the same counts
+on any number of CPUs. The estimator sums Σk·w exactly, so its mean is a
+function of the counts alone. Exponential averages are notoriously
+heavy-tailed estimators; this module exists to demonstrate that behavior
+against the exact values, not to fix it (no importance sampling, no
+variance reduction).
 """
 
 from __future__ import annotations
@@ -32,22 +31,15 @@ __all__ = [
     "MAX_COUNT",
 ]
 
-# The largest sample count whose one count-long array, the cells, is
-# addressable with labels of up to 8 bytes; the uniforms, the gather
-# indices and the gathered weights live a block or a leaf of draws at a
-# time.
-MAX_COUNT = np.iinfo(np.intp).max // np.dtype(np.uint64).itemsize
+# The largest sample count exact as a double, as the estimate's
+# error-free products need of every cell count and of n.
+MAX_COUNT = 2**53 - 1
 
 # Cells or buckets per block of rows while a guide table is built.
 _BLOCK_CELLS = 1 << 16
 
-# Draws per block while a sample is drawn, and the least number of draws
-# per leaf while its weights are summed.
+# Draws per block while a sample is drawn and counted.
 _BLOCK_DRAWS = 1 << 16
-
-# numpy sums a contiguous float64 run of at most this many values in one
-# unrolled loop, and a longer one as the sum of its two halves.
-_PAIRWISE_BLOCK = 128
 
 
 class EstimatorReport(NamedTuple):
@@ -64,8 +56,7 @@ class EstimatorReport(NamedTuple):
     w = e^{−weight}: ``effective_sample_size`` is (Σw)²/Σw², between 1
     and ``sample_count``, and ``max_weight_share`` is max w / Σw. A few
     rare draws carrying the average show as a small effective sample
-    size and a large share. Both are NaN when Σw is zero or not finite
-    or when s overflows.
+    size and a large share. Both are NaN when every sampled w is 0.
     """
 
     sample_count: int
@@ -175,35 +166,30 @@ def _guide_table(cdfs: np.ndarray, count: int,
 
 def _guided_search(cdfs: np.ndarray, tables: tuple[np.ndarray, np.ndarray],
                    rng: np.random.Generator, found: np.ndarray,
-                   rows: np.ndarray | None = None) -> None:
+                   rows: np.ndarray | None,
+                   buffers: tuple[np.ndarray, np.ndarray]) -> None:
     """Write into ``found`` the label r·M + min(searchsorted(cdfs[r], u_k,
-    side="right"), M − 1) of each draw k < ``found.size``, with r =
-    rows[k] and u_k the generator's next ``found.size`` uniforms;
-    ``rows=None`` searches the single row of a one-row table. ``rows`` may
+    side="right"), M − 1) of each draw k, with r = rows[k] (``rows=None``
+    searches a one-row table) and u_k the generator's next ``found.size``
+    uniforms, leaving it as ``rng.random(found.size)`` would. ``rows`` may
     be ``found`` itself: a block's rows are read before its labels are
-    written over them. ``tables``
-    is ``_guide_table(cdfs, ...)``, read and never written, so slices of
-    one draw may search it at once. The generator is left exactly as one
-    ``rng.random(found.size)`` call leaves it.
+    written. ``tables`` is ``_guide_table(cdfs, ...)``, only read, so
+    slices of one draw may search it at once.
 
-    The draws run a block of ``_BLOCK_DRAWS`` at a time through two
-    buffers of this call. Each uniform u = k·2⁻⁵³ in [0, 1) reads its
-    bucket ⌊u·B⌋ (exact for B a power of two) from the guide table. A
-    draw whose bucket holds a CDF step is finished in its block, by a
-    bisection between the bucket's two bounds over the row's CDF values:
-    one vectorised step per bit of the widest such range in the block.
-    That is at most M/B of the draws, under 1/16 unless the count caps B.
-    Nothing but the output outlives a block: the call's own memory is the
-    two buffers, 16 bytes per block draw, and its marked draws'
-    temporaries.
+    The draws run a block at a time through ``buffers``, a float64 and an
+    intp array of the block's length. Each uniform u reads its bucket ⌊u·B⌋
+    (exact for B a power of two) from the guide table. A draw whose bucket
+    holds a CDF step, at most M/B of them, is bisected between the
+    bucket's two bounds over the row's CDF values, one vectorised step per
+    bit of the block's widest such range. Beyond the buffers, only the
+    marked draws' temporaries are allocated.
     """
     guide, bounds = tables
     n_buckets = guide.shape[1]
     flat_guide, flat_bounds = guide.reshape(-1), bounds.reshape(-1)
     flat_cdfs = cdfs.reshape(-1)
     count = found.size
-    u = np.empty(min(count, _BLOCK_DRAWS))
-    bucket = np.empty(u.size, dtype=np.intp)
+    u, bucket = buffers
     for start in range(0, count, u.size):
         stop = min(start + u.size, count)
         u_block, bucket_block = u[:stop - start], bucket[:stop - start]
@@ -249,73 +235,71 @@ def _guided_search(cdfs: np.ndarray, tables: tuple[np.ndarray, np.ndarray],
         block[hit] = last
 
 
+def _skips_outputs(bit_generator) -> bool:
+    """Whether ``advance(k)`` skips the k 64-bit outputs of k doubles, as
+    ``PCG64``'s does; ``Philox.advance`` counts blocks of four."""
+    # Read at call time: importing the package loads no numpy.random.
+    return isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
+
+
 def _slices(count: int, bit_generator) -> list[tuple[int, int]]:
     """The draws [a, b) of each worker: with W the number of CPUs this
     process may run on, capped at one per full block of draws, the W even
     slices [k·count // W, (k + 1)·count // W). Draw k reads uniform k
     wherever its slice starts, so the split leaves the stream as it is.
-    One slice unless ``bit_generator`` can skip ahead by 64-bit outputs:
-    ``PCG64.advance(k)`` (and ``PCG64DXSM``'s) skips exactly the k outputs
-    of k doubles, where ``Philox.advance`` counts blocks of four."""
+    One slice unless ``bit_generator`` can skip ahead by outputs."""
     workers = min(_cpu_count(), count // _BLOCK_DRAWS)
-    # Read at call time: importing the package loads no numpy.random.
-    skippable = (np.random.PCG64, np.random.PCG64DXSM)
-    if workers < 2 or not isinstance(bit_generator, skippable):
+    if workers < 2 or not _skips_outputs(bit_generator):
         return [(0, count)]
     edges = [k * count // workers for k in range(workers + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _count(labels: np.ndarray, counts: np.ndarray,
+           index: np.ndarray) -> None:
+    """Add one to ``counts`` at each of the flat cell ``labels``, copied
+    first into the intp buffer ``index``. A ``bincount`` zeroes and adds
+    a whole table, so it counts only into one of at most half the block;
+    ``np.add.at`` costs more per label but nothing per cell."""
+    index = index[:labels.size]
+    np.copyto(index, labels)
+    if 2 * counts.size <= labels.size:
+        counts += np.bincount(index, minlength=counts.size)
+    else:
+        np.add.at(counts, index, 1)
+
+
 def sample_trajectories(jd: JointDistribution, count: int,
                         rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` i.i.d. outcome pairs from the joint distribution.
+    """Draw ``count`` i.i.d. outcome pairs from the joint distribution and
+    return their cell counts: an (N, M) int64 table whose entry (n, m) is
+    the number of draws of (n, m). Inverse-CDF sampling: each draw's first
+    outcome n from p(n), then its second m from its row p(·|n), one
+    uniform each. Mass below the support epsilon is dropped and the rest
+    renormalized, so only cells on the support mask are counted. The
+    generator is left as ``rng.random(2 * count)`` leaves it.
 
-    Returns the flat cell index n·M + m of each draw, an array of length
-    ``count`` in the smallest unsigned type that holds N·M;
-    ``np.divmod(cells, M)`` gives the pairs (n, m). Inverse-CDF sampling:
-    all first outcomes n from p(n), one uniform each, then every draw's
-    second outcome m from its row p(·|n), one more uniform each. Mass
-    below the distribution's support epsilon is dropped and the remainder
-    renormalized, so every returned cell lies on the support mask.
-    Deterministic for a fixed generator state, which is left as
-    ``rng.random(2 * count)`` leaves it, whatever the number of CPUs.
-
-    Both stages read a bucketed guide table instead of binary-searching
-    every draw, and give exactly the right-side ``searchsorted`` of each
-    uniform: the stream is that of a plain inverse-CDF draw. The first
-    stage's labels are the first outcomes n, in the cells' dtype, and are
-    written into the cells; the second stage's guide table, indexed by n,
-    holds the cells themselves, which are written over them. With B the
-    largest power of two ≤ min(max(32·M, 2¹⁶ // N), max(1, count // N))
-    (N = 1 and M = N for the first stage) and f the fraction of draws
-    whose bucket holds a CDF step (≤ M/B, under 1/16 when B is not capped
-    by the count), time is O(count + N·B + f·count·log M).
+    Both stages read a bucketed guide table (``_guide_table``) of B
+    buckets per row and give exactly the right-side ``searchsorted`` of
+    each uniform in O(count + N·B + f·count·log M), f ≤ M/B the share of
+    draws in a bucket holding a CDF step.
 
     The draws are split into even contiguous slices (``_slices``), one
-    per CPU the process may run on and at most one per full block of
-    ``_BLOCK_DRAWS`` draws, each drawn by its own thread; the caller's
-    thread draws the first. Draw k reads uniform k of the stream in the
-    first stage and uniform count + k in the second, and
-    ``Generator.random`` reads one 64-bit output per double, so the
-    worker of slice [a, b) reads a copy of the generator advanced to a,
-    then another advanced to count + a, and every draw reads the uniform
-    it reads in one slice. The guide tables are built once and only read.
-    A generator that cannot skip ahead by outputs, such as ``MT19937``,
-    draws one slice. An exception in any slice is raised in the caller
-    after every worker has finished.
+    per CPU and at most one per full block, each drawn by its own thread.
+    Draw k reads uniform k of the stream in the first stage and count + k
+    in the second, so slice [a, b) reads one copy of the generator moved
+    to a and one moved to count + a, by ``advance`` for a PCG64: the same
+    counts on any number of CPUs. A generator that cannot skip ahead by
+    outputs, such as ``MT19937``, draws one slice, and its second copy
+    draws and drops count doubles, a block at a time. An exception in
+    any slice is raised in the caller once all have ended.
 
-    Each slice runs a block of ``_BLOCK_DRAWS`` draws at a time and
-    finishes every draw inside its block, so the only count-long array is
-    the cells: 1, 2, 4 or 8 bytes per draw, 2 at d = 16. Per slice come
-    16 bytes per block draw of reused buffers (1 MiB), and 32 bytes and a
-    label per block draw whose bucket holds a CDF step (its position,
-    uniform and two bounds); shared are the N×M CDF table and the (N, B)
-    guide and (N, B + 1) bounds tables of each stage, the guide at most
-    max(N, count) labels. Traced per 10⁶ draws on one slice and on two:
-    3.5 and 4.5 MiB at d = 16, about 2.6 bytes per draw beyond the
-    buffers; 20 and 23 MiB at d = 1024, where B = 512 and 81% of the
-    second stage's draws are bisected. ``count`` must lie in
-    [1, MAX_COUNT].
+    A slice runs a block of ``_BLOCK_DRAWS`` draws at a time through its
+    own buffers: the first stage writes the block's first outcomes into a
+    block of labels in the smallest unsigned type that holds N·M, the
+    second writes the cells n·M + m over them, and they are counted into
+    the slice's table; the slices' tables are summed. No array grows with
+    the count, which must lie in [1, MAX_COUNT].
     """
     if not 1 <= count <= MAX_COUNT:
         raise ValueError(f"count must be in [1, {MAX_COUNT}], got {count}")
@@ -330,178 +314,131 @@ def sample_trajectories(jd: JointDistribution, count: int,
     row_totals[row_totals <= 0] = 1.0  # zero-mass rows are never selected
     row_cdfs /= row_totals[:, None]
     row_tables = _guide_table(row_cdfs, count)
-    cells = np.empty(count, dtype=row_tables[0].dtype)
-    first_tables = _guide_table(first_cdf, count, cells.dtype)
+    labels_dtype = row_tables[0].dtype
+    first_tables = _guide_table(first_cdf, count, labels_dtype)
 
     def draw(first: np.random.Generator, second: np.random.Generator,
-             a: int, b: int) -> None:
-        # A slice's cells first hold its first outcomes, which the second
-        # stage reads as its rows.
-        _guided_search(first_cdf, first_tables, first, cells[a:b])
-        _guided_search(row_cdfs, row_tables, second, cells[a:b], cells[a:b])
+             a: int, b: int, counts: np.ndarray) -> None:
+        # One slice's buffers serve all its blocks, so no block allocates.
+        size = min(b - a, _BLOCK_DRAWS)
+        block = np.empty(size, dtype=labels_dtype)
+        buffers = np.empty(size), np.empty(size, dtype=np.intp)
+        for start in range(a, b, size):
+            labels = block[:b - start]
+            _guided_search(first_cdf, first_tables, first, labels, None,
+                           buffers)
+            _guided_search(row_cdfs, row_tables, second, labels, labels,
+                           buffers)
+            _count(labels, counts, buffers[1])
 
     bit_generator = rng.bit_generator
-    slices = _slices(count, bit_generator)
-    if len(slices) == 1:
-        draw(rng, rng, 0, count)
-        return cells
     state = bit_generator.state
 
     def stream(offset: int) -> np.random.Generator:
         copy = type(bit_generator)()
         copy.state = state
-        copy.advance(offset)
-        return np.random.Generator(copy)
+        generator = np.random.Generator(copy)
+        if _skips_outputs(copy):
+            # ``advance`` also drops a buffered 32-bit half output, which no
+            # double reads, so it is put back.
+            copy.advance(offset)
+            copy.state = {**copy.state, "has_uint32": state["has_uint32"],
+                          "uinteger": state["uinteger"]}
+            return generator
+        dropped = np.empty(min(offset, _BLOCK_DRAWS))
+        for start in range(0, offset, _BLOCK_DRAWS):
+            generator.random(out=dropped[:offset - start])
+        return generator
 
-    _on_threads(draw, [(stream(a), stream(count + a), a, b)
-                       for a, b in slices])
-    # ``advance`` also drops a buffered 32-bit half output, which no double
-    # reads, so it is put back.
-    bit_generator.advance(2 * count)
-    end = bit_generator.state
-    end.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
-    bit_generator.state = end
-    return cells
-
-
-def _pairwise_leaves(start: int, stop: int, size: int):
-    """The leaves [a, b), in order, of numpy's pairwise summation of the
-    values [start, stop): a node longer than ``size`` (at least
-    ``_PAIRWISE_BLOCK``) splits at a + n₂, with n₂ = ⌊(b − a)/2⌋ rounded
-    down to a multiple of 8, as ``np.add.reduce`` splits a contiguous
-    float64 run."""
-    if stop - start <= size:
-        yield start, stop
-        return
-    half = (stop - start) // 2
-    half -= half % 8
-    yield from _pairwise_leaves(start, start + half, size)
-    yield from _pairwise_leaves(start + half, stop, size)
+    slices = _slices(count, bit_generator)
+    seconds = [stream(count + a) for a, _ in slices]
+    tables = [np.zeros(jd.p_joint.size, dtype=np.int64) for _ in slices]
+    _on_threads(draw, [(stream(a), second, a, b, counts) for (a, b), second,
+                       counts in zip(slices, seconds, tables)])
+    # The last slice's second stream ends at uniform 2·count.
+    bit_generator.state = seconds[-1].bit_generator.state
+    return sum(tables[1:], tables[0]).reshape(jd.shape)
 
 
-def _pairwise_total(leaf_sums, length: int, size: int) -> float:
-    """Numpy's pairwise sum of ``length`` values from the sums of the
-    leaves of ``_pairwise_leaves(0, length, size)``, taken in order from
-    the iterator ``leaf_sums``: the nodes add up in the order of the
-    whole-array reduction, so the total is bit for bit its result."""
-    if length <= size:
-        return next(leaf_sums)
-    half = length // 2
-    half -= half % 8
-    left = _pairwise_total(leaf_sums, half, size)
-    return left + _pairwise_total(leaf_sums, length - half, size)
+def _two_product(a, b):
+    """(p, e) with p = fl(a·b) and p + e = a·b exactly (Dekker, 1971),
+    elementwise, unless e falls below the smallest normal double: each
+    factor is split by 2²⁷ + 1 into two halves of at most 26 significant
+    bits (Veltkamp), whose four products are exact."""
+    def split(x):
+        scaled = x * 134217729.0
+        high = scaled - (scaled - x)
+        return high, x - high
+
+    (a_hi, a_lo), (b_hi, b_lo) = split(a), split(b)
+    p = a * b
+    return p, a_hi * b_hi - p + a_hi * b_lo + a_lo * b_hi + a_lo * b_lo
 
 
-def _gather(flat_exp: np.ndarray, cells: np.ndarray, a: int, b: int,
-            buffer: np.ndarray) -> np.ndarray:
-    """The sampled weights e^{−w} of draws [a, b), written into the front
-    of ``buffer`` and returned; ``take`` copies the b − a cells to intp.
-    Every cell was checked to lie in the table, so "clip" never moves
-    one; unlike "raise", it writes straight into the buffer."""
-    return flat_exp.take(cells[a:b], out=buffer[:b - a], mode="clip")
-
-
-def estimate_exponential_average(cells: np.ndarray, weight_table,
+def estimate_exponential_average(counts: np.ndarray, weight_table,
                                  exact: float | None = None) -> EstimatorReport:
-    """Estimate ⟨e^{−w}⟩ from sampled flat cell indices ``cells``.
+    """Estimate ⟨e^{−w}⟩ from the cell counts of a sample.
 
-    Draw k is the cell n·M + m of the N×M ``weight_table``, whose entry
-    is the exponent for pair (n, m); it must be finite at every sampled
-    cell (off-support cells may be NaN or of any size — they are never
-    sampled). The error bar is s/√n, the delete-one jackknife standard
-    error of the sample mean.
+    ``counts`` is the (N, M) table of ``sample_trajectories``, and entry
+    (n, m) of the N×M ``weight_table`` is the exponent w of the pair
+    (n, m). w and e^{−w} must be finite at every sampled cell, one with a
+    nonzero count k, or ValueError names the pair; unsampled cells may
+    hold anything and are never read. The error bar is s/√n, the
+    delete-one jackknife standard error of the sample mean.
 
-    The N×M table is exponentiated once, with every non-finite weight
-    mapped to NaN, and the sampled weights w are never held all at once.
-    They are summed leaf by leaf along numpy's own pairwise-summation
-    tree over the count (``_pairwise_leaves``, leaves of at most
-    L = max(``_BLOCK_DRAWS``, 128) draws), and the leaf sums are added up
-    in the tree's order, so Σw, Σ(w − w₀) and Σ((w − w₀) − m)² are bit
-    for bit the whole-array ``sum`` and ``std(ddof=1)`` of the gathered
-    weights. Each leaf is gathered into a buffer twice: once for Σw, max w
-    and Σ(w − w₀), once for the squares. Both passes split the leaves into
-    contiguous runs, one per CPU the process may run on, each on its own
-    thread. Time is O(count + N·M); memory beyond the cells is the N×M
-    tables and, per run, a leaf of weights and its cells' intp copy, at
-    most 16·L bytes (1 MiB). Traced per 10⁶ draws at d = 16, of which
-    1.9 MiB are the cells: 2.9 MiB on one run, 3.9 on two. A cell outside
-    the table, negative ones included, raises ValueError, and so does a
-    sampled non-finite weight, naming the pair of the first draw that hit
-    one.
+    The sampled weights are scaled by the power of two that puts the
+    largest in [1/2, 1), so no sum overflows, and the results are scaled
+    back. Σk·w is summed exactly: each k·w is split error-free into two
+    doubles (``_two_product``), and ``math.fsum`` rounds the residual
+    Σk·w − n·q of a first quotient q. So the mean is Σk·w/n correctly
+    rounded but for ties, a function of the counts alone. s² is
+    Σk·(w − mean)²/(n − 1), summed in one vectorised pass, and exactly 0
+    for a constant sample. ``effective_sample_size`` is
+    n/(1 + (1 − 1/n)·(s/mean)²), which is (Σw)²/Σw², and
+    ``max_weight_share`` is max w/(n·mean), max w over the sampled cells.
+    Time and memory are O(N·M) whatever the count, which must lie in
+    [1, MAX_COUNT].
     """
-    cells = np.asarray(cells)
-    if not cells.size:
-        raise ValueError("need at least one sample")
     table = np.asarray(weight_table, dtype=float)
-    n_rows, n_cols = table.shape
-    if (cells.dtype.kind not in "iu" or cells.max() >= table.size
-            or (cells.dtype.kind == "i" and cells.min() < 0)):
-        raise ValueError(f"invalid entry in samples: not a cell index of "
-                         f"the {n_rows}×{n_cols} weight table")
-    # Unsampled off-support cells may overflow or be NaN; e^{−w} of a
-    # non-finite w is NaN here, so a sampled one makes the total NaN.
-    exp_table = np.full(table.shape, np.nan)
+    counts = np.asarray(counts)
+    cells = np.flatnonzero(counts)
+    k = counts.reshape(-1)[cells]
+    if (counts.dtype.kind not in "iu" or counts.shape != table.shape
+            or k.min(initial=0) < 0):
+        raise ValueError(f"counts must be a table of nonnegative integers "
+                         f"of the weight table's shape {table.shape}")
+    n = int(k.sum())
+    # Below 2⁵⁴ the float sum leaves the integer sum far from overflow.
+    if k.sum(dtype=float) > 2.0 ** 54 or not 1 <= n <= MAX_COUNT:
+        raise ValueError(f"need between 1 and {MAX_COUNT} samples")
+    exponents = table.reshape(-1)[cells]
     with np.errstate(over="ignore"):
-        np.exp(-table, out=exp_table, where=np.isfinite(table))
-    flat_exp = exp_table.reshape(-1)
-    n = cells.size
-    size = max(_BLOCK_DRAWS, _PAIRWISE_BLOCK)
-    leaves = list(_pairwise_leaves(0, n, size))
-    workers = min(_cpu_count(), len(leaves))
-    runs = [(range(k * len(leaves) // workers,
-                   (k + 1) * len(leaves) // workers),)
-            for k in range(workers)]
-    # s is shift-invariant; measuring from one sample makes it exactly 0
-    # for a constant sample, whose mean need not round to the constant.
-    first = flat_exp[cells[0]]
-    sums, maxima, shifted, squares = ([0.0] * len(leaves) for _ in range(4))
-
-    def first_pass(run: range) -> None:
-        buffer = np.empty(min(n, size))
-        for k in run:
-            values = _gather(flat_exp, cells, *leaves[k], buffer)
-            sums[k] = float(np.add.reduce(values))
-            maxima[k] = float(values.max())
-            values -= first
-            shifted[k] = float(np.add.reduce(values))
-
-    _on_threads(first_pass, runs)
-    total = _pairwise_total(iter(sums), n, size)
-    if math.isnan(total):
-        # Every weight is ≥ 0, so a leaf's sum is NaN just where the leaf
-        # holds a NaN weight.
-        a, b = leaves[next(k for k, leaf_sum in enumerate(sums)
-                           if math.isnan(leaf_sum))]
-        bad = np.isnan(_gather(flat_exp, cells, a, b, np.empty(b - a)))
-        pair = divmod(int(cells[a + np.flatnonzero(bad)[0]]), n_cols)
-        raise ValueError(f"non-finite weight at sampled pair {pair}: "
-                         f"{table[pair]!r}")
-    mean = total / n
-    largest = max(maxima)
+        w = np.exp(-exponents)
+    finite = np.isfinite(exponents) & np.isfinite(w)
+    if not finite.all():
+        pair = divmod(int(cells[np.argmin(finite)]), table.shape[1])
+        raise ValueError(f"non-finite weight or e^(-weight) at sampled pair "
+                         f"{pair}: {table[pair]!r}")
+    exponent = math.frexp(float(w.max()))[1]
+    w = np.ldexp(w, -exponent)
+    k = k.astype(float)  # exact: each k ≤ n < 2⁵³
+    products, errors = _two_product(k, w)
+    quotient = float(products.sum()) / n
+    high, low = _two_product(quotient, float(n))
+    # A memoryview hands fsum each double with no list of floats.
+    residual = math.fsum(memoryview(np.concatenate(
+        [products, errors, [-high, -low]])))
+    mean = quotient + residual / n
     s = 0.0
     if n > 1:
-        # values.std(ddof=1), leaf by leaf, in the order of numpy's _var.
-        mean_shifted = _pairwise_total(iter(shifted), n, size) / n
-
-        def second_pass(run: range) -> None:
-            buffer = np.empty(min(n, size))
-            for k in run:
-                values = _gather(flat_exp, cells, *leaves[k], buffer)
-                values -= first
-                values -= mean_shifted
-                np.square(values, out=values)
-                squares[k] = float(np.add.reduce(values))
-
-        _on_threads(second_pass, runs)
-        s = math.sqrt(_pairwise_total(iter(squares), n, size) / (n - 1))
-    std_error = s / math.sqrt(n)
-    if 0.0 < total < math.inf and math.isfinite(s):
-        # (Σw)²/Σw² with Σw² = (n − 1)s² + n·mean², two nonnegative terms.
+        s = math.sqrt(float(np.sum(k * np.square(w - mean))) / (n - 1))
+    effective_sample_size = max_weight_share = math.nan
+    if mean > 0:
         cv = s / mean
         effective_sample_size = n / (1.0 + (1.0 - 1.0 / n) * cv * cv)
-        max_weight_share = largest / total
-    else:
-        effective_sample_size = max_weight_share = math.nan
+        max_weight_share = float(w.max()) / (n * mean)
+    mean = math.ldexp(mean, exponent)
+    std_error = math.ldexp(s / math.sqrt(n), exponent)
     z_score = None
     if exact is not None and std_error > 0:
         z_score = (mean - float(exact)) / std_error

@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -188,35 +189,61 @@ def assert_no_thread_alive(threads):
     assert not alive
 
 
-def assert_same_stream(cells, reference, shape):
-    """``cells`` is the oracle's ns·M + ms, in the smallest unsigned type
-    that holds N·M."""
+@pytest.fixture
+def drawn_labels(monkeypatch):
+    """The labels each slice's second stage writes, block by block, keyed
+    by the slice's second-stage generator: the per-draw stream, which the
+    counts cannot show, since they cannot see a permutation."""
+    blocks = {}
+    search = sampler._guided_search
+
+    def recording(cdfs, tables, rng, found, rows, buffers):
+        search(cdfs, tables, rng, found, rows, buffers)
+        if rows is not None:
+            blocks.setdefault(id(rng), []).append(found.copy())
+
+    monkeypatch.setattr(sampler, "_guided_search", recording)
+    return blocks
+
+
+def assert_same_stream(counts, blocks, reference, shape, slices=None):
+    """``counts`` is the int64 (N, M) table of the oracle's pairs, and
+    ``blocks`` holds, slice by slice, the oracle's labels ns·M + ms of the
+    draws [a, b) of each of ``slices`` (by default one), in order and in
+    the smallest unsigned type that holds N·M."""
     ns, ms = reference
-    assert cells.dtype == np.min_scalar_type(shape[0] * shape[1])
-    np.testing.assert_array_equal(cells, ns * shape[1] + ms)
+    labels = ns * shape[1] + ms
+    assert counts.dtype == np.int64 and counts.shape == shape
+    np.testing.assert_array_equal(counts, cell_counts(labels, shape))
+    dtype = np.min_scalar_type(shape[0] * shape[1])
+    assert all(block.dtype == dtype for run in blocks.values()
+               for block in run)
+    slices = slices or [(0, len(labels))]
+    assert sorted(np.concatenate(run).tobytes() for run in blocks.values()) \
+        == sorted(labels[a:b].astype(dtype).tobytes() for a, b in slices)
+    blocks.clear()
 
 
 @pytest.mark.parametrize("dim", [3, 16])
-def test_stream_matches_reference_draw(dim):
+def test_stream_matches_reference_draw(drawn_labels, dim):
     for seed in range(5):
         jd = joint_distribution(
             random_rank1_experiment(dim, np.random.default_rng(600 + seed)))
-        cells = sample_trajectories(jd, 20_000,
-                                    np.random.default_rng(700 + seed))
+        counts = sample_trajectories(jd, 20_000,
+                                     np.random.default_rng(700 + seed))
         reference = reference_draw(jd, 20_000,
                                    np.random.default_rng(700 + seed))
-        assert_same_stream(cells, reference, jd.shape)
+        assert_same_stream(counts, drawn_labels, reference, jd.shape)
 
 
-def test_stream_matches_reference_with_zero_mass_row_and_cells():
+def test_stream_matches_reference_with_zero_mass_row_and_cells(drawn_labels):
     jd = zero_mass_row_table()
     for seed in range(5):
-        cells = sample_trajectories(jd, 20_000,
-                                    np.random.default_rng(800 + seed))
+        counts = sample_trajectories(jd, 20_000,
+                                     np.random.default_rng(800 + seed))
         reference = reference_draw(jd, 20_000,
                                    np.random.default_rng(800 + seed))
-        assert_same_stream(cells, reference, jd.shape)
-        counts = cell_counts(cells, jd.shape)
+        assert_same_stream(counts, drawn_labels, reference, jd.shape)
         assert np.all(counts[~jd.support_mask] == 0)
         assert np.all(counts[jd.support_mask] > 0)
 
@@ -240,16 +267,17 @@ def many_row_distribution(rows: int, cols: int):
     many_row_distribution(128, 2),  # 256 cells: uint16; B = 1 at 50 draws
 ], ids=["N=1", "N=3", "N=16", "N=64", "N=128", "N=300", "NM=255",
         "NM=255,M=3", "NM=256,M=2"])
-def test_stream_matches_mask_loop(jd):
-    # At 50 draws the count, not 32·M, sets the guide tables' size.
+def test_stream_matches_mask_loop(drawn_labels, jd):
+    # At 50 draws the count, not 32·M, sets the guide tables' size. Where
+    # N·M exceeds half a block, the blocks are counted by ``np.add.at``.
     for seed, count in [(0, 30_000), (1, 30_000), (2, 30_000), (3, 50)]:
-        cells = sample_trajectories(jd, count,
-                                    np.random.default_rng(900 + seed))
-        oracle = mask_loop_draw(jd, count, np.random.default_rng(900 + seed))
-        assert_same_stream(cells, oracle, jd.shape)
-        assert_same_stream(cells, grouped_sort_draw(
+        counts = sample_trajectories(jd, count,
+                                     np.random.default_rng(900 + seed))
+        blocks = dict(drawn_labels)
+        assert_same_stream(counts, drawn_labels, mask_loop_draw(
             jd, count, np.random.default_rng(900 + seed)), jd.shape)
-        counts = cell_counts(cells, jd.shape)
+        assert_same_stream(counts, blocks, grouped_sort_draw(
+            jd, count, np.random.default_rng(900 + seed)), jd.shape)
         assert np.all(counts[~jd.support_mask] == 0)
 
 
@@ -358,6 +386,13 @@ def test_guided_search_matches_searchsorted(monkeypatch, name):
             check_guided_search(cdfs, draws_per_row, n_buckets)
 
 
+def search_buffers(size):
+    """The float64 and intp block buffers of a search of ``size`` draws,
+    a block of at most ``_BLOCK_DRAWS`` at a time, as a slice holds."""
+    block = min(size, sampler._BLOCK_DRAWS)
+    return np.empty(block), np.empty(block, dtype=np.intp)
+
+
 def guided_search(cdfs, u, count, rows=None):
     """``_guided_search`` of the uniforms ``u`` in the tables sized for
     ``count`` draws, fed through ``random(out=)`` of a stand-in generator,
@@ -365,7 +400,7 @@ def guided_search(cdfs, u, count, rows=None):
     uniforms = FixedUniforms(u)
     tables = _guide_table(cdfs, count)
     found = np.empty(u.size, dtype=tables[0].dtype)
-    _guided_search(cdfs, tables, uniforms, found, rows)
+    _guided_search(cdfs, tables, uniforms, found, rows, search_buffers(u.size))
     assert uniforms.used == u.size
     return found
 
@@ -499,7 +534,8 @@ def test_guide_table_in_a_wider_dtype_marks_with_its_maximum():
     np.testing.assert_array_equal(wide_bounds, narrow_bounds)
     u = edge_uniforms(first, narrow.shape[1])
     found = np.empty(u.size, dtype=np.uint16)
-    _guided_search(first, (wide, wide_bounds), FixedUniforms(u), found)
+    _guided_search(first, (wide, wide_bounds), FixedUniforms(u), found, None,
+                   search_buffers(u.size))
     np.testing.assert_array_equal(found, guided_search(first, u, 10**6))
 
 
@@ -518,12 +554,14 @@ def trailing_zero_mass_table():
     many_row_distribution(16, 16),  # 256 cells: uint16
     trailing_zero_mass_table(),
 ], ids=["N=1", "zero-mass-row", "NM=255", "NM=256", "zero-mass-columns"])
-def test_stream_across_block_boundaries(monkeypatch, worker_threads, jd):
+def test_stream_across_block_boundaries(monkeypatch, worker_threads,
+                                        drawn_labels, jd):
     # The draw is forced onto 1, 2 and 3 workers, and, with blocks of 61
     # draws so that there are enough of them, onto more workers than the
     # process has CPUs; a short switch interval makes their threads
     # interleave as often as they can. A worker per full block at most,
-    # and one slice below two blocks.
+    # and one slice below two blocks. Blocks of 61 draws are counted by
+    # ``np.add.at``, full ones by ``np.bincount``.
     many = sampler._cpu_count() + 2
     references = {}
     interval = sys.getswitchinterval()
@@ -537,18 +575,20 @@ def test_stream_across_block_boundaries(monkeypatch, worker_threads, jd):
                           workers * block + 7):
                 worker_threads.clear()
                 rng = np.random.default_rng(count)
-                cells = sample_trajectories(jd, count, rng)
-                assert cells.shape == (count,)
-                slices = min(workers, count // block)
-                assert len(worker_threads) == (slices - 1 if slices > 1
-                                               else 0)
+                counts = sample_trajectories(jd, count, rng)
+                slices = sampler._slices(count, rng.bit_generator)
+                assert len(slices) == max(1, min(workers, count // block))
+                assert len(worker_threads) == len(slices) - 1
                 assert_no_thread_alive(worker_threads)
                 if count not in references:
                     references[count] = reference_draw(
                         jd, count, np.random.default_rng(count))
-                    assert_same_stream(cells, mask_loop_draw(
-                        jd, count, np.random.default_rng(count)), jd.shape)
-                assert_same_stream(cells, references[count], jd.shape)
+                    blocks = dict(drawn_labels)
+                    assert_same_stream(counts, blocks, mask_loop_draw(
+                        jd, count, np.random.default_rng(count)), jd.shape,
+                        slices)
+                assert_same_stream(counts, drawn_labels, references[count],
+                                   jd.shape, slices)
                 # Slice by slice, the draw reads exactly the uniforms of
                 # rng.random(count) for each stage, and no more.
                 twin = np.random.default_rng(count)
@@ -580,20 +620,22 @@ def test_slices_split_the_draws_evenly(monkeypatch):
     (np.random.SFC64, 0),
 ])
 def test_stream_of_every_bit_generator(monkeypatch, worker_threads,
-                                       bit_generator, threads):
-    # A generator that cannot skip ahead output by output draws one slice
-    # on the caller's generator. Each holds a buffered 32-bit half output,
-    # which ``random`` never reads, and keeps it.
+                                       drawn_labels, bit_generator, threads):
+    # A generator that cannot skip ahead output by output draws one slice,
+    # whose second stage reads a copy that first draws and drops ``count``
+    # doubles, a block at a time. Each holds a buffered 32-bit half
+    # output, which ``random`` never reads, and keeps it.
     monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
     jd = many_row_distribution(16, 16)
     count = 3 * _BLOCK_DRAWS + 7
     rng, twin = (np.random.Generator(bit_generator(5)) for _ in range(2))
     rng.integers(2**32, dtype=np.uint32)
     twin.integers(2**32, dtype=np.uint32)
-    cells = sample_trajectories(jd, count, rng)
+    counts = sample_trajectories(jd, count, rng)
     assert len(worker_threads) == threads
     assert_no_thread_alive(worker_threads)
-    assert_same_stream(cells, reference_draw(jd, count, twin), jd.shape)
+    assert_same_stream(counts, drawn_labels, reference_draw(jd, count, twin),
+                       jd.shape, sampler._slices(count, rng.bit_generator))
     np.testing.assert_array_equal(rng.integers(2**32, size=3, dtype=np.uint32),
                                   twin.integers(2**32, size=3,
                                                 dtype=np.uint32))
@@ -608,10 +650,10 @@ def fail_in_workers(monkeypatch, error):
     """Make every slice but the caller's raise ``error``."""
     search = sampler._guided_search
 
-    def failing(*args):
+    def failing(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             raise error("slice failed")
-        search(*args)
+        search(*args, **kwargs)
 
     monkeypatch.setattr(sampler, "_guided_search", failing)
     monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
@@ -656,7 +698,8 @@ def test_draw_and_estimate_peak_memory_follow_from_the_design():
 
 def test_draw_peak_memory_where_the_count_caps_the_buckets():
     # At d = 1024, 10⁶ draws cap B at 512 < M, so about 81% of the
-    # second stage's draws are bisected.
+    # second stage's draws are bisected, and N·M = 2²⁰ labels are counted
+    # by ``np.add.at``.
     check_peak_memory(1024)
 
 
@@ -666,17 +709,18 @@ def check_peak_memory(dim):
     weights = np.random.default_rng(17).standard_normal((dim, dim))
     count = 10**6
     n_rows, n_cols = jd.shape
+    n_cells = n_rows * n_cols
     guide, bounds = _guide_table(normalized_cdfs(jd.p_joint), count)
     first_tables = _guide_table(np.ones((1, n_rows)), count, guide.dtype)
     tracemalloc.start()
     try:
-        cells = sample_trajectories(jd, count, np.random.default_rng(0))
+        counts = sample_trajectories(jd, count, np.random.default_rng(0))
         draw_peak = tracemalloc.get_traced_memory()[1]
-        # The estimate's peak counts the cells it reads, not what the draw
+        # The estimate's peak counts the counts it reads, not what the draw
         # left cached.
-        before = tracemalloc.get_traced_memory()[0] - cells.nbytes
+        before = tracemalloc.get_traced_memory()[0] - counts.nbytes
         tracemalloc.reset_peak()
-        estimate_exponential_average(cells, weights)
+        estimate_exponential_average(counts, weights)
         estimate_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -686,22 +730,24 @@ def check_peak_memory(dim):
     # those buckets carry under M/B of the mass in either stage.
     marked_share = min(1.0, max(n_rows / first_tables[0].shape[1],
                                 n_cols / guide.shape[1]))
-    # Each slice's worker holds its own block buffers and temporaries.
+    # Each slice's worker holds its own block buffers, temporaries and
+    # count table.
     workers = len(sampler._slices(count,
                                   np.random.default_rng(0).bit_generator))
+    # No term grows with the count: the guide tables are capped at 32
+    # buckets per cell.
     draw_bound = (
-        # The one count-long array: the cells, which first hold the first
-        # outcomes.
-        count * cells.itemsize
-        + workers * (
-            # Block buffers: uniforms and intp bucket indices, and the
-            # block's marker mask.
-            _BLOCK_DRAWS * (8 + 8 + 1)
+        workers * (
+            # Block buffers: labels, uniforms and intp bucket indices, and
+            # the block's marker mask.
+            _BLOCK_DRAWS * (guide.itemsize + 8 + 8 + 1)
             # A block's marked draws, each with its position, uniform and
             # two intp bounds, and the labels read from the bounds table or
             # a bisection step's mask; their probes and CDF values reuse
             # the block buffers.
-            + _BLOCK_DRAWS * marked_share * (8 * 4 + cells.itemsize)
+            + _BLOCK_DRAWS * marked_share * (8 * 4 + guide.itemsize)
+            # The slice's count table and a block's ``bincount``.
+            + 2 * 8 * n_cells
             # numpy's ufunc buffer, where the rows, the scaled uniforms and
             # the bounds are cast to intp.
             + 8 * np.getbufsize()
@@ -710,22 +756,64 @@ def check_peak_memory(dim):
             + objects)
         # The N×M CDF table, both stages' guide and bounds tables and three
         # N-long vectors.
-        + 8 * n_rows * n_cols + guide.nbytes + bounds.nbytes
+        + 8 * n_cells + guide.nbytes + bounds.nbytes
         + sum(t.nbytes for t in first_tables) + 8 * 3 * n_rows)
     assert draw_peak <= draw_bound
-    # Each run of leaves has its own thread, leaf buffer and objects.
-    leaf = max(_BLOCK_DRAWS, 128)
-    runs = min(sampler._cpu_count(),
-               len(list(sampler._pairwise_leaves(0, count, leaf))))
     estimate_bound = (
-        # The cells.
-        count * cells.itemsize
-        # Per run, one leaf of gathered 8-byte weights and ``take``'s intp
-        # copy of its cells.
-        + runs * (16 * leaf + objects)
-        # −w, e^{−w} and the finiteness mask of the N×M weight table.
-        + 17 * n_rows * n_cols)
+        # The counts.
+        counts.nbytes
+        # At most sixteen doubles or intp indices per sampled cell: its
+        # index, exponent and weight, its count as a double, the product
+        # and its error term, the split halves and their temporaries.
+        + 16 * 8 * np.count_nonzero(counts)
+        + objects)
     assert estimate_peak <= estimate_bound
+
+
+def rational_moments(counts, weight_table):
+    """The exact oracle: the sampled cells' counts k and weights
+    w = e^{−weight}, the doubles the estimator reads, as Fractions, with
+    n = Σk and the exact mean Σk·w/n."""
+    cells = np.flatnonzero(counts)
+    k = [int(c) for c in np.ravel(counts)[cells]]
+    exponents = np.asarray(weight_table, dtype=float).ravel()[cells]
+    w = [Fraction(float(v)) for v in np.exp(-exponents)]
+    n = sum(k)
+    return k, w, n, sum(ki * wi for ki, wi in zip(k, w)) / n
+
+
+def gamma(j: int) -> float:
+    """Higham's γ_j = j·u/(1 − j·u), u = 2⁻⁵³: the relative error bound of
+    j roundings."""
+    u = 2.0 ** -53
+    return j * u / (1 - j * u)
+
+
+def assert_matches_rational_oracle(report, counts, weight_table):
+    """The report's mean is within one ulp of the exact Σk·w/n, and its
+    std_error within a counted rounding bound of its exact value about
+    the reported mean m̂, √(Σk·(w − m̂)²/(n(n − 1)))."""
+    k, w, n, mean = rational_moments(counts, weight_table)
+    assert report.sample_count == n
+    assert abs(Fraction(report.mean) - mean) <= Fraction(
+        float(np.spacing(report.mean)))
+    if n == 1:
+        assert report.std_error == 0.0
+        return
+    m_hat = Fraction(report.mean)
+    exact = sum(ki * (wi - m_hat) ** 2
+                for ki, wi in zip(k, w)) / (n * (n - 1))
+    if exact == 0:
+        assert report.std_error == 0.0
+        return
+    # Each term k·(w − m̂)² takes three roundings, the difference counted
+    # twice by the square, and the sum of its L terms, all nonnegative,
+    # at most L − 1: γ_{L+3}. Dividing by n − 1 and the square root add
+    # one rounding each to s, counted twice in std_error², and √n and the
+    # division by it one more each: γ_{L+10} on std_error². The power-of-
+    # two scaling of the weights is exact.
+    ratio = Fraction(report.std_error) ** 2 / exact
+    assert abs(ratio - 1) <= gamma(len(k) + 10)
 
 
 def off_support_weight_tables():
@@ -745,155 +833,127 @@ def off_support_weight_tables():
 
 @pytest.mark.parametrize("weight", ["mi", "work"])
 def test_estimate_matches_gather_then_exp(weight):
+    # The off-support NaN and −1000 are never read, so nothing warns; the
+    # whole-array oracle's mean and s carry their own summation error.
     jd, tables = off_support_weight_tables()
     table = tables[weight]
     assert np.isnan(table[~jd.support_mask]).any()
     assert (table[~jd.support_mask] == -1000.0).any()
     for seed in range(3):
-        cells = sample_trajectories(jd, 50_000,
-                                    np.random.default_rng(950 + seed))
+        counts = sample_trajectories(jd, 50_000,
+                                     np.random.default_rng(950 + seed))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = estimate_exponential_average(cells, table, exact=0.9)
-        oracle = gather_exp_estimate(np.divmod(cells, jd.shape[1]), table,
-                                     exact=0.9)
-        assert report.mean == oracle.mean
-        assert report.std_error == oracle.std_error
-        assert report.z_score == oracle.z_score
-        assert report.effective_sample_size == pytest.approx(
-            oracle.effective_sample_size, rel=1e-12)
-        assert report.max_weight_share == pytest.approx(
-            oracle.max_weight_share, rel=1e-15)
+            report = estimate_exponential_average(counts, table, exact=0.9)
+        assert_matches_rational_oracle(report, counts, table)
+        oracle = gather_exp_estimate(
+            reference_draw(jd, 50_000, np.random.default_rng(950 + seed)),
+            table, exact=0.9)
+        for field in ("mean", "std_error", "z_score",
+                      "effective_sample_size", "max_weight_share"):
+            assert getattr(report, field) == pytest.approx(
+                getattr(oracle, field), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 127, 128, 129, 65_535, 65_536,
                                65_537, 3 * 65_536 + 5, 10**6 + 1, 10**6 + 7])
-def test_estimate_is_numpy_mean_and_std_bit_for_bit(monkeypatch,
-                                                    worker_threads, n):
-    # The estimator sums leaf by leaf along numpy's own pairwise tree and
-    # forms the ddof = 1 variance in numpy's own order, on 1, 2 and 3
-    # workers. Blocks of 61 draws leave leaves of the 128-value floor,
-    # numpy's unrolled run, summed by more workers than the process has
-    # CPUs; a short switch interval makes their threads interleave as
-    # often as they can. A numpy whose sum or std adds differently fails
-    # here.
-    many = sampler._cpu_count() + 2
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        check_estimate_bit_for_bit(monkeypatch, worker_threads, n, many)
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def check_estimate_bit_for_bit(monkeypatch, worker_threads, n, many):
+def test_estimate_matches_exact_rational_oracle(n):
+    # n draws over a 16×16 table of normal exponents at four scales; at
+    # scale 30 a handful of cells carry nearly all of Σk·w. The estimate
+    # reads the counts alone, so no count, CPU count or slice split
+    # changes it.
     rng = np.random.default_rng(n)
     for scale in (0.1, 1.0, 5.0, 30.0):
         table = scale * rng.standard_normal((16, 16))
-        cells = rng.integers(0, table.size, n).astype(np.uint16)
-        values = np.exp(-table).ravel()[cells]
-        total = float(values.sum())
-        s = float((values - values[0]).std(ddof=1)) if n > 1 else 0.0
-        cv = s / (total / n)
-        for block, workers in [(_BLOCK_DRAWS, 1), (_BLOCK_DRAWS, 2),
-                               (_BLOCK_DRAWS, 3), (61, many)]:
-            monkeypatch.setattr(sampler, "_BLOCK_DRAWS", block)
-            monkeypatch.setattr(sampler, "_cpu_count", lambda: workers)
-            worker_threads.clear()
-            report = estimate_exponential_average(cells, table)
-            assert report.mean == total / n
-            assert report.std_error == s / math.sqrt(n)
-            assert report.effective_sample_size == (
-                n / (1.0 + (1.0 - 1.0 / n) * cv * cv))
-            assert report.effective_sample_size == pytest.approx(
-                total ** 2 / float(np.sum(values ** 2)), rel=1e-12)
-            assert report.max_weight_share == float(values.max()) / total
-            # One pass without a spread to measure, two with one.
-            leaves = sampler._pairwise_leaves(0, n, max(block, 128))
-            runs = min(workers, len(list(leaves)))
-            assert len(worker_threads) == (1 + (n > 1)) * (runs - 1)
-            assert_no_thread_alive(worker_threads)
+        counts = rng.multinomial(n, np.full(256, 1 / 256)).reshape(16, 16)
+        report = estimate_exponential_average(counts, table)
+        assert_matches_rational_oracle(report, counts, table)
+        values = np.exp(-table)[counts > 0]
+        total = Fraction(report.mean) * n
+        assert report.max_weight_share == pytest.approx(
+            float(Fraction(float(values.max())) / total), rel=1e-15)
+        assert report.effective_sample_size == pytest.approx(
+            float(total ** 2 / sum(int(c) * Fraction(float(v)) ** 2
+                                   for c, v in zip(counts[counts > 0],
+                                                   values))), rel=1e-12)
 
 
-def test_nonfinite_weight_names_the_first_draw_in_the_last_leaf(
-        monkeypatch, worker_threads):
-    # Three runs of leaves; the NaN weights are sampled only in the last
-    # leaf, which a worker thread sums, and the first draw to hit one
-    # names its pair. One more in an earlier leaf is named instead.
-    monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
-    count = 3 * _BLOCK_DRAWS + 5
-    leaves = list(sampler._pairwise_leaves(0, count, _BLOCK_DRAWS))
-    assert len(leaves) == 4
+@pytest.mark.parametrize("exponents", ["near-700", "near+700", "both"])
+def test_estimate_near_the_exponent_range_matches_the_oracle(exponents):
+    # Exponents within 5 of −700 give weights up to e^{705} ≈ 10^{306},
+    # whose 10⁶-draw Σk·w exceeds the largest double; within 5 of +700
+    # they are as small as e^{−705} ≈ 4·10^{−307}, near the smallest
+    # normal double. Scaled by a power of two, the sums stay exact and the
+    # squares stay in range; with both, the tiny weights vanish against
+    # the large ones, far below an ulp of the mean.
+    rng = np.random.default_rng(700)
+    centers = {"near-700": -700.0, "near+700": 700.0,
+               "both": np.where(np.arange(256) % 2, 700.0, -700.0)}
+    table = (centers[exponents] + rng.uniform(-5, 5, 256)).reshape(16, 16)
+    counts = rng.multinomial(10**6, np.full(256, 1 / 256)).reshape(16, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = estimate_exponential_average(counts, table)
+    assert math.isfinite(report.mean) and report.std_error > 0
+    assert_matches_rational_oracle(report, counts, table)
+
+
+def test_counts_up_to_max_count_are_exact():
+    # Every count up to 2⁵³ − 1 is a double, so the products stay exact.
+    assert MAX_COUNT == 2**53 - 1
+    counts = np.array([[MAX_COUNT - 3, 3]])
+    for table in ([[0.0, -1.0]], [[0.3, -40.0]]):
+        report = estimate_exponential_average(counts, np.array(table))
+        assert report.sample_count == MAX_COUNT
+        assert_matches_rational_oracle(report, counts, table)
+
+
+def test_nonfinite_weight_names_the_first_sampled_cell():
+    # Of the sampled cells whose weight or e^{−weight} is not finite, the
+    # first in row-major order is named: the counts keep no draw order.
     weights = np.zeros((4, 4))
     weights[3, 0] = weights[1, 2] = np.nan
-    cells = np.zeros(count, dtype=np.uint8)
-    start = leaves[-1][0]
-    cells[[start + 5, start + 9, count - 1]] = [3 * 4, 1 * 4 + 2, 3 * 4]
-    for pair in [r"\(3, 0\)", r"\(1, 2\)"]:
-        worker_threads.clear()
-        with pytest.raises(ValueError, match=f"sampled pair {pair}"):
-            estimate_exponential_average(cells, weights)
-        assert len(worker_threads) == 2
-        assert_no_thread_alive(worker_threads)
-        cells[leaves[1][0] + 3] = 1 * 4 + 2
+    weights[2, 1] = -1000.0  # e^{1000} overflows
+    counts = np.zeros((4, 4), dtype=np.int64)
+    counts[0, 0] = 5
+    for cell in [(3, 0), (2, 1), (1, 2)]:
+        counts[cell] = 1
+        with pytest.raises(ValueError,
+                           match=rf"sampled pair \({cell[0]}, {cell[1]}\)"):
+            estimate_exponential_average(counts, weights)
 
 
-@pytest.mark.parametrize("error", [SliceFailure, MemoryError])
-def test_error_in_a_run_of_leaves_reaches_the_caller(
-        monkeypatch, worker_threads, error):
-    # The last worker's gather fails; the others finish, every thread is
-    # joined and the error reaches the caller with its type.
-    gather = sampler._gather
-
-    def failing(*args):
-        if threading.current_thread() is worker_threads[-1]:
-            raise error("leaf failed")
-        return gather(*args)
-
-    monkeypatch.setattr(sampler, "_gather", failing)
-    monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
-    with pytest.raises(error, match="leaf failed"):
-        estimate_exponential_average(
-            np.zeros(3 * _BLOCK_DRAWS + 5, dtype=np.uint8), np.zeros((2, 2)))
-    assert len(worker_threads) == 2
-    assert_no_thread_alive(worker_threads)
-
-
-@pytest.mark.parametrize("ns, ms", [
-    ([0, 2], [0, 1]),
-    ([0, 1], [0, 2]),  # cell N·M itself
-    ([0, -1], [0, 0]),  # fancy indexing would wrap this around
-])
-def test_sample_outside_the_table_raises(ns, ms):
-    cells = np.multiply(ns, 2) + ms
-    with pytest.raises(ValueError, match="invalid entry"):
-        estimate_exponential_average(cells, np.zeros((2, 2)))
-
-
-@pytest.mark.parametrize("cells", [
-    np.array([0, 4], dtype=np.uint8),
-    np.array([-(2**62), 0]),
-    np.array([0.0, 1.0]),
-    np.array([True, False]),
-], ids=["unsigned", "far-negative", "float", "bool"])
-def test_cell_outside_the_table_or_not_an_index_raises(cells):
-    with pytest.raises(ValueError, match="invalid entry"):
-        estimate_exponential_average(cells, np.zeros((2, 2)))
+@pytest.mark.parametrize("counts", [
+    np.array([[0, 4], [1, 0], [2, 0]], dtype=np.uint8),
+    np.array([[-(2**62), 0], [0, 5]]),
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[True, False], [False, True]]),
+    np.array([[0, 1], [0, 1], [1, 0]]),
+    np.array([[0, 1, 1], [1, 0, 0]]),
+    np.array([1, 0, 0, 1]),
+], ids=["unsigned", "far-negative", "float", "bool", "row-outside",
+        "column-outside", "flat"])
+def test_cell_outside_the_table_or_not_an_index_raises(counts):
+    # A count table of another shape has cells outside the 2×2 weight
+    # table; one of another kind, or with a negative entry, counts nothing.
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        estimate_exponential_average(counts, np.zeros((2, 2)))
 
 
 def test_reliability_of_equal_and_dominated_weights():
-    cells = np.array([0] * 7 + [1])
-    flat = estimate_exponential_average(cells, np.zeros((1, 2)))
+    counts = np.array([[7, 1]])
+    flat = estimate_exponential_average(counts, np.zeros((1, 2)))
     assert flat.effective_sample_size == pytest.approx(8.0, rel=1e-15)
     assert flat.max_weight_share == pytest.approx(1 / 8, rel=1e-15)
     # One draw of weight e^4 against seven of weight 1.
-    heavy = estimate_exponential_average(cells, np.array([[0.0, -4.0]]))
+    heavy = estimate_exponential_average(counts, np.array([[0.0, -4.0]]))
     big = np.exp(4.0)
     assert heavy.effective_sample_size == pytest.approx(
         (big + 7) ** 2 / (big ** 2 + 7), rel=1e-14)
     assert heavy.max_weight_share == pytest.approx(big / (big + 7),
                                                    rel=1e-15)
-    single = estimate_exponential_average(np.array([1]), np.zeros((1, 2)))
+    single = estimate_exponential_average(np.array([[0, 1]]),
+                                          np.zeros((1, 2)))
     assert single.effective_sample_size == 1.0
     assert single.max_weight_share == 1.0
 
@@ -912,57 +972,73 @@ def test_sample_stdout_matches_oracles(monkeypatch, capsys, caplog, config,
               if r.getMessage().startswith("ESTIMATOR ")]
     assert "effective_sample_size=" in line and "max_weight_share=" in line
     assert "effective_sample_size" not in out
-    monkeypatch.setattr(cli, "sample_trajectories", mask_loop_draw)
+    # The mask-loop oracle's draw, counted, gives the same report, whose
+    # fields the rational oracle bounds.
+
+    def oracle_draw(jd, count, rng):
+        ns, ms = mask_loop_draw(jd, count, rng)
+        return cell_counts(ns * jd.shape[1] + ms, jd.shape)
+
+    def checked_estimate(counts, weight_table, exact=None):
+        report = estimate_exponential_average(counts, weight_table, exact)
+        assert_matches_rational_oracle(report, counts, weight_table)
+        return report
+
+    monkeypatch.setattr(cli, "sample_trajectories", oracle_draw)
     monkeypatch.setattr(cli, "estimate_exponential_average",
-                        gather_exp_estimate)
+                        checked_estimate)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == out
 
 
 def test_point_mass_distribution():
     jd = distribution_from_joint(np.array([[1.0]]))
-    cells = sample_trajectories(jd, 50, np.random.default_rng(0))
-    assert np.all(cells == 0)
-    report = estimate_exponential_average(cells, np.array([[0.7]]))
+    counts = sample_trajectories(jd, 50, np.random.default_rng(0))
+    np.testing.assert_array_equal(counts, [[50]])
+    report = estimate_exponential_average(counts, np.array([[0.7]]))
     assert report.sample_count == 50
-    assert report.mean == pytest.approx(np.exp(-0.7), abs=1e-15)
+    assert report.mean == np.exp(-0.7)
     assert report.std_error == 0.0
     assert report.z_score is None
 
 
 def test_uniform_marginal_frequencies():
     count = 10_000
-    cells = sample_trajectories(uniform_2x2(), count,
-                                np.random.default_rng(3))
-    ns, ms = np.divmod(cells, 2)
+    counts = sample_trajectories(uniform_2x2(), count,
+                                 np.random.default_rng(3))
+    assert counts.sum() == count
     # Binomial(10^4, 1/2) has sigma = 50; allow 4 sigma.
-    assert abs(ns.sum() - count / 2) < 200
-    assert abs(ms.sum() - count / 2) < 200
-    counts = cell_counts(cells, (2, 2))
+    assert abs(counts[1].sum() - count / 2) < 200
+    assert abs(counts[:, 1].sum() - count / 2) < 200
     # Binomial(10^4, 1/4) has sigma ~ 43; allow 4 sigma.
     assert np.all(np.abs(counts - count / 4) < 175)
 
 
-def test_sampling_is_deterministic_per_seed():
+def test_sampling_is_deterministic_per_seed(drawn_labels):
     jd = uniform_2x2()
     a = sample_trajectories(jd, 100, np.random.default_rng(11))
+    [first] = [np.concatenate(run) for run in drawn_labels.values()]
+    drawn_labels.clear()
     b = sample_trajectories(jd, 100, np.random.default_rng(11))
-    c = sample_trajectories(jd, 100, np.random.default_rng(12))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    [again] = [np.concatenate(run) for run in drawn_labels.values()]
+    drawn_labels.clear()
+    sample_trajectories(jd, 100, np.random.default_rng(12))
+    [other] = [np.concatenate(run) for run in drawn_labels.values()]
+    assert np.array_equal(a, b) and np.array_equal(first, again)
+    assert not np.array_equal(first, other)
 
 
 def test_never_samples_off_support():
     jd = distribution_from_joint(np.diag([0.5, 0.5]))
-    ns, ms = np.divmod(sample_trajectories(jd, 1000,
-                                           np.random.default_rng(5)), 2)
-    assert np.all(ns == ms)
+    counts = sample_trajectories(jd, 1000, np.random.default_rng(5))
+    assert counts[0, 1] == counts[1, 0] == 0
+    assert counts.sum() == 1000
 
 
 def test_zero_width_cells_never_selected():
     jd = distribution_from_joint(np.array([[0.5, 0.0, 0.5]]))
-    cells = sample_trajectories(jd, 1000, np.random.default_rng(17))
-    assert np.all(np.isin(cells, (0, 2)))
+    counts = sample_trajectories(jd, 1000, np.random.default_rng(17))
+    assert counts[0, 1] == 0 and counts.sum() == 1000
 
 
 def test_degenerate_distribution_raises():
@@ -978,29 +1054,35 @@ def test_count_and_sample_validation():
     for count in (0, MAX_COUNT + 1):
         with pytest.raises(ValueError, match="count must be in"):
             sample_trajectories(jd, count, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="at least one sample"):
-        estimate_exponential_average(np.empty(0, np.intp), np.zeros((2, 2)))
+    # No draw, one too many, and 2⁶⁴ draws, whose int64 sum wraps to 0.
+    for counts in (np.zeros((2, 2), dtype=np.int64),
+                   np.array([[MAX_COUNT, 1], [0, 0]]),
+                   np.full((2, 2), 2**62)):
+        with pytest.raises(ValueError, match="need between 1 and"):
+            estimate_exponential_average(counts, np.zeros((2, 2)))
 
 
 def test_nonfinite_weight_rejected():
     # e^{−inf} = 0 is finite, yet an infinite weight is rejected too.
-    cells = np.array([0, 4, 5, 1, 5], dtype=np.uint8)
+    counts = np.array([[1, 1, 0], [0, 1, 2]])
     for bad in (np.nan, np.inf, -np.inf):
         weights = np.zeros((2, 3))
         weights[1, 2] = bad
         with pytest.raises(ValueError,
                            match=r"sampled pair \(1, 2\)") as err:
-            estimate_exponential_average(cells, weights)
+            estimate_exponential_average(counts, weights)
         assert str(err.value).endswith(repr(weights[1, 2]))
         # Unsampled, the same weight is never read.
-        report = estimate_exponential_average(cells[[0, 1, 3]], weights)
+        unsampled = counts.copy()
+        unsampled[1, 2] = 0
+        report = estimate_exponential_average(unsampled, weights)
         assert report.mean == 1.0
 
 
 def test_all_zero_weights():
-    cells = sample_trajectories(uniform_2x2(), 200,
-                                np.random.default_rng(1))
-    report = estimate_exponential_average(cells, np.zeros((2, 2)),
+    counts = sample_trajectories(uniform_2x2(), 200,
+                                 np.random.default_rng(1))
+    report = estimate_exponential_average(counts, np.zeros((2, 2)),
                                           exact=1.0)
     assert report.mean == 1.0
     assert report.std_error == 0.0
@@ -1009,9 +1091,9 @@ def test_all_zero_weights():
 
 
 def test_single_sample_has_zero_std_error():
-    cells = sample_trajectories(uniform_2x2(), 1,
-                                np.random.default_rng(9))
-    report = estimate_exponential_average(cells,
+    counts = sample_trajectories(uniform_2x2(), 1,
+                                 np.random.default_rng(9))
+    report = estimate_exponential_average(counts,
                                           np.arange(4.0).reshape(2, 2))
     assert report.sample_count == 1
     assert report.std_error == 0.0
@@ -1022,11 +1104,10 @@ def test_jackknife_matches_classic_standard_error():
     # For a plain sample mean the delete-one jackknife reduces exactly to
     # s / sqrt(n) with s the ddof=1 standard deviation.
     weights = np.array([[0.1, 0.7], [0.3, 1.9]])
-    cells = sample_trajectories(uniform_2x2(), 500,
-                                np.random.default_rng(23))
-    report = estimate_exponential_average(cells, weights)
-    values = np.array([np.exp(-weights[n, m])
-                       for n, m in zip(*np.divmod(cells, 2))])
+    counts = sample_trajectories(uniform_2x2(), 500,
+                                 np.random.default_rng(23))
+    report = estimate_exponential_average(counts, weights)
+    values = np.repeat(np.exp(-weights).ravel(), counts.ravel())
     n = len(values)
     classic = np.std(values, ddof=1) / np.sqrt(n)
     leave_one_out = (values.sum() - values) / (n - 1)
@@ -1039,8 +1120,8 @@ def test_jackknife_matches_classic_standard_error():
 
 def test_z_score_within_three_sigma_on_full_support():
     jd, mi = fixed_qutrit_scenario()
-    cells = sample_trajectories(jd, 100_000, np.random.default_rng(99))
-    report = estimate_exponential_average(cells, mi.i_table,
+    counts = sample_trajectories(jd, 100_000, np.random.default_rng(99))
+    report = estimate_exponential_average(counts, mi.i_table,
                                           exact=mi.exp_average)
     assert report.exact_value == pytest.approx(1.0, abs=1e-10)
     assert abs(report.z_score) <= 3.0
@@ -1050,9 +1131,9 @@ def test_z_scores_roughly_standard_normal_across_seeds():
     jd, mi = fixed_qutrit_scenario()
     zs = []
     for seed in range(200):
-        cells = sample_trajectories(jd, 10_000,
-                                    np.random.default_rng(4000 + seed))
-        report = estimate_exponential_average(cells, mi.i_table,
+        counts = sample_trajectories(jd, 10_000,
+                                     np.random.default_rng(4000 + seed))
+        report = estimate_exponential_average(counts, mi.i_table,
                                               exact=mi.exp_average)
         zs.append(report.z_score)
     zs = np.array(zs)
@@ -1066,9 +1147,8 @@ def test_empirical_frequencies_match_joint_chi_square():
     passes = 0
     seeds = 40
     for seed in range(seeds):
-        cells = sample_trajectories(jd, count,
-                                    np.random.default_rng(5000 + seed))
-        observed = cell_counts(cells, jd.shape)
+        observed = sample_trajectories(jd, count,
+                                       np.random.default_rng(5000 + seed))
         expected = count * jd.p_joint
         statistic = float(np.sum((observed - expected) ** 2 / expected))
         # 9 cells, 1 constraint: 8 degrees of freedom.
