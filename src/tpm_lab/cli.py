@@ -190,8 +190,10 @@ def run_sweep(config: ScenarioConfig, parameter: str,
     ``previous`` (see :func:`build_scenario`), so what the swept value
     and the point's seed leave unchanged is built once: a fixed
     Hamiltonian is diagonalised and its measurement validated at the
-    first point only, and a fixed channel or non-thermal initial state is
-    validated once. Only that one previous scenario is held. Every check,
+    first point only, a fixed channel or non-thermal initial state is
+    validated once, and Z, the exponent guards and the Gibbs state are
+    recomputed only when β changes. Only that one previous scenario is
+    held. Every check,
     report row, log line and error equals that of running
     :func:`run_verify` on each point.
     """
@@ -253,10 +255,37 @@ def rows_to_csv(rows: list[ReportRow]) -> str:
     return buf.getvalue()
 
 
+def _json_value(value) -> str:
+    """A str, float, int or None as ``json.dumps`` writes it: floats by
+    ``float.__repr__``, NaN and ±inf as ``NaN``/``Infinity``/``-Infinity``,
+    strings ASCII-escaped."""
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    return "null" if value is None else int.__repr__(value)
+
+
+def _json_object(items, indent: str) -> str:
+    """``json.dumps(dict(items), indent=2)`` of a nonempty flat object whose
+    keys are plain identifiers, for an object nested at ``indent``."""
+    body = ",\n".join(f'{indent}  "{key}": {_json_value(value)}'
+                      for key, value in items)
+    return f"{{\n{body}\n{indent}}}"
+
+
 def rows_to_json(rows: list[ReportRow]) -> str:
-    payload = [{name: getattr(row, name) for name in REPORT_COLUMNS}
-               for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    """JSON report: a list of one object per row, keys in column order,
+    byte for byte ``json.dumps(..., indent=2)`` plus a newline."""
+    if not rows:
+        return "[]\n"
+    objects = ",\n  ".join(_json_object(zip(REPORT_COLUMNS, row), "  ")
+                           for row in rows)
+    return f"[\n  {objects}\n]\n"
 
 
 def _estimate_to_json(config: ScenarioConfig, weight: str,
@@ -270,15 +299,19 @@ def _estimate_to_json(config: ScenarioConfig, weight: str,
         "exact_value": report.exact_value,
         "z_score": report.z_score,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _json_object(payload.items(), "") + "\n"
 
 
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {out_path}: {exc}",
+                          field="--out") from exc
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -301,22 +334,24 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the config seed")
     common.add_argument("--out", default=None,
                         help="write the report here instead of stdout")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="report format (default csv)")
+    # Row reports come as CSV or JSON; an estimate only as JSON.
+    rows = argparse.ArgumentParser(add_help=False, parents=[common])
+    rows.add_argument("--format", choices=("csv", "json"), default="csv",
+                      help="report format (default csv)")
 
     sub = parser.add_subparsers(dest="command", required=True)
     p_verify = sub.add_parser(
-        "verify", parents=[common],
+        "verify", parents=[rows],
         help="check ⟨e^{-I}⟩ bookkeeping and the Jensen bound on the MI")
     p_verify.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL)
     p_jarzynski = sub.add_parser(
-        "jarzynski", parents=[common],
+        "jarzynski", parents=[rows],
         help="check ⟨e^{-βW}⟩ = Z'/Z")
     p_jarzynski.add_argument(
         "--tol", type=float, default=DEFAULT_JARZYNSKI_TOL,
         help="relative tolerance on ⟨e^{-βW}⟩/(Z'/Z) − 1 (default %(default)g)")
     p_sweep = sub.add_parser(
-        "sweep", parents=[common],
+        "sweep", parents=[rows],
         help="re-run a scenario over a parameter grid")
     p_sweep.add_argument("--param", required=True,
                          choices=("beta", "channel_param", "dim"))
@@ -325,6 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser(
         "sample", parents=[common],
         help="Monte Carlo estimate of an exponential average")
+    p_sample.add_argument("--format", choices=("json",), default="json",
+                          help="report format (JSON only)")
     p_sample.add_argument("--count", type=int, required=True)
     p_sample.add_argument("--weight", choices=("mi", "work"), default="mi")
     return parser

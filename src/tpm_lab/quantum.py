@@ -384,8 +384,11 @@ class GibbsEnsemble(NamedTuple):
         diagonalised again. Z, the β > 0 check and both exponent guards
         run through the code :func:`gibbs_ensemble` uses, so
         ``gibbs_ensemble(h, a).at_beta(b)`` equals ``gibbs_ensemble(h, b)``
-        field for field and raises the same errors.
+        field for field and raises the same errors. At the ensemble's own
+        β it is the ensemble itself.
         """
+        if beta == self.beta:
+            return self
         return _thermal(self.energies, self.basis, beta)
 
 

@@ -339,15 +339,18 @@ def build_scenario(config: ScenarioConfig, *,
     unchanged spec through as it is) and no dependence on the seed.
 
     - A Hamiltonian's eigenpair, unless its kind is ``random``, and then
-      also its measurement family if that spec is unchanged too.
+      also its measurement family if that spec is unchanged too. At an
+      unchanged β the whole :class:`GibbsEnsemble` is lent; at a new β,
+      Z and the exponent guards are recomputed from the eigenpair
+      (:meth:`GibbsEnsemble.at_beta`).
     - The channel, unless its kind is ``haar_random``, or is
       ``unitary_from_hamiltonian`` and the second eigenpair was rebuilt.
-    - A ``maximally_mixed`` or ``explicit`` initial state.
+    - A ``maximally_mixed`` or ``explicit`` initial state, and a
+      ``gibbs`` one when the first ensemble itself was lent: the Gibbs
+      weights are recomputed only when β or the first Hamiltonian changes.
 
-    Whatever depends on β is recomputed at every point: Z and the
-    exponent guards (:meth:`GibbsEnsemble.at_beta`), and the Gibbs
-    weights. Every builder is deterministic, so the result, and any error
-    raised, equals that of a build without ``previous``.
+    Every builder is deterministic, so the result, and any error raised,
+    equals that of a build without ``previous``.
 
     Raises :class:`ConfigError` for schema-level problems and
     :class:`~tpm_lab.errors.ValidationError` when a constructed object
@@ -383,7 +386,9 @@ def build_scenario(config: ScenarioConfig, *,
                     != "unitary_from_hamiltonian")
                else _build_channel(config, second_ensemble))
     initial = (previous.experiment.initial_state
-               if _unchanged(config, previous, "initial", "gibbs")
+               if _unchanged(config, previous, "initial")
+               and (config.initial.get("kind") != "gibbs"
+                    or first_ensemble is previous.first_ensemble)
                else _build_initial(config, first_ensemble))
     experiment = TpmExperiment(initial_state=initial,
                                first_measurement=first_meas,

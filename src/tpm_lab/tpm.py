@@ -23,6 +23,7 @@ unital evolution. All logarithms are natural (nats).
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -123,18 +124,19 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
                             factorization_residual: float = 0.0) -> JointDistribution:
     """Build a :class:`JointDistribution` from a raw probability table.
 
-    Checks bounds (entries within [−1e−12, 1 + 1e−12]) before clamping to
-    [0, 1], normalization (Σ p = 1 within 1e−10) and that some cell
-    exceeds ``support_epsilon``; fills the marginals, the support mask and
-    the support defect.
+    Checks that every entry is finite (``finite_entries``, read off the
+    table's min and max), bounds (entries within [−1e−12, 1 + 1e−12])
+    before clamping to [0, 1], normalization (Σ p = 1 within 1e−10) and
+    that some cell exceeds ``support_epsilon``; fills the marginals, the
+    support mask and the support defect.
     """
     p = np.array(p_joint, dtype=float)
     if p.ndim != 2:
         raise ValueError(f"joint table must be 2-d, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    low, high = float(p.min()), float(p.max())
+    if not (math.isfinite(low) and math.isfinite(high)):  # NaN or ±inf
         raise ValidationError("joint table contains non-finite entries",
                               invariant="finite_entries")
-    low, high = float(p.min()), float(p.max())
     if low < -PROBABILITY_BOUND_TOL or high > 1.0 + PROBABILITY_BOUND_TOL:
         raise ValidationError(
             f"probabilities out of bounds: min {low:.3e}, max {high:.3e}",
@@ -186,6 +188,12 @@ def joint_distribution(experiment: TpmExperiment,
       W†(I/d)W = I/d puts weight (r/d)·ρ̃_kk on every second-basis row;
     - the factorized table is Gᵀ (Σ_i |A_i|² + (r/d)·1)ᵀ H with row n
       scaled by p(n) = (Gᵀ diag ρ̃)_n.
+
+    When every group of both families is one column, G and H are
+    permutation matrices, and each group sum is read by indexing with the
+    inverse permutation of ``groups`` (in any order) instead: the same
+    table bit for bit, with no product. Degenerate families keep the
+    products.
     """
     first = experiment.first_measurement
     second = experiment.second_measurement
@@ -213,11 +221,20 @@ def joint_distribution(experiment: TpmExperiment,
     born += (r / dim) * populations
     transition += r / dim
 
-    g = np.eye(len(first))[first.groups]
-    h = np.eye(len(second))[second.groups]
-    p = g.T @ born.T @ h
-    p_first = g.T @ populations
-    p_factorized = (g.T @ transition.T @ h) * p_first[:, None]
+    if len(first) == len(second) == dim and \
+            first.max_rank == second.max_rank == 1:
+        rows = np.argsort(first.groups)
+        cols = np.argsort(second.groups)
+        p = born.T[rows[:, None], cols]
+        p_first = populations[rows]
+        p_transition = transition.T[rows[:, None], cols]
+    else:
+        g = np.eye(len(first))[first.groups]
+        h = np.eye(len(second))[second.groups]
+        p = g.T @ born.T @ h
+        p_first = g.T @ populations
+        p_transition = g.T @ transition.T @ h
+    p_factorized = p_transition * p_first[:, None]
     residual = float(np.max(np.abs(p - p_factorized)))
     return distribution_from_joint(p, support_epsilon,
                                    factorization_residual=residual)
@@ -355,14 +372,18 @@ def work_statistics(jd: JointDistribution, first_energies, second_energies,
     work = e_second[None, :] - e_first[:, None]
     delta_f = -(np.log(Z_prime) - np.log(Z)) / beta
 
-    positive = jd.p_joint > 0
-    terms = np.zeros(jd.shape)
-    with np.errstate(over="ignore"):  # an overflow is the finite_lhs error
-        terms[positive] = jd.p_joint[positive] * np.exp(-beta * work[positive])
+    p = jd.p_joint
+    # A cell with p = 0 contributes 0, whatever its factor; an overflow is
+    # the finite_lhs error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * np.exp(-beta * work), 0.0)
+        lhs = float(terms.sum())
+    if not math.isfinite(lhs):  # a term, or the sum, overflowed
         redo = ~np.isfinite(terms)
-        terms[redo] = np.exp(np.log(jd.p_joint[redo]) - beta * work[redo])
-    lhs = float(terms.sum())
-    if not np.isfinite(lhs):
+        with np.errstate(over="ignore"):
+            terms[redo] = np.exp(np.log(p[redo]) - beta * work[redo])
+        lhs = float(terms.sum())
+    if not math.isfinite(lhs):
         raise ValidationError(
             "exponential work average overflowed", invariant="finite_lhs")
     rhs = Z_prime / Z

@@ -6,6 +6,7 @@ import copy
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from conftest import (
 from tpm_lab import cli, quantum
 from tpm_lab.errors import ConfigError, ValidationError
 from tpm_lab.quantum import gibbs_ensemble, standard_channel
-from tpm_lab.sampler import MAX_COUNT
+from tpm_lab.sampler import MAX_COUNT, EstimatorReport
 from tpm_lab.scenarios import (
     MAX_DIM,
     build_scenario,
@@ -556,32 +557,46 @@ def test_sweep_matches_the_per_point_loop(caplog, source, parameter, values):
     assert sweep_log == oracle_log
 
 
-@pytest.mark.parametrize("name, parameter, values, eig_calls, channels", [
-    ("qubit_hadamard.json", "beta", BETAS, 2, 1),
-    ("random_full_support.json", "beta", BETAS, 10, 5),
-    ("amplitude_damping.json", "channel_param",
-     [0.0, 0.25, 0.5, 0.75, 1.0], 2, 5),
-])
+# Per sweep: Hamiltonians diagonalised, channels validated, partition
+# functions Z computed (one per Hamiltonian, and again only where β
+# changes) and Gibbs states built.
+@pytest.mark.parametrize("name, parameter, values, built", [
+    ("qubit_hadamard.json", "beta", BETAS,
+     {"eig": 2, "channel": 1, "z": 10, "state": 5}),
+    ("random_full_support.json", "beta", BETAS,
+     {"eig": 10, "channel": 5, "z": 10, "state": 5}),
+    ("amplitude_damping.json", "channel_param", [0.0, 0.25, 0.5, 0.75, 1.0],
+     {"eig": 2, "channel": 5, "z": 2, "state": 1}),
+    ("qubit_hadamard.json", "beta", [1.0, 1.0, 2.0, 2.0, 1.0],
+     {"eig": 2, "channel": 1, "z": 6, "state": 3}),
+], ids=["qubit_hadamard.json-beta-values0-2-1",
+        "random_full_support.json-beta-values1-10-5",
+        "amplitude_damping.json-channel_param-values2-2-5",
+        "qubit_hadamard.json-beta-values3-2-1"])
 def test_sweep_builds_unchanged_ingredients_once(monkeypatch, name, parameter,
-                                                 values, eig_calls, channels):
-    calls = {"eig": 0, "channel": 0}
-    hermitian_eig = quantum.hermitian_eig
+                                                 values, built):
+    calls = dict.fromkeys(built, 0)
+    hermitian_eig, thermal = quantum.hermitian_eig, quantum._thermal
     channel_init = quantum.KrausChannel.__init__
+    spectral = quantum.DensityMatrix._spectral
 
-    def counting_eig(a):
-        calls["eig"] += 1
-        return hermitian_eig(a)
+    def counting(key, function):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+        return counted
 
-    def counting_channel(self, *args, **kwargs):
-        calls["channel"] += 1
-        channel_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(quantum, "hermitian_eig", counting_eig)
-    monkeypatch.setattr(quantum.KrausChannel, "__init__", counting_channel)
+    monkeypatch.setattr(quantum, "hermitian_eig", counting("eig",
+                                                           hermitian_eig))
+    monkeypatch.setattr(quantum, "_thermal", counting("z", thermal))
+    monkeypatch.setattr(quantum.KrausChannel, "__init__",
+                        counting("channel", channel_init))
+    monkeypatch.setattr(quantum.DensityMatrix, "_spectral",
+                        staticmethod(counting("state", spectral)))
     rows = cli.run_sweep(load_scenario(SCENARIO_DIR / name), parameter,
                          values)
     assert len(rows) == 5
-    assert calls == {"eig": eig_calls, "channel": channels}
+    assert calls == built
 
 
 @pytest.mark.parametrize("name, argv, code, message", [
@@ -936,6 +951,95 @@ def test_json_format(tmp_path):
     assert isinstance(payload, list) and len(payload) == 1
     assert tuple(payload[0].keys()) == cli.REPORT_COLUMNS
     assert payload[0]["name"] == "qubit_hadamard"
+
+
+# Values whose JSON text is easy to get wrong: non-finite and signed-zero
+# floats, the smallest subnormal, floats that need 17 digits or an
+# exponent, integers beyond 64 bits, and names to escape.
+AWKWARD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                  0.1 + 0.2, 1 / 3, -2.2250738585072014e-308,
+                  1.7976931348623157e308, 1e16, 123456789.12345679, 1e-7]
+AWKWARD_NAMES = ["plain", "β≈1 ünïcode ✓", 'quote " and \\ backslash',
+                 "tab\tnewline\n\x00 control", "emoji \U0001F600", ""]
+
+
+def awkward_rows() -> list[cli.ReportRow]:
+    rng = np.random.default_rng(31)
+    rows = []
+    for k, name in enumerate(AWKWARD_NAMES):
+        floats = rng.permutation(np.array(AWKWARD_FLOATS, dtype=object))
+        rows.append(cli.ReportRow(name, [2, 2**63 + 5, -(2**70), 0, 7, 3][k],
+                                  *floats[:len(cli.REPORT_COLUMNS) - 2]))
+    return rows
+
+
+def test_rows_to_json_is_json_dumps_byte_for_byte():
+    rows = awkward_rows()
+    assert all(isinstance(row.beta, float) for row in rows)
+    for chosen in ([], rows[:1], rows):
+        payload = [row._asdict() for row in chosen]
+        assert cli.rows_to_json(chosen) == json.dumps(payload, indent=2) + "\n"
+    assert cli.rows_to_json([]) == "[]\n"
+    sweep = cli.run_sweep(load_scenario(SCENARIO_DIR / "qubit_hadamard.json"),
+                          "beta", BETAS)
+    assert cli.rows_to_json(sweep) == json.dumps(
+        [row._asdict() for row in sweep], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", AWKWARD_NAMES)
+@pytest.mark.parametrize("exact, z_score", [(None, None), (1.0, -0.0),
+                                            (math.nan, math.inf),
+                                            (5e-324, -math.inf)])
+def test_estimate_to_json_is_json_dumps_byte_for_byte(name, exact, z_score):
+    config = load_scenario(SCENARIO_DIR / "qubit_hadamard.json")._replace(
+        name=name)
+    for count, mean, std_error in ((2**64 + 1, 0.1 + 0.2, 5e-324),
+                                   (1, math.nan, 0.0),
+                                   (10, np.float64(1 / 3), -math.inf)):
+        report = EstimatorReport(
+            sample_count=count, mean=mean, std_error=std_error,
+            effective_sample_size=1.0, max_weight_share=1.0,
+            exact_value=exact, z_score=z_score)
+        payload = {"scenario": name, "weight": "work",
+                   "sample_count": count, "mean": mean,
+                   "std_error": std_error, "exact_value": exact,
+                   "z_score": z_score}
+        assert cli._estimate_to_json(config, "work", report) == \
+            json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command, options", [
+    ("verify", []), ("jarzynski", []),
+    ("sweep", ["--param", "beta", "--values", "1", "2"]),
+    ("sample", ["--count", "100"])])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_out_is_a_config_error(tmp_path, caplog, command, options,
+                                          where):
+    # Exit 1 means the checked identity failed; a report that cannot be
+    # written is a bad option, like an unreadable --config.
+    out = tmp_path / "missing" / "x.csv" if where == "missing_dir" \
+        else tmp_path
+    with caplog.at_level("ERROR", logger="tpm_lab"):
+        code = cli.main([command, "--config",
+                         str(SCENARIO_DIR / "qubit_hadamard.json"), *options,
+                         "--out", str(out)])
+    assert code == 2
+    assert caplog.records[-1].getMessage().startswith(
+        f"config error (field=--out): cannot write report {out}: ")
+
+
+def test_sample_report_format_is_json_only(capsys):
+    config = str(SCENARIO_DIR / "qubit_hadamard.json")
+    argv = ["sample", "--config", config, "--count", "100"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    assert cli.main(argv) == 0
+    default = capsys.readouterr().out
+    assert cli.main([*argv, "--format", "json"]) == 0
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["sample_count"] == 100
 
 
 def test_main_sweep_empty_produces_header_only(tmp_path):

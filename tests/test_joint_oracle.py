@@ -6,6 +6,11 @@ post-measurement state. It shares nothing with the engine but the
 experiment's inputs, and costs O(N·M·d² + N·K·d³). The depolarizing
 channel, stored as one Kraus operator plus a replacement weight, is
 checked against its d² + 1 explicit Weyl Kraus operators.
+
+``indicator_product_joint`` is the engine's own formula with every group
+sum written as a product with a group-indicator matrix. The engine reads
+the sums of rank-1 groups as a permutation instead, which must give the
+same table bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from conftest import (
     dense,
     dense_projectors,
     random_density_matrix,
+    random_nonunitary_channel,
     random_rank1_experiment,
     weyl_depolarizing,
 )
@@ -28,7 +34,11 @@ from tpm_lab.quantum import (
     eigen_measurement,
     standard_channel,
 )
-from tpm_lab.tpm import TpmExperiment, joint_distribution
+from tpm_lab.tpm import (
+    TpmExperiment,
+    distribution_from_joint,
+    joint_distribution,
+)
 
 TOL = 1e-14
 
@@ -166,3 +176,128 @@ def test_kraus_channels(kind, levels):
             assert channel.replacement == 0.0
         assert_matches_reference(experiment_of(first, channel, second, rng),
                                  reference_channel=reference)
+
+
+def indicator_product_joint(experiment: TpmExperiment):
+    """(p_joint, factorization_residual) from the engine's measurement-basis
+    sums B = Σ_i Re[(A_i ρ̃) ⊙ Ā_i] + (r/d)·1·diag ρ̃ and
+    T = Σ_i |A_i|² + (r/d)·1, with the group sums written as products with
+    the (column × outcome) indicator matrices G and H: p = Gᵀ Bᵀ H and
+    p(n) = Gᵀ diag ρ̃, with G and H built for every family, rank-1 or not."""
+    first = experiment.first_measurement
+    second = experiment.second_measurement
+    v = first.basis
+    w_dag = second.basis.conj().T
+    state = experiment.initial_state
+    if np.array_equal(state.basis, v):
+        dephased, populations = None, state.weights
+    else:
+        rot = v.conj().T @ state.basis
+        dephased = np.where(first.groups[:, None] == first.groups[None, :],
+                            (rot * state.weights) @ rot.conj().T, 0.0)
+        populations = dephased.diagonal().real
+    dim = experiment.dim
+    born = np.zeros((dim, dim))
+    transition = np.zeros((dim, dim))
+    for op in experiment.channel.kraus_ops:
+        a = w_dag @ op @ v
+        a_conj = a.conj()
+        a_rho = a * populations if dephased is None else a @ dephased
+        born += (a_rho * a_conj).real
+        transition += (a * a_conj).real
+    r = experiment.channel.replacement
+    born += (r / dim) * populations
+    transition += r / dim
+    g = np.eye(len(first))[first.groups]
+    h = np.eye(len(second))[second.groups]
+    p = g.T @ born.T @ h
+    p_factorized = (g.T @ transition.T @ h) * (g.T @ populations)[:, None]
+    return p, float(np.max(np.abs(p - p_factorized)))
+
+
+def assert_bits_of_indicator_products(experiment: TpmExperiment):
+    jd = joint_distribution(experiment)
+    p, residual = indicator_product_joint(experiment)
+    oracle = distribution_from_joint(p, factorization_residual=residual)
+    for name, value in oracle._asdict().items():
+        mine = getattr(jd, name)
+        if isinstance(value, np.ndarray):
+            assert mine.dtype == value.dtype and mine.shape == value.shape
+            assert mine.tobytes() == value.tobytes(), name
+        else:
+            assert repr(mine) == repr(value), name
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("first_groups, second_groups", [
+    ("sorted", "sorted"), ("permuted", "sorted"), ("sorted", "permuted"),
+    ("permuted", "permuted")])
+@pytest.mark.parametrize("gibbs", [True, False], ids=["gibbs", "coherent"])
+@pytest.mark.parametrize("channel", ["unitary", "non_unitary"])
+def test_rank1_groups_equal_the_indicator_products_bit_for_bit(
+        dim, first_groups, second_groups, gibbs, channel):
+    # Any order of the groups is a valid family, so the engine must read
+    # the permutation from ``groups``, not assume it sorted.
+    rng = np.random.default_rng((106, dim, len(first_groups),
+                                 len(second_groups), gibbs,
+                                 len(channel)))
+
+    def family(order):
+        groups = (np.arange(dim) if order == "sorted"
+                  else rng.permutation(dim))
+        return ProjectorFamily(basis=haar_random_unitary(dim, rng),
+                               groups=groups,
+                               energies=rng.uniform(0.0, 2.0, dim))
+
+    first, second = family(first_groups), family(second_groups)
+    if gibbs:
+        weights = rng.uniform(0.05, 1.0, dim)
+        state = DensityMatrix._spectral(weights / weights.sum(), first.basis)
+    else:
+        state = random_density_matrix(dim, rng)
+    kraus = (channel_from_unitary(haar_random_unitary(dim, rng))
+             if channel == "unitary" or dim == 1
+             else random_nonunitary_channel(dim, rng))
+    experiment = TpmExperiment(initial_state=state, first_measurement=first,
+                               channel=kraus, second_measurement=second)
+    assert_bits_of_indicator_products(experiment)
+    assert_matches_reference(experiment)
+
+
+def test_permuted_groups_pick_rows_and_columns_by_label():
+    # Column k of each basis measures outcome groups[k], so with the
+    # identity channel and basis p(n, m) = ρ_kk where groups[k] = n = m'.
+    weights = np.array([0.5, 0.3, 0.2])
+    eye = np.eye(3)
+    first = ProjectorFamily(basis=eye, groups=[2, 0, 1])
+    second = ProjectorFamily(basis=eye, groups=[1, 2, 0])
+    experiment = TpmExperiment(
+        initial_state=DensityMatrix._spectral(weights, first.basis),
+        first_measurement=first, channel=standard_channel("identity", 3),
+        second_measurement=second)
+    jd = joint_distribution(experiment)
+    expected = np.zeros((3, 3))
+    for k in range(3):
+        expected[first.groups[k], second.groups[k]] = weights[k]
+    assert jd.p_joint.tobytes() == expected.tobytes()
+    assert jd.p_first.tolist() == [0.3, 0.2, 0.5]
+    assert_bits_of_indicator_products(experiment)
+
+
+@pytest.mark.parametrize("first_levels, second_levels", [
+    ([0, 0, 1, 1, 1, 2], [0, 0, 0, 0, 3, 3]),
+    ([0, 1, 2, 3], [0, 0, 1, 2]),
+    ([0, 0, 1], [0, 1, 2]),
+])
+def test_degenerate_groups_keep_the_indicator_products(first_levels,
+                                                       second_levels):
+    rng = np.random.default_rng((107, len(first_levels), len(second_levels)))
+    first = eigen_measurement(*hermitian_eig(
+        degenerate_hamiltonian(first_levels, rng)))
+    second = eigen_measurement(*hermitian_eig(
+        degenerate_hamiltonian(second_levels, rng)))
+    assert max(first.max_rank, second.max_rank) > 1
+    channel = channel_from_unitary(haar_random_unitary(len(first_levels),
+                                                       rng))
+    assert_bits_of_indicator_products(
+        experiment_of(first, channel, second, rng))

@@ -170,9 +170,12 @@ def test_distribution_from_joint_rejects_bad_tables():
         distribution_from_joint(np.array([[0.5, 0.3], [0.05, 0.05]]))
     assert err.value.invariant == "normalization"
     assert err.value.residual == pytest.approx(0.1, abs=1e-12)
-    with pytest.raises(ValidationError) as err:
-        distribution_from_joint(np.array([[np.nan, 0.5], [0.25, 0.25]]))
-    assert err.value.invariant == "finite_entries"
+    # A non-finite entry is named before any bound it also breaks.
+    for bad in ([np.nan, 0.5], [np.inf, 0.5], [-np.inf, 0.5],
+                [np.nan, 2.0], [-1.0, np.inf], [np.inf, -np.inf]):
+        with pytest.raises(ValidationError) as err:
+            distribution_from_joint(np.array([bad, [0.25, 0.25]]))
+        assert err.value.invariant == "finite_entries"
 
 
 def test_factorization_residual_detects_rank2_projector():
@@ -428,11 +431,12 @@ def test_work_statistics_input_validation():
         work_statistics(jd, [0.0, 1.0], [0.0, 1.0], 1.0, -1.0, 1.0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_zero_probability_cells_cannot_poison_work_average():
     # The (0, 1) cell has p = 0 and work -2000, whose naive weight
     # exp(+2000) is inf; it must contribute nothing rather than
-    # 0 * inf = nan. The only other extreme cell, (1, 0), has work +2000
-    # and harmlessly underflows to zero.
+    # 0 * inf = nan, and without a RuntimeWarning. The only other extreme
+    # cell, (1, 0), has work +2000 and harmlessly underflows to zero.
     p = np.array([[0.5, 0.0], [0.25, 0.25]])
     jd = distribution_from_joint(p)
     ws = work_statistics(jd, [0.0, -2000.0], [0.0, -2000.0], 1.0, 1.0, 1.0)
@@ -449,6 +453,18 @@ def test_work_average_overflow_is_a_validation_error():
     with pytest.raises(ValidationError) as err:
         work_statistics(jd, [700.0, 1399.0], [-699.0, 0.0], 1.0, 1.0, 1.0)
     assert err.value.invariant == "finite_lhs"
+
+
+def test_work_average_sum_overflow_warns_once():
+    # Each term p·e^{−βW} = 0.5·e^{710} is formed as exp(ln p − βW) and is
+    # finite, but their sum is not: numpy's one overflow warning of the
+    # sum is kept, and the sum is the finite_lhs error.
+    jd = distribution_from_joint(np.array([[0.5, 0.5], [0.0, 0.0]]))
+    with pytest.warns(RuntimeWarning, match="overflow") as record, \
+            pytest.raises(ValidationError) as err:
+        work_statistics(jd, [0.0, 0.0], [-710.0, -710.0], 1.0, 1.0, 1.0)
+    assert err.value.invariant == "finite_lhs"
+    assert len(record) == 1
 
 
 # --- mutual information vs dissipation --------------------------------------
