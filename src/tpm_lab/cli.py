@@ -145,7 +145,7 @@ def _row(built: BuiltScenario) -> ReportRow:
         jarzynski_lhs=ws.jarzynski_lhs, jarzynski_rhs=ws.jarzynski_rhs,
         jarzynski_defect=ws.jarzynski_defect,
         unitality_residual=built.experiment.channel.unitality_residual,
-        colsum_max_dev=float(np.max(np.abs(ws.conditional_colsums - 1.0))),
+        colsum_max_dev=float(abs(ws.conditional_colsums - 1.0).max()),
         factorization_residual=jd.factorization_residual,
         mi_vs_dissipation_gap=compare_mi_to_dissipation(mi, ws))
 
@@ -181,10 +181,10 @@ def run_sweep(config: ScenarioConfig, parameter: str,
               values) -> list[ReportRow]:
     """One report row per sweep value, in input order.
 
-    Each point runs with a deterministic seed derived from the base seed
-    and the point index, so sweep output is reproducible regardless of any
-    future execution-order changes. An empty value list yields an empty
-    report.
+    A point whose random ingredients read the seed runs with one derived
+    from the base seed and the point index (:func:`sweep_configs`), so
+    sweep output does not depend on execution order. An empty value list
+    yields an empty report.
 
     Each point is built with the previous point's scenario as
     ``previous`` (see :func:`build_scenario`), so what the swept value
@@ -193,9 +193,8 @@ def run_sweep(config: ScenarioConfig, parameter: str,
     first point only, a fixed channel or non-thermal initial state is
     validated once, and Z, the exponent guards and the Gibbs state are
     recomputed only when β changes. Only that one previous scenario is
-    held. Every check,
-    report row, log line and error equals that of running
-    :func:`run_verify` on each point.
+    held. Every check, report row, log line and error equals that of
+    running :func:`run_verify` on each point.
     """
     rows, built = [], None
     for variant in sweep_configs(config, parameter, values):

@@ -83,8 +83,8 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = r.diagonal()
+    return q * (d / abs(d))
 
 
 def random_hermitian(dim: int, rng: np.random.Generator,

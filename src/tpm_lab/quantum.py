@@ -78,7 +78,7 @@ class DensityMatrix:
             raise ValidationError("state weights contain non-finite entries",
                                   invariant="finite_entries")
         state = cls.__new__(cls)
-        state._store(float(np.sum(weights)), weights, basis)
+        state._store(float(weights.sum()), weights, basis)
         return state
 
     def _store(self, trace, weights: np.ndarray, basis: np.ndarray) -> None:
@@ -87,7 +87,7 @@ class DensityMatrix:
             raise ValidationError(
                 f"state trace is {trace:.12g}, not 1: residual {trace_res:.3e} > {STATE_TOL:.1e}",
                 invariant="unit_trace", residual=trace_res)
-        min_eig = float(np.min(weights))
+        min_eig = float(weights.min())
         if min_eig < -STATE_TOL:
             raise ValidationError(
                 f"state is not positive semidefinite: min eigenvalue {min_eig:.3e} < -{STATE_TOL:.1e}",
@@ -108,7 +108,7 @@ class ProjectorFamily:
     P_n = V_n V_n† with V_n = V[:, groups == n]. Projector n corresponds to
     measurement outcome n; ``energies`` are optional outcome labels in
     energy units (the eigenvalues of a Hamiltonian whose eigenbasis this
-    family measures).
+    family measures). ``in_order``: column k alone measures outcome k.
 
     Build it from a list of dense ``projectors`` or from ``basis`` and
     ``groups`` (as :func:`eigen_measurement` does), not both. Each dense
@@ -176,7 +176,7 @@ class ProjectorFamily:
                              minlength=n_out)
         if (cols == dim and delta * (1.0 + delta) <= PROJECTOR_TOL
                 and completeness <= PROJECTOR_TOL
-                and np.all(np.abs(traces - sizes) <= RANK_TOL)):
+                and (abs(traces - sizes) <= RANK_TOL).all()):
             ranks = tuple(sizes.tolist())
         else:
             ranks = _diagnose_family(gram, groups, n_out, completeness)
@@ -188,6 +188,7 @@ class ProjectorFamily:
         self.dim = dim
         self.basis = _freeze(basis)
         self.groups = _freeze(groups)
+        self.in_order = np.array_equal(groups, np.arange(dim))
         self.ranks = ranks
         self.energies = energies
 
@@ -374,7 +375,7 @@ class GibbsEnsemble(NamedTuple):
         """The Gibbs state e^{−βH}/Z, built in O(d) each time it is read:
         the normalised weights e^{−β(E_k − E_0)} on ``basis``."""
         weights = np.exp(-self.beta * (self.energies - self.energies[0]))
-        return DensityMatrix._spectral(weights / float(np.sum(weights)),
+        return DensityMatrix._spectral(weights / float(weights.sum()),
                                        self.basis)
 
     def at_beta(self, beta: float) -> GibbsEnsemble:
@@ -427,7 +428,7 @@ def _thermal(w: np.ndarray, v: np.ndarray, beta: float) -> GibbsEnsemble:
         raise OverflowError(
             f"beta * spectral spread = {beta * spread:.3e} exceeds the "
             f"exponent guard {GIBBS_EXPONENT_GUARD}")
-    z_shifted = float(np.sum(np.exp(-beta * (w - e_min))))
+    z_shifted = float(np.exp(-beta * (w - e_min)).sum())
     log_z = math.log(z_shifted) - beta * e_min
     if abs(log_z) > GIBBS_EXPONENT_GUARD:
         raise OverflowError(
@@ -452,11 +453,12 @@ def eigen_measurement(energies, basis,
     it. Each group's energy label is the group mean eigenvalue.
     """
     w = np.asarray(energies, dtype=float)
-    if np.any(np.diff(w) < 0):
+    steps = np.diff(w)
+    if (steps < 0).any():
         raise ValueError("energies must be in ascending order")
     if degeneracy_gap is None:
         degeneracy_gap = 1e-8 * float(np.linalg.norm(w))
-    groups = np.concatenate(([0], np.cumsum(np.diff(w) > degeneracy_gap)))
+    groups = np.concatenate(([0], np.cumsum(steps > degeneracy_gap)))
     return ProjectorFamily(
         basis=basis, groups=groups,
         energies=np.bincount(groups, weights=w) / np.bincount(groups))

@@ -56,6 +56,8 @@ ROLE_SECOND_HAMILTONIAN = 1
 ROLE_CHANNEL = 2
 ROLE_SAMPLER = 3
 ROLE_SWEEP = 4
+# The spec kinds whose builders read the seed.
+SEEDED_KINDS = ("random", "haar_random")
 
 _CHANNEL_PARAM_KEYS = {
     "dephasing": "p",
@@ -320,13 +322,13 @@ def _build_initial(config: ScenarioConfig,
 
 
 def _unchanged(config: ScenarioConfig, previous: BuiltScenario | None,
-               spec_name: str, *rebuilt_kinds: str) -> bool:
+               spec_name: str) -> bool:
     """Whether ``previous`` was built at ``config``'s dim from the very same
-    ``spec_name`` spec object, of a kind not in ``rebuilt_kinds``."""
+    ``spec_name`` spec object, of a kind not in :data:`SEEDED_KINDS`."""
     spec = getattr(config, spec_name)
     return (previous is not None and previous.config.dim == config.dim
             and getattr(previous.config, spec_name) is spec
-            and spec.get("kind") not in rebuilt_kinds)
+            and spec.get("kind") not in SEEDED_KINDS)
 
 
 def build_scenario(config: ScenarioConfig, *,
@@ -336,7 +338,7 @@ def build_scenario(config: ScenarioConfig, *,
     ``previous``, the scenario built for the point before in a sweep,
     lends every ingredient whose inputs ``config`` leaves unchanged: the
     same dim, the same spec object (:func:`sweep_configs` passes an
-    unchanged spec through as it is) and no dependence on the seed.
+    unchanged spec through as it is) and a kind not in :data:`SEEDED_KINDS`.
 
     - A Hamiltonian's eigenpair, unless its kind is ``random``, and then
       also its measurement family if that spec is unchanged too. At an
@@ -356,8 +358,8 @@ def build_scenario(config: ScenarioConfig, *,
     :class:`~tpm_lab.errors.ValidationError` when a constructed object
     violates its invariants (e.g. an explicit state that is not PSD).
     """
-    first_kept = _unchanged(config, previous, "first_hamiltonian", "random")
-    second_kept = _unchanged(config, previous, "second_hamiltonian", "random")
+    first_kept = _unchanged(config, previous, "first_hamiltonian")
+    second_kept = _unchanged(config, previous, "second_hamiltonian")
     h_first = None if first_kept else _build_hamiltonian(
         config.first_hamiltonian, config.dim, config.seed,
         ROLE_FIRST_HAMILTONIAN, "first_hamiltonian")
@@ -381,7 +383,7 @@ def build_scenario(config: ScenarioConfig, *,
                                            second_ensemble,
                                            "second_measurement"))
     channel = (previous.experiment.channel
-               if _unchanged(config, previous, "channel", "haar_random")
+               if _unchanged(config, previous, "channel")
                and (second_kept or config.channel.get("kind")
                     != "unitary_from_hamiltonian")
                else _build_channel(config, second_ensemble))
@@ -407,16 +409,17 @@ def sweep_configs(config: ScenarioConfig, parameter: str,
                   values) -> list[ScenarioConfig]:
     """Expand a config into one variant per sweep value.
 
-    Each variant gets a deterministic seed derived from the base seed and
-    its position in the value list, and a name suffixed with the swept
-    parameter so report rows stay distinguishable. Every spec the sweep
-    does not change is the base config's own object, which is how
-    :func:`build_scenario` recognises it as unchanged.
+    A variant's name is suffixed with the swept value. Its seed is derived
+    from the base seed and its index if a spec's kind is in
+    :data:`SEEDED_KINDS`, else it is the base seed. An unchanged spec is
+    the base config's own object, which :func:`build_scenario` lends.
     """
     if parameter not in ("beta", "channel_param", "dim"):
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; "
             "expected 'beta', 'channel_param' or 'dim'")
+    seeded = any(getattr(config, name).get("kind") in SEEDED_KINDS
+                 for name in _SPEC_FIELDS)
     variants = []
     for k, value in enumerate(values):
         if parameter == "channel_param":
@@ -432,5 +435,6 @@ def sweep_configs(config: ScenarioConfig, parameter: str,
                                          *_TOP_LEVEL_NUMBERS[parameter])}
         variants.append(config._replace(
             name=f"{config.name}[{parameter}={value:g}]",
-            seed=derive_seed(config.seed, ROLE_SWEEP, k), **change))
+            seed=derive_seed(config.seed, ROLE_SWEEP, k) if seeded
+            else config.seed, **change))
     return variants

@@ -130,7 +130,7 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
     that some cell exceeds ``support_epsilon``; fills the marginals, the
     support mask and the support defect.
     """
-    p = np.array(p_joint, dtype=float)
+    p = np.array(p_joint, dtype=float, order="C")
     if p.ndim != 2:
         raise ValueError(f"joint table must be 2-d, got shape {p.shape}")
     low, high = float(p.min()), float(p.max())
@@ -142,7 +142,7 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
             f"probabilities out of bounds: min {low:.3e}, max {high:.3e}",
             invariant="probability_bounds",
             residual=max(-low, high - 1.0))
-    np.clip(p, 0.0, 1.0, out=p)
+    p.clip(0.0, 1.0, out=p)
     total = float(p.sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValidationError(
@@ -155,11 +155,11 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
         raise ValidationError(
             f"no outcome pair has probability above support epsilon "
             f"{support_epsilon!r}", invariant="empty_support")
-    rows, cols = np.nonzero(mask)
+    rows, cols = mask.nonzero()
     return JointDistribution(
         p_joint=_freeze(p), p_first=_freeze(p_first), p_second=_freeze(p_second),
         support_mask=_freeze(mask),
-        support_defect=1.0 - float(np.sum(p_first[rows] * p_second[cols])),
+        support_defect=1.0 - float((p_first[rows] * p_second[cols]).sum()),
         support_epsilon=float(support_epsilon),
         factorization_residual=float(factorization_residual))
 
@@ -189,11 +189,10 @@ def joint_distribution(experiment: TpmExperiment,
     - the factorized table is Gᵀ (Σ_i |A_i|² + (r/d)·1)ᵀ H with row n
       scaled by p(n) = (Gᵀ diag ρ̃)_n.
 
-    When every group of both families is one column, G and H are
-    permutation matrices, and each group sum is read by indexing with the
-    inverse permutation of ``groups`` (in any order) instead: the same
-    table bit for bit, with no product. Degenerate families keep the
-    products.
+    When both families are ``in_order`` (group k is column k alone), G and
+    H are identities and the group sums are read directly, with no
+    product. Any other family, degenerate or permuted, keeps the
+    products, which read a permutation bit for bit.
     """
     first = experiment.first_measurement
     second = experiment.second_measurement
@@ -209,8 +208,7 @@ def joint_distribution(experiment: TpmExperiment,
         populations = dephased.diagonal().real
 
     dim = experiment.dim
-    born = np.zeros((dim, dim))
-    transition = np.zeros((dim, dim))
+    born, transition = np.zeros((2, dim, dim))
     for op in experiment.channel.kraus_ops:
         a = w_dag @ op @ v
         a_conj = a.conj()
@@ -221,21 +219,15 @@ def joint_distribution(experiment: TpmExperiment,
     born += (r / dim) * populations
     transition += r / dim
 
-    if len(first) == len(second) == dim and \
-            first.max_rank == second.max_rank == 1:
-        rows = np.argsort(first.groups)
-        cols = np.argsort(second.groups)
-        p = born.T[rows[:, None], cols]
-        p_first = populations[rows]
-        p_transition = transition.T[rows[:, None], cols]
+    if first.in_order and second.in_order:
+        p, p_first, p_transition = born.T, populations, transition.T
     else:
         g = np.eye(len(first))[first.groups]
         h = np.eye(len(second))[second.groups]
         p = g.T @ born.T @ h
         p_first = g.T @ populations
         p_transition = g.T @ transition.T @ h
-    p_factorized = p_transition * p_first[:, None]
-    residual = float(np.max(np.abs(p - p_factorized)))
+    residual = float(abs(p - p_transition * p_first[:, None]).max())
     return distribution_from_joint(p, support_epsilon,
                                    factorization_residual=residual)
 
@@ -276,7 +268,7 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
     construction for any distribution that passed
     :func:`distribution_from_joint`).
     """
-    rows, cols = np.nonzero(jd.support_mask)
+    rows, cols = jd.support_mask.nonzero()
     i_table = np.full(jd.shape, np.nan)
     support_defect = jd.support_defect
     joint = jd.p_joint[rows, cols]
@@ -284,8 +276,8 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
     marginal = jd.p_second[cols]
     i_vals = np.log(cond) - np.log(marginal)
     i_table[rows, cols] = i_vals
-    exp_average = float(np.sum(joint * marginal / cond))
-    average_mi = float(np.sum(joint * i_vals))
+    exp_average = float((joint * marginal / cond).sum())
+    average_mi = float((joint * i_vals).sum())
 
     bookkeeping = abs(exp_average + support_defect - 1.0)
     if bookkeeping > BOOKKEEPING_TOL:
@@ -296,7 +288,7 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
     # Log-sum inequality on the support S with q = p(n)p(m):
     # Σ_S p ln(p/q) ≥ P(S) ln(P(S)/Q(S)). Q(S) = Σ_S q is exp_average,
     # summed without the cancellation in 1 − support_defect.
-    support_mass = float(np.sum(joint))
+    support_mass = float(joint.sum())
     jensen_bound = support_mass * float(np.log(support_mass / exp_average))
     if average_mi < jensen_bound - JENSEN_TOL:
         raise ValidationError(
@@ -387,7 +379,7 @@ def work_statistics(jd: JointDistribution, first_energies, second_energies,
         raise ValidationError(
             "exponential work average overflowed", invariant="finite_lhs")
     rhs = Z_prime / Z
-    if not np.isfinite(rhs):
+    if not math.isfinite(rhs):
         raise ValidationError(
             f"Z'/Z = {Z_prime!r}/{Z!r} overflowed", invariant="finite_rhs")
 
@@ -416,4 +408,4 @@ def compare_mi_to_dissipation(mi: MutualInformationTable,
             f"table shapes disagree: {mi.i_table.shape} vs "
             f"{ws.dissipation_table.shape}")
     mask = mi.support_mask
-    return float(np.max(np.abs(mi.i_table[mask] - ws.dissipation_table[mask])))
+    return float(abs(mi.i_table[mask] - ws.dissipation_table[mask]).max())

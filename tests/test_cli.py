@@ -17,7 +17,7 @@ from conftest import (
     RESTRICTED_SUPPORT_JOINT,
     dense,
 )
-from tpm_lab import cli, quantum
+from tpm_lab import cli, quantum, scenarios
 from tpm_lab.errors import ConfigError, ValidationError
 from tpm_lab.quantum import gibbs_ensemble, standard_channel
 from tpm_lab.sampler import MAX_COUNT, EstimatorReport
@@ -497,6 +497,36 @@ def test_sweep_points_have_derived_seeds():
     assert [v.seed for v in variants] == [v.seed for v in again]
 
 
+@pytest.mark.parametrize("name, parameter, point_seeds, ingredient_seeds", [
+    ("amplitude_damping.json", "channel_param", 0, 0),
+    ("qubit_hadamard.json", "beta", 0, 0),
+    ("random_full_support.json", "beta", 5, 15),
+])
+def test_sweep_derives_seeds_only_where_read(monkeypatch, name, parameter,
+                                             point_seeds, ingredient_seeds):
+    # Only a random Hamiltonian and a Haar channel read the seed: a sweep
+    # of fixed ingredients keeps the base seed and derives none.
+    keys = []
+    derive = scenarios.derive_seed
+
+    def counting(base_seed, *key):
+        keys.append(key)
+        return derive(base_seed, *key)
+
+    monkeypatch.setattr(scenarios, "derive_seed", counting)
+    config = load_scenario(SCENARIO_DIR / name)
+    values = [0.1, 0.3, 0.5, 0.7, 0.9]
+    variants = sweep_configs(config, parameter, values)
+    if not point_seeds:
+        assert all(variant.seed == config.seed for variant in variants)
+    keys.clear()
+    rows = cli.run_sweep(config, parameter, values)
+    assert len(rows) == 5
+    swept = [key for key in keys if key[0] == scenarios.ROLE_SWEEP]
+    assert len(swept) == point_seeds
+    assert len(keys) - len(swept) == ingredient_seeds
+
+
 # Sweeps beyond the shipped files: a β sweep whose every ingredient but the
 # Gibbs weights is reusable (explicit state and Hamiltonian, projector list,
 # gapped eigenbasis, e^{−iHt} of a fixed H); one whose e^{−iHt} must follow
@@ -557,18 +587,19 @@ def test_sweep_matches_the_per_point_loop(caplog, source, parameter, values):
     assert sweep_log == oracle_log
 
 
-# Per sweep: Hamiltonians diagonalised, channels validated, partition
-# functions Z computed (one per Hamiltonian, and again only where β
-# changes) and Gibbs states built.
+# Per sweep: Hamiltonians diagonalised, measurement families built (each
+# reads whether it is in order once, at construction), channels validated,
+# partition functions Z computed (one per Hamiltonian, and again only where
+# β changes) and Gibbs states built.
 @pytest.mark.parametrize("name, parameter, values, built", [
     ("qubit_hadamard.json", "beta", BETAS,
-     {"eig": 2, "channel": 1, "z": 10, "state": 5}),
+     {"eig": 2, "family": 2, "channel": 1, "z": 10, "state": 5}),
     ("random_full_support.json", "beta", BETAS,
-     {"eig": 10, "channel": 5, "z": 10, "state": 5}),
+     {"eig": 10, "family": 10, "channel": 5, "z": 10, "state": 5}),
     ("amplitude_damping.json", "channel_param", [0.0, 0.25, 0.5, 0.75, 1.0],
-     {"eig": 2, "channel": 5, "z": 2, "state": 1}),
+     {"eig": 2, "family": 2, "channel": 5, "z": 2, "state": 1}),
     ("qubit_hadamard.json", "beta", [1.0, 1.0, 2.0, 2.0, 1.0],
-     {"eig": 2, "channel": 1, "z": 6, "state": 3}),
+     {"eig": 2, "family": 2, "channel": 1, "z": 6, "state": 3}),
 ], ids=["qubit_hadamard.json-beta-values0-2-1",
         "random_full_support.json-beta-values1-10-5",
         "amplitude_damping.json-channel_param-values2-2-5",
@@ -578,6 +609,7 @@ def test_sweep_builds_unchanged_ingredients_once(monkeypatch, name, parameter,
     calls = dict.fromkeys(built, 0)
     hermitian_eig, thermal = quantum.hermitian_eig, quantum._thermal
     channel_init = quantum.KrausChannel.__init__
+    family_init = quantum.ProjectorFamily.__init__
     spectral = quantum.DensityMatrix._spectral
 
     def counting(key, function):
@@ -591,6 +623,8 @@ def test_sweep_builds_unchanged_ingredients_once(monkeypatch, name, parameter,
     monkeypatch.setattr(quantum, "_thermal", counting("z", thermal))
     monkeypatch.setattr(quantum.KrausChannel, "__init__",
                         counting("channel", channel_init))
+    monkeypatch.setattr(quantum.ProjectorFamily, "__init__",
+                        counting("family", family_init))
     monkeypatch.setattr(quantum.DensityMatrix, "_spectral",
                         staticmethod(counting("state", spectral)))
     rows = cli.run_sweep(load_scenario(SCENARIO_DIR / name), parameter,

@@ -9,8 +9,9 @@ checked against its d² + 1 explicit Weyl Kraus operators.
 
 ``indicator_product_joint`` is the engine's own formula with every group
 sum written as a product with a group-indicator matrix. The engine reads
-the sums of rank-1 groups as a permutation instead, which must give the
-same table bit for bit.
+the sums of in-order families (group k is column k alone) directly
+instead, which must give the same table bit for bit; a permuted rank-1
+family goes through the products, which read a permutation exactly.
 """
 
 from __future__ import annotations
@@ -301,3 +302,38 @@ def test_degenerate_groups_keep_the_indicator_products(first_levels,
                                                        rng))
     assert_bits_of_indicator_products(
         experiment_of(first, channel, second, rng))
+
+
+def test_in_order_is_group_k_on_column_k():
+    rng = np.random.default_rng(109)
+    u = haar_random_unitary(3, rng)
+    assert eigen_measurement(*hermitian_eig(np.diag([0.0, 1.0, 2.0]))).in_order
+    assert not eigen_measurement(*hermitian_eig(np.diag([0.0, 0.0, 2.0]))) \
+        .in_order
+    assert ProjectorFamily([np.outer(u[:, k], u[:, k].conj())
+                            for k in range(3)]).in_order
+    assert not ProjectorFamily([u[:, :2] @ u[:, :2].conj().T,
+                                np.outer(u[:, 2], u[:, 2].conj())]).in_order
+    assert ProjectorFamily(basis=u, groups=[0, 1, 2]).in_order
+    assert not ProjectorFamily(basis=u, groups=[2, 0, 1]).in_order
+
+
+@pytest.mark.parametrize("first_groups, second_groups", [
+    ([0, 1, 2], [0, 1, 2]), ([2, 0, 1], [0, 1, 2]), ([0, 1, 2], [1, 2, 0]),
+    ([2, 0, 1], [1, 2, 0])])
+def test_only_in_order_families_skip_the_indicator_products(
+        monkeypatch, first_groups, second_groups):
+    rng = np.random.default_rng((110, *first_groups, *second_groups))
+    first, second = (ProjectorFamily(basis=haar_random_unitary(3, rng),
+                                     groups=groups)
+                     for groups in (first_groups, second_groups))
+    experiment = experiment_of(
+        first, channel_from_unitary(haar_random_unitary(3, rng)), second, rng)
+    indicators = []
+    eye = np.eye
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "eye", lambda n: indicators.append(n) or eye(n))
+        joint_distribution(experiment)
+    direct = first_groups == second_groups == [0, 1, 2]
+    assert indicators == ([] if direct else [3, 3])
+    assert_bits_of_indicator_products(experiment)

@@ -178,6 +178,27 @@ def test_distribution_from_joint_rejects_bad_tables():
         assert err.value.invariant == "finite_entries"
 
 
+def test_distribution_from_joint_reads_any_layout_as_c_order():
+    # numpy reduces in memory order, so a table kept in Fortran order
+    # would sum its marginals and support defect in another order.
+    rng = np.random.default_rng(108)
+    for _ in range(50):
+        table = rng.random(tuple(rng.integers(1, 20, size=2)))
+        table /= table.sum()
+        tables = {"c": table, "fortran": np.asfortranarray(table),
+                  "transposed_view": np.ascontiguousarray(table.T).T}
+        fields = {layout: distribution_from_joint(t, 1e-3)
+                  for layout, t in tables.items()}
+        for jd in fields.values():
+            assert jd.p_joint.flags.c_contiguous
+            for name, value in fields["c"]._asdict().items():
+                mine = getattr(jd, name)
+                if isinstance(value, np.ndarray):
+                    assert mine.tobytes() == value.tobytes(), name
+                else:
+                    assert repr(mine) == repr(value), name
+
+
 def test_factorization_residual_detects_rank2_projector():
     # Rank-2 first projector and a state with coherence into the third
     # level: the factorized form uses the unnormalized projector as the
