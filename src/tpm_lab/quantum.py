@@ -108,7 +108,7 @@ class ProjectorFamily:
     P_n = V_n V_n† with V_n = V[:, groups == n]. Projector n corresponds to
     measurement outcome n; ``energies`` are optional outcome labels in
     energy units (the eigenvalues of a Hamiltonian whose eigenbasis this
-    family measures). ``in_order``: column k alone measures outcome k.
+    family measures). ``in_order``: d outcomes, column k alone measures k.
 
     Build it from a list of dense ``projectors`` or from ``basis`` and
     ``groups`` (as :func:`eigen_measurement` does), not both. Each dense
@@ -188,7 +188,7 @@ class ProjectorFamily:
         self.dim = dim
         self.basis = _freeze(basis)
         self.groups = _freeze(groups)
-        self.in_order = np.array_equal(groups, np.arange(dim))
+        self.in_order = n_out == dim and np.array_equal(groups, range(dim))
         self.ranks = ranks
         self.energies = energies
 

@@ -56,8 +56,10 @@ ROLE_SECOND_HAMILTONIAN = 1
 ROLE_CHANNEL = 2
 ROLE_SAMPLER = 3
 ROLE_SWEEP = 4
-# The spec kinds whose builders read the seed.
+# The spec kinds whose builders read the seed (a builder that calls
+# derive_seed must list its kind here), and the spec fields that hold them.
 SEEDED_KINDS = ("random", "haar_random")
+_SEEDED_FIELDS = ("first_hamiltonian", "second_hamiltonian", "channel")
 
 _CHANNEL_PARAM_KEYS = {
     "dephasing": "p",
@@ -419,7 +421,7 @@ def sweep_configs(config: ScenarioConfig, parameter: str,
             f"unknown sweep parameter {parameter!r}; "
             "expected 'beta', 'channel_param' or 'dim'")
     seeded = any(getattr(config, name).get("kind") in SEEDED_KINDS
-                 for name in _SPEC_FIELDS)
+                 for name in _SEEDED_FIELDS)
     variants = []
     for k, value in enumerate(values):
         if parameter == "channel_param":

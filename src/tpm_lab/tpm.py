@@ -189,10 +189,11 @@ def joint_distribution(experiment: TpmExperiment,
     - the factorized table is Gᵀ (Σ_i |A_i|² + (r/d)·1)ᵀ H with row n
       scaled by p(n) = (Gᵀ diag ρ̃)_n.
 
-    When both families are ``in_order`` (group k is column k alone), G and
-    H are identities and the group sums are read directly, with no
-    product. Any other family, degenerate or permuted, keeps the
-    products, which read a permutation bit for bit.
+    When both families are ``in_order`` (d outcomes, group k is column k
+    alone), G and H are identities and the group sums are read directly,
+    with no product. Any other family, degenerate, permuted or with a
+    zero projector, keeps the products, which read a permutation bit for
+    bit.
     """
     first = experiment.first_measurement
     second = experiment.second_measurement

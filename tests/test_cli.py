@@ -164,6 +164,22 @@ def test_explicit_projectors_with_energies_build():
     assert built.experiment.second_measurement.energies == (0.0, 1.0)
 
 
+def test_a_trailing_zero_projector_adds_an_empty_outcome(tmp_path, capsys):
+    # A zero projector is a valid rank-0 outcome: the tables grow by one
+    # empty row and column, and the identities still hold.
+    family = {"kind": "projectors", "energies": [0.0, 1.0, 2.0],
+              "projectors": [{"re": [[1.0, 0.0], [0.0, 0.0]]},
+                             {"re": [[0.0, 0.0], [0.0, 1.0]]},
+                             {"re": [[0.0, 0.0], [0.0, 0.0]]}]}
+    raw = raw_config(first_measurement=family, second_measurement=family)
+    built = build_scenario(scenario_from_dict(raw))
+    assert built.experiment.first_measurement.ranks == (1, 1, 0)
+    config = write_config(tmp_path, raw)
+    for command in ("verify", "jarzynski"):
+        assert cli.main([command, "--config", config]) == 0
+    capsys.readouterr()
+
+
 def test_invalid_state_matrix_raises_validation_error():
     raw = raw_config(initial={"kind": "explicit",
                               "matrix": {"re": [[0.9, 0.0], [0.0, 0.3]]}})

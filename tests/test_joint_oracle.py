@@ -316,6 +316,10 @@ def test_in_order_is_group_k_on_column_k():
                                 np.outer(u[:, 2], u[:, 2].conj())]).in_order
     assert ProjectorFamily(basis=u, groups=[0, 1, 2]).in_order
     assert not ProjectorFamily(basis=u, groups=[2, 0, 1]).in_order
+    # A trailing zero projector keeps groups 0..d−1 but adds an outcome.
+    assert not ProjectorFamily([np.outer(u[:, k], u[:, k].conj())
+                                for k in range(3)] + [np.zeros((3, 3))]) \
+        .in_order
 
 
 @pytest.mark.parametrize("first_groups, second_groups", [
@@ -336,4 +340,31 @@ def test_only_in_order_families_skip_the_indicator_products(
         joint_distribution(experiment)
     direct = first_groups == second_groups == [0, 1, 2]
     assert indicators == ([] if direct else [3, 3])
+    assert_bits_of_indicator_products(experiment)
+
+
+@pytest.mark.parametrize("padded", ["first", "second"])
+def test_a_trailing_zero_projector_keeps_the_indicator_products(
+        monkeypatch, padded):
+    # Groups 0..d−1 plus a rank-0 outcome: the table has d + 1 rows (or
+    # columns), one of them zero, so it cannot be read off born.T.
+    rng = np.random.default_rng((111, padded == "first"))
+
+    def family(pad):
+        u = haar_random_unitary(2, rng)
+        projectors = [np.outer(u[:, k], u[:, k].conj()) for k in range(2)]
+        return ProjectorFamily(projectors + ([np.zeros((2, 2))] if pad
+                                             else []))
+
+    first = family(padded == "first")
+    second = family(padded == "second")
+    experiment = experiment_of(
+        first, channel_from_unitary(haar_random_unitary(2, rng)), second, rng)
+    indicators = []
+    eye = np.eye
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "eye", lambda n: indicators.append(n) or eye(n))
+        jd = joint_distribution(experiment)
+    assert indicators == [len(first), len(second)]
+    assert jd.p_joint.shape == ((3, 2) if padded == "first" else (2, 3))
     assert_bits_of_indicator_products(experiment)
