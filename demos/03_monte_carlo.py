@@ -61,7 +61,7 @@ print("=== Convergence with sample count (one sampling seed) ===")
 print(f"{'count':>8}  {'estimate':>12}  {'std error':>10}  {'z':>7}  "
       f"{'heavy hits':>10}")
 for count in (100, 1_000, 10_000, 100_000):
-    counts = sample_trajectories(jd, count, np.random.default_rng(7))
+    counts = sample_trajectories(jd, count, 7)
     est = estimate_exponential_average(counts, mi.i_table,
                                        exact=mi.exp_average)
     heavy_hits = int(counts.flat[heavy_cell])
@@ -76,7 +76,7 @@ print()
 print("=== Coverage across 50 sampling seeds at 10^4 samples ===")
 zs = []
 for seed in range(50):
-    counts = sample_trajectories(jd, 10_000, np.random.default_rng(seed))
+    counts = sample_trajectories(jd, 10_000, seed)
     est = estimate_exponential_average(counts, mi.i_table,
                                        exact=mi.exp_average)
     zs.append(est.z_score)

@@ -227,8 +227,8 @@ def run_sample(config: ScenarioConfig, count: int,
     else:
         ws = _work(built, jd)
         weight_table, exact = config.beta * ws.work_table, ws.jarzynski_lhs
-    rng = np.random.default_rng(derive_seed(config.seed, ROLE_SAMPLER))
-    counts = sample_trajectories(jd, count, rng)
+    counts = sample_trajectories(jd, count,
+                                 derive_seed(config.seed, ROLE_SAMPLER))
     report = estimate_exponential_average(counts, weight_table, exact=exact)
     log.info("ESTIMATOR scenario=%s effective_sample_size=%.6g of %d "
              "max_weight_share=%.6g", config.name,

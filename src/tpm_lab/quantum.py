@@ -66,7 +66,7 @@ class DensityMatrix:
     def __init__(self, matrix):
         m = as_complex_matrix(matrix)
         res = hermiticity_residual(m)
-        if res > STATE_TOL:
+        if not res <= STATE_TOL:
             raise ValidationError(
                 f"state is not Hermitian: ‖ρ − ρ†‖_F = {res:.3e} > {STATE_TOL:.1e}",
                 invariant="hermiticity", residual=res)
@@ -83,12 +83,12 @@ class DensityMatrix:
 
     def _store(self, trace, weights: np.ndarray, basis: np.ndarray) -> None:
         trace_res = abs(trace - 1.0)
-        if trace_res > STATE_TOL:
+        if not trace_res <= STATE_TOL:
             raise ValidationError(
                 f"state trace is {trace:.12g}, not 1: residual {trace_res:.3e} > {STATE_TOL:.1e}",
                 invariant="unit_trace", residual=trace_res)
         min_eig = float(weights.min())
-        if min_eig < -STATE_TOL:
+        if not min_eig >= -STATE_TOL:
             raise ValidationError(
                 f"state is not positive semidefinite: min eigenvalue {min_eig:.3e} < -{STATE_TOL:.1e}",
                 invariant="positive_semidefinite", residual=-min_eig)
@@ -219,13 +219,13 @@ def _basis_of_projectors(projectors):
             raise ValueError(
                 f"projector {k} has shape {p.shape}, expected ({dim}, {dim})")
         res = hermiticity_residual(p)
-        if res > PROJECTOR_TOL:
+        if not res <= PROJECTOR_TOL:
             raise ValidationError(
                 f"projector {k} is not Hermitian: residual {res:.3e} > {PROJECTOR_TOL:.1e}",
                 invariant="hermiticity", residual=res)
         w, v = np.linalg.eigh(p)
         res = float(np.linalg.norm(w * w - w))
-        if res > PROJECTOR_TOL:
+        if not res <= PROJECTOR_TOL:
             raise ValidationError(
                 f"projector {k} is not idempotent: ‖P² − P‖_F = {res:.3e} > {PROJECTOR_TOL:.1e}",
                 invariant="idempotency", residual=res)
@@ -251,14 +251,15 @@ def _diagnose_family(gram: np.ndarray, groups: np.ndarray, n_out: int,
     diag_blocks = np.where(same, gram, 0.0)
     blocks = np.where(same, diag_blocks @ diag_blocks - diag_blocks, gram)
     norms = np.sqrt(indicator.T @ np.abs(blocks) ** 2 @ indicator)
-    bad = np.flatnonzero(np.diagonal(norms) > PROJECTOR_TOL)
+    # A NaN norm, as an overflowed Gram matrix leaves, fails each test.
+    bad = np.flatnonzero(~(np.diagonal(norms) <= PROJECTOR_TOL))
     if bad.size:
         k = int(bad[0])
         res = float(norms[k, k])
         raise ValidationError(
             f"projector {k} is not idempotent: ‖P² − P‖_F = {res:.3e} > {PROJECTOR_TOL:.1e}",
             invariant="idempotency", residual=res)
-    bad = np.argwhere(np.triu(norms > PROJECTOR_TOL, 1))
+    bad = np.argwhere(np.triu(~(norms <= PROJECTOR_TOL), 1))
     if bad.size:
         a, b = (int(i) for i in bad[0])
         res = float(norms[a, b])
@@ -266,14 +267,14 @@ def _diagnose_family(gram: np.ndarray, groups: np.ndarray, n_out: int,
             f"projectors {a} and {b} are not orthogonal: "
             f"‖P_a P_b‖_F = {res:.3e} > {PROJECTOR_TOL:.1e}",
             invariant="orthogonality", residual=res)
-    if completeness > PROJECTOR_TOL:
+    if not completeness <= PROJECTOR_TOL:
         raise ValidationError(
             f"projector family is not complete: ‖ΣP − I‖_F = {completeness:.3e} > {PROJECTOR_TOL:.1e}",
             invariant="completeness", residual=completeness)
     ranks = []
     for k, tr in enumerate(indicator.T @ gram.diagonal().real):
         rank = round(tr)
-        if abs(tr - rank) > RANK_TOL:
+        if not abs(tr - rank) <= RANK_TOL:
             raise ValidationError(
                 f"projector {k} has non-integer trace {float(tr)!r}",
                 invariant="integer_rank", residual=float(abs(tr - rank)))
@@ -333,7 +334,7 @@ class KrausChannel:
         kept = (1.0 - r) * np.eye(dim)
         completeness = frobenius(
             sum(op.conj().T @ op for op in ops) - kept)
-        if completeness > COMPLETENESS_TOL:
+        if not completeness <= COMPLETENESS_TOL:
             raise ValidationError(
                 f"Kraus operators do not preserve trace: "
                 f"‖ΣΛ†Λ + rI − I‖_F = {completeness:.3e} > {COMPLETENESS_TOL:.1e}",

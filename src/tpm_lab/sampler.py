@@ -5,12 +5,12 @@ A sample is its cell counts: how many draws landed on each outcome pair
 every statistic of the estimate, and no array grows with the count. A
 draw runs on every CPU the process may use, each thread drawing and
 counting a contiguous slice of the sample, a block at a time, from its
-own stretch of the one generator stream, so a seed gives the same counts
-on any number of CPUs. The estimator sums Σk·w exactly, so its mean is a
-function of the counts alone. Exponential averages are notoriously
-heavy-tailed estimators; this module exists to demonstrate that behavior
-against the exact values, not to fix it (no importance sampling, no
-variance reduction).
+own stretch of the seed's one PCG64 stream, so a seed gives the same
+counts on any number of CPUs. The estimator sums Σk·w exactly, so its
+mean is a function of the counts alone. Exponential averages are
+notoriously heavy-tailed estimators; this module exists to demonstrate
+that behavior against the exact values, not to fix it (no importance
+sampling, no variance reduction).
 """
 
 from __future__ import annotations
@@ -235,22 +235,12 @@ def _guided_search(cdfs: np.ndarray, tables: tuple[np.ndarray, np.ndarray],
         block[hit] = last
 
 
-def _skips_outputs(bit_generator) -> bool:
-    """Whether ``advance(k)`` skips the k 64-bit outputs of k doubles, as
-    ``PCG64``'s does; ``Philox.advance`` counts blocks of four."""
-    # Read at call time: importing the package loads no numpy.random.
-    return isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
-
-
-def _slices(count: int, bit_generator) -> list[tuple[int, int]]:
+def _slices(count: int) -> list[tuple[int, int]]:
     """The draws [a, b) of each worker: with W the number of CPUs this
     process may run on, capped at one per full block of draws, the W even
     slices [k·count // W, (k + 1)·count // W). Draw k reads uniform k
-    wherever its slice starts, so the split leaves the stream as it is.
-    One slice unless ``bit_generator`` can skip ahead by outputs."""
-    workers = min(_cpu_count(), count // _BLOCK_DRAWS)
-    if workers < 2 or not _skips_outputs(bit_generator):
-        return [(0, count)]
+    wherever its slice starts, so the split leaves the stream as it is."""
+    workers = max(1, min(_cpu_count(), count // _BLOCK_DRAWS))
     edges = [k * count // workers for k in range(workers + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -270,14 +260,18 @@ def _count(labels: np.ndarray, counts: np.ndarray,
 
 
 def sample_trajectories(jd: JointDistribution, count: int,
-                        rng: np.random.Generator) -> np.ndarray:
+                        seed) -> np.ndarray:
     """Draw ``count`` i.i.d. outcome pairs from the joint distribution and
     return their cell counts: an (N, M) int64 table whose entry (n, m) is
     the number of draws of (n, m). Inverse-CDF sampling: each draw's first
     outcome n from p(n), then its second m from its row p(·|n), one
     uniform each. Mass below the support epsilon is dropped and the rest
-    renormalized, so only cells on the support mask are counted. The
-    generator is left as ``rng.random(2 * count)`` leaves it.
+    renormalized, so only cells on the support mask are counted.
+
+    The sample is a function of ``seed``, any entropy
+    ``np.random.SeedSequence`` accepts (``None`` draws fresh entropy,
+    once): draw k reads uniform k of ``np.random.default_rng(seed)`` in
+    the first stage and uniform count + k in the second.
 
     Both stages read a bucketed guide table (``_guide_table``) of B
     buckets per row and give exactly the right-side ``searchsorted`` of
@@ -286,13 +280,9 @@ def sample_trajectories(jd: JointDistribution, count: int,
 
     The draws are split into even contiguous slices (``_slices``), one
     per CPU and at most one per full block, each drawn by its own thread.
-    Draw k reads uniform k of the stream in the first stage and count + k
-    in the second, so slice [a, b) reads one copy of the generator moved
-    to a and one moved to count + a, by ``advance`` for a PCG64: the same
-    counts on any number of CPUs. A generator that cannot skip ahead by
-    outputs, such as ``MT19937``, draws one slice, and its second copy
-    draws and drops count doubles, a block at a time. An exception in
-    any slice is raised in the caller once all have ended.
+    Slice [a, b) reads a ``PCG64`` of the seed advanced by a and one
+    advanced by count + a: the same counts on any number of CPUs. An
+    exception in any slice is raised in the caller once all have ended.
 
     A slice runs a block of ``_BLOCK_DRAWS`` draws at a time through its
     own buffers: the first stage writes the block's first outcomes into a
@@ -303,6 +293,7 @@ def sample_trajectories(jd: JointDistribution, count: int,
     """
     if not 1 <= count <= MAX_COUNT:
         raise ValueError(f"count must be in [1, {MAX_COUNT}], got {count}")
+    sequence = np.random.SeedSequence(seed)
     p = np.where(jd.support_mask, jd.p_joint, 0.0)
     row_mass = p.sum(axis=1)
     total = float(row_mass.sum())
@@ -331,32 +322,13 @@ def sample_trajectories(jd: JointDistribution, count: int,
                            buffers)
             _count(labels, counts, buffers[1])
 
-    bit_generator = rng.bit_generator
-    state = bit_generator.state
-
     def stream(offset: int) -> np.random.Generator:
-        copy = type(bit_generator)()
-        copy.state = state
-        generator = np.random.Generator(copy)
-        if _skips_outputs(copy):
-            # ``advance`` also drops a buffered 32-bit half output, which no
-            # double reads, so it is put back.
-            copy.advance(offset)
-            copy.state = {**copy.state, "has_uint32": state["has_uint32"],
-                          "uinteger": state["uinteger"]}
-            return generator
-        dropped = np.empty(min(offset, _BLOCK_DRAWS))
-        for start in range(0, offset, _BLOCK_DRAWS):
-            generator.random(out=dropped[:offset - start])
-        return generator
+        return np.random.Generator(np.random.PCG64(sequence).advance(offset))
 
-    slices = _slices(count, bit_generator)
-    seconds = [stream(count + a) for a, _ in slices]
+    slices = _slices(count)
     tables = [np.zeros(jd.p_joint.size, dtype=np.int64) for _ in slices]
-    _on_threads(draw, [(stream(a), second, a, b, counts) for (a, b), second,
-                       counts in zip(slices, seconds, tables)])
-    # The last slice's second stream ends at uniform 2·count.
-    bit_generator.state = seconds[-1].bit_generator.state
+    _on_threads(draw, [(stream(a), stream(count + a), a, b, counts)
+                       for (a, b), counts in zip(slices, tables)])
     return sum(tables[1:], tables[0]).reshape(jd.shape)
 
 

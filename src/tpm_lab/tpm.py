@@ -137,14 +137,14 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
     if not (math.isfinite(low) and math.isfinite(high)):  # NaN or ±inf
         raise ValidationError("joint table contains non-finite entries",
                               invariant="finite_entries")
-    if low < -PROBABILITY_BOUND_TOL or high > 1.0 + PROBABILITY_BOUND_TOL:
+    if not -PROBABILITY_BOUND_TOL <= low <= high <= 1 + PROBABILITY_BOUND_TOL:
         raise ValidationError(
             f"probabilities out of bounds: min {low:.3e}, max {high:.3e}",
             invariant="probability_bounds",
             residual=max(-low, high - 1.0))
     p.clip(0.0, 1.0, out=p)
     total = float(p.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
         raise ValidationError(
             f"joint table sums to {total!r}, not 1",
             invariant="normalization", residual=abs(total - 1.0))
@@ -281,7 +281,7 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
     average_mi = float((joint * i_vals).sum())
 
     bookkeeping = abs(exp_average + support_defect - 1.0)
-    if bookkeeping > BOOKKEEPING_TOL:
+    if not bookkeeping <= BOOKKEEPING_TOL:
         raise ValidationError(
             f"bookkeeping identity violated: exp_average + support_defect "
             f"deviates from 1 by {bookkeeping:.3e}",
@@ -291,7 +291,7 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
     # summed without the cancellation in 1 − support_defect.
     support_mass = float(joint.sum())
     jensen_bound = support_mass * float(np.log(support_mass / exp_average))
-    if average_mi < jensen_bound - JENSEN_TOL:
+    if not average_mi >= jensen_bound - JENSEN_TOL:
         raise ValidationError(
             f"average mutual information {average_mi!r} is below its "
             f"log-sum bound {jensen_bound!r}",

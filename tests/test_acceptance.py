@@ -217,8 +217,7 @@ def test_monte_carlo_three_sigma_consistency():
     hits = 0
     seeds = 100
     for seed in range(seeds):
-        samples = sample_trajectories(jd, 100_000,
-                                      np.random.default_rng((21, seed)))
+        samples = sample_trajectories(jd, 100_000, (21, seed))
         estimate = estimate_exponential_average(samples, mi.i_table,
                                                 exact=mi.exp_average)
         if abs(estimate.z_score) <= 3.0:

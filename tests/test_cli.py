@@ -930,6 +930,27 @@ def test_main_logs_error_fields_to_stderr(tmp_path, caplog, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("field, spec, invariant", [
+    # ‖A − A†‖_F and its bound are both inf: not Hermitian, though eigh
+    # would read the lower triangle as the zero Hamiltonian.
+    ("first_hamiltonian", {"kind": "explicit",
+                           "matrix": {"re": [[0.0, 2e154], [0.0, 0.0]]}},
+     "hermiticity"),
+    # ΣΛ†Λ is NaN off the diagonal: the channel fails at construction,
+    # before any table holds a NaN.
+    ("channel", {"kind": "kraus", "operators": [
+        {"re": [[1e200, 1e200], [1e200, -1e200]]}]}, "completeness"),
+], ids=["hermiticity", "completeness"])
+def test_overflowed_residual_is_a_validation_exit(tmp_path, caplog, field,
+                                                  spec, invariant):
+    config = write_config(tmp_path, raw_config(**{field: spec}))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            caplog.at_level("ERROR", logger="tpm_lab"):
+        assert cli.main(["verify", "--config", config]) == 3
+    assert caplog.records[-1].getMessage().startswith(
+        f"validation error (invariant={invariant}, residual=")
+
+
 def test_main_linalg_failure_is_validation_exit(tmp_path, monkeypatch):
     def failing_eig(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -18,8 +18,9 @@ import math
 import numpy as np
 import pytest
 
-from tpm_lab.linalg import haar_random_unitary, random_hermitian
+from tpm_lab.linalg import haar_random_unitary, hermitian_eig, random_hermitian
 from tpm_lab.quantum import (
+    DensityMatrix,
     channel_from_unitary,
     eigen_measurement,
     gibbs_ensemble,
@@ -187,4 +188,142 @@ def test_work_average_matches_the_closed_form(dim, degenerate):
                                        (first.energies, second.energies))
             assert abs(got - want) <= bound, (seed, channel, got, want)
             worst = max(worst, abs(got - want) / bound)
+    print(f"dim {dim}: worst gap is {worst:.3f} of the bound")
+
+
+def general_rhs(state, first, channel, second, beta: float,
+                moduli: bool = False) -> float:
+    """tr[e^{−βH'} Λ(e^{βH} ρ̄)] from dense d×d matrices, for the state's
+    spectral pair ρ = U diag(λ) U†, the first family's P_n = V_n V_n† and
+    the second's e^{−βH'} = W diag(e^{−βE'}) W†, each column labelled by
+    its outcome's energy: e^{βH} ρ̄ = Σ_n e^{βE_n} P_n ρ P_n, as the P_n
+    are H's spectral projectors. With ``moduli``, the same computation on
+    the moduli of every input, which has no cancellation."""
+    part = np.abs if moduli else np.asarray
+    u, v, w = part(state.basis), part(first.basis), part(second.basis)
+    rho = (u * part(state.weights)) @ u.conj().T
+    x = 0.0
+    for n, energy in enumerate(first.energies):
+        v_n = v[:, first.groups == n]
+        x = x + math.exp(beta * energy) * (
+            v_n @ (v_n.conj().T @ rho @ v_n) @ v_n.conj().T)
+    b = (w * np.exp(-beta * np.asarray(second.energies))[second.groups]) \
+        @ w.conj().T
+    y = sum(part(op) @ x @ part(op).conj().T for op in channel.kraus_ops) \
+        + channel.replacement * np.trace(x) * np.eye(len(x)) / len(x)
+    return float(np.sum(b * y.T).real)
+
+
+def engine_moduli(state, first, channel, second, beta: float) -> float:
+    """Σ_nm e^{−β(E'_m − E_n)} p̂(n, m), with p̂ the engine's joint table
+    (:func:`~tpm_lab.tpm.joint_distribution` on a state outside the
+    first basis) computed on the moduli of its inputs."""
+    v, w, u = abs(first.basis), abs(second.basis), abs(state.basis)
+    rot = v.T @ u
+    dephased = np.where(first.groups[:, None] == first.groups[None, :],
+                        (rot * abs(state.weights)) @ rot.T, 0.0)
+    born = channel.replacement / len(v) * dephased.diagonal()
+    for op in channel.kraus_ops:
+        a = w.T @ abs(op) @ v
+        born = born + (a @ dephased) * a
+    g = np.eye(len(first))[first.groups]
+    h = np.eye(len(second))[second.groups]
+    work = np.subtract.outer(second.energies, first.energies).T
+    return float(np.sum(g.T @ born.T @ h * np.exp(-beta * work)))
+
+
+def general_bound(state, first, channel, second, beta: float) -> float:
+    """Bound on |jarzynski_lhs − tr[e^{−βH'} Λ(e^{βH} ρ̄)]| when both
+    are computed from the same spectral pair, bases, labels and channel.
+
+    Exactly, Σ p(n,m)·e^{−β(E'_m − E_n)} = Σ_m e^{−βE'_m} tr[Q_m Λ(X)]
+    with X = Σ_n e^{βE_n} P_n ρ P_n, which is the right side; the engine
+    forms the same sums in the measurement bases. Each side is built
+    from its inputs by sums and products alone, so to first order it is
+    off by at most γ_k = k·u times the same computation on the moduli
+    of the inputs, where k counts the roundings along the longest path
+    from an input to the result (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., §3.1 and §3.6): d + 2 for a complex
+    inner product of length d, L − 1 for a sum of L terms, and 2 + β·|E|
+    for e^{βE} at a computed argument (4βM + 2 for e^{−βW}, with
+    W = E' − E formed first; M = max|E| over both spectra).
+
+    - Right side: ρ = (Uλ)U† (d + 3), the four products of P_n ρ P_n
+      (4d + 8), e^{βE_n}· and the sum over N ≤ d outcomes (d + 3 + βM),
+      Λ's two products and its sum over K operators and r (2d + K + 6),
+      e^{−βH'} (d + 3 + βM) and tr(BY) over d² entries (d² + 2):
+      d² + 9d + K + 2βM + 25.
+    - Engine: R = V†U (d + 2), (Rλ)R† (d + 3), A = W†ΛV (2d + 4) on each
+      of the two factors of A·ρ̃ ⊙ Ā, with A·ρ̃ (d + 2) and the product (2),
+      the sum over K and r (K + 2), the group sums (2d), e^{−βW}
+      (4βM + 2), p·e^{−βW} (1) and the sum over d² cells (d²):
+      d² + 9d + K + 4βM + 22.
+
+    So k = d² + 9d + K + 4βM + 25 serves both. The engine also reads
+    W†(I/d)W as I/d and tr(P_n ρ P_n) as tr(V_n† ρ V_n), which holds for
+    unitary bases only: with δ the larger of ‖V†V − I‖_F and
+    ‖W†W − I‖_F, the replacement term moves by at most 2·r·d·δ·S,
+    S = e^{β(max E − min E')} the largest e^{−βW}.
+    """
+    dim = first.dim
+    big = max(float(np.max(np.abs(e)))
+              for e in (first.energies, second.energies))
+    k = dim * dim + 9 * dim + len(channel) + 4 * beta * big + 25
+    delta = max(float(np.linalg.norm(b.conj().T @ b - np.eye(dim)))
+                for b in (first.basis, second.basis))
+    scale = math.exp(beta * (max(first.energies) - min(second.energies)))
+    return (k * U * (general_rhs(state, first, channel, second, beta, True)
+                     + engine_moduli(state, first, channel, second, beta))
+            + 2 * channel.replacement * dim * delta * scale)
+
+
+def random_state(dim: int, rank: int, rng: np.random.Generator):
+    """An explicit state of the given rank: random weights on ``rank``
+    columns of a Haar unitary, validated from its dense matrix."""
+    weights = np.zeros(dim)
+    weights[:rank] = rng.uniform(0.1, 1.0, rank)
+    u = haar_random_unitary(dim, rng)
+    rho = (u * (weights / weights.sum())) @ u.conj().T
+    return DensityMatrix((rho + rho.conj().T) / 2)
+
+
+@pytest.mark.parametrize("degenerate", [False, True],
+                         ids=["nondegenerate", "degenerate"])
+@pytest.mark.parametrize("dim", [2, 3, 8, 16])
+def test_work_average_of_any_state_matches_the_dense_trace(dim, degenerate):
+    # Away from the Jarzynski conditions, with ρ any state measured first
+    # in H's eigenbasis, Σ p(n,m)·e^{−β(E'_m − E_n)} = tr[e^{−βH'}
+    # Λ(e^{βH} ρ̄)], ρ̄ = Σ_n P_n ρ P_n: the first measurement's dephasing
+    # of coherences between, not within, degenerate levels. States of full
+    # and deficient rank; spectra as in the closed-form test, a degenerate
+    # one with at least one repeated level, and β·spread in [0.1, 5].
+    worst = 0.0
+    for seed in range(6):
+        rng = np.random.default_rng((dim, seed, degenerate, 9))
+        families = []
+        for _ in range(2):
+            e = (rng.uniform(-1, 1, 3)[rng.integers(3, size=dim)]
+                 if degenerate else rng.uniform(-1, 1, dim))
+            e[1] = e[0] if degenerate else e[1]
+            families.append(eigen_measurement(
+                *hermitian_eig(rotated_spectrum(e, rng))))
+        first, second = families
+        if degenerate:
+            assert max(first.ranks) > 1
+        spread = max(np.ptp(f.energies) for f in families) or 1.0
+        beta = float(rng.uniform(0.1, 5.0)) / spread
+        for rank in (dim, int(rng.integers(1, dim))):
+            state = random_state(dim, rank, rng)
+            for channel in tlh_channels(dim, rng):
+                experiment = TpmExperiment(
+                    initial_state=state, first_measurement=first,
+                    channel=channel, second_measurement=second)
+                lhs = work_statistics(
+                    joint_distribution(experiment), first.energies,
+                    second.energies, beta, 1.0, 1.0).jarzynski_lhs
+                rhs = general_rhs(state, first, channel, second, beta)
+                bound = general_bound(state, first, channel, second, beta)
+                assert abs(lhs - rhs) <= bound, (seed, rank, channel,
+                                                 lhs, rhs, bound)
+                worst = max(worst, abs(lhs - rhs) / bound)
     print(f"dim {dim}: worst gap is {worst:.3f} of the bound")

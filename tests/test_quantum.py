@@ -159,6 +159,15 @@ def test_projector_family_rejects_a_uniformly_scaled_basis(dim, form):
                                                rel=1e-5)
 
 
+def test_projector_family_rejects_an_overflowed_gram_matrix():
+    # G = V†V overflows, and its NaN entries leave NaN block norms and a
+    # NaN trace: each check fails on them, none reaches round(NaN).
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValidationError) as err:
+        ProjectorFamily(basis=1e160 * np.eye(2), groups=[0, 1])
+    assert err.value.invariant == "idempotency"
+
+
 def test_projector_family_basis_residuals_are_the_dense_ones():
     # Each residual read off the Gram matrix V†V equals the one of the
     # dense projectors V_n V_n†.
@@ -249,6 +258,16 @@ def test_kraus_channel_rejects_trace_decreasing_set():
         KrausChannel([factor * np.eye(2)])
     assert err.value.invariant == "completeness"
     assert err.value.residual == pytest.approx(0.1, abs=1e-12)
+
+
+def test_kraus_channel_rejects_a_nan_completeness_residual():
+    # Λ†Λ overflows to inf − inf = NaN off the diagonal; a NaN residual
+    # must fail the bound, not pass it.
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValidationError) as err:
+        KrausChannel([[[1e200, 1e200], [1e200, -1e200]]])
+    assert err.value.invariant == "completeness"
+    assert np.isnan(err.value.residual)
 
 
 @pytest.mark.parametrize("scale, replacement, residual", [

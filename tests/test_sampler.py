@@ -229,8 +229,7 @@ def test_stream_matches_reference_draw(drawn_labels, dim):
     for seed in range(5):
         jd = joint_distribution(
             random_rank1_experiment(dim, np.random.default_rng(600 + seed)))
-        counts = sample_trajectories(jd, 20_000,
-                                     np.random.default_rng(700 + seed))
+        counts = sample_trajectories(jd, 20_000, 700 + seed)
         reference = reference_draw(jd, 20_000,
                                    np.random.default_rng(700 + seed))
         assert_same_stream(counts, drawn_labels, reference, jd.shape)
@@ -239,8 +238,7 @@ def test_stream_matches_reference_draw(drawn_labels, dim):
 def test_stream_matches_reference_with_zero_mass_row_and_cells(drawn_labels):
     jd = zero_mass_row_table()
     for seed in range(5):
-        counts = sample_trajectories(jd, 20_000,
-                                     np.random.default_rng(800 + seed))
+        counts = sample_trajectories(jd, 20_000, 800 + seed)
         reference = reference_draw(jd, 20_000,
                                    np.random.default_rng(800 + seed))
         assert_same_stream(counts, drawn_labels, reference, jd.shape)
@@ -271,8 +269,7 @@ def test_stream_matches_mask_loop(drawn_labels, jd):
     # At 50 draws the count, not 32·M, sets the guide tables' size. Where
     # N·M exceeds half a block, the blocks are counted by ``np.add.at``.
     for seed, count in [(0, 30_000), (1, 30_000), (2, 30_000), (3, 50)]:
-        counts = sample_trajectories(jd, count,
-                                     np.random.default_rng(900 + seed))
+        counts = sample_trajectories(jd, count, 900 + seed)
         blocks = dict(drawn_labels)
         assert_same_stream(counts, drawn_labels, mask_loop_draw(
             jd, count, np.random.default_rng(900 + seed)), jd.shape)
@@ -393,12 +390,11 @@ def search_buffers(size):
     return np.empty(block), np.empty(block, dtype=np.intp)
 
 
-def guided_search(cdfs, u, count, rows=None):
-    """``_guided_search`` of the uniforms ``u`` in the tables sized for
-    ``count`` draws, fed through ``random(out=)`` of a stand-in generator,
-    which must be used up exactly."""
+def guided_search(cdfs, u, tables, rows=None):
+    """``_guided_search`` of the uniforms ``u`` in ``tables``, the
+    ``_guide_table`` of ``cdfs``, fed through ``random(out=)`` of a
+    stand-in generator, which must be used up exactly."""
     uniforms = FixedUniforms(u)
-    tables = _guide_table(cdfs, count)
     found = np.empty(u.size, dtype=tables[0].dtype)
     _guided_search(cdfs, tables, uniforms, found, rows, search_buffers(u.size))
     assert uniforms.used == u.size
@@ -465,14 +461,16 @@ def check_guided_search(cdfs, draws_per_row, n_buckets):
         want[drawn] = np.searchsorted(cdfs[r], u[drawn], side="right")
     want = rows * n_cols + np.minimum(want, n_cols - 1)
     chunk = u.size if draws_per_row is None else count
-    got = np.concatenate([guided_search(cdfs, u[k:k + chunk], count,
+    # The tables depend on the count alone, so every chunk reads one pair.
+    tables = _guide_table(cdfs, count)
+    got = np.concatenate([guided_search(cdfs, u[k:k + chunk], tables,
                                         rows[k:k + chunk])
                           for k in range(0, u.size, chunk)])
     assert got.dtype == np.min_scalar_type(n_rows * n_cols)
     np.testing.assert_array_equal(got, want)
     if n_rows == 1:
         np.testing.assert_array_equal(
-            np.concatenate([guided_search(cdfs, u[k:k + chunk], count)
+            np.concatenate([guided_search(cdfs, u[k:k + chunk], tables)
                             for k in range(0, u.size, chunk)]), want)
 
 
@@ -536,7 +534,8 @@ def test_guide_table_in_a_wider_dtype_marks_with_its_maximum():
     found = np.empty(u.size, dtype=np.uint16)
     _guided_search(first, (wide, wide_bounds), FixedUniforms(u), found, None,
                    search_buffers(u.size))
-    np.testing.assert_array_equal(found, guided_search(first, u, 10**6))
+    np.testing.assert_array_equal(
+        found, guided_search(first, u, _guide_table(first, 10**6)))
 
 
 def trailing_zero_mass_table():
@@ -574,9 +573,8 @@ def test_stream_across_block_boundaries(monkeypatch, worker_threads,
             for count in (1, block - 1, block, block + 1, 3 * block + 7,
                           workers * block + 7):
                 worker_threads.clear()
-                rng = np.random.default_rng(count)
-                counts = sample_trajectories(jd, count, rng)
-                slices = sampler._slices(count, rng.bit_generator)
+                counts = sample_trajectories(jd, count, count)
+                slices = sampler._slices(count)
                 assert len(slices) == max(1, min(workers, count // block))
                 assert len(worker_threads) == len(slices) - 1
                 assert_no_thread_alive(worker_threads)
@@ -589,57 +587,66 @@ def test_stream_across_block_boundaries(monkeypatch, worker_threads,
                         slices)
                 assert_same_stream(counts, drawn_labels, references[count],
                                    jd.shape, slices)
-                # Slice by slice, the draw reads exactly the uniforms of
-                # rng.random(count) for each stage, and no more.
-                twin = np.random.default_rng(count)
-                twin.random(2 * count)
-                assert rng.bit_generator.state == twin.bit_generator.state
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("seed", [7, (21, 3), 2**63 + 5],
+                         ids=["int", "tuple", "above-2^63"])
+def test_counts_are_two_stage_searchsorted_of_default_rng(monkeypatch, seed):
+    # Any entropy SeedSequence takes is a seed: the counts are those of a
+    # right-side searchsorted of default_rng(seed).random(count), for the
+    # first outcomes, then of its next count uniforms in their rows, on
+    # any number of workers.
+    jd = many_row_distribution(16, 16)
+    for count in (1, _BLOCK_DRAWS - 1, _BLOCK_DRAWS + 1,
+                  3 * _BLOCK_DRAWS + 7):
+        ns, ms = reference_draw(jd, count, np.random.default_rng(seed))
+        want = cell_counts(ns * jd.shape[1] + ms, jd.shape)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(sampler, "_cpu_count", lambda: workers)
+            np.testing.assert_array_equal(
+                sample_trajectories(jd, count, seed), want)
+
+
+def test_unseeded_draw_reads_one_seed_sequence(monkeypatch):
+    # seed=None draws its entropy once: both stages of every slice read
+    # the one SeedSequence, so the counts are its default_rng replay.
+    made = []
+
+    class RecordedSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(np.random, "SeedSequence", RecordedSeedSequence)
+    monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
+    jd = many_row_distribution(16, 16)
+    count = 3 * _BLOCK_DRAWS + 7
+    counts = sample_trajectories(jd, count, None)
+    [sequence] = made
+    ns, ms = reference_draw(jd, count, np.random.default_rng(sequence))
+    np.testing.assert_array_equal(
+        counts, cell_counts(ns * jd.shape[1] + ms, jd.shape))
+
+
+def test_generator_is_not_a_seed():
+    # A sample is a function of its seed; a generator carries a state the
+    # draw would neither read nor leave as it found it.
+    with pytest.raises(TypeError):
+        sample_trajectories(uniform_2x2(), 10, np.random.default_rng(0))
 
 
 def test_slices_split_the_draws_evenly(monkeypatch):
     # Even slices, each at least one full block; draw k reads uniform k
     # wherever its slice starts.
-    pcg = np.random.PCG64()
     for workers, count, edges in [
             (2, 10**6, [0, 500_000, 10**6]),
             (3, 10**6 + 2, [0, 333_334, 666_668, 10**6 + 2]),
             (3, 2 * _BLOCK_DRAWS + 1, [0, _BLOCK_DRAWS, 2 * _BLOCK_DRAWS + 1]),
             (3, 2 * _BLOCK_DRAWS - 1, [0, 2 * _BLOCK_DRAWS - 1])]:
         monkeypatch.setattr(sampler, "_cpu_count", lambda: workers)
-        assert sampler._slices(count, pcg) == list(zip(edges[:-1],
-                                                       edges[1:]))
-
-
-@pytest.mark.parametrize("bit_generator, threads", [
-    (np.random.PCG64DXSM, 2),
-    (np.random.MT19937, 0),
-    # Philox.advance(k) skips k blocks of four outputs, not k outputs.
-    (np.random.Philox, 0),
-    (np.random.SFC64, 0),
-])
-def test_stream_of_every_bit_generator(monkeypatch, worker_threads,
-                                       drawn_labels, bit_generator, threads):
-    # A generator that cannot skip ahead output by output draws one slice,
-    # whose second stage reads a copy that first draws and drops ``count``
-    # doubles, a block at a time. Each holds a buffered 32-bit half
-    # output, which ``random`` never reads, and keeps it.
-    monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
-    jd = many_row_distribution(16, 16)
-    count = 3 * _BLOCK_DRAWS + 7
-    rng, twin = (np.random.Generator(bit_generator(5)) for _ in range(2))
-    rng.integers(2**32, dtype=np.uint32)
-    twin.integers(2**32, dtype=np.uint32)
-    counts = sample_trajectories(jd, count, rng)
-    assert len(worker_threads) == threads
-    assert_no_thread_alive(worker_threads)
-    assert_same_stream(counts, drawn_labels, reference_draw(jd, count, twin),
-                       jd.shape, sampler._slices(count, rng.bit_generator))
-    np.testing.assert_array_equal(rng.integers(2**32, size=3, dtype=np.uint32),
-                                  twin.integers(2**32, size=3,
-                                                dtype=np.uint32))
-    np.testing.assert_array_equal(rng.random(3), twin.random(3))
+        assert sampler._slices(count) == list(zip(edges[:-1], edges[1:]))
 
 
 class SliceFailure(Exception):
@@ -665,7 +672,7 @@ def test_error_in_a_slice_reaches_the_caller(monkeypatch, worker_threads,
     fail_in_workers(monkeypatch, error)
     with pytest.raises(error, match="slice failed"):
         sample_trajectories(many_row_distribution(16, 16),
-                            3 * _BLOCK_DRAWS, np.random.default_rng(0))
+                            3 * _BLOCK_DRAWS, 0)
     assert len(worker_threads) == 2
     assert_no_thread_alive(worker_threads)
 
@@ -691,7 +698,7 @@ def test_error_in_a_run_of_leaves_reaches_the_caller(
     monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
     with pytest.raises(error, match="leaf failed"):
         sample_trajectories(many_row_distribution(16, 16),
-                            9 * _BLOCK_DRAWS, np.random.default_rng(0))
+                            9 * _BLOCK_DRAWS, 0)
     assert len(worker_threads) == 2
     assert_no_thread_alive(worker_threads)
     assert counted == {threading.current_thread(): 3, worker_threads[0]: 3,
@@ -742,7 +749,7 @@ def check_peak_memory(dim):
     first_tables = _guide_table(np.ones((1, n_rows)), count, guide.dtype)
     tracemalloc.start()
     try:
-        counts = sample_trajectories(jd, count, np.random.default_rng(0))
+        counts = sample_trajectories(jd, count, 0)
         draw_peak = tracemalloc.get_traced_memory()[1]
         # The estimate's peak counts the counts it reads, not what the draw
         # left cached.
@@ -760,8 +767,7 @@ def check_peak_memory(dim):
                                 n_cols / guide.shape[1]))
     # Each slice's worker holds its own block buffers, temporaries and
     # count table.
-    workers = len(sampler._slices(count,
-                                  np.random.default_rng(0).bit_generator))
+    workers = len(sampler._slices(count))
     # No term grows with the count: the guide tables are capped at 32
     # buckets per cell.
     draw_bound = (
@@ -868,8 +874,7 @@ def test_estimate_matches_gather_then_exp(weight):
     assert np.isnan(table[~jd.support_mask]).any()
     assert (table[~jd.support_mask] == -1000.0).any()
     for seed in range(3):
-        counts = sample_trajectories(jd, 50_000,
-                                     np.random.default_rng(950 + seed))
+        counts = sample_trajectories(jd, 50_000, 950 + seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = estimate_exponential_average(counts, table, exact=0.9)
@@ -1044,8 +1049,8 @@ def test_sample_stdout_matches_oracles(monkeypatch, capsys, caplog, config,
     # The mask-loop oracle's draw, counted, gives the same report, whose
     # fields the rational oracle bounds.
 
-    def oracle_draw(jd, count, rng):
-        ns, ms = mask_loop_draw(jd, count, rng)
+    def oracle_draw(jd, count, seed):
+        ns, ms = mask_loop_draw(jd, count, np.random.default_rng(seed))
         return cell_counts(ns * jd.shape[1] + ms, jd.shape)
 
     def checked_estimate(counts, weight_table, exact=None):
@@ -1062,7 +1067,7 @@ def test_sample_stdout_matches_oracles(monkeypatch, capsys, caplog, config,
 
 def test_point_mass_distribution():
     jd = distribution_from_joint(np.array([[1.0]]))
-    counts = sample_trajectories(jd, 50, np.random.default_rng(0))
+    counts = sample_trajectories(jd, 50, 0)
     np.testing.assert_array_equal(counts, [[50]])
     report = estimate_exponential_average(counts, np.array([[0.7]]))
     assert report.sample_count == 50
@@ -1073,8 +1078,7 @@ def test_point_mass_distribution():
 
 def test_uniform_marginal_frequencies():
     count = 10_000
-    counts = sample_trajectories(uniform_2x2(), count,
-                                 np.random.default_rng(3))
+    counts = sample_trajectories(uniform_2x2(), count, 3)
     assert counts.sum() == count
     # Binomial(10^4, 1/2) has sigma = 50; allow 4 sigma.
     assert abs(counts[1].sum() - count / 2) < 200
@@ -1085,13 +1089,13 @@ def test_uniform_marginal_frequencies():
 
 def test_sampling_is_deterministic_per_seed(drawn_labels):
     jd = uniform_2x2()
-    a = sample_trajectories(jd, 100, np.random.default_rng(11))
+    a = sample_trajectories(jd, 100, 11)
     [first] = [np.concatenate(run) for run in drawn_labels.values()]
     drawn_labels.clear()
-    b = sample_trajectories(jd, 100, np.random.default_rng(11))
+    b = sample_trajectories(jd, 100, 11)
     [again] = [np.concatenate(run) for run in drawn_labels.values()]
     drawn_labels.clear()
-    sample_trajectories(jd, 100, np.random.default_rng(12))
+    sample_trajectories(jd, 100, 12)
     [other] = [np.concatenate(run) for run in drawn_labels.values()]
     assert np.array_equal(a, b) and np.array_equal(first, again)
     assert not np.array_equal(first, other)
@@ -1099,14 +1103,14 @@ def test_sampling_is_deterministic_per_seed(drawn_labels):
 
 def test_never_samples_off_support():
     jd = distribution_from_joint(np.diag([0.5, 0.5]))
-    counts = sample_trajectories(jd, 1000, np.random.default_rng(5))
+    counts = sample_trajectories(jd, 1000, 5)
     assert counts[0, 1] == counts[1, 0] == 0
     assert counts.sum() == 1000
 
 
 def test_zero_width_cells_never_selected():
     jd = distribution_from_joint(np.array([[0.5, 0.0, 0.5]]))
-    counts = sample_trajectories(jd, 1000, np.random.default_rng(17))
+    counts = sample_trajectories(jd, 1000, 17)
     assert counts[0, 1] == 0 and counts.sum() == 1000
 
 
@@ -1122,7 +1126,7 @@ def test_count_and_sample_validation():
     jd = uniform_2x2()
     for count in (0, MAX_COUNT + 1):
         with pytest.raises(ValueError, match="count must be in"):
-            sample_trajectories(jd, count, np.random.default_rng(0))
+            sample_trajectories(jd, count, 0)
     # No draw, one too many, and 2⁶⁴ draws, whose int64 sum wraps to 0.
     for counts in (np.zeros((2, 2), dtype=np.int64),
                    np.array([[MAX_COUNT, 1], [0, 0]]),
@@ -1149,8 +1153,7 @@ def test_nonfinite_weight_rejected():
 
 
 def test_all_zero_weights():
-    counts = sample_trajectories(uniform_2x2(), 200,
-                                 np.random.default_rng(1))
+    counts = sample_trajectories(uniform_2x2(), 200, 1)
     report = estimate_exponential_average(counts, np.zeros((2, 2)),
                                           exact=1.0)
     assert report.mean == 1.0
@@ -1160,8 +1163,7 @@ def test_all_zero_weights():
 
 
 def test_single_sample_has_zero_std_error():
-    counts = sample_trajectories(uniform_2x2(), 1,
-                                 np.random.default_rng(9))
+    counts = sample_trajectories(uniform_2x2(), 1, 9)
     report = estimate_exponential_average(counts,
                                           np.arange(4.0).reshape(2, 2))
     assert report.sample_count == 1
@@ -1173,8 +1175,7 @@ def test_jackknife_matches_classic_standard_error():
     # For a plain sample mean the delete-one jackknife reduces exactly to
     # s / sqrt(n) with s the ddof=1 standard deviation.
     weights = np.array([[0.1, 0.7], [0.3, 1.9]])
-    counts = sample_trajectories(uniform_2x2(), 500,
-                                 np.random.default_rng(23))
+    counts = sample_trajectories(uniform_2x2(), 500, 23)
     report = estimate_exponential_average(counts, weights)
     values = np.repeat(np.exp(-weights).ravel(), counts.ravel())
     n = len(values)
@@ -1189,7 +1190,7 @@ def test_jackknife_matches_classic_standard_error():
 
 def test_z_score_within_three_sigma_on_full_support():
     jd, mi = fixed_qutrit_scenario()
-    counts = sample_trajectories(jd, 100_000, np.random.default_rng(99))
+    counts = sample_trajectories(jd, 100_000, 99)
     report = estimate_exponential_average(counts, mi.i_table,
                                           exact=mi.exp_average)
     assert report.exact_value == pytest.approx(1.0, abs=1e-10)
@@ -1200,8 +1201,7 @@ def test_z_scores_roughly_standard_normal_across_seeds():
     jd, mi = fixed_qutrit_scenario()
     zs = []
     for seed in range(200):
-        counts = sample_trajectories(jd, 10_000,
-                                     np.random.default_rng(4000 + seed))
+        counts = sample_trajectories(jd, 10_000, 4000 + seed)
         report = estimate_exponential_average(counts, mi.i_table,
                                               exact=mi.exp_average)
         zs.append(report.z_score)
@@ -1216,8 +1216,7 @@ def test_empirical_frequencies_match_joint_chi_square():
     passes = 0
     seeds = 40
     for seed in range(seeds):
-        observed = sample_trajectories(jd, count,
-                                       np.random.default_rng(5000 + seed))
+        observed = sample_trajectories(jd, count, 5000 + seed)
         expected = count * jd.p_joint
         statistic = float(np.sum((observed - expected) ** 2 / expected))
         # 9 cells, 1 constraint: 8 degrees of freedom.
