@@ -186,15 +186,11 @@ def run_sweep(config: ScenarioConfig, parameter: str,
     sweep output does not depend on execution order. An empty value list
     yields an empty report.
 
-    Each point is built with the previous point's scenario as
-    ``previous`` (see :func:`build_scenario`), so what the swept value
-    and the point's seed leave unchanged is built once: a fixed
-    Hamiltonian is diagonalised and its measurement validated at the
-    first point only, a fixed channel or non-thermal initial state is
-    validated once, and Z, the exponent guards and the Gibbs state are
-    recomputed only when β changes. Only that one previous scenario is
-    held. Every check, report row, log line and error equals that of
-    running :func:`run_verify` on each point.
+    A point that differs from the previous one only in β or the channel
+    is that point's scenario retuned (see :func:`build_scenario`); any
+    other point is rebuilt. Only that one previous scenario is held.
+    Every check, report row, log line and error equals that of running
+    :func:`run_verify` on each point.
     """
     rows, built = [], None
     for variant in sweep_configs(config, parameter, values):

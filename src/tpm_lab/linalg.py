@@ -57,14 +57,16 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition A = V diag(w) V† of a Hermitian matrix.
 
     ``a`` must be square and Hermitian within :data:`HERMITICITY_TOL`,
-    relative to max(1, ‖A‖_F); a NaN residual or an overflowed norm fails.
+    relative to max(1, ‖A‖_F); a NaN residual or an overflowed norm fails,
+    without a numpy RuntimeWarning.
     Returns the ``eigh`` pair ``(w, v)``:
     eigenvalues ascending, column k of ``v`` the orthonormal eigenvector
     of ``w[k]``. The result is deterministic for a fixed input.
     """
     m = as_complex_matrix(a)
-    res = hermiticity_residual(m)
-    bound = HERMITICITY_TOL * max(1.0, frobenius(m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = hermiticity_residual(m)
+        bound = HERMITICITY_TOL * max(1.0, frobenius(m))
     if not res <= bound < np.inf:
         raise ValidationError(
             f"matrix is not Hermitian: ‖A − A†‖_F = {res:.3e}, bound {bound:.3e}",

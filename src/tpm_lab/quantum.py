@@ -65,12 +65,14 @@ class DensityMatrix:
 
     def __init__(self, matrix):
         m = as_complex_matrix(matrix)
-        res = hermiticity_residual(m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = hermiticity_residual(m)
+            trace = complex(np.trace(m))
         if not res <= STATE_TOL:
             raise ValidationError(
                 f"state is not Hermitian: ‖ρ − ρ†‖_F = {res:.3e} > {STATE_TOL:.1e}",
                 invariant="hermiticity", residual=res)
-        self._store(complex(np.trace(m)), *np.linalg.eigh(m))
+        self._store(trace, *np.linalg.eigh(m))
 
     @classmethod
     def _spectral(cls, weights: np.ndarray, basis: np.ndarray) -> DensityMatrix:
@@ -218,13 +220,15 @@ def _basis_of_projectors(projectors):
         if p.shape != (dim, dim):
             raise ValueError(
                 f"projector {k} has shape {p.shape}, expected ({dim}, {dim})")
-        res = hermiticity_residual(p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = hermiticity_residual(p)
         if not res <= PROJECTOR_TOL:
             raise ValidationError(
                 f"projector {k} is not Hermitian: residual {res:.3e} > {PROJECTOR_TOL:.1e}",
                 invariant="hermiticity", residual=res)
         w, v = np.linalg.eigh(p)
-        res = float(np.linalg.norm(w * w - w))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = frobenius(w * w - w)
         if not res <= PROJECTOR_TOL:
             raise ValidationError(
                 f"projector {k} is not idempotent: ‖P² − P‖_F = {res:.3e} > {PROJECTOR_TOL:.1e}",
@@ -332,8 +336,9 @@ class KrausChannel:
         # (1 − r)·I is I itself at r = 0, so an r = 0 channel's residuals
         # are those of its Kraus operators alone, bit for bit.
         kept = (1.0 - r) * np.eye(dim)
-        completeness = frobenius(
-            sum(op.conj().T @ op for op in ops) - kept)
+        with np.errstate(over="ignore", invalid="ignore"):
+            completeness = frobenius(
+                sum(op.conj().T @ op for op in ops) - kept)
         if not completeness <= COMPLETENESS_TOL:
             raise ValidationError(
                 f"Kraus operators do not preserve trace: "

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from functools import cache
 from pathlib import Path
@@ -323,81 +324,42 @@ def _build_initial(config: ScenarioConfig,
                                        config.dim, "initial"))
 
 
-def _unchanged(config: ScenarioConfig, previous: BuiltScenario | None,
-               spec_name: str) -> bool:
-    """Whether ``previous`` was built at ``config``'s dim from the very same
-    ``spec_name`` spec object, of a kind not in :data:`SEEDED_KINDS`."""
-    spec = getattr(config, spec_name)
-    return (previous is not None and previous.config.dim == config.dim
-            and getattr(previous.config, spec_name) is spec
-            and spec.get("kind") not in SEEDED_KINDS)
-
-
 def build_scenario(config: ScenarioConfig, *,
                    previous: BuiltScenario | None = None) -> BuiltScenario:
     """Turn a validated config into live objects.
 
-    ``previous``, the scenario built for the point before in a sweep,
-    lends every ingredient whose inputs ``config`` leaves unchanged: the
-    same dim, the same spec object (:func:`sweep_configs` passes an
-    unchanged spec through as it is) and a kind not in :data:`SEEDED_KINDS`.
-
-    - A Hamiltonian's eigenpair, unless its kind is ``random``, and then
-      also its measurement family if that spec is unchanged too. At an
-      unchanged β the whole :class:`GibbsEnsemble` is lent; at a new β,
-      Z and the exponent guards are recomputed from the eigenpair
-      (:meth:`GibbsEnsemble.at_beta`).
-    - The channel, unless its kind is ``haar_random``, or is
-      ``unitary_from_hamiltonian`` and the second eigenpair was rebuilt.
-    - A ``maximally_mixed`` or ``explicit`` initial state, and a
-      ``gibbs`` one when the first ensemble itself was lent: the Gibbs
-      weights are recomputed only when β or the first Hamiltonian changes.
-
-    Every builder is deterministic, so the result, and any error raised,
-    equals that of a build without ``previous``.
+    ``previous``, the scenario built for the point before in a sweep, is
+    retuned (:func:`_retune`) when ``config`` differs from its config only
+    in the name, β or the channel spec; any other point is rebuilt. Every
+    other field must be the very same object, as :func:`sweep_configs`
+    passes it through, so a point with a derived seed is rebuilt, and so
+    is one whose spec is equal but not identical (``0 == False``). Every
+    builder is deterministic, so the result, and any error raised, equals
+    that of a build without ``previous``.
 
     Raises :class:`ConfigError` for schema-level problems and
     :class:`~tpm_lab.errors.ValidationError` when a constructed object
     violates its invariants (e.g. an explicit state that is not PSD).
     """
-    first_kept = _unchanged(config, previous, "first_hamiltonian")
-    second_kept = _unchanged(config, previous, "second_hamiltonian")
-    h_first = None if first_kept else _build_hamiltonian(
-        config.first_hamiltonian, config.dim, config.seed,
-        ROLE_FIRST_HAMILTONIAN, "first_hamiltonian")
-    h_second = None if second_kept else _build_hamiltonian(
-        config.second_hamiltonian, config.dim, config.seed,
-        ROLE_SECOND_HAMILTONIAN, "second_hamiltonian")
-    first_ensemble = (previous.first_ensemble.at_beta(config.beta)
-                      if first_kept else gibbs_ensemble(h_first, config.beta))
-    second_ensemble = (previous.second_ensemble.at_beta(config.beta)
-                       if second_kept
-                       else gibbs_ensemble(h_second, config.beta))
-    first_meas = (previous.experiment.first_measurement
-                  if first_kept and _unchanged(config, previous,
-                                               "first_measurement")
-                  else _build_measurement(config.first_measurement,
-                                          first_ensemble, "first_measurement"))
-    second_meas = (previous.experiment.second_measurement
-                   if second_kept and _unchanged(config, previous,
-                                                 "second_measurement")
-                   else _build_measurement(config.second_measurement,
-                                           second_ensemble,
-                                           "second_measurement"))
-    channel = (previous.experiment.channel
-               if _unchanged(config, previous, "channel")
-               and (second_kept or config.channel.get("kind")
-                    != "unitary_from_hamiltonian")
-               else _build_channel(config, second_ensemble))
-    initial = (previous.experiment.initial_state
-               if _unchanged(config, previous, "initial")
-               and (config.initial.get("kind") != "gibbs"
-                    or first_ensemble is previous.first_ensemble)
-               else _build_initial(config, first_ensemble))
-    experiment = TpmExperiment(initial_state=initial,
-                               first_measurement=first_meas,
-                               channel=channel,
-                               second_measurement=second_meas)
+    if previous is not None and all(map(
+            operator.is_, config, previous.config._replace(
+                name=config.name, beta=config.beta, channel=config.channel))):
+        return _retune(previous, config)
+    h_first = _build_hamiltonian(config.first_hamiltonian, config.dim,
+                                 config.seed, ROLE_FIRST_HAMILTONIAN,
+                                 "first_hamiltonian")
+    h_second = _build_hamiltonian(config.second_hamiltonian, config.dim,
+                                  config.seed, ROLE_SECOND_HAMILTONIAN,
+                                  "second_hamiltonian")
+    first_ensemble = gibbs_ensemble(h_first, config.beta)
+    second_ensemble = gibbs_ensemble(h_second, config.beta)
+    experiment = TpmExperiment(
+        first_measurement=_build_measurement(
+            config.first_measurement, first_ensemble, "first_measurement"),
+        second_measurement=_build_measurement(
+            config.second_measurement, second_ensemble, "second_measurement"),
+        channel=_build_channel(config, second_ensemble),
+        initial_state=_build_initial(config, first_ensemble))
     support_epsilon = _number(
         config.tolerances.get("support_epsilon", DEFAULT_SUPPORT_EPSILON),
         "tolerances.support_epsilon", "[0, 1)")
@@ -407,6 +369,23 @@ def build_scenario(config: ScenarioConfig, *,
         support_epsilon=support_epsilon)
 
 
+def _retune(previous: BuiltScenario, config: ScenarioConfig) -> BuiltScenario:
+    """``previous`` at ``config``'s β and channel: each ensemble ``at_beta``,
+    the channel rebuilt if its spec is a new object, and a Gibbs initial
+    state if the first ensemble changed; all else is kept."""
+    first = previous.first_ensemble.at_beta(config.beta)
+    second = previous.second_ensemble.at_beta(config.beta)
+    experiment = previous.experiment
+    if config.channel is not previous.config.channel:
+        experiment = experiment._replace(
+            channel=_build_channel(config, second))
+    if (first is not previous.first_ensemble
+            and config.initial.get("kind") == "gibbs"):
+        experiment = experiment._replace(initial_state=first.state)
+    return previous._replace(config=config, experiment=experiment,
+                             first_ensemble=first, second_ensemble=second)
+
+
 def sweep_configs(config: ScenarioConfig, parameter: str,
                   values) -> list[ScenarioConfig]:
     """Expand a config into one variant per sweep value.
@@ -414,23 +393,24 @@ def sweep_configs(config: ScenarioConfig, parameter: str,
     A variant's name is suffixed with the swept value. Its seed is derived
     from the base seed and its index if a spec's kind is in
     :data:`SEEDED_KINDS`, else it is the base seed. An unchanged spec is
-    the base config's own object, which :func:`build_scenario` lends.
+    the base config's own object, as :func:`build_scenario` expects.
     """
     if parameter not in ("beta", "channel_param", "dim"):
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; "
             "expected 'beta', 'channel_param' or 'dim'")
+    if parameter == "channel_param":
+        kind = config.channel.get("kind")
+        key = _CHANNEL_PARAM_KEYS.get(kind) if isinstance(kind, str) else None
+        if key is None:
+            raise ConfigError(
+                f"channel kind {kind!r} has no sweepable parameter",
+                field="channel.kind")
     seeded = any(getattr(config, name).get("kind") in SEEDED_KINDS
                  for name in _SEEDED_FIELDS)
     variants = []
     for k, value in enumerate(values):
         if parameter == "channel_param":
-            kind = config.channel.get("kind")
-            key = _CHANNEL_PARAM_KEYS.get(kind)
-            if key is None:
-                raise ConfigError(
-                    f"channel kind {kind!r} has no sweepable parameter",
-                    field="channel.kind")
             change = {"channel": {**config.channel, key: float(value)}}
         else:
             change = {parameter: _number(value, parameter,

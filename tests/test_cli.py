@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -498,8 +499,22 @@ def test_sweep_rejects_bad_parameters():
 
 
 def test_sweep_empty_values():
-    config = load_scenario(SCENARIO_DIR / "qubit_hadamard.json")
-    assert cli.run_sweep(config, "beta", []) == []
+    for name, parameter in [("qubit_hadamard.json", "beta"),
+                            ("amplitude_damping.json", "channel_param"),
+                            ("identity_same_basis.json", "dim")]:
+        config = load_scenario(SCENARIO_DIR / name)
+        assert cli.run_sweep(config, parameter, []) == []
+
+
+@pytest.mark.parametrize("kind", ["identity", "kraus", "haar_random", [1]])
+def test_channel_param_sweep_needs_a_parameter_at_any_length(kind):
+    # The key is resolved before the first value, so a sweep of no values
+    # fails as one of any other length does; an unhashable kind too.
+    config = scenario_from_dict(raw_config(channel={"kind": kind}))
+    for values in ([], [0.5]):
+        with pytest.raises(ConfigError) as err:
+            sweep_configs(config, "channel_param", values)
+        assert err.value.field == "channel.kind"
 
 
 def test_sweep_points_have_derived_seeds():
@@ -568,11 +583,13 @@ DIM_RETURN_RAW = raw_config(
     second_hamiltonian={"kind": "random", "scale": 0.5},
     channel={"kind": "depolarizing", "p": 0.3})
 BETAS = [0.3, 0.5, 1.0, 2.0, 4.0]
+TIMES = [0.0, 0.35, 0.7, 1.4, 2.8]  # e^{−iH't} of BUILD_MIX_RAW's fixed H'
 SWEEP_ORACLE_CASES = [
     *((path.name, "beta", BETAS) for path in SHIPPED),
     ("amplitude_damping.json", "channel_param", [0.0, 0.25, 0.5, 0.75, 1.0]),
     ("random_full_support.json", "dim", [2, 3, 4]),
     (BUILD_MIX_RAW, "beta", BETAS),
+    (BUILD_MIX_RAW, "channel_param", TIMES),
     (RANDOM_EVOLUTION_RAW, "beta", BETAS),
     (DIM_RETURN_RAW, "dim", [2, 2, 3, 3, 2]),
 ]
@@ -616,10 +633,18 @@ def test_sweep_matches_the_per_point_loop(caplog, source, parameter, values):
      {"eig": 2, "family": 2, "channel": 5, "z": 2, "state": 1}),
     ("qubit_hadamard.json", "beta", [1.0, 1.0, 2.0, 2.0, 1.0],
      {"eig": 2, "family": 2, "channel": 1, "z": 6, "state": 3}),
+    # Only the channel is rebuilt; the explicit state is not a Gibbs one.
+    (BUILD_MIX_RAW, "channel_param", TIMES,
+     {"eig": 2, "family": 2, "channel": 5, "z": 2, "state": 0}),
+    # A random H' gives each point a derived seed, so every point is
+    # rebuilt, the diagonal first Hamiltonian included.
+    (RANDOM_EVOLUTION_RAW, "beta", BETAS,
+     {"eig": 10, "family": 10, "channel": 5, "z": 10, "state": 5}),
 ], ids=["qubit_hadamard.json-beta-values0-2-1",
         "random_full_support.json-beta-values1-10-5",
         "amplitude_damping.json-channel_param-values2-2-5",
-        "qubit_hadamard.json-beta-values3-2-1"])
+        "qubit_hadamard.json-beta-values3-2-1",
+        "build_mix-channel_param", "random_evolution-beta"])
 def test_sweep_builds_unchanged_ingredients_once(monkeypatch, name, parameter,
                                                  values, built):
     calls = dict.fromkeys(built, 0)
@@ -643,10 +668,72 @@ def test_sweep_builds_unchanged_ingredients_once(monkeypatch, name, parameter,
                         counting("family", family_init))
     monkeypatch.setattr(quantum.DensityMatrix, "_spectral",
                         staticmethod(counting("state", spectral)))
-    rows = cli.run_sweep(load_scenario(SCENARIO_DIR / name), parameter,
-                         values)
+    rows = cli.run_sweep(sweep_base(name), parameter, values)
     assert len(rows) == 5
     assert calls == built
+
+
+# One change of a single field each from GATE_RAW, a config whose every
+# ingredient is fixed and whose channel is e^{−iH't}; the last five are
+# errors raised while retuning or rebuilding. False equals the base's 0
+# but is no valid support epsilon: only the very same spec is kept.
+GATE_RAW = copy.deepcopy(BUILD_MIX_RAW)
+GATE_RAW["tolerances"] = {"support_epsilon": 0}
+GATE_CHANGES = [
+    ("name", "renamed"),
+    ("beta", 2.5),
+    ("channel", {"kind": "unitary_from_hamiltonian", "time": 0.3}),
+    ("initial", {"kind": "gibbs"}),
+    ("first_hamiltonian", {"kind": "diagonal", "energies": [0.0, 2.0]}),
+    ("second_hamiltonian", {"kind": "explicit",
+                            "matrix": {"re": [[0.0, 0.2], [0.2, 1.5]]}}),
+    ("first_measurement", {"kind": "eigenbasis", "degeneracy_gap": 2.0}),
+    ("second_measurement", {"kind": "eigenbasis", "degeneracy_gap": 2.0}),
+    ("tolerances", {"support_epsilon": 0.5}),
+    ("seed", 8),
+    ("beta", 1e6),
+    ("channel", {"kind": "dephasing", "p": 1.5}),
+    ("dim", 3),
+    ("tolerances", {"support_epsilon": 1.0}),
+    ("tolerances", {"support_epsilon": False}),
+]
+RETUNED_FIELDS = ("name", "beta", "channel")
+
+
+def verify_outcome(caplog, build):
+    """The report row of ``build()``, or its error, and the log lines."""
+    caplog.clear()
+    try:
+        outcome = cli._row(build())
+    except (ConfigError, ValidationError, OverflowError) as exc:
+        outcome = (type(exc), str(exc), getattr(exc, "field", None))
+    return outcome, [(r.levelname, r.getMessage()) for r in caplog.records]
+
+
+@pytest.mark.parametrize("field, value", GATE_CHANGES)
+def test_only_a_beta_or_channel_change_is_retuned(monkeypatch, caplog, field,
+                                                  value):
+    base = scenario_from_dict(GATE_RAW)
+    variant = base._replace(**{field: value})
+    previous = build_scenario(base)
+    eig_calls = []
+    hermitian_eig = quantum.hermitian_eig
+
+    def counting_eig(a):
+        eig_calls.append(a)
+        return hermitian_eig(a)
+
+    monkeypatch.setattr(quantum, "hermitian_eig", counting_eig)
+    with caplog.at_level("DEBUG", logger="tpm_lab"):
+        retuned = verify_outcome(
+            caplog, lambda: build_scenario(variant, previous=previous))
+        eig_count = len(eig_calls)
+        assert retuned == verify_outcome(caplog,
+                                         lambda: build_scenario(variant))
+    if field in RETUNED_FIELDS:
+        assert eig_count == 0
+    elif field != "dim":  # dim 3 fails before any diagonalisation
+        assert eig_count == 2
 
 
 @pytest.mark.parametrize("name, argv, code, message", [
@@ -940,13 +1027,24 @@ def test_main_logs_error_fields_to_stderr(tmp_path, caplog, capsys):
     # before any table holds a NaN.
     ("channel", {"kind": "kraus", "operators": [
         {"re": [[1e200, 1e200], [1e200, -1e200]]}]}, "completeness"),
-], ids=["hermiticity", "completeness"])
+    # P² − P overflows to inf in its first projector's eigenvalues.
+    ("first_measurement", {"kind": "projectors", "energies": [0.0, 1.0],
+                           "projectors": [{"re": [[1e160, 0.0], [0.0, 0.0]]},
+                                          {"re": [[0.0, 0.0], [0.0, 1.0]]}]},
+     "idempotency"),
+], ids=["hermiticity", "completeness", "idempotency"])
 def test_overflowed_residual_is_a_validation_exit(tmp_path, caplog, field,
                                                   spec, invariant):
+    # A numpy RuntimeWarning would print outside the log format; as an
+    # error it escapes main.
     config = write_config(tmp_path, raw_config(**{field: spec}))
-    with np.errstate(over="ignore", invalid="ignore"), \
+    with warnings.catch_warnings(), \
             caplog.at_level("ERROR", logger="tpm_lab"):
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            build_scenario(load_scenario(config))
         assert cli.main(["verify", "--config", config]) == 3
+    assert err.value.invariant == invariant
     assert caplog.records[-1].getMessage().startswith(
         f"validation error (invariant={invariant}, residual=")
 
