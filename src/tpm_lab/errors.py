@@ -17,6 +17,18 @@ class ValidationError(ValueError):
         self.residual = residual
 
 
+def require(invariant: str, value: float, bound: float, message: str,
+            **fields) -> None:
+    """Raise :class:`ValidationError` naming ``invariant``, with ``value`` as
+    its residual, unless ``value <= bound``: so NaN fails. The message is
+    the template ``message`` formatted with ``value``, ``bound`` and
+    ``fields``, only when the check fails."""
+    if not value <= bound:
+        raise ValidationError(
+            message.format(value=value, bound=bound, **fields),
+            invariant=invariant, residual=value)
+
+
 class ConfigError(ValueError):
     """A scenario file cannot be parsed or fails schema validation."""
 

@@ -7,9 +7,11 @@ functions are pure; randomness enters only through an explicit
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require
 
 __all__ = [
     "frobenius",
@@ -56,9 +58,9 @@ def as_complex_matrix(a, *, square: bool = True) -> np.ndarray:
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition A = V diag(w) V† of a Hermitian matrix.
 
-    ``a`` must be square and Hermitian within :data:`HERMITICITY_TOL`,
-    relative to max(1, ‖A‖_F); a NaN residual or an overflowed norm fails,
-    without a numpy RuntimeWarning.
+    ``a`` must be square, Hermitian within :data:`HERMITICITY_TOL` relative
+    to max(1, ‖A‖_F) (``hermiticity``; a NaN or inf residual fails) and of
+    finite norm ‖A‖_F (``finite_norm``), checked without a RuntimeWarning.
     Returns the ``eigh`` pair ``(w, v)``:
     eigenvalues ascending, column k of ``v`` the orthonormal eigenvector
     of ``w[k]``. The result is deterministic for a fixed input.
@@ -66,11 +68,13 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     m = as_complex_matrix(a)
     with np.errstate(over="ignore", invalid="ignore"):
         res = hermiticity_residual(m)
-        bound = HERMITICITY_TOL * max(1.0, frobenius(m))
-    if not res <= bound < np.inf:
-        raise ValidationError(
-            f"matrix is not Hermitian: ‖A − A†‖_F = {res:.3e}, bound {bound:.3e}",
-            invariant="hermiticity", residual=res)
+        norm = frobenius(m)
+    # Capped, so that an inf residual fails even when ‖A‖_F overflows too.
+    require("hermiticity", res,
+            min(HERMITICITY_TOL * max(1.0, norm), sys.float_info.max),
+            "matrix is not Hermitian: ‖A − A†‖_F = {value:.3e}, bound {bound:.3e}")
+    require("finite_norm", norm, sys.float_info.max,
+            "matrix norm overflows: ‖A‖_F = {value:.3e}, bound {bound:.3e}")
     return np.linalg.eigh(m)
 
 
@@ -100,4 +104,5 @@ def random_hermitian(dim: int, rng: np.random.Generator,
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (g + g.conj().T) / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scale * (g + g.conj().T) / 2

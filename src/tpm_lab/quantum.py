@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require
 from .linalg import (
     as_complex_matrix,
     frobenius,
@@ -44,6 +44,7 @@ PROJECTOR_TOL = 1e-10    # ProjectorFamily: Hermiticity, idempotency,
                          # orthogonality and completeness residuals
 RANK_TOL = 1e-8          # ProjectorFamily: |tr P_n − round(tr P_n)|
 COMPLETENESS_TOL = 1e-8  # KrausChannel: ‖ΣΛ†Λ + rI − I‖_F
+_NOT_IDEMPOTENT = "projector {k} is not idempotent: ‖P² − P‖_F = {value:.3e} > {bound:.1e}"
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -68,10 +69,8 @@ class DensityMatrix:
         with np.errstate(over="ignore", invalid="ignore"):
             res = hermiticity_residual(m)
             trace = complex(np.trace(m))
-        if not res <= STATE_TOL:
-            raise ValidationError(
-                f"state is not Hermitian: ‖ρ − ρ†‖_F = {res:.3e} > {STATE_TOL:.1e}",
-                invariant="hermiticity", residual=res)
+        require("hermiticity", res, STATE_TOL,
+                "state is not Hermitian: ‖ρ − ρ†‖_F = {value:.3e} > {bound:.1e}")
         self._store(trace, *np.linalg.eigh(m))
 
     @classmethod
@@ -84,16 +83,13 @@ class DensityMatrix:
         return state
 
     def _store(self, trace, weights: np.ndarray, basis: np.ndarray) -> None:
-        trace_res = abs(trace - 1.0)
-        if not trace_res <= STATE_TOL:
-            raise ValidationError(
-                f"state trace is {trace:.12g}, not 1: residual {trace_res:.3e} > {STATE_TOL:.1e}",
-                invariant="unit_trace", residual=trace_res)
+        require("unit_trace", abs(trace - 1.0), STATE_TOL,
+                "state trace is {trace:.12g}, not 1: "
+                "residual {value:.3e} > {bound:.1e}", trace=trace)
         min_eig = float(weights.min())
-        if not min_eig >= -STATE_TOL:
-            raise ValidationError(
-                f"state is not positive semidefinite: min eigenvalue {min_eig:.3e} < -{STATE_TOL:.1e}",
-                invariant="positive_semidefinite", residual=-min_eig)
+        require("positive_semidefinite", -min_eig, STATE_TOL,
+                "state is not positive semidefinite: "
+                "min eigenvalue {min_eig:.3e} < -{bound:.1e}", min_eig=min_eig)
         self.weights, self.basis = _freeze(weights), _freeze(basis)
         self.dim = len(weights)
 
@@ -222,17 +218,12 @@ def _basis_of_projectors(projectors):
                 f"projector {k} has shape {p.shape}, expected ({dim}, {dim})")
         with np.errstate(over="ignore", invalid="ignore"):
             res = hermiticity_residual(p)
-        if not res <= PROJECTOR_TOL:
-            raise ValidationError(
-                f"projector {k} is not Hermitian: residual {res:.3e} > {PROJECTOR_TOL:.1e}",
-                invariant="hermiticity", residual=res)
+        require("hermiticity", res, PROJECTOR_TOL,
+                "projector {k} is not Hermitian: residual {value:.3e} > {bound:.1e}", k=k)
         w, v = np.linalg.eigh(p)
         with np.errstate(over="ignore", invalid="ignore"):
             res = frobenius(w * w - w)
-        if not res <= PROJECTOR_TOL:
-            raise ValidationError(
-                f"projector {k} is not idempotent: ‖P² − P‖_F = {res:.3e} > {PROJECTOR_TOL:.1e}",
-                invariant="idempotency", residual=res)
+        require("idempotency", res, PROJECTOR_TOL, _NOT_IDEMPOTENT, k=k)
         keep = w > 0.5
         columns.append(v[:, keep])
         groups.extend([k] * int(keep.sum()))
@@ -255,35 +246,23 @@ def _diagnose_family(gram: np.ndarray, groups: np.ndarray, n_out: int,
     diag_blocks = np.where(same, gram, 0.0)
     blocks = np.where(same, diag_blocks @ diag_blocks - diag_blocks, gram)
     norms = np.sqrt(indicator.T @ np.abs(blocks) ** 2 @ indicator)
-    # A NaN norm, as an overflowed Gram matrix leaves, fails each test.
-    bad = np.flatnonzero(~(np.diagonal(norms) <= PROJECTOR_TOL))
-    if bad.size:
-        k = int(bad[0])
-        res = float(norms[k, k])
-        raise ValidationError(
-            f"projector {k} is not idempotent: ‖P² − P‖_F = {res:.3e} > {PROJECTOR_TOL:.1e}",
-            invariant="idempotency", residual=res)
-    bad = np.argwhere(np.triu(~(norms <= PROJECTOR_TOL), 1))
-    if bad.size:
-        a, b = (int(i) for i in bad[0])
-        res = float(norms[a, b])
-        raise ValidationError(
-            f"projectors {a} and {b} are not orthogonal: "
-            f"‖P_a P_b‖_F = {res:.3e} > {PROJECTOR_TOL:.1e}",
-            invariant="orthogonality", residual=res)
-    if not completeness <= PROJECTOR_TOL:
-        raise ValidationError(
-            f"projector family is not complete: ‖ΣP − I‖_F = {completeness:.3e} > {PROJECTOR_TOL:.1e}",
-            invariant="completeness", residual=completeness)
-    ranks = []
-    for k, tr in enumerate(indicator.T @ gram.diagonal().real):
-        rank = round(tr)
-        if not abs(tr - rank) <= RANK_TOL:
-            raise ValidationError(
-                f"projector {k} has non-integer trace {float(tr)!r}",
-                invariant="integer_rank", residual=float(abs(tr - rank)))
-        ranks.append(rank)
-    return tuple(ranks)
+    # argmax picks the first failing block (a NaN norm fails), else a passing one.
+    k = int(np.argmax(~(np.diagonal(norms) <= PROJECTOR_TOL)))
+    require("idempotency", float(norms[k, k]), PROJECTOR_TOL,
+            _NOT_IDEMPOTENT, k=k)
+    a, b = np.unravel_index(
+        np.argmax(np.triu(~(norms <= PROJECTOR_TOL), 1)), norms.shape)
+    require("orthogonality", float(norms[a, b]), PROJECTOR_TOL,
+            "projectors {a} and {b} are not orthogonal: "
+            "‖P_a P_b‖_F = {value:.3e} > {bound:.1e}", a=a, b=b)
+    require("completeness", completeness, PROJECTOR_TOL,
+            "projector family is not complete: ‖ΣP − I‖_F = {value:.3e} > {bound:.1e}")
+    traces = indicator.T @ gram.diagonal().real
+    ranks = np.round(traces)
+    k = int(np.argmax(~(abs(traces - ranks) <= RANK_TOL)))
+    require("integer_rank", float(abs(traces[k] - ranks[k])), RANK_TOL,
+            "projector {k} has non-integer trace {trace!r}", k=k, trace=float(traces[k]))
+    return tuple(ranks.astype(int).tolist())
 
 
 class KrausChannel:
@@ -329,21 +308,18 @@ class KrausChannel:
                 f"expected square Kraus operators, got shape {ops.shape[1:]}",
                 invariant="square")
         r = float(replacement)
-        if not 0.0 <= r <= 1.0:
-            raise ValidationError(
-                f"replacement weight must be finite and in [0, 1], got {r!r}",
-                invariant="replacement_weight", residual=max(-r, r - 1.0))
+        # max(−r, r − 1) ≤ 0 exactly when 0 ≤ r ≤ 1; NaN fails.
+        require("replacement_weight", max(-r, r - 1.0), 0.0,
+                "replacement weight must be finite and in [0, 1], got {r!r}", r=r)
         # (1 − r)·I is I itself at r = 0, so an r = 0 channel's residuals
         # are those of its Kraus operators alone, bit for bit.
         kept = (1.0 - r) * np.eye(dim)
         with np.errstate(over="ignore", invalid="ignore"):
             completeness = frobenius(
                 sum(op.conj().T @ op for op in ops) - kept)
-        if not completeness <= COMPLETENESS_TOL:
-            raise ValidationError(
-                f"Kraus operators do not preserve trace: "
-                f"‖ΣΛ†Λ + rI − I‖_F = {completeness:.3e} > {COMPLETENESS_TOL:.1e}",
-                invariant="completeness", residual=completeness)
+        require("completeness", completeness, COMPLETENESS_TOL,
+                "Kraus operators do not preserve trace: "
+                "‖ΣΛ†Λ + rI − I‖_F = {value:.3e} > {bound:.1e}")
         self.dim = dim
         self.kraus_ops = _freeze(ops)
         self.replacement = r
@@ -483,7 +459,8 @@ def unitary_from_hamiltonian(energies, basis, t: float = 1.0) -> np.ndarray:
     :func:`~tpm_lab.linalg.hermitian_eig` returns it and a
     :class:`GibbsEnsemble` holds it."""
     v = np.asarray(basis)
-    return (v * np.exp(-1j * np.asarray(energies) * t)) @ v.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (v * np.exp(-1j * np.asarray(energies) * t)) @ v.conj().T
 
 
 def standard_channel(kind: str, dim: int,

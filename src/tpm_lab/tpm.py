@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require
 from .quantum import DensityMatrix, KrausChannel, ProjectorFamily, _freeze
 
 __all__ = [
@@ -144,10 +144,8 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
             residual=max(-low, high - 1.0))
     p.clip(0.0, 1.0, out=p)
     total = float(p.sum())
-    if not abs(total - 1.0) <= NORMALIZATION_TOL:
-        raise ValidationError(
-            f"joint table sums to {total!r}, not 1",
-            invariant="normalization", residual=abs(total - 1.0))
+    require("normalization", abs(total - 1.0), NORMALIZATION_TOL,
+            "joint table sums to {total!r}, not 1", total=total)
     p_first = p.sum(axis=1)
     p_second = p.sum(axis=0)
     mask = p > support_epsilon
@@ -280,12 +278,9 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
     exp_average = float((joint * marginal / cond).sum())
     average_mi = float((joint * i_vals).sum())
 
-    bookkeeping = abs(exp_average + support_defect - 1.0)
-    if not bookkeeping <= BOOKKEEPING_TOL:
-        raise ValidationError(
-            f"bookkeeping identity violated: exp_average + support_defect "
-            f"deviates from 1 by {bookkeeping:.3e}",
-            invariant="bookkeeping", residual=bookkeeping)
+    require("bookkeeping", abs(exp_average + support_defect - 1.0), BOOKKEEPING_TOL,
+            "bookkeeping identity violated: exp_average + support_defect "
+            "deviates from 1 by {value:.3e}")
     # Log-sum inequality on the support S with q = p(n)p(m):
     # Σ_S p ln(p/q) ≥ P(S) ln(P(S)/Q(S)). Q(S) = Σ_S q is exp_average,
     # summed without the cancellation in 1 − support_defect.

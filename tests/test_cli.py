@@ -1017,27 +1017,38 @@ def test_main_logs_error_fields_to_stderr(tmp_path, caplog, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("field, spec, invariant", [
-    # ‖A − A†‖_F and its bound are both inf: not Hermitian, though eigh
+@pytest.mark.parametrize("overrides, invariant", [
+    # ‖A − A†‖_F and ‖A‖_F are both inf: not Hermitian, though eigh
     # would read the lower triangle as the zero Hamiltonian.
-    ("first_hamiltonian", {"kind": "explicit",
-                           "matrix": {"re": [[0.0, 2e154], [0.0, 0.0]]}},
+    ({"first_hamiltonian": {"kind": "explicit",
+                            "matrix": {"re": [[0.0, 2e154], [0.0, 0.0]]}}},
      "hermiticity"),
     # ΣΛ†Λ is NaN off the diagonal: the channel fails at construction,
     # before any table holds a NaN.
-    ("channel", {"kind": "kraus", "operators": [
-        {"re": [[1e200, 1e200], [1e200, -1e200]]}]}, "completeness"),
+    ({"channel": {"kind": "kraus", "operators": [
+        {"re": [[1e200, 1e200], [1e200, -1e200]]}]}}, "completeness"),
     # P² − P overflows to inf in its first projector's eigenvalues.
-    ("first_measurement", {"kind": "projectors", "energies": [0.0, 1.0],
-                           "projectors": [{"re": [[1e160, 0.0], [0.0, 0.0]]},
-                                          {"re": [[0.0, 0.0], [0.0, 1.0]]}]},
-     "idempotency"),
-], ids=["hermiticity", "completeness", "idempotency"])
-def test_overflowed_residual_is_a_validation_exit(tmp_path, caplog, field,
-                                                  spec, invariant):
+    ({"first_measurement": {
+        "kind": "projectors", "energies": [0.0, 1.0],
+        "projectors": [{"re": [[1e160, 0.0], [0.0, 0.0]]},
+                       {"re": [[0.0, 0.0], [0.0, 1.0]]}]}}, "idempotency"),
+    # Hermitian, but ‖A‖_F overflows.
+    ({"first_hamiltonian": {"kind": "explicit",
+                            "matrix": {"re": [[1e200, 0.0], [0.0, 1e200]]}}},
+     "finite_norm"),
+    # scale · (G + G†)/2 and E't overflow while the matrices are formed.
+    ({"first_hamiltonian": {"kind": "random", "scale": 1e308}},
+     "finite_entries"),
+    ({"channel": {"kind": "unitary_from_hamiltonian", "time": 1e308},
+      "second_hamiltonian": {"kind": "diagonal", "energies": [0.0, 2.0]}},
+     "finite_entries"),
+], ids=["hermiticity", "completeness", "idempotency", "finite_norm",
+        "random_scale", "evolution_time"])
+def test_overflowed_residual_is_a_validation_exit(tmp_path, caplog,
+                                                  overrides, invariant):
     # A numpy RuntimeWarning would print outside the log format; as an
     # error it escapes main.
-    config = write_config(tmp_path, raw_config(**{field: spec}))
+    config = write_config(tmp_path, raw_config(**overrides))
     with warnings.catch_warnings(), \
             caplog.at_level("ERROR", logger="tpm_lab"):
         warnings.simplefilter("error")

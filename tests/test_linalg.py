@@ -78,16 +78,21 @@ def test_hermitian_eig_rejects_nonhermitian():
     assert err.value.residual == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
-@pytest.mark.parametrize("matrix", [
-    [[0.0, 2e154], [0.0, 0.0]],  # ‖A − A†‖_F and ‖A‖_F are both inf
-    [[1e200, 0.0], [0.0, 1e200]],  # Hermitian, but ‖A‖_F overflows
-], ids=["inf-residual", "inf-norm"])
-def test_hermitian_eig_rejects_an_overflowed_residual_or_norm(matrix):
+@pytest.mark.parametrize("matrix, invariant", [
+    # ‖A − A†‖_F and ‖A‖_F are both inf
+    ([[0.0, 2e154], [0.0, 0.0]], "hermiticity"),
+    # Hermitian, but ‖A‖_F overflows
+    ([[1e200, 0.0], [0.0, 1e200]], "finite_norm"),
+    ([[-1e308, 0.0], [0.0, 1e308]], "finite_norm"),
+], ids=["inf-residual", "inf-norm", "inf-energies"])
+def test_hermitian_eig_rejects_an_overflowed_residual_or_norm(matrix,
+                                                              invariant):
     # An inf bound would pass any residual, and eigh would read the lower
     # triangle of the first matrix as the zero Hamiltonian.
     with np.errstate(over="ignore"), pytest.raises(ValidationError) as err:
         hermitian_eig(np.array(matrix))
-    assert err.value.invariant == "hermiticity"
+    assert err.value.invariant == invariant
+    assert err.value.residual == np.inf
 
 
 def test_hermitian_eig_rejects_nonsquare():
