@@ -390,10 +390,11 @@ def gibbs_ensemble(hamiltonian, beta: float) -> GibbsEnsemble:
     ValidationError
         If the Hamiltonian is not Hermitian.
     ValueError
-        If β ≤ 0.
+        If β is not > 0; a NaN β fails this too.
     OverflowError
         If β·spread exceeds the exponent guard, or if Z itself is not
-        representable in double precision.
+        representable in double precision. A NaN fails each guard, as
+        does β = ∞ on a spectrum of zero spread (∞·0 is NaN).
     """
     w, v = hermitian_eig(hamiltonian)
     return _thermal(_freeze(w), _freeze(v), beta)
@@ -402,17 +403,17 @@ def gibbs_ensemble(hamiltonian, beta: float) -> GibbsEnsemble:
 def _thermal(w: np.ndarray, v: np.ndarray, beta: float) -> GibbsEnsemble:
     """The ensemble of the eigenpair ``(w, v)`` at β: Z and both exponent
     guards."""
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     e_min = float(w[0])
     spread = float(w[-1] - w[0])
-    if beta * spread > GIBBS_EXPONENT_GUARD:
+    if not beta * spread <= GIBBS_EXPONENT_GUARD:
         raise OverflowError(
             f"beta * spectral spread = {beta * spread:.3e} exceeds the "
             f"exponent guard {GIBBS_EXPONENT_GUARD}")
     z_shifted = float(np.exp(-beta * (w - e_min)).sum())
     log_z = math.log(z_shifted) - beta * e_min
-    if abs(log_z) > GIBBS_EXPONENT_GUARD:
+    if not abs(log_z) <= GIBBS_EXPONENT_GUARD:
         raise OverflowError(
             f"|ln Z| = {abs(log_z):.3e} exceeds the exponent guard; "
             "the partition function is not representable")
@@ -436,7 +437,7 @@ def eigen_measurement(energies, basis,
     """
     w = np.asarray(energies, dtype=float)
     steps = np.diff(w)
-    if (steps < 0).any():
+    if not (steps >= 0).all():
         raise ValueError("energies must be in ascending order")
     if degeneracy_gap is None:
         degeneracy_gap = 1e-8 * float(np.linalg.norm(w))

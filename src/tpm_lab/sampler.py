@@ -3,21 +3,21 @@
 A sample is its cell counts: how many draws landed on each outcome pair
 (n, m) of the N×M joint table. The draws are i.i.d., so the counts carry
 every statistic of the estimate, and no array grows with the count. A
-draw runs on every CPU the process may use, each thread drawing and
-counting a contiguous slice of the sample, a block at a time, from its
-own stretch of the seed's one PCG64 stream, so a seed gives the same
-counts on any number of CPUs. The estimator sums Σk·w exactly, so its
-mean is a function of the counts alone. Exponential averages are
-notoriously heavy-tailed estimators; this module exists to demonstrate
-that behavior against the exact values, not to fix it (no importance
-sampling, no variance reduction).
+draw splits the sample into contiguous slices, one per CPU the process
+may use, run on one thread pool, slice 0 on the caller's thread; each is
+drawn and counted a block at a time from its own stretch of the seed's
+one PCG64 stream, so a seed gives the same counts on any number of CPUs.
+The estimator sums Σk·w exactly, so its mean is a function of the counts
+alone. Exponential averages are notoriously heavy-tailed estimators;
+this module exists to demonstrate that behavior against the exact
+values, not to fix it (no importance sampling, no variance reduction).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
-from threading import Thread
 from typing import NamedTuple
 
 import numpy as np
@@ -74,33 +74,6 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return os.cpu_count() or 1
-
-
-def _on_threads(target, jobs: list[tuple]) -> None:
-    """Call ``target(*args)`` for each argument tuple of ``jobs``, each on
-    a thread of its own, the first on the caller's thread. Once every call
-    has finished, the first exception among them, in job order, is raised
-    again in the caller."""
-    errors: list[BaseException | None] = [None] * len(jobs)
-
-    def run(k: int) -> None:
-        try:
-            target(*jobs[k])
-        except BaseException as exc:  # raised again by the caller
-            errors[k] = exc
-
-    threads = []
-    try:
-        for k in range(1, len(jobs)):
-            threads.append(Thread(target=run, args=(k,)))
-            threads[-1].start()
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
 
 
 def _guide_table(cdfs: np.ndarray, count: int,
@@ -278,19 +251,22 @@ def sample_trajectories(jd: JointDistribution, count: int,
     each uniform in O(count + N·B + f·count·log M), f ≤ M/B the share of
     draws in a bucket holding a CDF step.
 
-    The draws are split into even contiguous slices (``_slices``), one
-    per CPU and at most one per full block, each drawn by its own thread.
-    Slice [a, b) reads a ``PCG64`` of the seed advanced by a and one
-    advanced by count + a: the same counts on any number of CPUs. An
-    exception in any slice is raised in the caller once all have ended.
+    The draws are split into even contiguous slices (``_slices``), one per
+    CPU and at most one per full block: slice 0 on the caller's thread, the
+    rest on a thread pool. Slice [a, b) reads a ``PCG64`` of the seed
+    advanced by a and one advanced by count + a: the same counts on any
+    number of CPUs. Every worker is joined before the first error in slice
+    order, if any, is raised.
 
     A slice runs a block of ``_BLOCK_DRAWS`` draws at a time through its
     own buffers: the first stage writes the block's first outcomes into a
     block of labels in the smallest unsigned type that holds N·M, the
     second writes the cells n·M + m over them, and they are counted into
     the slice's table; the slices' tables are summed. No array grows with
-    the count, which must lie in [1, MAX_COUNT].
+    the count, an integer in [1, MAX_COUNT]: ``operator.index`` takes a
+    numpy integer and rejects a float with TypeError.
     """
+    count = operator.index(count)
     if not 1 <= count <= MAX_COUNT:
         raise ValueError(f"count must be in [1, {MAX_COUNT}], got {count}")
     sequence = np.random.SeedSequence(seed)
@@ -309,8 +285,9 @@ def sample_trajectories(jd: JointDistribution, count: int,
     first_tables = _guide_table(first_cdf, count, labels_dtype)
 
     def draw(first: np.random.Generator, second: np.random.Generator,
-             a: int, b: int, counts: np.ndarray) -> None:
+             a: int, b: int) -> np.ndarray:
         # One slice's buffers serve all its blocks, so no block allocates.
+        counts = np.zeros(jd.p_joint.size, dtype=np.int64)
         size = min(b - a, _BLOCK_DRAWS)
         block = np.empty(size, dtype=labels_dtype)
         buffers = np.empty(size), np.empty(size, dtype=np.intp)
@@ -321,15 +298,21 @@ def sample_trajectories(jd: JointDistribution, count: int,
             _guided_search(row_cdfs, row_tables, second, labels, labels,
                            buffers)
             _count(labels, counts, buffers[1])
+        return counts
 
     def stream(offset: int) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(sequence).advance(offset))
 
-    slices = _slices(count)
-    tables = [np.zeros(jd.p_joint.size, dtype=np.int64) for _ in slices]
-    _on_threads(draw, [(stream(a), stream(count + a), a, b, counts)
-                       for (a, b), counts in zip(slices, tables)])
-    return sum(tables[1:], tables[0]).reshape(jd.shape)
+    # Imported only once a process draws. Each slice's generators live
+    # until the draw ends; ``submit``, not ``map``: no slice is cancelled.
+    from concurrent.futures import ThreadPoolExecutor
+    jobs = [(stream(a), stream(count + a), a, b) for a, b in _slices(count)]
+    with ThreadPoolExecutor(max(1, len(jobs) - 1)) as pool:
+        futures = [pool.submit(draw, *job) for job in jobs[1:]]
+        counts = draw(*jobs[0])
+        for future in futures:
+            counts += future.result()
+    return counts.reshape(jd.shape)
 
 
 def _two_product(a, b):

@@ -352,9 +352,9 @@ def work_statistics(jd: JointDistribution, first_energies, second_energies,
         raise ValueError(
             f"energy lists of lengths {e_first.shape[0]}/{e_second.shape[0]} "
             f"do not match the {n_out}x{m_out} outcome table")
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    if Z <= 0 or Z_prime <= 0:
+    if not (Z > 0 and Z_prime > 0):
         raise ValueError(f"partition functions must be positive, got {Z}, {Z_prime}")
 
     work = e_second[None, :] - e_first[:, None]

@@ -242,6 +242,12 @@ def test_eigen_measurement_rejects_unsorted_energies():
         eigen_measurement([1.0, 0.0], np.eye(2))
 
 
+def test_eigen_measurement_rejects_a_nan_energy():
+    # NaN steps are not ≥ 0, so a NaN energy is no ascending spectrum.
+    with pytest.raises(ValueError, match="ascending"):
+        eigen_measurement([0.0, np.nan, 1.0], np.eye(3))
+
+
 # --- channels ---------------------------------------------------------------
 
 def test_channel_from_unitary_rejects_non_unitary():
@@ -471,6 +477,23 @@ def test_gibbs_rejects_nonpositive_beta():
             gibbs_ensemble(np.diag([0.0, 1.0]), beta)
         with pytest.raises(ValueError):
             held.at_beta(beta)
+
+
+def test_gibbs_rejects_a_nan_beta():
+    # NaN is not > 0: it is rejected, not carried into Z = nan.
+    held = gibbs_ensemble(np.diag([0.0, 1.0]), 1.0)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        gibbs_ensemble(np.diag([0.0, 1.0]), np.nan)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        held.at_beta(np.nan)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gibbs_rejects_an_infinite_beta_on_a_flat_spectrum():
+    # β·spread = ∞·0 is NaN, which fails the exponent guard, before numpy
+    # can warn of ∞·0 in the weights.
+    with pytest.raises(OverflowError, match="exponent guard"):
+        gibbs_ensemble(np.diag([1.0, 1.0]), np.inf)
 
 
 def test_at_beta_equals_a_fresh_ensemble_without_a_new_eig(monkeypatch):

@@ -168,7 +168,8 @@ def fixed_qutrit_scenario():
 
 @pytest.fixture
 def worker_threads(monkeypatch):
-    """Every thread the sampler starts, in the order it starts them."""
+    """Every thread started while the fixture is in use, the sampler's
+    pool workers among them, in the order they start."""
     started = []
 
     class RecordedThread(threading.Thread):
@@ -176,7 +177,7 @@ def worker_threads(monkeypatch):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(sampler, "Thread", RecordedThread)
+    monkeypatch.setattr(threading, "Thread", RecordedThread)
     return started
 
 
@@ -576,7 +577,8 @@ def test_stream_across_block_boundaries(monkeypatch, worker_threads,
                 counts = sample_trajectories(jd, count, count)
                 slices = sampler._slices(count)
                 assert len(slices) == max(1, min(workers, count // block))
-                assert len(worker_threads) == len(slices) - 1
+                assert (min(1, len(slices) - 1) <= len(worker_threads)
+                        <= len(slices) - 1)
                 assert_no_thread_alive(worker_threads)
                 if count not in references:
                     references[count] = reference_draw(
@@ -637,6 +639,19 @@ def test_generator_is_not_a_seed():
         sample_trajectories(uniform_2x2(), 10, np.random.default_rng(0))
 
 
+def test_count_is_any_integer_but_no_float():
+    # The count goes through operator.index: a numpy integer draws the
+    # same sample as the Python int, and a float is a TypeError.
+    jd = many_row_distribution(16, 16)
+    want = sample_trajectories(jd, 10**5, 0)
+    for count in (np.int64(10**5), np.uint32(10**5)):
+        np.testing.assert_array_equal(sample_trajectories(jd, count, 0),
+                                      want)
+    for count in (2.5, 1e6):
+        with pytest.raises(TypeError):
+            sample_trajectories(jd, count, 0)
+
+
 def test_slices_split_the_draws_evenly(monkeypatch):
     # Even slices, each at least one full block; draw k reads uniform k
     # wherever its slice starts.
@@ -673,36 +688,79 @@ def test_error_in_a_slice_reaches_the_caller(monkeypatch, worker_threads,
     with pytest.raises(error, match="slice failed"):
         sample_trajectories(many_row_distribution(16, 16),
                             3 * _BLOCK_DRAWS, 0)
-    assert len(worker_threads) == 2
+    assert 1 <= len(worker_threads) <= 2
     assert_no_thread_alive(worker_threads)
+
+
+def count_blocks_by_slice(monkeypatch, count, error, fail):
+    """Tally, by slice index, the blocks each slice of a ``count``-draw
+    sample of seed 0 counts, in the dict returned, and make block b of
+    slice k raise ``error`` where fail(k, b). A slice is told by its
+    second-stage generator, which starts at the seed's stream advanced
+    by count + a, not by its thread, which may run another slice too."""
+    sequence = np.random.SeedSequence(0)
+    starts = {np.random.PCG64(sequence).advance(count + a)
+              .state["state"]["state"]: k
+              for k, (a, _) in enumerate(sampler._slices(count))}
+    search, count_block = sampler._guided_search, sampler._count
+    slice_of, current, counted = {}, threading.local(), {}
+
+    def recording(cdfs, tables, rng, found, rows, buffers):
+        if rows is not None:
+            if id(rng) not in slice_of:
+                slice_of[id(rng)] = starts[
+                    rng.bit_generator.state["state"]["state"]]
+            current.slice = slice_of[id(rng)]
+        search(cdfs, tables, rng, found, rows, buffers)
+
+    def failing(labels, counts, index):
+        k = current.slice
+        counted[k] = counted.get(k, 0) + 1
+        if fail(k, counted[k]):
+            raise error("leaf failed")
+        count_block(labels, counts, index)
+
+    monkeypatch.setattr(sampler, "_guided_search", recording)
+    monkeypatch.setattr(sampler, "_count", failing)
+    return counted
 
 
 @pytest.mark.parametrize("error", [SliceFailure, MemoryError])
 def test_error_in_a_run_of_leaves_reaches_the_caller(
         monkeypatch, worker_threads, error):
     # Each slice draws and counts a run of three blocks, the leaves of the
-    # draw. The last worker's count of its second block fails; the other
+    # draw. The last slice's count of its second block fails; the other
     # slices count all of theirs, every thread is joined and the error
     # reaches the caller with its type.
-    count_block = sampler._count
-    counted = {}
-
-    def failing(labels, counts, index):
-        thread = threading.current_thread()
-        counted[thread] = counted.get(thread, 0) + 1
-        if thread is worker_threads[-1] and counted[thread] == 2:
-            raise error("leaf failed")
-        count_block(labels, counts, index)
-
-    monkeypatch.setattr(sampler, "_count", failing)
     monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
+    counted = count_blocks_by_slice(
+        monkeypatch, 9 * _BLOCK_DRAWS, error,
+        lambda k, blocks: k == 2 and blocks == 2)
     with pytest.raises(error, match="leaf failed"):
         sample_trajectories(many_row_distribution(16, 16),
                             9 * _BLOCK_DRAWS, 0)
-    assert len(worker_threads) == 2
+    assert 1 <= len(worker_threads) <= 2
     assert_no_thread_alive(worker_threads)
-    assert counted == {threading.current_thread(): 3, worker_threads[0]: 3,
-                       worker_threads[1]: 2}
+    assert counted == {0: 3, 1: 3, 2: 2}
+
+
+@pytest.mark.parametrize("error", [SliceFailure, MemoryError])
+def test_error_in_the_callers_slice_waits_for_the_workers(
+        monkeypatch, worker_threads, error):
+    # Slice 0 runs on the caller's thread and fails on its first block.
+    # Its error reaches the caller only once both worker slices have
+    # counted all three of their blocks and every thread is joined.
+    monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
+    counted = count_blocks_by_slice(
+        monkeypatch, 9 * _BLOCK_DRAWS, error,
+        lambda k, blocks: (k == 0 and threading.current_thread()
+                           is threading.main_thread()))
+    with pytest.raises(error, match="leaf failed"):
+        sample_trajectories(many_row_distribution(16, 16),
+                            9 * _BLOCK_DRAWS, 0)
+    assert 1 <= len(worker_threads) <= 2
+    assert_no_thread_alive(worker_threads)
+    assert counted == {0: 1, 1: 3, 2: 3}
 
 
 def test_memory_error_in_a_slice_exits_3(monkeypatch, caplog, worker_threads):
@@ -711,7 +769,7 @@ def test_memory_error_in_a_slice_exits_3(monkeypatch, caplog, worker_threads):
             "--count", str(3 * _BLOCK_DRAWS)]
     assert cli.main(argv) == cli.EXIT_VALIDATION_ERROR
     assert "out of memory: slice failed" in caplog.text
-    assert len(worker_threads) == 2
+    assert 1 <= len(worker_threads) <= 2
     assert_no_thread_alive(worker_threads)
 
 

@@ -452,6 +452,20 @@ def test_work_statistics_input_validation():
         work_statistics(jd, [0.0, 1.0], [0.0, 1.0], 1.0, -1.0, 1.0)
 
 
+def test_work_statistics_rejects_a_nan_beta():
+    # NaN is not > 0: rejected as a β, not reported as an overflowed lhs.
+    jd = distribution_from_joint(np.full((2, 2), 0.25))
+    with pytest.raises(ValueError, match="beta must be positive"):
+        work_statistics(jd, [0.0, 1.0], [0.0, 1.0], np.nan, 1.0, 1.0)
+
+
+def test_work_statistics_rejects_a_nan_partition_function():
+    # NaN is not > 0: rejected as Z', not reported as an overflowed Z'/Z.
+    jd = distribution_from_joint(np.full((2, 2), 0.25))
+    with pytest.raises(ValueError, match="partition functions"):
+        work_statistics(jd, [0.0, 1.0], [0.0, 1.0], 1.0, 1.0, np.nan)
+
+
 @pytest.mark.filterwarnings("error")
 def test_zero_probability_cells_cannot_poison_work_average():
     # The (0, 1) cell has p = 0 and work -2000, whose naive weight
