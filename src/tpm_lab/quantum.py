@@ -104,8 +104,8 @@ class ProjectorFamily:
     projectors: ``basis`` is a d×d matrix V with orthonormal columns,
     ``groups`` gives each column its outcome label, and projector n is
     P_n = V_n V_n† with V_n = V[:, groups == n]. Projector n corresponds to
-    measurement outcome n; ``energies`` are optional outcome labels in
-    energy units (the eigenvalues of a Hamiltonian whose eigenbasis this
+    measurement outcome n; ``energies`` are optional finite outcome labels
+    in energy units (the eigenvalues of a Hamiltonian whose eigenbasis this
     family measures). ``in_order``: d outcomes, column k alone measures k.
 
     Build it from a list of dense ``projectors`` or from ``basis`` and
@@ -183,6 +183,8 @@ class ProjectorFamily:
             if len(energies) != n_out:
                 raise ValueError(
                     f"got {len(energies)} energies for {n_out} projectors")
+            if not all(map(math.isfinite, energies)):
+                raise ValueError(f"energies must be finite, got {energies}")
         self.dim = dim
         self.basis = _freeze(basis)
         self.groups = _freeze(groups)
@@ -291,7 +293,7 @@ class KrausChannel:
             raise ValueError(
                 f"Kraus operators must be numeric matrices of one shape: "
                 f"{err}") from None
-        if ops.shape == (0,):
+        if ops.shape[:1] == (0,):
             raise ValidationError("channel has no Kraus operators",
                                   invariant="nonempty")
         if ops.ndim != 3 or 0 in ops.shape:

@@ -76,13 +76,11 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _guide_table(cdfs: np.ndarray, count: int,
-                 dtype=None) -> tuple[np.ndarray, np.ndarray]:
+def _guide_table(cdfs: np.ndarray, count: int, dtype=None) -> np.ndarray:
     """Bucketed inverse-CDF guide table (Chen & Asau, 1974) for each row,
-    sized for ``count`` draws, with the bounds table it is read from;
-    entries of both are flat cell labels of ``dtype``, by default
-    ``np.min_scalar_type(N·M)``, an unsigned type whose maximum is no
-    label.
+    sized for ``count`` draws: an (N, B + 1) table of flat cell labels of
+    ``dtype``, by default ``np.min_scalar_type(2·N·M − 1)``, an unsigned
+    type whose top bit, the step flag, is in no label.
 
     Bucket j of B covers [j/B, (j+1)/B), with B the largest power of two
     ≤ min(max(32·M, 2¹⁶ // N), max(1, count // N)), so scaling by B is
@@ -91,30 +89,28 @@ def _guide_table(cdfs: np.ndarray, count: int,
     from M = 64 up, 32·M sets B. Only a row's first M − 1 CDF values are
     read: the count of them ≤ u is min(searchsorted(row, u,
     side="right"), M − 1).
-    ``bounds[r, j]`` is the label r·M + the count of them ≤ j/B, except
-    that column B counts those < 1, since no u < 1 reaches a CDF value of
-    1, so every u in bucket j has its label between ``bounds[r, j]`` and
-    ``bounds[r, j + 1]``. ``guide[r, j]`` is that label where the two
-    agree, and the dtype's maximum, never a label, where a CDF value in
-    (j/B, (j+1)/B) leaves a search to tell. A value exactly at an inner
-    edge (j+1)/B < 1 marks bucket j too, needlessly: the search then
-    finds the lower bound.
-    Rows must be nondecreasing and nonnegative. Returns ``(guide,
-    bounds)``, of shapes (N, B) and (N, B + 1) and dtype ``dtype``, built
-    in it so that the marker is its maximum; the guide has at most
-    min(max(32·N·M, 2¹⁶), max(N, count)) entries, so neither table
-    outgrows the draws it serves. Both are built a block of about 2¹⁶
-    cells or buckets at a time, which bounds the build's temporaries
-    whatever N·M.
+    Entry (r, j), flag cleared, is the label r·M + the count of them
+    ≤ j/B, except that column B counts those < 1, since no u < 1 reaches
+    a CDF value of 1, so every u in bucket j has its label between
+    entries j and j + 1. Entry j < B has the flag set where the two
+    differ, where a CDF value in (j/B, (j+1)/B) leaves a search to tell;
+    elsewhere it is the label of every u in bucket j. A value exactly at
+    an inner edge (j+1)/B < 1 flags bucket j too, needlessly: the search
+    then finds the lower bound.
+    Rows must be nondecreasing and nonnegative. The table is built in
+    ``dtype``, so that the flag is its top bit, and has at most
+    min(max(32·N·M, 2¹⁶), max(N, count)) buckets, so it does not outgrow
+    the draws it serves. It is built a block of about 2¹⁶ cells or
+    buckets at a time, which bounds the build's temporaries whatever N·M.
     """
     n_rows, n_cols = cdfs.shape
     n_buckets = 1 << min(max(32 * n_cols, _BLOCK_CELLS // n_rows),
                          max(1, count // n_rows)).bit_length() - 1
-    if dtype is None:
-        dtype = np.min_scalar_type(n_rows * n_cols)
-    guide = np.empty((n_rows, n_buckets), dtype=dtype)
-    bounds = np.empty((n_rows, n_buckets + 1), dtype=dtype)
-    flat = bounds.reshape(-1)
+    dtype = np.dtype(np.min_scalar_type(2 * n_rows * n_cols - 1)
+                     if dtype is None else dtype)
+    flag = 1 << 8 * dtype.itemsize - 1
+    table = np.empty((n_rows, n_buckets + 1), dtype=dtype)
+    flat = table.reshape(-1)
     block = max(1, _BLOCK_CELLS // max(n_cols, n_buckets))
     for start in range(0, n_rows, block):
         stop = min(start + block, n_rows)
@@ -131,13 +127,12 @@ def _guide_table(cdfs: np.ndarray, count: int,
         labels = np.arange(start * n_cols, stop * n_cols, dtype=dtype)
         flat[start * (n_buckets + 1):stop * (n_buckets + 1)] = np.repeat(
             labels, np.diff(edges, axis=1).ravel())
-        lower, upper = bounds[start:stop, :-1], bounds[start:stop, 1:]
-        guide[start:stop] = np.where(lower == upper, lower,
-                                     np.iinfo(dtype).max)
-    return guide, bounds
+        lower, upper = table[start:stop, :-1], table[start:stop, 1:]
+        np.bitwise_or(lower, flag, out=lower, where=lower != upper)
+    return table
 
 
-def _guided_search(cdfs: np.ndarray, tables: tuple[np.ndarray, np.ndarray],
+def _guided_search(cdfs: np.ndarray, table: np.ndarray,
                    rng: np.random.Generator, found: np.ndarray,
                    rows: np.ndarray | None,
                    buffers: tuple[np.ndarray, np.ndarray]) -> None:
@@ -145,67 +140,60 @@ def _guided_search(cdfs: np.ndarray, tables: tuple[np.ndarray, np.ndarray],
     side="right"), M − 1) of each draw k, with r = rows[k] (``rows=None``
     searches a one-row table) and u_k the generator's next ``found.size``
     uniforms, leaving it as ``rng.random(found.size)`` would. ``rows`` may
-    be ``found`` itself: a block's rows are read before its labels are
-    written. ``tables`` is ``_guide_table(cdfs, ...)``, only read, so
-    slices of one draw may search it at once.
+    be ``found`` itself: the rows are read before the labels are written.
+    ``table`` is ``_guide_table(cdfs, ...)`` in ``found``'s dtype, only
+    read, so slices of one draw may search it at once.
 
-    The draws run a block at a time through ``buffers``, a float64 and an
-    intp array of the block's length. Each uniform u reads its bucket ⌊u·B⌋
-    (exact for B a power of two) from the guide table. A draw whose bucket
-    holds a CDF step, at most M/B of them, is bisected between the
-    bucket's two bounds over the row's CDF values, one vectorised step per
-    bit of the block's widest such range. Beyond the buffers, only the
-    marked draws' temporaries are allocated.
+    The draws are one block, run through ``buffers``, a float64 and an
+    intp array at least ``found.size`` long. Each uniform u reads entry
+    ⌊u·B⌋ of its row (exact for B a power of two) from the table. A draw
+    whose entry has the step flag set, at most M/B of them, is bisected
+    over the row's CDF values between that entry and the next, each with
+    the flag cleared, one vectorised step per bit of the block's widest
+    such range. Beyond the buffers, only the flagged draws' temporaries
+    are allocated.
     """
-    guide, bounds = tables
-    n_buckets = guide.shape[1]
-    flat_guide, flat_bounds = guide.reshape(-1), bounds.reshape(-1)
-    flat_cdfs = cdfs.reshape(-1)
-    count = found.size
-    u, bucket = buffers
-    for start in range(0, count, u.size):
-        stop = min(start + u.size, count)
-        u_block, bucket_block = u[:stop - start], bucket[:stop - start]
-        rng.random(out=u_block)
-        # u·B is exact, so the buffer holds it and the intp bucket index
-        # r·B + ⌊u·B⌋ is summed in place, with no index copy in ``take``.
-        u_block *= n_buckets
-        if rows is None:
-            np.copyto(bucket_block, u_block, casting="unsafe")
-        else:
-            np.multiply(rows[start:stop], n_buckets, out=bucket_block,
-                        dtype=np.intp)
-            np.add(bucket_block, u_block, out=bucket_block, dtype=np.intp,
-                   casting="unsafe")
-        # Every bucket index lies in the table, so "clip" never moves one;
-        # unlike "raise", it writes straight into ``found``.
-        block = found[start:stop]
-        flat_guide.take(bucket_block, out=block, mode="clip")
-        hit = np.flatnonzero(block == np.iinfo(guide.dtype).max)
-        hit_u = u_block[hit] / n_buckets
-        # The block's spent buffers take the bisection's probes and the CDF
-        # values read at them. Bucket r·B + j has its bounds at
-        # r·(B + 1) + j and the next entry.
-        probe, cdf = bucket[:hit.size], u[:hit.size]
-        bucket_block.take(hit, out=probe)
-        probe += probe >> n_buckets.bit_length() - 1
-        last = np.subtract(flat_bounds.take(probe), 1, dtype=np.intp)
-        probe += 1
-        top = np.subtract(flat_bounds.take(probe), 1, dtype=np.intp)
-        # The labels in (last, top] are all among their row's first M − 1,
-        # and the draw's label is one past the last of them whose CDF value
-        # is ≤ u: one bisection step per bit of the block's widest range.
-        np.subtract(top, last, out=probe)
-        for k in reversed(range(int(probe.max(initial=0)).bit_length())):
-            np.add(last, 1 << k, out=probe)
-            np.minimum(probe, top, out=probe)
-            flat_cdfs.take(probe, out=cdf, mode="clip")
-            # last = probe where the CDF value there is ≤ u, branch-free.
-            probe -= last
-            probe *= cdf <= hit_u
-            last += probe
-        last += 1
-        block[hit] = last
+    n_buckets = table.shape[1] - 1
+    flat_table, flat_cdfs = table.reshape(-1), cdfs.reshape(-1)
+    flag = 1 << 8 * table.itemsize - 1
+    u, entry = (buffer[:found.size] for buffer in buffers)
+    rng.random(out=u)
+    # u·B is exact, so the buffer holds it and the intp entry index
+    # r·(B + 1) + ⌊u·B⌋ is summed in place, with no index copy in ``take``.
+    u *= n_buckets
+    if rows is None:
+        np.copyto(entry, u, casting="unsafe")
+    else:
+        np.multiply(rows, n_buckets + 1, out=entry, dtype=np.intp)
+        np.add(entry, u, out=entry, dtype=np.intp, casting="unsafe")
+    # Every entry index lies in the table, so "clip" never moves one;
+    # unlike "raise", it writes straight into ``found``.
+    flat_table.take(entry, out=found, mode="clip")
+    hit = np.flatnonzero(found >= flag)
+    hit_u = u[hit] / n_buckets
+    # The spent buffers take the bisection's probes and the CDF values read
+    # at them. A flagged entry less its flag is its draw's lower bound,
+    # the next entry with its flag cleared the upper one.
+    probe, cdf = entry[:hit.size], u[:hit.size]
+    entry.take(hit, out=probe)
+    probe += 1
+    last = np.subtract(found[hit], flag + 1, dtype=np.intp)
+    top = np.bitwise_and(flat_table.take(probe), flag - 1, dtype=np.intp)
+    top -= 1
+    # The labels in (last, top] are all among their row's first M − 1,
+    # and the draw's label is one past the last of them whose CDF value
+    # is ≤ u: one bisection step per bit of the block's widest range.
+    np.subtract(top, last, out=probe)
+    for k in reversed(range(int(probe.max(initial=0)).bit_length())):
+        np.add(last, 1 << k, out=probe)
+        np.minimum(probe, top, out=probe)
+        flat_cdfs.take(probe, out=cdf, mode="clip")
+        # last = probe where the CDF value there is ≤ u, branch-free.
+        probe -= last
+        probe *= cdf <= hit_u
+        last += probe
+    last += 1
+    found[hit] = last
 
 
 def _slices(count: int) -> list[tuple[int, int]]:
@@ -249,7 +237,7 @@ def sample_trajectories(jd: JointDistribution, count: int,
     Both stages read a bucketed guide table (``_guide_table``) of B
     buckets per row and give exactly the right-side ``searchsorted`` of
     each uniform in O(count + N·B + f·count·log M), f ≤ M/B the share of
-    draws in a bucket holding a CDF step.
+    draws in a bucket holding a CDF step, flagged in the table.
 
     The draws are split into even contiguous slices (``_slices``), one per
     CPU and at most one per full block: slice 0 on the caller's thread, the
@@ -260,11 +248,12 @@ def sample_trajectories(jd: JointDistribution, count: int,
 
     A slice runs a block of ``_BLOCK_DRAWS`` draws at a time through its
     own buffers: the first stage writes the block's first outcomes into a
-    block of labels in the smallest unsigned type that holds N·M, the
-    second writes the cells n·M + m over them, and they are counted into
-    the slice's table; the slices' tables are summed. No array grows with
-    the count, an integer in [1, MAX_COUNT]: ``operator.index`` takes a
-    numpy integer and rejects a float with TypeError.
+    block of labels in the tables' dtype, the smallest unsigned type that
+    holds 2·N·M − 1, the second writes the cells n·M + m over them, and
+    they are counted into the slice's table; the slices' tables are
+    summed. No array grows with the count, an integer in [1, MAX_COUNT]:
+    ``operator.index`` takes a numpy integer and rejects a float with
+    TypeError.
     """
     count = operator.index(count)
     if not 1 <= count <= MAX_COUNT:
@@ -280,22 +269,21 @@ def sample_trajectories(jd: JointDistribution, count: int,
     row_totals = row_cdfs[:, -1].copy()
     row_totals[row_totals <= 0] = 1.0  # zero-mass rows are never selected
     row_cdfs /= row_totals[:, None]
-    row_tables = _guide_table(row_cdfs, count)
-    labels_dtype = row_tables[0].dtype
-    first_tables = _guide_table(first_cdf, count, labels_dtype)
+    row_table = _guide_table(row_cdfs, count)
+    first_table = _guide_table(first_cdf, count, row_table.dtype)
 
     def draw(first: np.random.Generator, second: np.random.Generator,
              a: int, b: int) -> np.ndarray:
         # One slice's buffers serve all its blocks, so no block allocates.
         counts = np.zeros(jd.p_joint.size, dtype=np.int64)
         size = min(b - a, _BLOCK_DRAWS)
-        block = np.empty(size, dtype=labels_dtype)
+        block = np.empty(size, dtype=row_table.dtype)
         buffers = np.empty(size), np.empty(size, dtype=np.intp)
         for start in range(a, b, size):
             labels = block[:b - start]
-            _guided_search(first_cdf, first_tables, first, labels, None,
+            _guided_search(first_cdf, first_table, first, labels, None,
                            buffers)
-            _guided_search(row_cdfs, row_tables, second, labels, labels,
+            _guided_search(row_cdfs, row_table, second, labels, labels,
                            buffers)
             _count(labels, counts, buffers[1])
         return counts

@@ -127,9 +127,13 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
     Checks that every entry is finite (``finite_entries``, read off the
     table's min and max), bounds (entries within [−1e−12, 1 + 1e−12])
     before clamping to [0, 1], normalization (Σ p = 1 within 1e−10) and
-    that some cell exceeds ``support_epsilon``; fills the marginals, the
+    that some cell exceeds ``support_epsilon``, which must be ≥ 0
+    (ValueError otherwise, NaN included); fills the marginals, the
     support mask and the support defect.
     """
+    if not support_epsilon >= 0:  # NaN fails too
+        raise ValueError(
+            f"support epsilon must be nonnegative, got {support_epsilon!r}")
     p = np.array(p_joint, dtype=float, order="C")
     if p.ndim != 2:
         raise ValueError(f"joint table must be 2-d, got shape {p.shape}")
@@ -333,7 +337,8 @@ def work_statistics(jd: JointDistribution, first_energies, second_energies,
         work average, so extreme work values on zero-probability cells
         cannot poison the sum.
     first_energies, second_energies : sequences of float
-        Outcome energy labels E_n and E'_m; lengths must match the table.
+        Outcome energy labels E_n and E'_m, finite; lengths must match the
+        table.
     beta : float
         Inverse temperature (> 0), shared by both ensembles.
     Z, Z_prime : float
@@ -352,6 +357,8 @@ def work_statistics(jd: JointDistribution, first_energies, second_energies,
         raise ValueError(
             f"energy lists of lengths {e_first.shape[0]}/{e_second.shape[0]} "
             f"do not match the {n_out}x{m_out} outcome table")
+    if not (np.isfinite(e_first).all() and np.isfinite(e_second).all()):
+        raise ValueError("energy labels must be finite")
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if not (Z > 0 and Z_prime > 0):

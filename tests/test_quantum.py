@@ -127,6 +127,16 @@ def test_projector_family_energy_count_mismatch():
         ProjectorFamily([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0.0])
 
 
+@pytest.mark.parametrize("energy", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_projector_family_rejects_a_nonfinite_energy(energy):
+    with pytest.raises(ValueError, match="energies must be finite"):
+        ProjectorFamily(basis=np.eye(2), groups=[0, 1], energies=[0.0, energy])
+    with pytest.raises(ValueError, match="energies must be finite"):
+        ProjectorFamily([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+                        [energy, 1.0])
+
+
 def test_projector_family_from_projectors_stores_basis_and_groups():
     u = haar_random_unitary(4, np.random.default_rng(3))
     projectors = [u[:, :2] @ u[:, :2].conj().T, u[:, 2:] @ u[:, 2:].conj().T]
@@ -302,12 +312,14 @@ def test_kraus_channel_replacement_enters_completeness_and_unitality():
 
 @pytest.mark.parametrize("ops, error, invariant", [
     ([], ValidationError, "nonempty"),
+    (np.empty((0, 2, 2)), ValidationError, "nonempty"),
     ([np.array([1.0, 0.0])], ValidationError, "matrix_shape"),
     ([np.ones((2, 3))], ValidationError, "square"),
     ([np.eye(2), np.eye(3)], ValueError, None),
     ([np.array([[np.nan, 0.0], [0.0, 1.0]])], ValidationError,
      "finite_entries"),
-], ids=["empty", "1-d", "non-square", "mixed-shapes", "nan"])
+], ids=["empty", "empty-stack", "1-d", "non-square", "mixed-shapes",
+        "nan"])
 def test_kraus_channel_rejects_malformed_operators(ops, error, invariant):
     with pytest.raises(ValueError) as err:
         KrausChannel(ops)

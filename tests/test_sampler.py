@@ -198,8 +198,8 @@ def drawn_labels(monkeypatch):
     blocks = {}
     search = sampler._guided_search
 
-    def recording(cdfs, tables, rng, found, rows, buffers):
-        search(cdfs, tables, rng, found, rows, buffers)
+    def recording(cdfs, table, rng, found, rows, buffers):
+        search(cdfs, table, rng, found, rows, buffers)
         if rows is not None:
             blocks.setdefault(id(rng), []).append(found.copy())
 
@@ -211,12 +211,13 @@ def assert_same_stream(counts, blocks, reference, shape, slices=None):
     """``counts`` is the int64 (N, M) table of the oracle's pairs, and
     ``blocks`` holds, slice by slice, the oracle's labels ns·M + ms of the
     draws [a, b) of each of ``slices`` (by default one), in order and in
-    the smallest unsigned type that holds N·M."""
+    the guide tables' dtype, the smallest unsigned type that holds
+    2·N·M − 1."""
     ns, ms = reference
     labels = ns * shape[1] + ms
     assert counts.dtype == np.int64 and counts.shape == shape
     np.testing.assert_array_equal(counts, cell_counts(labels, shape))
-    dtype = np.min_scalar_type(shape[0] * shape[1])
+    dtype = np.min_scalar_type(2 * shape[0] * shape[1] - 1)
     assert all(block.dtype == dtype for run in blocks.values()
                for block in run)
     slices = slices or [(0, len(labels))]
@@ -261,13 +262,14 @@ def many_row_distribution(rows: int, cols: int):
     many_row_distribution(64, 64),
     many_row_distribution(128, 128),
     many_row_distribution(300, 5),  # uint16 first outcomes
-    many_row_distribution(15, 17),  # 255 cells: uint8, marker 255
+    many_row_distribution(8, 16),  # 128 cells: uint8, labels below flag 128
+    many_row_distribution(15, 17),  # 255 cells: uint16
     many_row_distribution(85, 3),  # 255 cells; 50 draws < N give B = 1
     many_row_distribution(128, 2),  # 256 cells: uint16; B = 1 at 50 draws
-], ids=["N=1", "N=3", "N=16", "N=64", "N=128", "N=300", "NM=255",
+], ids=["N=1", "N=3", "N=16", "N=64", "N=128", "N=300", "NM=128", "NM=255",
         "NM=255,M=3", "NM=256,M=2"])
 def test_stream_matches_mask_loop(drawn_labels, jd):
-    # At 50 draws the count, not 32·M, sets the guide tables' size. Where
+    # At 50 draws the count, not 32·M, sets the guide table's size. Where
     # N·M exceeds half a block, the blocks are counted by ``np.add.at``.
     for seed, count in [(0, 30_000), (1, 30_000), (2, 30_000), (3, 50)]:
         counts = sample_trajectories(jd, count, 900 + seed)
@@ -330,7 +332,10 @@ GUIDED_SEARCH_CASES = {
     # uint16 guide table.
     "300-outcome": normalized_cdfs(
         np.random.default_rng(3).random((4, 300)) ** 4),
-    # 255 cells: uint8 labels up to 254 and the marker 255.
+    # 128 cells: uint8 labels up to 127 and the step flag 128.
+    "128-cell": normalized_cdfs(
+        np.random.default_rng(4).random((8, 16)) ** 4),
+    # 255 cells: uint16, as 2·255 − 1 > 255.
     "255-cell": normalized_cdfs(
         np.random.default_rng(5).random((15, 17)) ** 4),
     # 256 cells: uint16.
@@ -370,36 +375,37 @@ class FixedUniforms:
 
 
 @pytest.mark.parametrize("name", GUIDED_SEARCH_CASES)
-def test_guided_search_matches_searchsorted(monkeypatch, name):
+def test_guided_search_matches_searchsorted(name):
     # None searches every uniform in one call, in the table of B the
     # power-of-two floor of max(32·M, 2¹⁶ // N); a few draws per row cap B
-    # at their count. Blocks
-    # of 61 draws split every call at odd places; the table does not
-    # depend on them, so it is checked once per count.
+    # at their count. A search is one block; ``draw``'s block boundaries
+    # are checked by ``test_stream_across_block_boundaries``.
     cdfs = GUIDED_SEARCH_CASES[name]
     for draws_per_row in (None, 1, 3, 40):
-        n_buckets = check_guide_table(cdfs, draws_per_row)
-        for block_draws in (_BLOCK_DRAWS, 61):
-            monkeypatch.setattr(sampler, "_BLOCK_DRAWS", block_draws)
-            check_guided_search(cdfs, draws_per_row, n_buckets)
+        check_guided_search(cdfs, draws_per_row,
+                            check_guide_table(cdfs, draws_per_row))
 
 
 def search_buffers(size):
-    """The float64 and intp block buffers of a search of ``size`` draws,
-    a block of at most ``_BLOCK_DRAWS`` at a time, as a slice holds."""
-    block = min(size, sampler._BLOCK_DRAWS)
-    return np.empty(block), np.empty(block, dtype=np.intp)
+    """The float64 and intp buffers of a search of one block of ``size``
+    draws, as a slice holds."""
+    return np.empty(size), np.empty(size, dtype=np.intp)
 
 
-def guided_search(cdfs, u, tables, rows=None):
-    """``_guided_search`` of the uniforms ``u`` in ``tables``, the
+def guided_search(cdfs, u, table, rows=None):
+    """``_guided_search`` of the uniforms ``u`` in ``table``, the
     ``_guide_table`` of ``cdfs``, fed through ``random(out=)`` of a
     stand-in generator, which must be used up exactly."""
     uniforms = FixedUniforms(u)
-    found = np.empty(u.size, dtype=tables[0].dtype)
-    _guided_search(cdfs, tables, uniforms, found, rows, search_buffers(u.size))
+    found = np.empty(u.size, dtype=table.dtype)
+    _guided_search(cdfs, table, uniforms, found, rows, search_buffers(u.size))
     assert uniforms.used == u.size
     return found
+
+
+def step_flag(table) -> int:
+    """The top bit of the table's dtype, which flags a bucket's entry."""
+    return 1 << 8 * table.itemsize - 1
 
 
 def guide_count(cdfs, draws_per_row):
@@ -408,39 +414,42 @@ def guide_count(cdfs, draws_per_row):
 
 
 def check_guide_table(cdfs, draws_per_row):
-    """Check the guide and bounds tables sized for ``draws_per_row`` draws
-    per row against a search per bucket edge; returns their B."""
+    """Check the guide table sized for ``draws_per_row`` draws per row
+    against a search per bucket edge; returns its B."""
     n_rows, n_cols = cdfs.shape
     count = guide_count(cdfs, draws_per_row)
-    guide, bounds = _guide_table(cdfs, count)
-    n_buckets = guide.shape[1]
+    table = _guide_table(cdfs, count)
+    n_buckets = table.shape[1] - 1
     assert n_buckets & (n_buckets - 1) == 0
-    assert guide.shape == (n_rows, n_buckets)
-    assert bounds.shape == (n_rows, n_buckets + 1)
-    assert guide.dtype == bounds.dtype == np.min_scalar_type(n_rows * n_cols)
+    assert table.shape == (n_rows, n_buckets + 1)
+    assert table.dtype == np.min_scalar_type(2 * n_rows * n_cols - 1)
     # B ≤ max(32·M, 2¹⁶ // N): at most 32 buckets per cell, or one block's
     # worth of buckets for a small table.
-    assert guide.size <= max(32 * n_rows * n_cols, _BLOCK_CELLS)
-    assert guide.size <= max(n_rows, count)
+    assert n_rows * n_buckets <= max(32 * n_rows * n_cols, _BLOCK_CELLS)
+    assert n_rows * n_buckets <= max(n_rows, count)
     if draws_per_row is not None:
         assert n_buckets <= draws_per_row
-    # Column j of a row's bounds counts its first M − 1 CDF values ≤ j/B,
-    # and those < 1 at j = B; the guide keeps the label of a bucket whose
-    # two bounds agree.
+    # Column j of a row, flag cleared, counts its first M − 1 CDF values
+    # ≤ j/B, and those < 1 at j = B; bucket j is flagged where entries j
+    # and j + 1 differ, and column B never is.
     edges = np.arange(n_buckets + 1) / n_buckets
     want_bounds = np.array([np.searchsorted(row[:-1], edges, side="right")
                             for row in cdfs])
     want_bounds[:, -1] = [np.searchsorted(row[:-1], 1.0) for row in cdfs]
     want_bounds += np.arange(n_rows)[:, None] * n_cols
-    np.testing.assert_array_equal(bounds, want_bounds)
+    flag = step_flag(table)
+    assert want_bounds.max() < flag
+    np.testing.assert_array_equal(table & ~table.dtype.type(flag),
+                                  want_bounds)
+    flagged = table >= flag
     lower, upper = want_bounds[:, :-1], want_bounds[:, 1:]
-    np.testing.assert_array_equal(
-        guide, np.where(lower == upper, lower, np.iinfo(guide.dtype).max))
-    # So a bucket is marked where a CDF value lies strictly inside it, or
+    np.testing.assert_array_equal(flagged[:, :-1], lower != upper)
+    assert not flagged[:, -1].any()
+    # So a bucket is flagged where a CDF value lies strictly inside it, or
     # on its upper edge below 1.
     j = np.arange(n_buckets)[:, None]
     np.testing.assert_array_equal(
-        guide == np.iinfo(guide.dtype).max,
+        flagged[:, :-1],
         [np.any((j < row[:-1] * n_buckets) & (row[:-1] * n_buckets <= j + 1)
                 & (row[:-1] < 1.0), axis=1)
          for row in cdfs])
@@ -448,9 +457,9 @@ def check_guide_table(cdfs, draws_per_row):
 
 
 def check_guided_search(cdfs, draws_per_row, n_buckets):
-    """Check ``_guided_search`` in the tables of B buckets, on their edge
+    """Check ``_guided_search`` in the table of B buckets, on its edge
     uniforms, against ``searchsorted``, in chunks of at most the count the
-    tables were sized for."""
+    table was sized for."""
     n_rows, n_cols = cdfs.shape
     count = guide_count(cdfs, draws_per_row)
     u = edge_uniforms(cdfs, n_buckets)
@@ -462,35 +471,35 @@ def check_guided_search(cdfs, draws_per_row, n_buckets):
         want[drawn] = np.searchsorted(cdfs[r], u[drawn], side="right")
     want = rows * n_cols + np.minimum(want, n_cols - 1)
     chunk = u.size if draws_per_row is None else count
-    # The tables depend on the count alone, so every chunk reads one pair.
-    tables = _guide_table(cdfs, count)
-    got = np.concatenate([guided_search(cdfs, u[k:k + chunk], tables,
+    # The table depends on the count alone, so every chunk reads one.
+    table = _guide_table(cdfs, count)
+    got = np.concatenate([guided_search(cdfs, u[k:k + chunk], table,
                                         rows[k:k + chunk])
                           for k in range(0, u.size, chunk)])
-    assert got.dtype == np.min_scalar_type(n_rows * n_cols)
+    assert got.dtype == np.min_scalar_type(2 * n_rows * n_cols - 1)
     np.testing.assert_array_equal(got, want)
     if n_rows == 1:
         np.testing.assert_array_equal(
-            np.concatenate([guided_search(cdfs, u[k:k + chunk], tables)
+            np.concatenate([guided_search(cdfs, u[k:k + chunk], table)
                             for k in range(0, u.size, chunk)]), want)
 
 
 def test_guide_marks_exactly_the_buckets_with_a_cdf_value_inside():
     # Four zero-mass last columns put each row's last CDF values at exactly
-    # 1, which no u < 1 reaches, so bucket B − 1 is marked only where a
+    # 1, which no u < 1 reaches, so bucket B − 1 is flagged only where a
     # value lies in ((B − 1)/B, 1). Random values miss every inner edge,
-    # so the marked buckets are those with a value in (j/B, (j+1)/B).
+    # so the flagged buckets are those with a value in (j/B, (j+1)/B).
     p = np.random.default_rng(15).random((16, 16))
     p[:, 12:] = 0.0
     cdfs = normalized_cdfs(p)
-    guide, _ = _guide_table(cdfs, 10**6)
-    n_buckets = guide.shape[1]
+    table = _guide_table(cdfs, 10**6)
+    n_buckets = table.shape[1] - 1
     scaled = cdfs[:, :-1] * n_buckets
-    inside = np.zeros(guide.shape, dtype=bool)
+    inside = np.zeros((len(cdfs), n_buckets), dtype=bool)
     for row, values in zip(inside, scaled):
         strict = values != np.floor(values)
         row[np.floor(values[strict]).astype(np.intp)] = True
-    marked = guide == np.iinfo(guide.dtype).max
+    marked = table[:, :-1] >= step_flag(table)
     np.testing.assert_array_equal(marked, inside)
     assert not marked[:, -1].any()
     check_guided_search(cdfs, None, check_guide_table(cdfs, None))
@@ -500,40 +509,39 @@ def test_guide_table_grows_with_the_count_not_the_table():
     # A 1024×1024 table drawn 10³ times: 32·N·M buckets would
     # be 2²⁵ entries (64 MiB); the capped table has one bucket per row.
     cdfs = normalized_cdfs(np.random.default_rng(4).random((1024, 1024)))
-    guide, bounds = _guide_table(cdfs, 1000)
-    assert guide.shape == (1024, 1)
-    assert guide.size <= max(1024, 1000)
-    assert bounds.size == 1024 * (1 + 1)
-    assert _guide_table(cdfs, 1024 * 5000)[0].shape[1] == 4096
-    assert _guide_table(cdfs, 10**9)[0].shape[1] == 32 * 1024
+    table = _guide_table(cdfs, 1000)
+    assert table.shape == (1024, 1 + 1)
+    assert 1024 * (table.shape[1] - 1) <= max(1024, 1000)
+    assert _guide_table(cdfs, 1024 * 5000).shape[1] == 4096 + 1
+    assert _guide_table(cdfs, 10**9).shape[1] == 32 * 1024 + 1
     # A small table gets 2¹⁶ // N buckets per row where 32·M would be
     # fewer, still at most count // N; from M = 64 up, 32·M sets B.
     first = np.ones((1, 16))
-    assert _guide_table(first, 10**6)[0].shape == (1, 1 << 16)
-    assert _guide_table(first, 1000)[0].shape == (1, 512)
+    assert _guide_table(first, 10**6).shape == (1, (1 << 16) + 1)
+    assert _guide_table(first, 1000).shape == (1, 512 + 1)
     small = normalized_cdfs(np.random.default_rng(5).random((16, 16)))
-    assert _guide_table(small, 10**9)[0].shape == (16, 4096)
-    assert _guide_table(small, 16 * 1000)[0].shape == (16, 512)
+    assert _guide_table(small, 10**9).shape == (16, 4096 + 1)
+    assert _guide_table(small, 16 * 1000).shape == (16, 512 + 1)
     wide = normalized_cdfs(np.random.default_rng(6).random((64, 64)))
-    assert _guide_table(wide, 10**9)[0].shape == (64, 32 * 64)
+    assert _guide_table(wide, 10**9).shape == (64, 32 * 64 + 1)
 
 
-def test_guide_table_in_a_wider_dtype_marks_with_its_maximum():
-    # The first stage's tables are built in the cells' dtype. A uint8
-    # table cast to uint16 would keep its marker 255, which reads as a
+def test_guide_table_in_a_wider_dtype_flags_with_its_top_bit():
+    # The first stage's table is built in the cells' dtype. A uint8
+    # table cast to uint16 would keep its flag 128, which reads as a
     # label there.
     first = normalized_cdfs(np.random.default_rng(7).random((1, 16)) ** 4)
-    narrow, narrow_bounds = _guide_table(first, 10**6)
-    wide, wide_bounds = _guide_table(first, 10**6, np.uint16)
+    narrow = _guide_table(first, 10**6)
+    wide = _guide_table(first, 10**6, np.uint16)
     assert narrow.dtype == np.uint8 and wide.dtype == np.uint16
-    marked = narrow == np.iinfo(np.uint8).max
+    marked = narrow >= 1 << 7
     assert marked.any()
-    np.testing.assert_array_equal(wide == np.iinfo(np.uint16).max, marked)
+    np.testing.assert_array_equal(wide >= 1 << 15, marked)
     np.testing.assert_array_equal(wide[~marked], narrow[~marked])
-    np.testing.assert_array_equal(wide_bounds, narrow_bounds)
-    u = edge_uniforms(first, narrow.shape[1])
+    np.testing.assert_array_equal(wide & 0x7FFF, narrow & 0x7F)
+    u = edge_uniforms(first, narrow.shape[1] - 1)
     found = np.empty(u.size, dtype=np.uint16)
-    _guided_search(first, (wide, wide_bounds), FixedUniforms(u), found, None,
+    _guided_search(first, wide, FixedUniforms(u), found, None,
                    search_buffers(u.size))
     np.testing.assert_array_equal(
         found, guided_search(first, u, _guide_table(first, 10**6)))
@@ -550,7 +558,7 @@ def trailing_zero_mass_table():
 @pytest.mark.parametrize("jd", [
     distribution_from_joint(np.array([[0.1, 0.0, 0.6, 0.3]])),
     zero_mass_row_table(),
-    many_row_distribution(15, 17),  # 255 cells: uint8, marker 255
+    many_row_distribution(15, 17),  # 255 cells: uint16
     many_row_distribution(16, 16),  # 256 cells: uint16
     trailing_zero_mass_table(),
 ], ids=["N=1", "zero-mass-row", "NM=255", "NM=256", "zero-mass-columns"])
@@ -803,8 +811,8 @@ def check_peak_memory(dim):
     count = 10**6
     n_rows, n_cols = jd.shape
     n_cells = n_rows * n_cols
-    guide, bounds = _guide_table(normalized_cdfs(jd.p_joint), count)
-    first_tables = _guide_table(np.ones((1, n_rows)), count, guide.dtype)
+    table = _guide_table(normalized_cdfs(jd.p_joint), count)
+    first_table = _guide_table(np.ones((1, n_rows)), count, table.dtype)
     tracemalloc.start()
     try:
         counts = sample_trajectories(jd, count, 0)
@@ -819,10 +827,10 @@ def check_peak_memory(dim):
         tracemalloc.stop()
     # Array headers, views and numpy's small caches.
     objects = 1 << 13
-    # A draw is marked for a bisection when its bucket holds a CDF step;
+    # A draw is flagged for a bisection when its bucket holds a CDF step;
     # those buckets carry under M/B of the mass in either stage.
-    marked_share = min(1.0, max(n_rows / first_tables[0].shape[1],
-                                n_cols / guide.shape[1]))
+    marked_share = min(1.0, max(n_rows / (first_table.shape[1] - 1),
+                                n_cols / (table.shape[1] - 1)))
     # Each slice's worker holds its own block buffers, temporaries and
     # count table.
     workers = len(sampler._slices(count))
@@ -830,26 +838,25 @@ def check_peak_memory(dim):
     # buckets per cell.
     draw_bound = (
         workers * (
-            # Block buffers: labels, uniforms and intp bucket indices, and
-            # the block's marker mask.
-            _BLOCK_DRAWS * (guide.itemsize + 8 + 8 + 1)
-            # A block's marked draws, each with its position, uniform and
-            # two intp bounds, and the labels read from the bounds table or
-            # a bisection step's mask; their probes and CDF values reuse
-            # the block buffers.
-            + _BLOCK_DRAWS * marked_share * (8 * 4 + guide.itemsize)
+            # Block buffers: labels, uniforms and intp entry indices, and
+            # the block's flag mask.
+            _BLOCK_DRAWS * (table.itemsize + 8 + 8 + 1)
+            # A block's flagged draws, each with its position, uniform and
+            # two intp bounds, and the entries read from the labels or the
+            # table or a bisection step's mask; their probes and CDF values
+            # reuse the block buffers.
+            + _BLOCK_DRAWS * marked_share * (8 * 4 + table.itemsize)
             # The slice's count table and a block's ``bincount``.
             + 2 * 8 * n_cells
             # numpy's ufunc buffer, where the rows, the scaled uniforms and
-            # the bounds are cast to intp.
+            # the entries are cast to intp.
             + 8 * np.getbufsize()
             # Array headers, views and numpy's small caches; a worker's
             # thread and its two generators.
             + objects)
-        # The N×M CDF table, both stages' guide and bounds tables and three
-        # N-long vectors.
-        + 8 * n_cells + guide.nbytes + bounds.nbytes
-        + sum(t.nbytes for t in first_tables) + 8 * 3 * n_rows)
+        # The N×M CDF table, both stages' guide tables and three N-long
+        # vectors.
+        + 8 * n_cells + table.nbytes + first_table.nbytes + 8 * 3 * n_rows)
     assert draw_peak <= draw_bound
     estimate_bound = (
         # The counts.

@@ -178,6 +178,21 @@ def test_distribution_from_joint_rejects_bad_tables():
         assert err.value.invariant == "finite_entries"
 
 
+@pytest.mark.parametrize("epsilon", [-1.0, -1e-300, np.nan],
+                         ids=["negative", "tiny-negative", "nan"])
+def test_support_epsilon_must_be_nonnegative(epsilon):
+    # A negative epsilon would put zero cells on the support, and a NaN one
+    # would empty it: both are bad arguments, not table defects.
+    table = [[0.5, 0.0], [0.25, 0.25]]
+    with pytest.raises(ValueError, match="support epsilon") as err:
+        distribution_from_joint(table, support_epsilon=epsilon)
+    assert type(err.value) is ValueError
+    experiment = random_rank1_experiment(2, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="support epsilon") as err:
+        joint_distribution(experiment, support_epsilon=epsilon)
+    assert type(err.value) is ValueError
+
+
 def test_distribution_from_joint_reads_any_layout_as_c_order():
     # numpy reduces in memory order, so a table kept in Fortran order
     # would sum its marginals and support defect in another order.
@@ -450,6 +465,19 @@ def test_work_statistics_input_validation():
         work_statistics(jd, [0.0, 1.0], [0.0, 1.0], 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         work_statistics(jd, [0.0, 1.0], [0.0, 1.0], 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("energy", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_work_statistics_rejects_a_nonfinite_energy(energy):
+    # Rejected as an energy label, not reported as an overflowed lhs.
+    jd = distribution_from_joint(np.full((2, 2), 0.25))
+    for first, second in [([0.0, energy], [0.0, 1.0]),
+                          ([0.0, 1.0], [energy, 1.0])]:
+        with pytest.raises(ValueError, match="energy labels must be finite") \
+                as err:
+            work_statistics(jd, first, second, 1.0, 1.5, 1.3)
+        assert type(err.value) is ValueError
 
 
 def test_work_statistics_rejects_a_nan_beta():
