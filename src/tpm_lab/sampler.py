@@ -7,6 +7,8 @@ draw splits the sample into contiguous slices, one per CPU the process
 may use, run on one thread pool, slice 0 on the caller's thread; each is
 drawn and counted a block at a time from its own stretch of the seed's
 one PCG64 stream, so a seed gives the same counts on any number of CPUs.
+A draw's bucket in a bucket-major guide table is the top bits of its
+PCG64 word; only a draw whose bucket holds a CDF step forms its uniform.
 The estimator sums Σk·w exactly, so its mean is a function of the counts
 alone. Exponential averages are notoriously heavy-tailed estimators;
 this module exists to demonstrate that behavior against the exact
@@ -78,9 +80,9 @@ def _cpu_count() -> int:
 
 def _guide_table(cdfs: np.ndarray, count: int, dtype=None) -> np.ndarray:
     """Bucketed inverse-CDF guide table (Chen & Asau, 1974) for each row,
-    sized for ``count`` draws: an (N, B + 1) table of flat cell labels of
-    ``dtype``, by default ``np.min_scalar_type(2·N·M − 1)``, an unsigned
-    type whose top bit, the step flag, is in no label.
+    sized for ``count`` draws: a bucket-major (B + 1, N) table of flat cell
+    labels of ``dtype``, by default ``np.min_scalar_type(2·N·M − 1)``, an
+    unsigned type whose top bit, the step flag, is in no label.
 
     Bucket j of B covers [j/B, (j+1)/B), with B the largest power of two
     ≤ min(max(32·M, 2¹⁶ // N), max(1, count // N)), so scaling by B is
@@ -89,19 +91,19 @@ def _guide_table(cdfs: np.ndarray, count: int, dtype=None) -> np.ndarray:
     from M = 64 up, 32·M sets B. Only a row's first M − 1 CDF values are
     read: the count of them ≤ u is min(searchsorted(row, u,
     side="right"), M − 1).
-    Entry (r, j), flag cleared, is the label r·M + the count of them
-    ≤ j/B, except that column B counts those < 1, since no u < 1 reaches
-    a CDF value of 1, so every u in bucket j has its label between
-    entries j and j + 1. Entry j < B has the flag set where the two
-    differ, where a CDF value in (j/B, (j+1)/B) leaves a search to tell;
-    elsewhere it is the label of every u in bucket j. A value exactly at
-    an inner edge (j+1)/B < 1 flags bucket j too, needlessly: the search
-    then finds the lower bound.
-    Rows must be nondecreasing and nonnegative. The table is built in
-    ``dtype``, so that the flag is its top bit, and has at most
+    Entry (j, r), at j·N + r, flag cleared, is the label r·M + the count
+    of row r's values ≤ j/B, except that bucket B counts those < 1, since
+    no u < 1 reaches a CDF value of 1, so every u in bucket j has its
+    label between entries (j, r) and (j + 1, r), N further on. Entry
+    j < B has the flag set where the two differ, where a CDF value in
+    (j/B, (j+1)/B) leaves a search to tell; elsewhere it is the label of
+    every u in bucket j. A value exactly at an inner edge (j+1)/B < 1
+    flags bucket j too, needlessly: the search then finds the lower bound.
+    Rows must be nondecreasing and nonnegative. The table has at most
     min(max(32·N·M, 2¹⁶), max(N, count)) buckets, so it does not outgrow
-    the draws it serves. It is built a block of about 2¹⁶ cells or
-    buckets at a time, which bounds the build's temporaries whatever N·M.
+    the draws it serves, and is built in ``dtype``, a block of about 2¹⁶
+    cells or buckets at a time, each block's rows written into their
+    columns, which bounds the build's temporaries whatever N·M.
     """
     n_rows, n_cols = cdfs.shape
     n_buckets = 1 << min(max(32 * n_cols, _BLOCK_CELLS // n_rows),
@@ -109,15 +111,14 @@ def _guide_table(cdfs: np.ndarray, count: int, dtype=None) -> np.ndarray:
     dtype = np.dtype(np.min_scalar_type(2 * n_rows * n_cols - 1)
                      if dtype is None else dtype)
     flag = 1 << 8 * dtype.itemsize - 1
-    table = np.empty((n_rows, n_buckets + 1), dtype=dtype)
-    flat = table.reshape(-1)
+    table = np.empty((n_buckets + 1, n_rows), dtype=dtype)
     block = max(1, _BLOCK_CELLS // max(n_cols, n_buckets))
     for start in range(0, n_rows, block):
         stop = min(start + block, n_rows)
         ceil = np.ceil(cdfs[start:stop, :-1] * n_buckets)
-        # Row r holds label r·M + i on the columns from ⌈c_{i−1}·B⌉ up to
+        # Row r holds label r·M + i on the buckets from ⌈c_{i−1}·B⌉ up to
         # ⌈c_i·B⌉, capped at B, or up to B + 1 where c_i is 1, which no
-        # u < 1 reaches; its last label also holds column B, so column B
+        # u < 1 reaches; its last label also holds bucket B, so bucket B
         # holds the count of values < 1.
         edges = np.zeros((stop - start, n_cols + 1), dtype=np.intp)
         np.minimum(ceil, n_buckets, out=ceil)
@@ -125,58 +126,56 @@ def _guide_table(cdfs: np.ndarray, count: int, dtype=None) -> np.ndarray:
         edges[:, 1:-1] = ceil
         edges[:, -1] = n_buckets + 1
         labels = np.arange(start * n_cols, stop * n_cols, dtype=dtype)
-        flat[start * (n_buckets + 1):stop * (n_buckets + 1)] = np.repeat(
-            labels, np.diff(edges, axis=1).ravel())
-        lower, upper = table[start:stop, :-1], table[start:stop, 1:]
-        np.bitwise_or(lower, flag, out=lower, where=lower != upper)
+        rows = np.repeat(labels, np.diff(edges, axis=1).ravel()).reshape(
+            stop - start, n_buckets + 1)
+        lower, upper = rows[:, :-1], rows[:, 1:]
+        lower |= (lower != upper) * dtype.type(flag)
+        table[:, start:stop] = rows.T
     return table
 
 
 def _guided_search(cdfs: np.ndarray, table: np.ndarray,
-                   rng: np.random.Generator, found: np.ndarray,
-                   rows: np.ndarray | None,
-                   buffers: tuple[np.ndarray, np.ndarray]) -> None:
+                   bits: np.random.PCG64, found: np.ndarray,
+                   rows: np.ndarray | None, entry: np.ndarray) -> None:
     """Write into ``found`` the label r·M + min(searchsorted(cdfs[r], u_k,
     side="right"), M − 1) of each draw k, with r = rows[k] (``rows=None``
-    searches a one-row table) and u_k the generator's next ``found.size``
-    uniforms, leaving it as ``rng.random(found.size)`` would. ``rows`` may
-    be ``found`` itself: the rows are read before the labels are written.
+    searches a one-row table) and u_k = (w_k >> 11)·2⁻⁵³, the uniform
+    ``Generator.random`` forms of the bit generator's next word w_k,
+    leaving ``bits`` as ``random_raw(found.size)`` would. ``rows`` may be
+    ``found`` itself: the rows are read before the labels are written.
     ``table`` is ``_guide_table(cdfs, ...)`` in ``found``'s dtype, only
     read, so slices of one draw may search it at once.
 
-    The draws are one block, run through ``buffers``, a float64 and an
-    intp array at least ``found.size`` long. Each uniform u reads entry
-    ⌊u·B⌋ of its row (exact for B a power of two) from the table. A draw
-    whose entry has the step flag set, at most M/B of them, is bisected
-    over the row's CDF values between that entry and the next, each with
-    the flag cleared, one vectorised step per bit of the block's widest
-    such range. Beyond the buffers, only the flagged draws' temporaries
-    are allocated.
+    The draws are one block, run through ``entry``, an intp buffer at
+    least ``found.size`` long. For B = 2^b, ⌊u·B⌋ is w >> (64 − b), so
+    entry ⌊u·B⌋·N + r is formed there by a shift, a product and a sum,
+    with no u. A draw whose entry has the step flag set, at most M/B of
+    them, forms its u and is bisected over the row's CDF values between
+    that entry and the one N further on, flags cleared, one vectorised
+    step per bit of the block's widest such range. Beyond the block's
+    words, only the flagged draws' temporaries are allocated.
     """
-    n_buckets = table.shape[1] - 1
+    n_buckets, n_rows = table.shape[0] - 1, table.shape[1]
     flat_table, flat_cdfs = table.reshape(-1), cdfs.reshape(-1)
     flag = 1 << 8 * table.itemsize - 1
-    u, entry = (buffer[:found.size] for buffer in buffers)
-    rng.random(out=u)
-    # u·B is exact, so the buffer holds it and the intp entry index
-    # r·(B + 1) + ⌊u·B⌋ is summed in place, with no index copy in ``take``.
-    u *= n_buckets
-    if rows is None:
-        np.copyto(entry, u, casting="unsafe")
-    else:
-        np.multiply(rows, n_buckets + 1, out=entry, dtype=np.intp)
-        np.add(entry, u, out=entry, dtype=np.intp, casting="unsafe")
+    words, entry = bits.random_raw(found.size), entry[:found.size]
+    # The bucket is below 2⁵³, so the shifted word reads the same as intp.
+    np.right_shift(words, 65 - n_buckets.bit_length(),
+                   out=entry.view(np.uint64))
+    if rows is not None:
+        entry *= n_rows
+        np.add(entry, rows, out=entry, dtype=np.intp)
     # Every entry index lies in the table, so "clip" never moves one;
     # unlike "raise", it writes straight into ``found``.
     flat_table.take(entry, out=found, mode="clip")
     hit = np.flatnonzero(found >= flag)
-    hit_u = u[hit] / n_buckets
-    # The spent buffers take the bisection's probes and the CDF values read
-    # at them. A flagged entry less its flag is its draw's lower bound,
-    # the next entry with its flag cleared the upper one.
-    probe, cdf = entry[:hit.size], u[:hit.size]
+    hit_u = (words[hit] >> 11) * 2.0 ** -53
+    # The spent entries and words take the bisection's probes and the CDF
+    # values read at them. A flagged entry less its flag is its draw's
+    # lower bound, the entry N further on with its flag cleared the upper.
+    probe, cdf = entry[:hit.size], words.view(np.float64)[:hit.size]
     entry.take(hit, out=probe)
-    probe += 1
+    probe += n_rows
     last = np.subtract(found[hit], flag + 1, dtype=np.intp)
     top = np.bitwise_and(flat_table.take(probe), flag - 1, dtype=np.intp)
     top -= 1
@@ -234,17 +233,18 @@ def sample_trajectories(jd: JointDistribution, count: int,
     once): draw k reads uniform k of ``np.random.default_rng(seed)`` in
     the first stage and uniform count + k in the second.
 
-    Both stages read a bucketed guide table (``_guide_table``) of B
-    buckets per row and give exactly the right-side ``searchsorted`` of
-    each uniform in O(count + N·B + f·count·log M), f ≤ M/B the share of
-    draws in a bucket holding a CDF step, flagged in the table.
+    Both stages read a bucket-major guide table (``_guide_table``) of B
+    buckets per row, each draw's bucket the top log₂B bits of its PCG64
+    word, and give exactly the right-side ``searchsorted`` of each uniform
+    in O(count + N·B + f·count·log M), f ≤ M/B the share of draws in a
+    bucket holding a CDF step, flagged in the table: only those form u.
 
     The draws are split into even contiguous slices (``_slices``), one per
     CPU and at most one per full block: slice 0 on the caller's thread, the
-    rest on a thread pool. Slice [a, b) reads a ``PCG64`` of the seed
-    advanced by a and one advanced by count + a: the same counts on any
-    number of CPUs. Every worker is joined before the first error in slice
-    order, if any, is raised.
+    rest on a thread pool. Slice [a, b) reads the words of a ``PCG64`` of
+    the seed advanced by a and one advanced by count + a: the same counts
+    on any number of CPUs. Every worker is joined before the first error
+    in slice order, if any, is raised.
 
     A slice runs a block of ``_BLOCK_DRAWS`` draws at a time through its
     own buffers: the first stage writes the block's first outcomes into a
@@ -272,26 +272,26 @@ def sample_trajectories(jd: JointDistribution, count: int,
     row_table = _guide_table(row_cdfs, count)
     first_table = _guide_table(first_cdf, count, row_table.dtype)
 
-    def draw(first: np.random.Generator, second: np.random.Generator,
+    def draw(first: np.random.PCG64, second: np.random.PCG64,
              a: int, b: int) -> np.ndarray:
         # One slice's buffers serve all its blocks, so no block allocates.
         counts = np.zeros(jd.p_joint.size, dtype=np.int64)
         size = min(b - a, _BLOCK_DRAWS)
         block = np.empty(size, dtype=row_table.dtype)
-        buffers = np.empty(size), np.empty(size, dtype=np.intp)
+        entry = np.empty(size, dtype=np.intp)
         for start in range(a, b, size):
             labels = block[:b - start]
             _guided_search(first_cdf, first_table, first, labels, None,
-                           buffers)
+                           entry)
             _guided_search(row_cdfs, row_table, second, labels, labels,
-                           buffers)
-            _count(labels, counts, buffers[1])
+                           entry)
+            _count(labels, counts, entry)
         return counts
 
-    def stream(offset: int) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(sequence).advance(offset))
+    def stream(offset: int) -> np.random.PCG64:
+        return np.random.PCG64(sequence).advance(offset)
 
-    # Imported only once a process draws. Each slice's generators live
+    # Imported only once a process draws. Each slice's bit generators live
     # until the draw ends; ``submit``, not ``map``: no slice is cancelled.
     from concurrent.futures import ThreadPoolExecutor
     jobs = [(stream(a), stream(count + a), a, b) for a, b in _slices(count)]

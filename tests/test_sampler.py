@@ -36,6 +36,7 @@ from tpm_lab.tpm import (
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 # 99.9% quantile of the chi-square distribution with 8 degrees of freedom
 # (9 joint cells, 1 normalization constraint).
@@ -193,15 +194,15 @@ def assert_no_thread_alive(threads):
 @pytest.fixture
 def drawn_labels(monkeypatch):
     """The labels each slice's second stage writes, block by block, keyed
-    by the slice's second-stage generator: the per-draw stream, which the
-    counts cannot show, since they cannot see a permutation."""
+    by the slice's second-stage bit generator: the per-draw stream, which
+    the counts cannot show, since they cannot see a permutation."""
     blocks = {}
     search = sampler._guided_search
 
-    def recording(cdfs, table, rng, found, rows, buffers):
-        search(cdfs, table, rng, found, rows, buffers)
+    def recording(cdfs, table, bits, found, rows, entry):
+        search(cdfs, table, bits, found, rows, entry)
         if rows is not None:
-            blocks.setdefault(id(rng), []).append(found.copy())
+            blocks.setdefault(id(bits), []).append(found.copy())
 
     monkeypatch.setattr(sampler, "_guided_search", recording)
     return blocks
@@ -349,34 +350,65 @@ GUIDED_SEARCH_CASES = {
 }
 
 
-def edge_uniforms(cdfs: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Uniforms in [0, 1) on and next to every bucket edge j/B and every
-    CDF value, plus 0, 1 − 2⁻⁵³ and random ones."""
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """The doubles ``Generator.random`` forms of PCG64 words."""
+    return (words >> 11) * 2.0 ** -53
+
+
+def edge_words(cdfs: np.ndarray, n_buckets: int) -> np.ndarray:
+    """PCG64 words whose uniforms, the multiples k·2⁻⁵³ in [0, 1), lie on
+    and next to every bucket edge j/B and every CDF value (the last one
+    below it, the first one at or above it and the next), plus 0,
+    1 − 2⁻⁵³ and random ones. Random low 11 bits, which no uniform
+    reads, fill every word."""
     edges = np.arange(n_buckets + 1) / n_buckets
     points = np.concatenate([edges, cdfs.ravel()])
-    u = np.concatenate([points, np.nextafter(points, 0.0),
-                        np.nextafter(points, 1.0), [0.0, 1.0 - 2.0 ** -53],
-                        np.random.default_rng(8).random(5000)])
-    return u[(0.0 <= u) & (u < 1.0)]
+    k = np.ceil(np.ldexp(points[(0.0 <= points) & (points <= 1.0)], 53))
+    k = np.concatenate([k - 1, k, k + 1, [0, 2.0 ** 53 - 1]])
+    k = k[(0 <= k) & (k < 2.0 ** 53)].astype(np.uint64)
+    rng = np.random.default_rng(8)
+    words = np.concatenate([k << 11, rng.bit_generator.random_raw(5000)])
+    return words | rng.integers(0, 1 << 11, words.size, dtype=np.uint64)
 
 
-class FixedUniforms:
-    """Stands in for a generator: ``random(out=)`` writes the next of the
-    given uniforms, in order, as a generator writes its stream."""
+class FixedWords:
+    """Stands in for a PCG64 bit generator: ``random_raw(n)`` returns the
+    next n of the given 64-bit words, in order, as PCG64 returns its
+    stream."""
 
-    def __init__(self, u: np.ndarray):
-        self.u = u
+    def __init__(self, words: np.ndarray):
+        self.words = words
         self.used = 0
 
-    def random(self, *, out: np.ndarray) -> np.ndarray:
-        out[...] = self.u[self.used:self.used + out.size]
-        self.used += out.size
+    def random_raw(self, size: int) -> np.ndarray:
+        out = self.words[self.used:self.used + size].copy()
+        self.used += size
         return out
+
+
+def test_words_are_the_generators_uniforms():
+    # The sampler reads PCG64 words, not doubles: at any offset the
+    # generator's uniform is (w >> 11)·2⁻⁵³, so the stream is that of
+    # default_rng, and for B = 2^b the bucket ⌊u·B⌋ is w >> (64 − b).
+    sequence = np.random.SeedSequence(29)
+    for offset in (0, 65_535, 2**40):
+        generator = np.random.Generator(
+            np.random.PCG64(sequence).advance(offset))
+        bits = np.random.PCG64(sequence).advance(offset)
+        np.testing.assert_array_equal(generator.random(10_000),
+                                      uniforms(bits.random_raw(10_000)))
+    for b in range(1, 21):
+        edge = np.arange(1 << b, dtype=np.uint64) << np.uint64(64 - b)
+        words = np.concatenate([np.array([0, 2**64 - 1], dtype=np.uint64),
+                                edge, edge - np.uint64(1)])
+        np.testing.assert_array_equal(
+            np.floor(uniforms(words) * (1 << b)).astype(np.uint64),
+            words >> np.uint64(64 - b))
 
 
 @pytest.mark.parametrize("name", GUIDED_SEARCH_CASES)
 def test_guided_search_matches_searchsorted(name):
-    # None searches every uniform in one call, in the table of B the
+    # None searches every word in one call, in the table of B the
     # power-of-two floor of max(32·M, 2¹⁶ // N); a few draws per row cap B
     # at their count. A search is one block; ``draw``'s block boundaries
     # are checked by ``test_stream_across_block_boundaries``.
@@ -386,20 +418,20 @@ def test_guided_search_matches_searchsorted(name):
                             check_guide_table(cdfs, draws_per_row))
 
 
-def search_buffers(size):
-    """The float64 and intp buffers of a search of one block of ``size``
-    draws, as a slice holds."""
-    return np.empty(size), np.empty(size, dtype=np.intp)
+def entry_buffer(size):
+    """The intp entry buffer of a search of one block of ``size`` draws,
+    as a slice holds."""
+    return np.empty(size, dtype=np.intp)
 
 
-def guided_search(cdfs, u, table, rows=None):
-    """``_guided_search`` of the uniforms ``u`` in ``table``, the
-    ``_guide_table`` of ``cdfs``, fed through ``random(out=)`` of a
-    stand-in generator, which must be used up exactly."""
-    uniforms = FixedUniforms(u)
-    found = np.empty(u.size, dtype=table.dtype)
-    _guided_search(cdfs, table, uniforms, found, rows, search_buffers(u.size))
-    assert uniforms.used == u.size
+def guided_search(cdfs, words, table, rows=None):
+    """``_guided_search`` of the PCG64 ``words`` in ``table``, the
+    ``_guide_table`` of ``cdfs``, fed through ``random_raw`` of a
+    stand-in bit generator, which must be used up exactly."""
+    bits = FixedWords(words)
+    found = np.empty(words.size, dtype=table.dtype)
+    _guided_search(cdfs, table, bits, found, rows, entry_buffer(words.size))
+    assert bits.used == words.size
     return found
 
 
@@ -418,10 +450,13 @@ def check_guide_table(cdfs, draws_per_row):
     against a search per bucket edge; returns its B."""
     n_rows, n_cols = cdfs.shape
     count = guide_count(cdfs, draws_per_row)
+    # The table is bucket-major: bucket j of row r is entry (j, r).
     table = _guide_table(cdfs, count)
-    n_buckets = table.shape[1] - 1
+    n_buckets = table.shape[0] - 1
     assert n_buckets & (n_buckets - 1) == 0
-    assert table.shape == (n_rows, n_buckets + 1)
+    assert table.shape == (n_buckets + 1, n_rows)
+    assert table.flags.c_contiguous
+    table = table.T
     assert table.dtype == np.min_scalar_type(2 * n_rows * n_cols - 1)
     # B ≤ max(32·M, 2¹⁶ // N): at most 32 buckets per cell, or one block's
     # worth of buckets for a small table.
@@ -458,11 +493,12 @@ def check_guide_table(cdfs, draws_per_row):
 
 def check_guided_search(cdfs, draws_per_row, n_buckets):
     """Check ``_guided_search`` in the table of B buckets, on its edge
-    uniforms, against ``searchsorted``, in chunks of at most the count the
-    table was sized for."""
+    words, against ``searchsorted`` of their uniforms, in chunks of at
+    most the count the table was sized for."""
     n_rows, n_cols = cdfs.shape
     count = guide_count(cdfs, draws_per_row)
-    u = edge_uniforms(cdfs, n_buckets)
+    words = edge_words(cdfs, n_buckets)
+    u = uniforms(words)
     rows = np.random.default_rng(9).integers(0, n_rows, u.size)
     # The label of a draw in row r is r·M + its clamped search.
     want = np.empty(u.size, dtype=np.intp)
@@ -473,14 +509,14 @@ def check_guided_search(cdfs, draws_per_row, n_buckets):
     chunk = u.size if draws_per_row is None else count
     # The table depends on the count alone, so every chunk reads one.
     table = _guide_table(cdfs, count)
-    got = np.concatenate([guided_search(cdfs, u[k:k + chunk], table,
+    got = np.concatenate([guided_search(cdfs, words[k:k + chunk], table,
                                         rows[k:k + chunk])
                           for k in range(0, u.size, chunk)])
     assert got.dtype == np.min_scalar_type(2 * n_rows * n_cols - 1)
     np.testing.assert_array_equal(got, want)
     if n_rows == 1:
         np.testing.assert_array_equal(
-            np.concatenate([guided_search(cdfs, u[k:k + chunk], table)
+            np.concatenate([guided_search(cdfs, words[k:k + chunk], table)
                             for k in range(0, u.size, chunk)]), want)
 
 
@@ -492,7 +528,7 @@ def test_guide_marks_exactly_the_buckets_with_a_cdf_value_inside():
     p = np.random.default_rng(15).random((16, 16))
     p[:, 12:] = 0.0
     cdfs = normalized_cdfs(p)
-    table = _guide_table(cdfs, 10**6)
+    table = _guide_table(cdfs, 10**6).T
     n_buckets = table.shape[1] - 1
     scaled = cdfs[:, :-1] * n_buckets
     inside = np.zeros((len(cdfs), n_buckets), dtype=bool)
@@ -510,20 +546,20 @@ def test_guide_table_grows_with_the_count_not_the_table():
     # be 2²⁵ entries (64 MiB); the capped table has one bucket per row.
     cdfs = normalized_cdfs(np.random.default_rng(4).random((1024, 1024)))
     table = _guide_table(cdfs, 1000)
-    assert table.shape == (1024, 1 + 1)
-    assert 1024 * (table.shape[1] - 1) <= max(1024, 1000)
-    assert _guide_table(cdfs, 1024 * 5000).shape[1] == 4096 + 1
-    assert _guide_table(cdfs, 10**9).shape[1] == 32 * 1024 + 1
+    assert table.shape == (1 + 1, 1024)
+    assert 1024 * (table.shape[0] - 1) <= max(1024, 1000)
+    assert _guide_table(cdfs, 1024 * 5000).shape[0] == 4096 + 1
+    assert _guide_table(cdfs, 10**9).shape[0] == 32 * 1024 + 1
     # A small table gets 2¹⁶ // N buckets per row where 32·M would be
     # fewer, still at most count // N; from M = 64 up, 32·M sets B.
     first = np.ones((1, 16))
-    assert _guide_table(first, 10**6).shape == (1, (1 << 16) + 1)
-    assert _guide_table(first, 1000).shape == (1, 512 + 1)
+    assert _guide_table(first, 10**6).shape == ((1 << 16) + 1, 1)
+    assert _guide_table(first, 1000).shape == (512 + 1, 1)
     small = normalized_cdfs(np.random.default_rng(5).random((16, 16)))
-    assert _guide_table(small, 10**9).shape == (16, 4096 + 1)
-    assert _guide_table(small, 16 * 1000).shape == (16, 512 + 1)
+    assert _guide_table(small, 10**9).shape == (4096 + 1, 16)
+    assert _guide_table(small, 16 * 1000).shape == (512 + 1, 16)
     wide = normalized_cdfs(np.random.default_rng(6).random((64, 64)))
-    assert _guide_table(wide, 10**9).shape == (64, 32 * 64 + 1)
+    assert _guide_table(wide, 10**9).shape == (32 * 64 + 1, 64)
 
 
 def test_guide_table_in_a_wider_dtype_flags_with_its_top_bit():
@@ -539,12 +575,12 @@ def test_guide_table_in_a_wider_dtype_flags_with_its_top_bit():
     np.testing.assert_array_equal(wide >= 1 << 15, marked)
     np.testing.assert_array_equal(wide[~marked], narrow[~marked])
     np.testing.assert_array_equal(wide & 0x7FFF, narrow & 0x7F)
-    u = edge_uniforms(first, narrow.shape[1] - 1)
-    found = np.empty(u.size, dtype=np.uint16)
-    _guided_search(first, wide, FixedUniforms(u), found, None,
-                   search_buffers(u.size))
+    words = edge_words(first, narrow.shape[0] - 1)
+    found = np.empty(words.size, dtype=np.uint16)
+    _guided_search(first, wide, FixedWords(words), found, None,
+                   entry_buffer(words.size))
     np.testing.assert_array_equal(
-        found, guided_search(first, u, _guide_table(first, 10**6)))
+        found, guided_search(first, words, _guide_table(first, 10**6)))
 
 
 def trailing_zero_mass_table():
@@ -704,8 +740,9 @@ def count_blocks_by_slice(monkeypatch, count, error, fail):
     """Tally, by slice index, the blocks each slice of a ``count``-draw
     sample of seed 0 counts, in the dict returned, and make block b of
     slice k raise ``error`` where fail(k, b). A slice is told by its
-    second-stage generator, which starts at the seed's stream advanced
-    by count + a, not by its thread, which may run another slice too."""
+    second-stage bit generator, which starts at the seed's stream
+    advanced by count + a, not by its thread, which may run another slice
+    too."""
     sequence = np.random.SeedSequence(0)
     starts = {np.random.PCG64(sequence).advance(count + a)
               .state["state"]["state"]: k
@@ -713,13 +750,12 @@ def count_blocks_by_slice(monkeypatch, count, error, fail):
     search, count_block = sampler._guided_search, sampler._count
     slice_of, current, counted = {}, threading.local(), {}
 
-    def recording(cdfs, tables, rng, found, rows, buffers):
+    def recording(cdfs, table, bits, found, rows, entry):
         if rows is not None:
-            if id(rng) not in slice_of:
-                slice_of[id(rng)] = starts[
-                    rng.bit_generator.state["state"]["state"]]
-            current.slice = slice_of[id(rng)]
-        search(cdfs, tables, rng, found, rows, buffers)
+            if id(bits) not in slice_of:
+                slice_of[id(bits)] = starts[bits.state["state"]["state"]]
+            current.slice = slice_of[id(bits)]
+        search(cdfs, table, bits, found, rows, entry)
 
     def failing(labels, counts, index):
         k = current.slice
@@ -813,6 +849,9 @@ def check_peak_memory(dim):
     n_cells = n_rows * n_cols
     table = _guide_table(normalized_cdfs(jd.p_joint), count)
     first_table = _guide_table(np.ones((1, n_rows)), count, table.dtype)
+    # A process's first draw imports the thread pool and makes numpy's
+    # first bit generators, one-off objects no later draw allocates.
+    sample_trajectories(jd, 1, 0)
     tracemalloc.start()
     try:
         counts = sample_trajectories(jd, count, 0)
@@ -829,8 +868,8 @@ def check_peak_memory(dim):
     objects = 1 << 13
     # A draw is flagged for a bisection when its bucket holds a CDF step;
     # those buckets carry under M/B of the mass in either stage.
-    marked_share = min(1.0, max(n_rows / (first_table.shape[1] - 1),
-                                n_cols / (table.shape[1] - 1)))
+    marked_share = min(1.0, max(n_rows / (first_table.shape[0] - 1),
+                                n_cols / (table.shape[0] - 1)))
     # Each slice's worker holds its own block buffers, temporaries and
     # count table.
     workers = len(sampler._slices(count))
@@ -838,24 +877,26 @@ def check_peak_memory(dim):
     # buckets per cell.
     draw_bound = (
         workers * (
-            # Block buffers: labels, uniforms and intp entry indices, and
-            # the block's flag mask.
+            # A block's labels and intp entry indices, its one array of
+            # PCG64 words and its flag mask.
             _BLOCK_DRAWS * (table.itemsize + 8 + 8 + 1)
             # A block's flagged draws, each with its position, uniform and
             # two intp bounds, and the entries read from the labels or the
-            # table or a bisection step's mask; their probes and CDF values
-            # reuse the block buffers.
+            # table or a bisection step's mask; the word gathered and
+            # shifted into each uniform is freed before the bounds exist.
+            # Their probes reuse the entry buffer, their CDF values the
+            # words.
             + _BLOCK_DRAWS * marked_share * (8 * 4 + table.itemsize)
             # The slice's count table and a block's ``bincount``.
             + 2 * 8 * n_cells
-            # numpy's ufunc buffer, where the rows, the scaled uniforms and
-            # the entries are cast to intp.
+            # numpy's ufunc buffer, where the rows and the entries are
+            # cast to intp.
             + 8 * np.getbufsize()
             # Array headers, views and numpy's small caches; a worker's
-            # thread and its two generators.
+            # thread and its two bit generators.
             + objects)
-        # The N×M CDF table, both stages' guide tables and three N-long
-        # vectors.
+        # The N×M CDF table, both stages' bucket-major guide tables, each
+        # built in place, and three N-long vectors.
         + 8 * n_cells + table.nbytes + first_table.nbytes + 8 * 3 * n_rows)
     assert draw_peak <= draw_bound
     estimate_bound = (
@@ -1095,6 +1136,22 @@ def test_reliability_of_equal_and_dominated_weights():
                                           np.zeros((1, 2)))
     assert single.effective_sample_size == 1.0
     assert single.max_weight_share == 1.0
+
+
+@pytest.mark.parametrize("config", sorted(SCENARIO_DIR.glob("*.json")),
+                         ids=lambda p: p.stem)
+@pytest.mark.parametrize("weight", ["mi", "work"])
+def test_sample_stdout_matches_the_recorded_report(monkeypatch, capsys,
+                                                   config, weight):
+    # The recorded reports pin each shipped scenario's stream end to end.
+    # 1 000 003 draws on three slices cross block and slice edges; the
+    # counts are the same on any number of CPUs.
+    monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
+    argv = ["sample", "--config", str(config), "--count", "1000003",
+            "--weight", weight]
+    assert cli.main(argv) == 0
+    recorded = DATA_DIR / f"sample_{config.stem}_{weight}.json"
+    assert capsys.readouterr().out.encode() == recorded.read_bytes()
 
 
 @pytest.mark.parametrize("config", sorted(SCENARIO_DIR.glob("*.json")),
