@@ -43,6 +43,8 @@ from .scenarios import (
 )
 from .tpm import (
     JointDistribution,
+    MutualInformationTable,
+    TpmExperiment,
     WorkStatistics,
     compare_mi_to_dissipation,
     joint_distribution,
@@ -97,11 +99,18 @@ class ReportRow(NamedTuple):
 REPORT_COLUMNS = ReportRow._fields
 
 
-def _joint(built: BuiltScenario) -> JointDistribution:
-    """The exact joint table of one scenario; its diagnostic flags go to
-    stderr via logging only."""
+def _joint(built: BuiltScenario, transition=None) -> JointDistribution:
+    """The exact joint table of one scenario (``transition`` as in
+    :func:`~tpm_lab.tpm.joint_distribution`); its flags are logged."""
     jd = joint_distribution(built.experiment,
-                            support_epsilon=built.support_epsilon)
+                            support_epsilon=built.support_epsilon,
+                            transition=transition)
+    _flag(built, jd)
+    return jd
+
+
+def _flag(built: BuiltScenario, jd: JointDistribution) -> None:
+    """Log a scenario's diagnostic flags to stderr, via logging only."""
     name = built.config.name
     if jd.support_defect > NOT_FULL_SUPPORT_FLAG:
         log.warning("NOT-FULL-SUPPORT scenario=%s support_defect=%.6g",
@@ -115,7 +124,37 @@ def _joint(built: BuiltScenario) -> JointDistribution:
     if max_rank > 1:
         log.warning("DEGENERATE-SPECTRUM scenario=%s max_projector_rank=%d",
                     name, max_rank)
-    return jd
+
+
+class _Tables(NamedTuple):
+    """The β-independent tables of one experiment: its joint and MI
+    tables."""
+
+    experiment: TpmExperiment
+    jd: JointDistribution
+    mi: MutualInformationTable
+
+
+def _tables(built: BuiltScenario, kept: _Tables | None = None) -> _Tables:
+    """The joint and MI tables of a built scenario; its flags are logged.
+
+    ``kept``, the tables of the previous sweep point, is reused whole if
+    the scenario kept that point's experiment (a β retune of any state
+    but a Gibbs one). If only the Gibbs state was replaced, the joint
+    table is formed from the kept transition table and the new
+    populations. Either way the tables, log lines and errors are those
+    of evaluating the scenario afresh.
+    """
+    experiment = built.experiment
+    if (kept is not None and experiment is kept.experiment
+            and built.support_epsilon == kept.jd.support_epsilon):
+        _flag(built, kept.jd)
+        return kept
+    retuned = kept is not None and all(
+        getattr(experiment, part) is getattr(kept.experiment, part)
+        for part in ("first_measurement", "channel", "second_measurement"))
+    jd = _joint(built, kept.jd.transition if retuned else None)
+    return _Tables(experiment, jd, mutual_information_table(jd))
 
 
 def _work(built: BuiltScenario, jd: JointDistribution) -> WorkStatistics:
@@ -132,11 +171,11 @@ def run_verify(config: ScenarioConfig) -> ReportRow:
     return _row(build_scenario(config))
 
 
-def _row(built: BuiltScenario) -> ReportRow:
-    """Every report column of a built scenario."""
+def _row(built: BuiltScenario, tables: _Tables | None = None) -> ReportRow:
+    """Every report column of a built scenario, read from its ``tables``
+    (formed here if not given)."""
     config = built.config
-    jd = _joint(built)
-    mi = mutual_information_table(jd)
+    _, jd, mi = _tables(built) if tables is None else tables
     ws = _work(built, jd)
     return ReportRow(
         name=config.name, dim=config.dim, beta=config.beta,
@@ -188,14 +227,21 @@ def run_sweep(config: ScenarioConfig, parameter: str,
 
     A point that differs from the previous one only in β or the channel
     is that point's scenario retuned (see :func:`build_scenario`); any
-    other point is rebuilt. Only that one previous scenario is held.
-    Every check, report row, log line and error equals that of running
+    other point is rebuilt. A point is handed the previous point's
+    tables too, which need no Kraus pass when only β changed: a point
+    that kept the previous experiment (any state but a Gibbs one) reuses
+    its joint and MI tables, and one whose Gibbs state alone was replaced
+    forms its joint table from the kept transition table T and its new
+    populations, in O(d²) plus the grouping (see :func:`_tables`). Only
+    that one previous point is held, its T included: d² doubles. Every
+    check, report row, log line and error equals that of running
     :func:`run_verify` on each point.
     """
-    rows, built = [], None
+    rows, built, tables = [], None, None
     for variant in sweep_configs(config, parameter, values):
         built = build_scenario(variant, previous=built)
-        rows.append(_row(built))
+        tables = _tables(built, tables)
+        rows.append(_row(built, tables))
     return rows
 
 

@@ -105,6 +105,13 @@ class JointDistribution(NamedTuple):
         max |p(n,m) − tr{Q_m Λ(P_n)}·tr(P_n ρ)|: how far the rank-1
         factorized form of the Born rule is from the exact unfactorized
         one. Zero (to rounding) whenever every first projector is rank-1.
+    transition : (d, d) array or None
+        The transition table T[j, k] = ⟨w_j|Λ(|v_k⟩⟨v_k|)|w_j⟩ between the
+        columns v_k, w_j of the two measurement bases, in basis order,
+        read-only. It does not depend on the state or on β, so
+        :func:`joint_distribution` keeps these d² doubles for a β retune
+        of a Gibbs state to reuse. None for a table given directly to
+        :func:`distribution_from_joint`.
     """
 
     p_joint: np.ndarray
@@ -114,6 +121,7 @@ class JointDistribution(NamedTuple):
     support_defect: float
     support_epsilon: float
     factorization_residual: float
+    transition: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -121,7 +129,8 @@ class JointDistribution(NamedTuple):
 
 
 def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EPSILON,
-                            factorization_residual: float = 0.0) -> JointDistribution:
+                            factorization_residual: float = 0.0,
+                            transition: np.ndarray | None = None) -> JointDistribution:
     """Build a :class:`JointDistribution` from a raw probability table.
 
     Checks that every entry is finite (``finite_entries``, read off the
@@ -129,7 +138,8 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
     before clamping to [0, 1], normalization (Σ p = 1 within 1e−10) and
     that some cell exceeds ``support_epsilon``, which must be ≥ 0
     (ValueError otherwise, NaN included); fills the marginals, the
-    support mask and the support defect.
+    support mask and the support defect. ``transition`` is kept as it is,
+    made read-only.
     """
     if not support_epsilon >= 0:  # NaN fails too
         raise ValueError(
@@ -163,11 +173,13 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
         support_mask=_freeze(mask),
         support_defect=1.0 - float((p_first[rows] * p_second[cols]).sum()),
         support_epsilon=float(support_epsilon),
-        factorization_residual=float(factorization_residual))
+        factorization_residual=float(factorization_residual),
+        transition=None if transition is None else _freeze(transition))
 
 
 def joint_distribution(experiment: TpmExperiment,
-                       support_epsilon: float = DEFAULT_SUPPORT_EPSILON) -> JointDistribution:
+                       support_epsilon: float = DEFAULT_SUPPORT_EPSILON, *,
+                       transition: np.ndarray | None = None) -> JointDistribution:
     """Exact joint distribution of a TPM experiment via the Born rule.
 
     Computes the unfactorized expression
@@ -175,64 +187,104 @@ def joint_distribution(experiment: TpmExperiment,
     projectors of any rank, and reports how far the rank-1 factorized form
     tr{Q_m Λ(P_n)}·tr(P_n ρ) deviates from it (``factorization_residual``).
 
-    Everything is evaluated in the measurement bases, in one pass over the
-    channel's (K, d, d) Kraus stack, one operator at a time, plus one
-    O(d²) term for its replacement weight r: O(K·d³ + d²) time and O(d²)
-    working memory. With V, W the first and second bases, G, H their
-    (column × outcome) group-indicator matrices, A_i = W†Λ_iV, and 1 the
-    all-ones d×d matrix:
+    Everything is evaluated in the measurement bases. With V, W the first
+    and second bases, A_i = W†Λ_iV and 1 the all-ones d×d matrix, one pass
+    over the channel's (K, d, d) Kraus stack, one operator at a time,
+    forms the basis-order transition table T = Σ_i |A_i|² + (r/d)·1, since
+    W†(I/d)W = I/d puts weight r/d on every second-basis row: O(K·d³ + d²)
+    time and O(d²) working memory. T[j, k] is the probability that
+    first-basis column k lands on second-basis column j; it does not
+    depend on the state or on β, so the table keeps it (``transition``,
+    d² doubles).
 
-    - ρ̃ is diag(λ) when the state's basis U is V entry for entry (a Gibbs
-      state in its own eigenbasis), and A_i ρ̃ is then A_i with column k
-      scaled by λ_k, O(d²); else ρ̃ is R diag(λ) R† with R = V†U and the
-      entries between different first groups zeroed (the dephasing);
-    - p = Gᵀ (Σ_i Re[(A_i ρ̃) ⊙ Ā_i] + (r/d)·1·diag ρ̃)ᵀ H, since
-      W†(I/d)W = I/d puts weight (r/d)·ρ̃_kk on every second-basis row;
-    - the factorized table is Gᵀ (Σ_i |A_i|² + (r/d)·1)ᵀ H with row n
-      scaled by p(n) = (Gᵀ diag ρ̃)_n.
+    - A state diagonal in the first basis (its basis U is V entry for
+      entry, as for a Gibbs state in its own eigenbasis) has populations
+      λ, and its Born table is B = T·diag(λ), formed once from T.
+    - Any other state is ρ̃ = R diag(λ) R† with R = V†U and the entries
+      between different first groups zeroed (the dephasing); the pass
+      then also sums B = Σ_i Re[(A_i ρ̃) ⊙ Ā_i] + (r/d)·1·diag ρ̃.
 
-    When both families are ``in_order`` (d outcomes, group k is column k
-    alone), G and H are identities and the group sums are read directly,
-    with no product. Any other family, degenerate, permuted or with a
-    zero projector, keeps the products, which read a permutation bit for
-    bit.
+    Given ``transition``, the T of an experiment with this one's channel
+    and measurements (as kept by its table), a state diagonal in the
+    first basis skips the Kraus pass: the table costs O(d²) plus the
+    grouping. A sweep point that changes only β on a Gibbs state reads
+    its table this way. Any other state ignores it.
+
+    Both branches share one tail: p = Bᵀ and the factorized table Tᵀ,
+    its row n scaled by p(n), are summed over the outcome groups, and p
+    is checked by :func:`distribution_from_joint`. Each group sums its
+    columns in column order, by index (:func:`_group_sums`), in O(d²); an
+    ``in_order`` family (d outcomes, group k is column k alone) is read
+    as it is. So a rank-1 family in any label order reads its entries
+    exactly, a zero projector gives a zero row, and with a diagonal state
+    and two in-order families the factorization residual is exactly 0.
     """
     first = experiment.first_measurement
-    second = experiment.second_measurement
-    v = first.basis
-    w_dag = second.basis.conj().T
     state = experiment.initial_state
-    if np.array_equal(state.basis, v):
-        dephased, populations = None, state.weights
+    if np.array_equal(state.basis, first.basis):
+        populations = state.weights
+        if transition is None:
+            transition, _ = _kraus_pass(experiment)
+        born = transition * populations
     else:
-        rot = v.conj().T @ state.basis
+        rot = first.basis.conj().T @ state.basis
         dephased = np.where(first.groups[:, None] == first.groups[None, :],
                             (rot * state.weights) @ rot.conj().T, 0.0)
         populations = dephased.diagonal().real
+        transition, born = _kraus_pass(experiment, dephased)
 
+    second = experiment.second_measurement
+    p = _group_sums(born.T, first, second)
+    p_transition = _group_sums(transition.T, first, second)
+    p_first = (populations if first.in_order
+               else np.bincount(first.groups, populations, len(first)))
+    residual = float(abs(p - p_transition * p_first[:, None]).max())
+    return distribution_from_joint(p, support_epsilon,
+                                   factorization_residual=residual,
+                                   transition=transition)
+
+
+def _kraus_pass(experiment: TpmExperiment, dephased=None):
+    """(T, B) from one pass over the Kraus stack: T as in
+    :func:`joint_distribution`, and B = Σ_i Re[(A_i ρ̃) ⊙ Ā_i] +
+    (r/d)·1·diag ρ̃ for the dephased state ρ̃ if one is given, else None."""
+    v = experiment.first_measurement.basis
+    w_dag = experiment.second_measurement.basis.conj().T
     dim = experiment.dim
-    born, transition = np.zeros((2, dim, dim))
+    transition = np.zeros((dim, dim))
+    born = None if dephased is None else np.zeros((dim, dim))
     for op in experiment.channel.kraus_ops:
         a = w_dag @ op @ v
         a_conj = a.conj()
-        a_rho = a * populations if dephased is None else a @ dephased
-        born += (a_rho * a_conj).real
         transition += (a * a_conj).real
+        if born is not None:
+            born += ((a @ dephased) * a_conj).real
     r = experiment.channel.replacement
-    born += (r / dim) * populations
     transition += r / dim
+    if born is not None:
+        born += (r / dim) * dephased.diagonal().real
+    return transition, born
 
-    if first.in_order and second.in_order:
-        p, p_first, p_transition = born.T, populations, transition.T
-    else:
-        g = np.eye(len(first))[first.groups]
-        h = np.eye(len(second))[second.groups]
-        p = g.T @ born.T @ h
-        p_first = g.T @ populations
-        p_transition = g.T @ transition.T @ h
-    residual = float(abs(p - p_transition * p_first[:, None]).max())
-    return distribution_from_joint(p, support_epsilon,
-                                   factorization_residual=residual)
+
+def _group_sums(table: np.ndarray, first: ProjectorFamily,
+                second: ProjectorFamily) -> np.ndarray:
+    """The (N, M) sums of a (first column × second column) table over each
+    pair of outcome groups, first over rows, then over columns, each in
+    column order. An in-order family's axis is kept as it is."""
+    if not first.in_order:
+        table = _sum_by_label(table, first.groups, len(first))
+    if not second.in_order:
+        table = _sum_by_label(table.T, second.groups, len(second)).T
+    return table
+
+
+def _sum_by_label(rows: np.ndarray, labels: np.ndarray,
+                  count: int) -> np.ndarray:
+    """Row n of the result is the sum of the rows labelled n, added in
+    row order; a label no row carries gives a zero row."""
+    sums = np.zeros((count, rows.shape[1]))
+    np.add.at(sums, labels, rows)
+    return sums
 
 
 class MutualInformationTable(NamedTuple):

@@ -18,8 +18,9 @@ from conftest import (
     RESTRICTED_SUPPORT_JOINT,
     dense,
 )
-from tpm_lab import cli, quantum, scenarios
+from tpm_lab import cli, quantum, scenarios, tpm
 from tpm_lab.errors import ConfigError, ValidationError
+from tpm_lab.linalg import haar_random_unitary
 from tpm_lab.quantum import gibbs_ensemble, standard_channel
 from tpm_lab.sampler import MAX_COUNT, EstimatorReport
 from tpm_lab.scenarios import (
@@ -582,6 +583,31 @@ DIM_RETURN_RAW = raw_config(
     first_hamiltonian={"kind": "random"},
     second_hamiltonian={"kind": "random", "scale": 0.5},
     channel={"kind": "depolarizing", "p": 0.3})
+
+
+def matrix_spec(m: np.ndarray) -> dict:
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def rotated_hamiltonian(levels, seed: int) -> np.ndarray:
+    """U diag(levels) U† for a Haar U of a fixed seed: a degenerate
+    spectrum in a basis that is neither the first nor a permutation."""
+    u = haar_random_unitary(len(levels), np.random.default_rng(seed))
+    h = (u * np.asarray(levels, dtype=float)) @ u.conj().T
+    return (h + h.conj().T) / 2
+
+
+# A d = 8 Gibbs state of a degenerate diagonal H, measured against a
+# degenerate rotated H' after dephasing: every β point past the first
+# forms its table from the kept transition table, summed over groups of
+# ranks 3, 3, 2 and 2, 3, 3.
+DEGENERATE_D8_RAW = raw_config(
+    name="degenerate_d8", dim=8,
+    first_hamiltonian={"kind": "diagonal",
+                       "energies": [1.0, 0.0, 2.0, 1.0, 0.0, 1.0, 0.0, 2.0]},
+    second_hamiltonian={"kind": "explicit", "matrix": matrix_spec(
+        rotated_hamiltonian([0.0, 0.0, 0.5, 0.5, 0.5, 1.5, 1.5, 1.5], 113))},
+    channel={"kind": "dephasing", "p": 0.4})
 BETAS = [0.3, 0.5, 1.0, 2.0, 4.0]
 TIMES = [0.0, 0.35, 0.7, 1.4, 2.8]  # e^{−iH't} of BUILD_MIX_RAW's fixed H'
 SWEEP_ORACLE_CASES = [
@@ -592,6 +618,15 @@ SWEEP_ORACLE_CASES = [
     (BUILD_MIX_RAW, "channel_param", TIMES),
     (RANDOM_EVOLUTION_RAW, "beta", BETAS),
     (DIM_RETURN_RAW, "dim", [2, 2, 3, 3, 2]),
+    (DEGENERATE_D8_RAW, "beta", [0.3, 2.0, 0.5, 4.0, 1.0]),
+    # Repeated β: a repeat keeps the experiment and reuses its tables.
+    (DEGENERATE_D8_RAW, "beta", [1.0, 1.0, 2.0, 2.0, 1.0, 1.0]),
+    ("qubit_hadamard.json", "beta", [1.0, 1.0, 2.0, 2.0, 1.0]),
+    ("identity_same_basis.json", "beta", [2.0, 2.0, 0.5]),
+    # The third β·spread, 3e6, trips the exponent guard.
+    (DEGENERATE_D8_RAW, "beta", [0.5, 1.0, 1e6, 2.0]),
+    ("identity_same_basis.json", "beta", [1.0, 1e6]),
+    (BUILD_MIX_RAW, "beta", [0.5, 0.5, 1e9]),
 ]
 
 
@@ -601,49 +636,72 @@ def sweep_base(source):
     return load_scenario(SCENARIO_DIR / source)
 
 
+def caught(run):
+    """(result, None) of ``run()``, or (None, the error's type and text)."""
+    try:
+        return run(), None
+    except (ConfigError, ValidationError, OverflowError) as exc:
+        return None, (type(exc), str(exc))
+
+
 @pytest.mark.parametrize("source, parameter, values", SWEEP_ORACLE_CASES,
                          ids=lambda x: x["name"] if isinstance(x, dict)
                          else None)
 def test_sweep_matches_the_per_point_loop(caplog, source, parameter, values):
-    # The oracle builds every point from scratch; run_sweep lends each
-    # point the previous one's ingredients.
+    # The oracle builds and evaluates every point from scratch, up to the
+    # first point that raises; run_sweep lends each point the previous
+    # one's ingredients and tables.
     config = sweep_base(source)
+    oracle, oracle_error = [], None
     with caplog.at_level("DEBUG", logger="tpm_lab"):
-        oracle = [cli.run_verify(variant)
-                  for variant in sweep_configs(config, parameter, values)]
+        for variant in sweep_configs(config, parameter, values):
+            row, oracle_error = caught(lambda: cli.run_verify(variant))
+            if oracle_error:
+                break
+            oracle.append(row)
         oracle_log = [(r.levelname, r.getMessage()) for r in caplog.records]
         caplog.clear()
-        rows = cli.run_sweep(config, parameter, values)
+        rows, error = caught(lambda: cli.run_sweep(config, parameter, values))
         sweep_log = [(r.levelname, r.getMessage()) for r in caplog.records]
-    assert cli.rows_to_csv(rows) == cli.rows_to_csv(oracle)
-    assert cli.rows_to_json(rows) == cli.rows_to_json(oracle)
+    assert error == oracle_error
+    if error is None:
+        assert cli.rows_to_csv(rows) == cli.rows_to_csv(oracle)
+        assert cli.rows_to_json(rows) == cli.rows_to_json(oracle)
     assert sweep_log == oracle_log
 
 
 # Per sweep: Hamiltonians diagonalised, measurement families built (each
 # reads whether it is in order once, at construction), channels validated,
 # partition functions Z computed (one per Hamiltonian, and again only where
-# β changes) and Gibbs states built.
+# β changes), Gibbs states built and passes over the Kraus stack made. A
+# β-only point needs no Kraus pass: it reuses the previous tables or, with
+# a new Gibbs state, the kept transition table.
 @pytest.mark.parametrize("name, parameter, values, built", [
     ("qubit_hadamard.json", "beta", BETAS,
-     {"eig": 2, "family": 2, "channel": 1, "z": 10, "state": 5}),
+     {"eig": 2, "family": 2, "channel": 1, "z": 10, "state": 5, "kraus": 1}),
     ("random_full_support.json", "beta", BETAS,
-     {"eig": 10, "family": 10, "channel": 5, "z": 10, "state": 5}),
+     {"eig": 10, "family": 10, "channel": 5, "z": 10, "state": 5,
+      "kraus": 5}),
     ("amplitude_damping.json", "channel_param", [0.0, 0.25, 0.5, 0.75, 1.0],
-     {"eig": 2, "family": 2, "channel": 5, "z": 2, "state": 1}),
+     {"eig": 2, "family": 2, "channel": 5, "z": 2, "state": 1, "kraus": 5}),
     ("qubit_hadamard.json", "beta", [1.0, 1.0, 2.0, 2.0, 1.0],
-     {"eig": 2, "family": 2, "channel": 1, "z": 6, "state": 3}),
+     {"eig": 2, "family": 2, "channel": 1, "z": 6, "state": 3, "kraus": 1}),
+    # The maximally mixed state does not depend on β: one joint table.
+    ("identity_same_basis.json", "beta", BETAS,
+     {"eig": 2, "family": 2, "channel": 1, "z": 10, "state": 1, "kraus": 1}),
     # Only the channel is rebuilt; the explicit state is not a Gibbs one.
     (BUILD_MIX_RAW, "channel_param", TIMES,
-     {"eig": 2, "family": 2, "channel": 5, "z": 2, "state": 0}),
+     {"eig": 2, "family": 2, "channel": 5, "z": 2, "state": 0, "kraus": 5}),
     # A random H' gives each point a derived seed, so every point is
     # rebuilt, the diagonal first Hamiltonian included.
     (RANDOM_EVOLUTION_RAW, "beta", BETAS,
-     {"eig": 10, "family": 10, "channel": 5, "z": 10, "state": 5}),
+     {"eig": 10, "family": 10, "channel": 5, "z": 10, "state": 5,
+      "kraus": 5}),
 ], ids=["qubit_hadamard.json-beta-values0-2-1",
         "random_full_support.json-beta-values1-10-5",
         "amplitude_damping.json-channel_param-values2-2-5",
         "qubit_hadamard.json-beta-values3-2-1",
+        "identity_same_basis.json-beta",
         "build_mix-channel_param", "random_evolution-beta"])
 def test_sweep_builds_unchanged_ingredients_once(monkeypatch, name, parameter,
                                                  values, built):
@@ -668,6 +726,8 @@ def test_sweep_builds_unchanged_ingredients_once(monkeypatch, name, parameter,
                         counting("family", family_init))
     monkeypatch.setattr(quantum.DensityMatrix, "_spectral",
                         staticmethod(counting("state", spectral)))
+    monkeypatch.setattr(tpm, "_kraus_pass",
+                        counting("kraus", tpm._kraus_pass))
     rows = cli.run_sweep(sweep_base(name), parameter, values)
     assert len(rows) == 5
     assert calls == built

@@ -8,10 +8,13 @@ channel, stored as one Kraus operator plus a replacement weight, is
 checked against its d² + 1 explicit Weyl Kraus operators.
 
 ``indicator_product_joint`` is the engine's own formula with every group
-sum written as a product with a group-indicator matrix. The engine reads
-the sums of in-order families (group k is column k alone) directly
-instead, which must give the same table bit for bit; a permuted rank-1
-family goes through the products, which read a permutation exactly.
+sum written as a product with a group-indicator matrix. The engine sums
+each group by index instead, in column order, and reads in-order
+families (group k is column k alone) directly. A rank-1 family in any
+label order must give the indicator products' table bit for bit; a
+degenerate one must give ``looped_group_joint``'s, which adds each
+group's columns in a Python loop, and the indicator products' to within
+rounding.
 """
 
 from __future__ import annotations
@@ -28,17 +31,22 @@ from conftest import (
     weyl_depolarizing,
 )
 from tpm_lab.linalg import haar_random_unitary, hermitian_eig
+from tpm_lab import tpm
 from tpm_lab.quantum import (
     DensityMatrix,
+    KrausChannel,
     ProjectorFamily,
     channel_from_unitary,
     eigen_measurement,
+    gibbs_ensemble,
     standard_channel,
 )
 from tpm_lab.tpm import (
+    BOOKKEEPING_TOL,
     TpmExperiment,
     distribution_from_joint,
     joint_distribution,
+    mutual_information_table,
 )
 
 TOL = 1e-14
@@ -92,7 +100,27 @@ def assert_matches_reference(experiment, firsts=None, seconds=None,
     p, residual = reference_joint(experiment, firsts, seconds)
     assert np.max(np.abs(jd.p_joint - p)) <= TOL
     assert abs(jd.factorization_residual - residual) <= TOL
+    assert np.max(np.abs(jd.transition - reference_transition(experiment))) \
+        <= TOL
     return jd
+
+
+def reference_transition(experiment: TpmExperiment) -> np.ndarray:
+    """T[j, k] = tr(|w_j⟩⟨w_j| Λ(|v_k⟩⟨v_k|)) over the columns v_k, w_j of
+    the two bases, with Λ applied to each dense rank-1 projector."""
+    v = experiment.first_measurement.basis
+    w = experiment.second_measurement.basis
+    dim = experiment.dim
+    table = np.zeros((dim, dim))
+    for k in range(dim):
+        proj = np.outer(v[:, k], v[:, k].conj())
+        evolved = sum(op @ proj @ op.conj().T
+                      for op in experiment.channel.kraus_ops) \
+            + experiment.channel.replacement * np.eye(dim) / dim
+        for j in range(dim):
+            table[j, k] = trace_product(np.outer(w[:, j], w[:, j].conj()),
+                                        evolved)
+    return table
 
 
 def degenerate_hamiltonian(levels, rng) -> np.ndarray:
@@ -179,16 +207,13 @@ def test_kraus_channels(kind, levels):
                                  reference_channel=reference)
 
 
-def indicator_product_joint(experiment: TpmExperiment):
-    """(p_joint, factorization_residual) from the engine's measurement-basis
-    sums B = Σ_i Re[(A_i ρ̃) ⊙ Ā_i] + (r/d)·1·diag ρ̃ and
-    T = Σ_i |A_i|² + (r/d)·1, with the group sums written as products with
-    the (column × outcome) indicator matrices G and H: p = Gᵀ Bᵀ H and
-    p(n) = Gᵀ diag ρ̃, with G and H built for every family, rank-1 or not."""
+def basis_tables(experiment: TpmExperiment):
+    """(B, T, populations): the engine's measurement-basis tables.
+    T = Σ_i |A_i|² + (r/d)·1; for a state diagonal in the first basis
+    B = T·diag(λ), else B = Σ_i Re[(A_i ρ̃) ⊙ Ā_i] + (r/d)·1·diag ρ̃."""
     first = experiment.first_measurement
-    second = experiment.second_measurement
     v = first.basis
-    w_dag = second.basis.conj().T
+    w_dag = experiment.second_measurement.basis.conj().T
     state = experiment.initial_state
     if np.array_equal(state.basis, v):
         dephased, populations = None, state.weights
@@ -203,30 +228,73 @@ def indicator_product_joint(experiment: TpmExperiment):
     for op in experiment.channel.kraus_ops:
         a = w_dag @ op @ v
         a_conj = a.conj()
-        a_rho = a * populations if dephased is None else a @ dephased
-        born += (a_rho * a_conj).real
         transition += (a * a_conj).real
+        if dephased is not None:
+            born += ((a @ dephased) * a_conj).real
     r = experiment.channel.replacement
-    born += (r / dim) * populations
     transition += r / dim
-    g = np.eye(len(first))[first.groups]
-    h = np.eye(len(second))[second.groups]
+    if dephased is None:
+        born = transition * populations
+    else:
+        born += (r / dim) * populations
+    return born, transition, populations
+
+
+def indicator_product_joint(experiment: TpmExperiment):
+    """(p_joint, factorization_residual, T) with the group sums written as
+    products with the (column × outcome) indicator matrices G and H:
+    p = Gᵀ Bᵀ H and p(n) = Gᵀ diag ρ̃, with G and H built for every
+    family, rank-1 or not."""
+    born, transition, populations = basis_tables(experiment)
+    g = np.eye(len(experiment.first_measurement))[
+        experiment.first_measurement.groups]
+    h = np.eye(len(experiment.second_measurement))[
+        experiment.second_measurement.groups]
     p = g.T @ born.T @ h
     p_factorized = (g.T @ transition.T @ h) * (g.T @ populations)[:, None]
-    return p, float(np.max(np.abs(p - p_factorized)))
+    return p, float(np.max(np.abs(p - p_factorized))), transition
 
 
-def assert_bits_of_indicator_products(experiment: TpmExperiment):
+def looped_group_joint(experiment: TpmExperiment):
+    """(p_joint, factorization_residual, T) with each group's rows, then
+    its columns, added one at a time in column order."""
+    born, transition, populations = basis_tables(experiment)
+    first = experiment.first_measurement.groups
+    second = experiment.second_measurement.groups
+    n_out = len(experiment.first_measurement)
+    m_out = len(experiment.second_measurement)
+
+    def group_sums(table):
+        rows = np.zeros((n_out, table.shape[1]))
+        for k, n in enumerate(first):
+            rows[n] += table[k]
+        out = np.zeros((n_out, m_out))
+        for j, m in enumerate(second):
+            out[:, m] += rows[:, j]
+        return out
+
+    p = group_sums(born.T)
+    p_first = np.zeros(n_out)
+    for k, n in enumerate(first):
+        p_first[n] += populations[k]
+    p_factorized = group_sums(transition.T) * p_first[:, None]
+    return p, float(np.max(np.abs(p - p_factorized))), transition
+
+
+def assert_bits_of(experiment: TpmExperiment, oracle=indicator_product_joint):
     jd = joint_distribution(experiment)
-    p, residual = indicator_product_joint(experiment)
-    oracle = distribution_from_joint(p, factorization_residual=residual)
-    for name, value in oracle._asdict().items():
+    p, residual, transition = oracle(experiment)
+    expected = distribution_from_joint(p, factorization_residual=residual,
+                                       transition=transition)
+    for name, value in expected._asdict().items():
         mine = getattr(jd, name)
         if isinstance(value, np.ndarray):
             assert mine.dtype == value.dtype and mine.shape == value.shape
             assert mine.tobytes() == value.tobytes(), name
         else:
             assert repr(mine) == repr(value), name
+    assert not jd.transition.flags.writeable
+    return jd
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
@@ -261,8 +329,11 @@ def test_rank1_groups_equal_the_indicator_products_bit_for_bit(
              else random_nonunitary_channel(dim, rng))
     experiment = TpmExperiment(initial_state=state, first_measurement=first,
                                channel=kraus, second_measurement=second)
-    assert_bits_of_indicator_products(experiment)
+    jd = assert_bits_of(experiment)
     assert_matches_reference(experiment)
+    if gibbs and first.in_order and second.in_order:
+        # p = (T·λ)ᵀ is the factorized table entry for entry.
+        assert jd.factorization_residual == 0.0
 
 
 def test_permuted_groups_pick_rows_and_columns_by_label():
@@ -282,7 +353,7 @@ def test_permuted_groups_pick_rows_and_columns_by_label():
         expected[first.groups[k], second.groups[k]] = weights[k]
     assert jd.p_joint.tobytes() == expected.tobytes()
     assert jd.p_first.tolist() == [0.3, 0.2, 0.5]
-    assert_bits_of_indicator_products(experiment)
+    assert_bits_of(experiment)
 
 
 @pytest.mark.parametrize("first_levels, second_levels", [
@@ -290,8 +361,9 @@ def test_permuted_groups_pick_rows_and_columns_by_label():
     ([0, 1, 2, 3], [0, 0, 1, 2]),
     ([0, 0, 1], [0, 1, 2]),
 ])
-def test_degenerate_groups_keep_the_indicator_products(first_levels,
-                                                       second_levels):
+@pytest.mark.parametrize("gibbs", [True, False], ids=["gibbs", "coherent"])
+def test_degenerate_groups_sum_their_columns_in_order(first_levels,
+                                                      second_levels, gibbs):
     rng = np.random.default_rng((107, len(first_levels), len(second_levels)))
     first = eigen_measurement(*hermitian_eig(
         degenerate_hamiltonian(first_levels, rng)))
@@ -300,8 +372,30 @@ def test_degenerate_groups_keep_the_indicator_products(first_levels,
     assert max(first.max_rank, second.max_rank) > 1
     channel = channel_from_unitary(haar_random_unitary(len(first_levels),
                                                        rng))
-    assert_bits_of_indicator_products(
-        experiment_of(first, channel, second, rng))
+    experiment = experiment_of(first, channel, second, rng)
+    if gibbs:
+        weights = rng.uniform(0.05, 1.0, first.dim)
+        experiment = experiment._replace(initial_state=DensityMatrix._spectral(
+            weights / weights.sum(), first.basis))
+    jd = assert_bits_of(experiment, looped_group_joint)
+    p, residual, _ = indicator_product_joint(experiment)
+    assert np.max(np.abs(jd.p_joint - p)) <= TOL
+    assert abs(jd.factorization_residual - residual) <= TOL
+
+
+def test_labels_in_any_order_with_a_zero_rank_group():
+    # Outcome 2 has no column: its row (and column) of the table is zero.
+    rng = np.random.default_rng(112)
+    first, second = (ProjectorFamily(basis=haar_random_unitary(4, rng),
+                                     groups=groups)
+                     for groups in ([3, 0, 3, 1], [4, 1, 0, 1]))
+    assert first.ranks == (1, 1, 0, 2) and second.ranks == (1, 2, 0, 0, 1)
+    experiment = experiment_of(
+        first, random_nonunitary_channel(4, rng), second, rng)
+    jd = assert_bits_of(experiment, looped_group_joint)
+    assert not jd.p_joint[2].any()
+    assert not jd.p_joint[:, 2:4].any()
+    assert_matches_reference(experiment)
 
 
 def test_in_order_is_group_k_on_column_k():
@@ -322,10 +416,26 @@ def test_in_order_is_group_k_on_column_k():
         .in_order
 
 
+def spy_group_sums(monkeypatch, experiment: TpmExperiment):
+    """The joint table of ``experiment``, and the labels of every group
+    sum the engine formed on the way, in call order."""
+    calls = []
+    sum_by_label = tpm._sum_by_label
+
+    def spy(rows, labels, count):
+        calls.append((labels.tolist(), count))
+        return sum_by_label(rows, labels, count)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tpm, "_sum_by_label", spy)
+        jd = joint_distribution(experiment)
+    return jd, calls
+
+
 @pytest.mark.parametrize("first_groups, second_groups", [
     ([0, 1, 2], [0, 1, 2]), ([2, 0, 1], [0, 1, 2]), ([0, 1, 2], [1, 2, 0]),
     ([2, 0, 1], [1, 2, 0])])
-def test_only_in_order_families_skip_the_indicator_products(
+def test_only_in_order_families_skip_the_group_sums(
         monkeypatch, first_groups, second_groups):
     rng = np.random.default_rng((110, *first_groups, *second_groups))
     first, second = (ProjectorFamily(basis=haar_random_unitary(3, rng),
@@ -333,19 +443,17 @@ def test_only_in_order_families_skip_the_indicator_products(
                      for groups in (first_groups, second_groups))
     experiment = experiment_of(
         first, channel_from_unitary(haar_random_unitary(3, rng)), second, rng)
-    indicators = []
-    eye = np.eye
-    with monkeypatch.context() as patch:
-        patch.setattr(np, "eye", lambda n: indicators.append(n) or eye(n))
-        joint_distribution(experiment)
-    direct = first_groups == second_groups == [0, 1, 2]
-    assert indicators == ([] if direct else [3, 3])
-    assert_bits_of_indicator_products(experiment)
+    _, calls = spy_group_sums(monkeypatch, experiment)
+    # The Born table, then the transition table: each summed over the
+    # families that are not in order, first, then second.
+    summed = [(groups, 3) for groups in (first_groups, second_groups)
+              if groups != [0, 1, 2]]
+    assert calls == 2 * summed
+    assert_bits_of(experiment)
 
 
 @pytest.mark.parametrize("padded", ["first", "second"])
-def test_a_trailing_zero_projector_keeps_the_indicator_products(
-        monkeypatch, padded):
+def test_a_trailing_zero_projector_keeps_the_group_sums(monkeypatch, padded):
     # Groups 0..d−1 plus a rank-0 outcome: the table has d + 1 rows (or
     # columns), one of them zero, so it cannot be read off born.T.
     rng = np.random.default_rng((111, padded == "first"))
@@ -360,11 +468,80 @@ def test_a_trailing_zero_projector_keeps_the_indicator_products(
     second = family(padded == "second")
     experiment = experiment_of(
         first, channel_from_unitary(haar_random_unitary(2, rng)), second, rng)
-    indicators = []
-    eye = np.eye
-    with monkeypatch.context() as patch:
-        patch.setattr(np, "eye", lambda n: indicators.append(n) or eye(n))
-        jd = joint_distribution(experiment)
-    assert indicators == [len(first), len(second)]
+    jd, calls = spy_group_sums(monkeypatch, experiment)
+    assert calls == [([0, 1], 3)] * 2
     assert jd.p_joint.shape == ((3, 2) if padded == "first" else (2, 3))
-    assert_bits_of_indicator_products(experiment)
+    assert not (jd.p_joint[2] if padded == "first" else jd.p_joint[:, 2]).any()
+    assert_bits_of(experiment)
+
+
+def decay_channel(dim: int, gamma: float, rng) -> KrausChannel:
+    """Each level k ≥ 1 decays to level 0 with probability γ, then a Haar
+    unitary acts: Λ(I) ≠ I for γ > 0 and d ≥ 2, so the map is non-unital
+    at every dimension, not only at d = 2."""
+    k0 = np.diag([1.0] + [np.sqrt(1.0 - gamma)] * (dim - 1)).astype(complex)
+    jumps = [np.sqrt(gamma) * np.outer(np.eye(dim)[0], np.eye(dim)[k])
+             for k in range(1, dim)]
+    u = haar_random_unitary(dim, rng)
+    return KrausChannel([u @ op for op in [k0, *jumps]])
+
+
+def assert_bookkeeping(jd, experiment: TpmExperiment):
+    """exp_avg_mi + support_defect = 1 within BOOKKEEPING_TOL, and both
+    terms equal those summed from the reference table on the engine's
+    support: Σ p(n)p(m) over the support and, separately, over the rest."""
+    mi = mutual_information_table(jd)
+    assert abs(mi.exp_average + mi.support_defect - 1.0) <= BOOKKEEPING_TOL
+    p, _ = reference_joint(experiment)
+    product = np.outer(p.sum(axis=1), p.sum(axis=0))
+    assert abs(mi.exp_average - product[jd.support_mask].sum()) <= TOL
+    assert abs(mi.support_defect - product[~jd.support_mask].sum()) <= TOL
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-12, 1e-3])
+@pytest.mark.parametrize("gibbs", [True, False], ids=["gibbs", "coherent"])
+@pytest.mark.parametrize("unital", [True, False],
+                         ids=["unital", "non_unital"])
+def test_bookkeeping_identity_on_seeded_experiments(epsilon, gibbs, unital):
+    # Through the full engine and, for a Gibbs state, through the table a
+    # β retune forms from the transition table kept at another β, which
+    # must equal the full engine's bit for bit. A coherent state's table
+    # does not depend on β, so a retune reuses it whole.
+    rng = np.random.default_rng((113, int(epsilon * 1e12), gibbs, unital))
+    for _ in range(12):
+        dim = int(rng.integers(1 if unital else 2, 9))
+        levels = rng.integers(0, 3, dim) * 0.7  # degenerate, or not
+        first = gibbs_ensemble(degenerate_hamiltonian(levels, rng),
+                               float(rng.uniform(0.1, 3.0)))
+        second = eigen_measurement(*hermitian_eig(degenerate_hamiltonian(
+            rng.uniform(0.0, 2.0, dim), rng)))
+        strength = float(rng.uniform(0.05, 0.95))
+        if not unital:
+            channel = decay_channel(dim, strength, rng)
+        elif rng.random() < 0.5:
+            channel = channel_from_unitary(haar_random_unitary(dim, rng))
+        else:
+            channel = standard_channel(
+                ("dephasing", "depolarizing")[int(rng.integers(2))], dim,
+                strength)
+        assert (channel.unitality_residual <= 1e-12) == unital
+        experiment = TpmExperiment(
+            initial_state=(first.state if gibbs
+                           else random_density_matrix(dim, rng)),
+            first_measurement=eigen_measurement(first.energies, first.basis),
+            channel=channel, second_measurement=second)
+        jd = joint_distribution(experiment, epsilon)
+        assert_bookkeeping(jd, experiment)
+        if gibbs:
+            retuned = experiment._replace(
+                initial_state=first.at_beta(first.beta * 1.7).state)
+            kept = joint_distribution(retuned, epsilon,
+                                      transition=jd.transition)
+            fresh = joint_distribution(retuned, epsilon)
+            for name, value in fresh._asdict().items():
+                mine = getattr(kept, name)
+                if isinstance(value, np.ndarray):
+                    assert mine.tobytes() == value.tobytes(), name
+                else:
+                    assert repr(mine) == repr(value), name
+            assert_bookkeeping(kept, retuned)
