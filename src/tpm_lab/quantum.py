@@ -177,7 +177,8 @@ class ProjectorFamily:
                 and (abs(traces - sizes) <= RANK_TOL).all()):
             ranks = tuple(sizes.tolist())
         else:
-            ranks = _diagnose_family(gram, groups, n_out, completeness)
+            ranks = _diagnose_family(gram, groups, n_out, completeness,
+                                     traces)
         if energies is not None:
             energies = tuple(float(e) for e in energies)
             if len(energies) != n_out:
@@ -234,20 +235,22 @@ def _basis_of_projectors(projectors):
 
 
 def _diagnose_family(gram: np.ndarray, groups: np.ndarray, n_out: int,
-                     completeness: float) -> tuple[int, ...]:
+                     completeness: float,
+                     traces: np.ndarray) -> tuple[int, ...]:
     """Check a family's invariants one by one off its Gram matrix
     G = V†V: raise :class:`ValidationError` naming the first one violated,
     in the order idempotency, orthogonality, completeness, integer rank,
     or return the ranks if none is. ``completeness`` is the family's
-    ‖ΣP − I‖_F, computed by the caller."""
-    indicator = np.eye(n_out)[groups]
+    ‖ΣP − I‖_F and ``traces`` its group traces tr G_nn, both computed by
+    the caller."""
     # Squared block norms of G, except that each diagonal block G_nn
     # is replaced by G_nn² − G_nn: ‖P_n² − P_n‖_F on the diagonal of
     # ``norms``, ‖P_a P_b‖_F off it.
     same = groups[:, None] == groups[None, :]
     diag_blocks = np.where(same, gram, 0.0)
     blocks = np.where(same, diag_blocks @ diag_blocks - diag_blocks, gram)
-    norms = np.sqrt(indicator.T @ np.abs(blocks) ** 2 @ indicator)
+    squares = _sum_by_label(np.abs(blocks) ** 2, groups, n_out)
+    norms = np.sqrt(_sum_by_label(squares.T, groups, n_out).T)
     # argmax picks the first failing block (a NaN norm fails), else a passing one.
     k = int(np.argmax(~(np.diagonal(norms) <= PROJECTOR_TOL)))
     require("idempotency", float(norms[k, k]), PROJECTOR_TOL,
@@ -259,12 +262,20 @@ def _diagnose_family(gram: np.ndarray, groups: np.ndarray, n_out: int,
             "‖P_a P_b‖_F = {value:.3e} > {bound:.1e}", a=a, b=b)
     require("completeness", completeness, PROJECTOR_TOL,
             "projector family is not complete: ‖ΣP − I‖_F = {value:.3e} > {bound:.1e}")
-    traces = indicator.T @ gram.diagonal().real
     ranks = np.round(traces)
     k = int(np.argmax(~(abs(traces - ranks) <= RANK_TOL)))
     require("integer_rank", float(abs(traces[k] - ranks[k])), RANK_TOL,
             "projector {k} has non-integer trace {trace!r}", k=k, trace=float(traces[k]))
     return tuple(ranks.astype(int).tolist())
+
+
+def _sum_by_label(rows: np.ndarray, labels: np.ndarray,
+                  count: int) -> np.ndarray:
+    """Row n of the result is the sum of the rows labelled n, added in
+    row order; a label no row carries gives a zero row."""
+    sums = np.zeros((count, rows.shape[1]))
+    np.add.at(sums, labels, rows)
+    return sums
 
 
 class KrausChannel:

@@ -29,7 +29,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError, require
-from .quantum import DensityMatrix, KrausChannel, ProjectorFamily, _freeze
+from .quantum import (
+    DensityMatrix,
+    KrausChannel,
+    ProjectorFamily,
+    _freeze,
+    _sum_by_label,
+)
 
 __all__ = [
     "TpmExperiment",
@@ -278,15 +284,6 @@ def _group_sums(table: np.ndarray, first: ProjectorFamily,
     return table
 
 
-def _sum_by_label(rows: np.ndarray, labels: np.ndarray,
-                  count: int) -> np.ndarray:
-    """Row n of the result is the sum of the rows labelled n, added in
-    row order; a label no row carries gives a zero row."""
-    sums = np.zeros((count, rows.shape[1]))
-    np.add.at(sums, labels, rows)
-    return sums
-
-
 class MutualInformationTable(NamedTuple):
     """Single-trial mutual information and its exponential average, as an
     immutable ``NamedTuple``.
@@ -359,14 +356,19 @@ class WorkStatistics(NamedTuple):
     ``jarzynski_lhs`` is the exact sum Σ p(n,m) e^{−βW_nm};
     ``jarzynski_rhs`` is Z'/Z = e^{−βΔF}; both are finite, since
     :func:`work_statistics` raises rather than return an infinite side.
-    Their difference
-    (``jarzynski_defect``) vanishes exactly when the conditional matrix is
-    doubly stochastic and the initial state is Gibbs in the first
-    measurement basis — ``conditional_colsums`` is the direct diagnostic:
-    the identity requires every column sum Σ_n p(m|n) to equal 1, which a
-    unital channel with rank-1 projectors delivers. Each p(m|n) is
+    Their difference is ``jarzynski_defect``.
+
+    ``conditional_colsums[m]`` is c_m = Σ_n p(m|n), each p(m|n) being
     p(n,m)/p(n), divided out of the joint table on the rows with
-    p(n) > support_epsilon.
+    p(n) > support_epsilon. For a Gibbs state measured by rank-1 first
+    projectors in its own eigenbasis, with every p(n) above the support
+    epsilon, lhs − rhs = (1/Z)·Σ_m e^{−βE'_m}·(c_m − r'_m), where
+    r'_m = rank Q_m of final outcome m. So the identity asks each column
+    sum to equal the rank of its final projector, not 1, and a unital
+    channel gives exactly that: c_m = tr(Q_m Λ(I)) = r'_m. The report's
+    ``colsum_max_dev``, max_m |c_m − 1|, therefore reads the largest
+    r'_m − 1 on a unital channel: 3 on four-fold degenerate final levels,
+    where lhs/rhs − 1 stays at rounding.
     """
 
     work_table: np.ndarray
