@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -918,14 +919,45 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["verify", "--config", overflowing]) == 3
 
 
+# Gibbs weights in range (|ln Z| = 700), but the work W = −2098 of one
+# cell puts e^{−βW} beyond double range.
+WORK_OVERFLOW_RAW = raw_config(
+    name="work_overflow",
+    first_hamiltonian={"kind": "diagonal", "energies": [700.0, 1399.0]},
+    channel={"kind": "kraus", "operators": [
+        {"re": (np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)).tolist()}]},
+    second_hamiltonian={"kind": "diagonal", "energies": [-699.0, 0.0]})
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify"], 3),
+    (["jarzynski"], 3),
+    (["sample", "--count", "10000", "--weight", "work"], 3),
+    (["sample", "--count", "10000", "--weight", "mi"], 0),
+])
+def test_work_overflow_fails_only_commands_that_read_work(tmp_path, caplog,
+                                                          capsys, argv, code):
+    # sample --weight mi never builds the work table, so it passes.
+    config = write_config(tmp_path, WORK_OVERFLOW_RAW)
+    command, *options = argv
+    with caplog.at_level("ERROR", logger="tpm_lab"):
+        assert cli.main([command, "--config", config, *options]) == code
+    out = capsys.readouterr().out
+    if code == 3:
+        assert caplog.records[-1].getMessage().startswith(
+            "validation error (invariant=finite_lhs, ")
+        assert out == ""
+    else:
+        assert json.loads(out)["exact_value"] == pytest.approx(1.0)
+
+
 # The work average is finite, ≈ Z'/Z = e^{271}, but one cell has
 # p(n,m) ≈ e^{−444}/2 and −βW = 715, so its factor e^{−βW} overflows: the
 # term is formed as exp(ln p − βW), and every command passes.
 TERM_OVERFLOW_RAW = raw_config(
     name="term_overflow",
     first_hamiltonian={"kind": "diagonal", "energies": [0.0, 444.0]},
-    channel={"kind": "kraus", "operators": [
-        {"re": (np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)).tolist()}]},
+    channel=WORK_OVERFLOW_RAW["channel"],
     second_hamiltonian={"kind": "diagonal", "energies": [-271.0, 239.0]})
 
 
@@ -965,6 +997,66 @@ def test_jarzynski_holds_at_large_beta_spread(tmp_path, capsys, overrides):
     assert abs(row.jarzynski_lhs / row.jarzynski_rhs - 1.0) <= 1e-14
 
 
+# Every guard passes, but Z'/Z cannot be formed as a positive finite
+# double: e^{−1398} underflows to 0 (and so does ⟨e^{−βW}⟩), and
+# e^{710}·(1 + e^{−10}) overflows while ⟨e^{−βW}⟩ ≈ e^{700} does not.
+RATIO_UNDERFLOW_RAW = raw_config(
+    name="ratio_underflow",
+    first_hamiltonian={"kind": "diagonal", "energies": [-699.0, -698.0]},
+    channel={"kind": "identity"},
+    second_hamiltonian={"kind": "diagonal", "energies": [699.0, 700.0]})
+RATIO_OVERFLOW_RAW = raw_config(
+    name="ratio_overflow",
+    initial={"kind": "explicit", "matrix": {"re": [[1.0, 0.0], [0.0, 0.0]]}},
+    first_hamiltonian={"kind": "diagonal", "energies": [700.0, 1400.0]},
+    channel={"kind": "kraus", "operators": [{"re": [[0.0, 1.0], [1.0, 0.0]]}]},
+    second_hamiltonian={"kind": "diagonal", "energies": [-10.0, 0.0]})
+
+
+@pytest.mark.parametrize("raw, invariant", [
+    (RATIO_UNDERFLOW_RAW, "representable_rhs"),
+    (RATIO_OVERFLOW_RAW, "finite_rhs"),
+], ids=["underflow", "overflow"])
+def test_jarzynski_unrepresentable_ratio_is_a_validation_error(
+        tmp_path, caplog, capsys, raw, invariant):
+    config = write_config(tmp_path, raw)
+    with caplog.at_level("INFO", logger="tpm_lab"):
+        assert cli.main(["jarzynski", "--config", config]) == 3
+    assert capsys.readouterr().out == ""
+    assert caplog.records[-1].getMessage().startswith(
+        f"validation error (invariant={invariant}, ")
+    # verify reads no ratio, and a ratio of 0 is a finite report value, so
+    # it passes on the underflow config; an infinite ratio never reaches a
+    # report.
+    if raw is RATIO_UNDERFLOW_RAW:
+        assert cli.main(["verify", "--config", config]) == 0
+        row, = parse_report_csv(capsys.readouterr().out)
+        assert row.jarzynski_rhs == 0.0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify"], 3),
+    (["jarzynski"], 3),
+    (["sweep", "--param", "beta", "--values", "1"], 3),
+    (["sample", "--count", "1000", "--weight", "work"], 3),
+    (["sample", "--count", "1000", "--weight", "mi"], 0),
+])
+def test_ratio_overflow_fails_only_commands_that_read_work(
+        tmp_path, caplog, capsys, argv, code):
+    # sample --weight mi never builds the work statistics, so it passes.
+    config = write_config(tmp_path, RATIO_OVERFLOW_RAW)
+    command, *options = argv
+    with caplog.at_level("ERROR", logger="tpm_lab"):
+        assert cli.main([command, "--config", config, *options]) == code
+    out = capsys.readouterr().out
+    if code == 3:
+        assert caplog.records[-1].getMessage().startswith(
+            "validation error (invariant=finite_rhs, ")
+        assert out == ""
+    else:
+        assert json.loads(out)["exact_value"] == pytest.approx(1.0)
+
+
 def test_main_logs_error_fields_to_stderr(tmp_path, caplog, capsys):
     bad_epsilon = write_config(tmp_path, raw_config(
         tolerances={"support_epsilon": "x"}), "bad_epsilon.json")
@@ -983,6 +1075,51 @@ def test_main_logs_error_fields_to_stderr(tmp_path, caplog, capsys):
     residual = validation_line[len(prefix):].split(")")[0]
     assert float(residual) == pytest.approx(0.2)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("overrides, invariant", [
+    # ‖A − A†‖_F and ‖A‖_F are both inf: not Hermitian, though eigh
+    # would read the lower triangle as the zero Hamiltonian.
+    ({"first_hamiltonian": {"kind": "explicit",
+                            "matrix": {"re": [[0.0, 2e154], [0.0, 0.0]]}}},
+     "hermiticity"),
+    # ΣΛ†Λ is NaN off the diagonal: the channel fails at construction,
+    # before any table holds a NaN.
+    ({"channel": {"kind": "kraus", "operators": [
+        {"re": [[1e200, 1e200], [1e200, -1e200]]}]}}, "completeness"),
+    # P² − P overflows to inf in its first projector's eigenvalues.
+    ({"first_measurement": {
+        "kind": "projectors", "energies": [0.0, 1.0],
+        "projectors": [{"re": [[1e160, 0.0], [0.0, 0.0]]},
+                       {"re": [[0.0, 0.0], [0.0, 1.0]]}]}}, "idempotency"),
+    # Hermitian, but ‖A‖_F overflows.
+    ({"first_hamiltonian": {"kind": "explicit",
+                            "matrix": {"re": [[1e200, 0.0], [0.0, 1e200]]}}},
+     "finite_norm"),
+    # scale · (G + G†)/2 and E't overflow while the matrices are formed.
+    ({"first_hamiltonian": {"kind": "random", "scale": 1e308}},
+     "finite_entries"),
+    ({"channel": {"kind": "unitary_from_hamiltonian", "time": 1e308},
+      "second_hamiltonian": {"kind": "diagonal", "energies": [0.0, 2.0]}},
+     "finite_entries"),
+], ids=["hermiticity", "completeness", "idempotency", "finite_norm",
+        "random_scale", "evolution_time"])
+def test_overflowed_residual_is_a_validation_exit(tmp_path, caplog,
+                                                  overrides, invariant):
+    # A numpy RuntimeWarning would print outside the log format; as an
+    # error it escapes main.
+    config = write_config(tmp_path, raw_config(**overrides))
+    with warnings.catch_warnings(), \
+            caplog.at_level("INFO", logger="tpm_lab"):
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            build_scenario(load_scenario(config))
+        assert cli.main(["verify", "--config", config]) == 3
+    assert err.value.invariant == invariant
+    # The validation error is the one line on stderr.
+    message, = (record.getMessage() for record in caplog.records)
+    assert message.startswith(
+        f"validation error (invariant={invariant}, residual=")
 
 
 def test_main_linalg_failure_is_validation_exit(tmp_path, monkeypatch):
