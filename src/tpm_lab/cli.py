@@ -43,10 +43,10 @@ from .scenarios import (
 )
 from .tpm import (
     JointDistribution,
-    MutualInformationTable,
     TpmExperiment,
-    WorkStatistics,
-    compare_mi_to_dissipation,
+    _support_cells,
+    _work_sums,
+    compare_mi_to_dissipation,  # perfbench's tpm.work span wraps it here
     joint_distribution,
     mutual_information_table,
     work_statistics,
@@ -127,16 +127,17 @@ def _flag(built: BuiltScenario, jd: JointDistribution) -> None:
 
 
 class _Tables(NamedTuple):
-    """The β-independent tables of one experiment: its joint and MI
-    tables."""
+    """The β-independent tables of one experiment: its joint table and
+    its MI on the support cells (:func:`~tpm_lab.tpm._support_cells`)."""
 
     experiment: TpmExperiment
     jd: JointDistribution
-    mi: MutualInformationTable
+    cells: tuple
 
 
 def _tables(built: BuiltScenario, kept: _Tables | None = None) -> _Tables:
-    """The joint and MI tables of a built scenario; its flags are logged.
+    """The joint table of a built scenario and its MI on the support
+    cells; its flags are logged.
 
     ``kept``, the tables of the previous sweep point, is reused whole if
     the scenario kept that point's experiment (a β retune of any state
@@ -154,16 +155,15 @@ def _tables(built: BuiltScenario, kept: _Tables | None = None) -> _Tables:
         getattr(experiment, part) is getattr(kept.experiment, part)
         for part in ("first_measurement", "channel", "second_measurement"))
     jd = _joint(built, kept.jd.transition if retuned else None)
-    return _Tables(experiment, jd, mutual_information_table(jd))
+    return _Tables(experiment, jd, _support_cells(jd))
 
 
-def _work(built: BuiltScenario, jd: JointDistribution) -> WorkStatistics:
-    """Work statistics of one scenario's joint table."""
-    return work_statistics(jd, built.experiment.first_measurement.energies,
-                           built.experiment.second_measurement.energies,
-                           built.config.beta,
-                           built.first_ensemble.partition_function,
-                           built.second_ensemble.partition_function)
+def _work_inputs(built: BuiltScenario) -> tuple:
+    """What work statistics read of a scenario besides its joint table."""
+    return (built.experiment.first_measurement.energies,
+            built.experiment.second_measurement.energies, built.config.beta,
+            built.first_ensemble.partition_function,
+            built.second_ensemble.partition_function)
 
 
 def run_verify(config: ScenarioConfig) -> ReportRow:
@@ -173,20 +173,23 @@ def run_verify(config: ScenarioConfig) -> ReportRow:
 
 def _row(built: BuiltScenario, tables: _Tables | None = None) -> ReportRow:
     """Every report column of a built scenario, read from its ``tables``
-    (formed here if not given)."""
+    (formed here if not given): the values, checks and errors of
+    :func:`work_statistics` and :func:`compare_mi_to_dissipation`, with
+    β(W − ΔF) formed on the support cells alone."""
     config = built.config
-    _, jd, mi = _tables(built) if tables is None else tables
-    ws = _work(built, jd)
+    _, jd, cells = _tables(built) if tables is None else tables
+    rows, cols, i_vals, exp_average, average_mi = cells
+    work, delta_f, lhs, rhs, colsums = _work_sums(jd, *_work_inputs(built))
+    dissipation = config.beta * (work[rows, cols] - delta_f)
     return ReportRow(
         name=config.name, dim=config.dim, beta=config.beta,
-        exp_avg_mi=mi.exp_average, support_defect=mi.support_defect,
-        avg_mi=mi.average_mi,
-        jarzynski_lhs=ws.jarzynski_lhs, jarzynski_rhs=ws.jarzynski_rhs,
-        jarzynski_defect=ws.jarzynski_defect,
+        exp_avg_mi=exp_average, support_defect=jd.support_defect,
+        avg_mi=average_mi, jarzynski_lhs=lhs, jarzynski_rhs=rhs,
+        jarzynski_defect=lhs - rhs,
         unitality_residual=built.experiment.channel.unitality_residual,
-        colsum_max_dev=float(abs(ws.conditional_colsums - 1.0).max()),
+        colsum_max_dev=float(abs(colsums - 1.0).max()),
         factorization_residual=jd.factorization_residual,
-        mi_vs_dissipation_gap=compare_mi_to_dissipation(mi, ws))
+        mi_vs_dissipation_gap=float(abs(i_vals - dissipation).max()))
 
 
 def verify_passed(row: ReportRow, tol: float = DEFAULT_VERIFY_TOL) -> bool:
@@ -222,20 +225,18 @@ def run_sweep(config: ScenarioConfig, parameter: str,
 
     A point whose random ingredients read the seed runs with one derived
     from the base seed and the point index (:func:`sweep_configs`), so
-    sweep output does not depend on execution order. An empty value list
-    yields an empty report.
+    output does not depend on execution order; no values, no rows.
 
     A point that differs from the previous one only in β or the channel
     is that point's scenario retuned (see :func:`build_scenario`); any
-    other point is rebuilt. A point is handed the previous point's
-    tables too, which need no Kraus pass when only β changed: a point
-    that kept the previous experiment (any state but a Gibbs one) reuses
-    its joint and MI tables, and one whose Gibbs state alone was replaced
-    forms its joint table from the kept transition table T and its new
-    populations, in O(d²) plus the grouping (see :func:`_tables`). Only
-    that one previous point is held, its T included: d² doubles. Every
-    check, report row, log line and error equals that of running
-    :func:`run_verify` on each point.
+    other point is rebuilt. A point is handed the previous point's tables
+    (see :func:`_tables`): one that kept the previous experiment (any
+    state but a Gibbs one) reuses them whole, and one whose Gibbs state
+    alone was replaced forms its joint table from the kept transition
+    table T and its new populations in O(d²) plus the grouping. Only that
+    one previous point is held, its T (d² doubles) included. Every check,
+    report row, log line and error equals that of :func:`run_verify` on
+    each point.
     """
     rows, built, tables = [], None, None
     for variant in sweep_configs(config, parameter, values):
@@ -267,7 +268,7 @@ def run_sample(config: ScenarioConfig, count: int,
         mi = mutual_information_table(jd)
         weight_table, exact = mi.i_table, mi.exp_average
     else:
-        ws = _work(built, jd)
+        ws = work_statistics(jd, *_work_inputs(built))
         weight_table, exact = config.beta * ws.work_table, ws.jarzynski_lhs
     counts = sample_trajectories(jd, count,
                                  derive_seed(config.seed, ROLE_SAMPLER))

@@ -7,6 +7,7 @@ functions are pure; randomness enters only through an explicit
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -27,8 +28,14 @@ HERMITICITY_TOL = 1e-10
 
 
 def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm as a plain float."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm of a float or complex array as a plain float, by
+    ``np.linalg.norm``'s own formula: √(x·x) over ``ravel(order="K")``, or
+    √(x.real·x.real + x.imag·x.imag) for complex x; so bit for bit."""
+    x = a.ravel(order="K")
+    if x.dtype.kind == "c":
+        x_real, x_imag = x.real, x.imag
+        return math.sqrt(x_real.dot(x_real) + x_imag.dot(x_imag))
+    return math.sqrt(x.dot(x))
 
 
 def hermiticity_residual(a: np.ndarray) -> float:
@@ -61,9 +68,8 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     ``a`` must be square, Hermitian within :data:`HERMITICITY_TOL` relative
     to max(1, ‖A‖_F) (``hermiticity``; a NaN or inf residual fails) and of
     finite norm ‖A‖_F (``finite_norm``), checked without a RuntimeWarning.
-    Returns the ``eigh`` pair ``(w, v)``:
-    eigenvalues ascending, column k of ``v`` the orthonormal eigenvector
-    of ``w[k]``. The result is deterministic for a fixed input.
+    Returns the ``eigh`` pair ``(w, v)``: eigenvalues ascending, column k
+    of ``v`` the orthonormal eigenvector of ``w[k]``; deterministic.
     """
     m = as_complex_matrix(a)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -88,7 +94,7 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    z /= np.sqrt(2.0)
+    z /= math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = r.diagonal()
     return q * (d / abs(d))

@@ -134,11 +134,10 @@ class ProjectorFamily:
     G_ab = E_ab and G_nn² − G_nn = G_nn·E_nn, so ‖G_ab‖_F ≤ δ and
     ‖G_nn² − G_nn‖_F ≤ ‖G_nn‖₂·‖E_nn‖_F ≤ (1 + δ)·δ, and a basis's
     completeness is δ itself. It costs the one product G and a sum over
-    its diagonal.
-    Any other family (r ≠ d, or past the bound) is diagnosed invariant by
-    invariant in the order above, block by block, and a residual above
-    :data:`PROJECTOR_TOL` (rank: :data:`RANK_TOL`) raises
-    :class:`ValidationError` naming the invariant; so does a dense
+    its diagonal. Any other family (r ≠ d, or past the bound) is
+    diagnosed invariant by invariant in the order above, block by block,
+    and a residual above :data:`PROJECTOR_TOL` (rank: :data:`RANK_TOL`)
+    raises :class:`ValidationError` naming the invariant; so does a dense
     projector that fails its own checks.
     """
 
@@ -174,13 +173,13 @@ class ProjectorFamily:
                              minlength=n_out)
         if (cols == dim and delta * (1.0 + delta) <= PROJECTOR_TOL
                 and completeness <= PROJECTOR_TOL
-                and (abs(traces - sizes) <= RANK_TOL).all()):
+                and abs(traces - sizes).max() <= RANK_TOL):
             ranks = tuple(sizes.tolist())
         else:
             ranks = _diagnose_family(gram, groups, n_out, completeness,
                                      traces)
         if energies is not None:
-            energies = tuple(float(e) for e in energies)
+            energies = tuple(np.asarray(energies, dtype=float).tolist())
             if len(energies) != n_out:
                 raise ValueError(
                     f"got {len(energies)} energies for {n_out} projectors")
@@ -189,7 +188,7 @@ class ProjectorFamily:
         self.dim = dim
         self.basis = _freeze(basis)
         self.groups = _freeze(groups)
-        self.in_order = n_out == dim and np.array_equal(groups, range(dim))
+        self.in_order = n_out == dim and groups.tolist() == [*range(dim)]
         self.ranks = ranks
         self.energies = energies
 
@@ -326,18 +325,17 @@ class KrausChannel:
                 "replacement weight must be finite and in [0, 1], got {r!r}", r=r)
         # (1 − r)·I is I itself at r = 0, so an r = 0 channel's residuals
         # are those of its Kraus operators alone, bit for bit.
-        kept = (1.0 - r) * np.eye(dim)
+        kept = 1.0 - r
         with np.errstate(over="ignore", invalid="ignore"):
-            completeness = frobenius(
-                sum(op.conj().T @ op for op in ops) - kept)
+            completeness = _product_residual(ops, kept, adjoint_first=True)
         require("completeness", completeness, COMPLETENESS_TOL,
                 "Kraus operators do not preserve trace: "
                 "‖ΣΛ†Λ + rI − I‖_F = {value:.3e} > {bound:.1e}")
         self.dim = dim
         self.kraus_ops = _freeze(ops)
         self.replacement = r
-        self.unitality_residual = frobenius(
-            sum(op @ op.conj().T for op in ops) - kept)
+        self.unitality_residual = _product_residual(ops, kept,
+                                                    adjoint_first=False)
 
     def __len__(self) -> int:
         return len(self.kraus_ops)
@@ -346,6 +344,23 @@ class KrausChannel:
         return (f"KrausChannel(dim={self.dim}, n_ops={len(self)}, "
                 f"replacement={self.replacement!r}, "
                 f"unitality_residual={self.unitality_residual:.3e})")
+
+
+def _product_residual(ops: np.ndarray, kept: float, *,
+                      adjoint_first: bool) -> float:
+    """‖ΣΛ_i†Λ_i − kept·I‖_F (``adjoint_first``) or ‖ΣΛ_iΛ_i† − kept·I‖_F,
+    each product added in operator order into one d×d buffer: O(d²)
+    working memory whatever the operator count."""
+    dim = ops.shape[1]
+    total = np.empty((dim, dim), dtype=np.complex128)
+    for k, op in enumerate(ops):
+        left, right = (op.conj().T, op) if adjoint_first else (op, op.conj().T)
+        if k:
+            total += left @ right
+        else:
+            np.matmul(left, right, out=total)
+    total.reshape(-1)[::dim + 1] -= kept
+    return frobenius(total)
 
 
 class GibbsEnsemble(NamedTuple):
@@ -395,19 +410,13 @@ def gibbs_ensemble(hamiltonian, beta: float) -> GibbsEnsemble:
     :func:`~tpm_lab.linalg.hermitian_eig`; the ensemble keeps the
     eigenpair, not the matrix. Eigenvalues are shifted by their minimum
     before exponentiating, and the shift is compensated in ln Z, so
-    moderate β·spread never overflows. Natural units k = 1 throughout, so
-    β = 1/T.
+    moderate β·spread never overflows. Natural units k = 1, so β = 1/T.
 
-    Raises
-    ------
-    ValidationError
-        If the Hamiltonian is not Hermitian.
-    ValueError
-        If β is not > 0; a NaN β fails this too.
-    OverflowError
-        If β·spread exceeds the exponent guard, or if Z itself is not
-        representable in double precision. A NaN fails each guard, as
-        does β = ∞ on a spectrum of zero spread (∞·0 is NaN).
+    Raises :class:`ValidationError` if the Hamiltonian is not Hermitian,
+    ValueError unless β > 0 (NaN fails), and OverflowError if β·spread
+    exceeds the exponent guard or Z is not representable in double
+    precision; a NaN fails each guard, as does β = ∞ on a spectrum of
+    zero spread (∞·0 is NaN).
     """
     w, v = hermitian_eig(hamiltonian)
     return _thermal(_freeze(w), _freeze(v), beta)
@@ -453,8 +462,9 @@ def eigen_measurement(energies, basis,
     if not (steps >= 0).all():
         raise ValueError("energies must be in ascending order")
     if degeneracy_gap is None:
-        degeneracy_gap = 1e-8 * float(np.linalg.norm(w))
-    groups = np.concatenate(([0], np.cumsum(steps > degeneracy_gap)))
+        degeneracy_gap = 1e-8 * frobenius(w)
+    groups = np.zeros(len(w), dtype=np.intp)
+    np.add.accumulate(steps > degeneracy_gap, out=groups[1:], dtype=np.intp)
     return ProjectorFamily(
         basis=basis, groups=groups,
         energies=np.bincount(groups, weights=w) / np.bincount(groups))
@@ -481,21 +491,11 @@ def standard_channel(kind: str, dim: int,
                      param: float | None = None) -> KrausChannel:
     """Stock CPTP maps for probing the identities beyond the unitary case.
 
-    Parameters
-    ----------
-    kind : str
-        One of ``identity``, ``dephasing``, ``depolarizing``,
-        ``amplitude_damping``.
-    dim : int
-        Hilbert space dimension. ``amplitude_damping`` is defined for
-        dim = 2 only.
-    param : float, optional
-        Channel strength in [0, 1]: the dephasing/depolarizing probability
-        p, or the damping rate γ. Not accepted for ``identity``.
-
-    Notes
-    -----
-    Each Kraus stack is written in closed form into one (K, d, d) array:
+    ``kind`` is ``identity``, ``dephasing``, ``depolarizing`` or
+    ``amplitude_damping`` (dim = 2 only). ``param`` is the channel
+    strength in [0, 1], the dephasing/depolarizing probability p or the
+    damping rate γ; ``identity`` takes none. Each Kraus stack is written
+    in closed form into one (K, d, d) array:
 
     - dephasing: √(1−p)·I, then √p·|k⟩⟨k| for k = 0..d−1 (K = d + 1);
     - depolarizing: ρ ↦ (1−p)ρ + p·tr(ρ)·I/d, stored exactly as the one
@@ -505,7 +505,7 @@ def standard_channel(kind: str, dim: int,
     - amplitude damping: [[1, 0], [0, √(1−γ)]] and [[0, √γ], [0, 0]].
 
     identity, dephasing and depolarizing are unital; amplitude damping is
-    deliberately non-unital with ΣΛΛ† − I = diag(γ, −γ), i.e. a unitality
+    deliberately non-unital with ΣΛΛ† − I = diag(γ, −γ), a unitality
     residual of γ·√2. Every channel but depolarizing has replacement
     weight 0.
     """
@@ -523,17 +523,17 @@ def standard_channel(kind: str, dim: int,
     if kind == "dephasing":
         k = np.arange(dim)
         ops = np.zeros((dim + 1, dim, dim), dtype=np.complex128)
-        ops[0] = np.sqrt(1 - p) * np.eye(dim)
-        ops[1 + k, k, k] = np.sqrt(p)
+        ops[0] = math.sqrt(1 - p) * np.eye(dim)
+        ops[1 + k, k, k] = math.sqrt(p)
         return KrausChannel(ops)
     if kind == "depolarizing":
-        return KrausChannel([np.sqrt(1 - p) * np.eye(dim)], replacement=p)
+        return KrausChannel([math.sqrt(1 - p) * np.eye(dim)], replacement=p)
     if kind == "amplitude_damping":
         if dim != 2:
             raise ValueError(
                 f"amplitude damping is defined for dim = 2, got dim = {dim}")
-        k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - p)]], dtype=np.complex128)
-        k1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=np.complex128)
+        k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1 - p)]], dtype=np.complex128)
+        k1 = np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=np.complex128)
         return KrausChannel([k0, k1])
     raise ValueError(f"unknown channel kind {kind!r}")
 

@@ -1,24 +1,22 @@
 """Exact two-point-measurement statistics and the exponential identities.
 
-The pipeline is: build a :class:`TpmExperiment` (state, first projective
-measurement, channel, second projective measurement), derive the exact
-joint outcome distribution p(n,m) from the Born rule, then read every
-downstream quantity off that table — marginals, conditionals, the
+The pipeline builds a :class:`TpmExperiment` (state, first projective
+measurement, channel, second projective measurement), derives the exact
+joint outcome distribution p(n,m) from the Born rule, and reads every
+downstream quantity off that table: marginals, conditionals, the
 single-trial mutual information I_nm = ln p(m|n) − ln p(m), its
 exponential average ⟨e^{−I}⟩ with explicit support-defect bookkeeping,
 and the work statistics ⟨e^{−βW}⟩ versus Z'/Z.
 
-Support convention: any cell with p(n,m) ≤ support_epsilon is excluded
-from exponential averages, and the excluded probability-product mass is
-reported as ``support_defect`` instead of silently producing NaN. The
-bookkeeping identity exp_average + support_defect = 1 holds for every
-experiment, full support or not; exp_average = 1 exactly when the support
-is full.
+Support convention: a cell with p(n,m) ≤ support_epsilon is excluded from
+exponential averages, and the excluded probability-product mass is
+reported as ``support_defect`` instead of silently producing NaN, so
+exp_average + support_defect = 1 for every experiment; exp_average = 1
+exactly when the support is full.
 
-Sign convention: work is W_nm = E'_m − E_n and dissipation is
-β(W_nm − ΔF) with ΔF = F' − F, the convention under which
-⟨e^{−dissipation}⟩ = 1 for Gibbs initial states, rank-1 energy bases and
-unital evolution. All logarithms are natural (nats).
+Sign convention: W_nm = E'_m − E_n and dissipation β(W_nm − ΔF) with
+ΔF = F' − F, under which ⟨e^{−dissipation}⟩ = 1 for Gibbs initial states,
+rank-1 energy bases and unital evolution. Logarithms are natural (nats).
 """
 
 from __future__ import annotations
@@ -94,30 +92,22 @@ class JointDistribution(NamedTuple):
     each formed once, as an immutable ``NamedTuple``; a conditional
     p(m|n) = p(n,m)/p(n) is divided out where it is read.
 
-    Attributes
-    ----------
-    p_joint : (N, M) array
-        Joint outcome probabilities, clamped to [0, 1] after a bound check.
-    p_first, p_second : arrays
-        Marginals p(n) = Σ_m p(n,m) and p(m) = Σ_n p(n,m). p(m) is the
-        marginal *after* the first measurement's dephasing — the true
-        marginal of the outcome pair, which is what the mutual information
-        is defined against.
-    support_mask : (N, M) bool array
-        True where p(n,m) > support_epsilon.
-    support_defect : float
-        1 − Σ p(n)p(m) over the support: the product mass it leaves out.
-    factorization_residual : float
-        max |p(n,m) − tr{Q_m Λ(P_n)}·tr(P_n ρ)|: how far the rank-1
-        factorized form of the Born rule is from the exact unfactorized
-        one. Zero (to rounding) whenever every first projector is rank-1.
-    transition : (d, d) array or None
-        The transition table T[j, k] = ⟨w_j|Λ(|v_k⟩⟨v_k|)|w_j⟩ between the
-        columns v_k, w_j of the two measurement bases, in basis order,
-        read-only. It does not depend on the state or on β, so
-        :func:`joint_distribution` keeps these d² doubles for a β retune
-        of a Gibbs state to reuse. None for a table given directly to
-        :func:`distribution_from_joint`.
+    - ``p_joint``: the (N, M) probabilities, clamped to [0, 1] after a
+      bound check.
+    - ``p_first``, ``p_second``: p(n) = Σ_m p(n,m) and p(m) = Σ_n p(n,m),
+      the marginal *after* the first measurement's dephasing: the true
+      marginal of the outcome pair, which the MI is defined against.
+    - ``support_mask``: True where p(n,m) > ``support_epsilon``.
+      ``support_defect``: 1 − Σ p(n)p(m) over the support, the product
+      mass it leaves out.
+    - ``factorization_residual``: max |p(n,m) − tr{Q_m Λ(P_n)}·tr(P_n ρ)|,
+      how far the rank-1 factorized Born rule is from the exact one; 0
+      (to rounding) whenever every first projector is rank-1.
+    - ``transition``: the read-only d×d table T[j, k] =
+      ⟨w_j|Λ(|v_k⟩⟨v_k|)|w_j⟩ between the columns v_k, w_j of the two
+      measurement bases. It depends on neither the state nor β, so
+      :func:`joint_distribution` keeps it for a β retune of a Gibbs state
+      to reuse; None for a table given to :func:`distribution_from_joint`.
     """
 
     p_joint: np.ndarray
@@ -169,11 +159,11 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
     p_first = p.sum(axis=1)
     p_second = p.sum(axis=0)
     mask = p > support_epsilon
-    if not mask.any():
+    rows, cols = mask.nonzero()
+    if not len(rows):
         raise ValidationError(
             f"no outcome pair has probability above support epsilon "
             f"{support_epsilon!r}", invariant="empty_support")
-    rows, cols = mask.nonzero()
     return JointDistribution(
         p_joint=_freeze(p), p_first=_freeze(p_first), p_second=_freeze(p_second),
         support_mask=_freeze(mask),
@@ -188,42 +178,38 @@ def joint_distribution(experiment: TpmExperiment,
                        transition: np.ndarray | None = None) -> JointDistribution:
     """Exact joint distribution of a TPM experiment via the Born rule.
 
-    Computes the unfactorized expression
-    p(n,m) = tr{Q_m Σ_i Λ_i P_n ρ P_n Λ_i† Q_m}, which is correct for
-    projectors of any rank, and reports how far the rank-1 factorized form
-    tr{Q_m Λ(P_n)}·tr(P_n ρ) deviates from it (``factorization_residual``).
+    Computes the unfactorized p(n,m) = tr{Q_m Σ_i Λ_i P_n ρ P_n Λ_i† Q_m},
+    correct for projectors of any rank, and reports how far the rank-1
+    factorized form tr{Q_m Λ(P_n)}·tr(P_n ρ) deviates from it
+    (``factorization_residual``).
 
     Everything is evaluated in the measurement bases. With V, W the first
     and second bases, A_i = W†Λ_iV and 1 the all-ones d×d matrix, one pass
-    over the channel's (K, d, d) Kraus stack, one operator at a time,
-    forms the basis-order transition table T = Σ_i |A_i|² + (r/d)·1, since
-    W†(I/d)W = I/d puts weight r/d on every second-basis row: O(K·d³ + d²)
-    time and O(d²) working memory. T[j, k] is the probability that
-    first-basis column k lands on second-basis column j; it does not
-    depend on the state or on β, so the table keeps it (``transition``,
-    d² doubles).
+    over the Kraus stack, one operator at a time, forms the basis-order
+    transition table T = Σ_i |A_i|² + (r/d)·1 (W†(I/d)W = I/d puts weight
+    r/d on every second-basis row) in O(K·d³ + d²) time and O(d²) working
+    memory. T[j, k] is the probability that first-basis column k lands on
+    second-basis column j; it depends on neither the state nor β, so the
+    table keeps it (``transition``, d² doubles).
 
     - A state diagonal in the first basis (its basis U is V entry for
       entry, as for a Gibbs state in its own eigenbasis) has populations
-      λ, and its Born table is B = T·diag(λ), formed once from T.
+      λ and the Born table B = T·diag(λ). Given ``transition``, the T of
+      an experiment with this one's channel and measurements, such a
+      state skips the Kraus pass, so a β-only sweep point of a Gibbs
+      state costs O(d²) plus the grouping; any other state ignores it.
     - Any other state is ρ̃ = R diag(λ) R† with R = V†U and the entries
       between different first groups zeroed (the dephasing); the pass
       then also sums B = Σ_i Re[(A_i ρ̃) ⊙ Ā_i] + (r/d)·1·diag ρ̃.
 
-    Given ``transition``, the T of an experiment with this one's channel
-    and measurements (as kept by its table), a state diagonal in the
-    first basis skips the Kraus pass: the table costs O(d²) plus the
-    grouping. A sweep point that changes only β on a Gibbs state reads
-    its table this way. Any other state ignores it.
-
-    Both branches share one tail: p = Bᵀ and the factorized table Tᵀ,
-    its row n scaled by p(n), are summed over the outcome groups, and p
-    is checked by :func:`distribution_from_joint`. Each group sums its
-    columns in column order, by index (:func:`_group_sums`), in O(d²); an
-    ``in_order`` family (d outcomes, group k is column k alone) is read
-    as it is. So a rank-1 family in any label order reads its entries
-    exactly, a zero projector gives a zero row, and with a diagonal state
-    and two in-order families the factorization residual is exactly 0.
+    Both share one tail: p = Bᵀ and Tᵀ with row n scaled by p(n) are
+    summed over the outcome groups, each in column order by index
+    (:func:`_group_sums`), in O(d²), and p is checked by
+    :func:`distribution_from_joint`; an ``in_order`` family (group k is
+    column k alone) is read as it is. So a rank-1 family in any label
+    order reads its entries exactly, a zero projector gives a zero row,
+    and with a diagonal state and two in-order families the factorization
+    residual is exactly 0.
     """
     first = experiment.first_measurement
     state = experiment.initial_state
@@ -290,11 +276,10 @@ class MutualInformationTable(NamedTuple):
 
     ``i_table[n, m]`` is ln p(m|n) − ln p(m) on the support mask and NaN
     elsewhere. ``exp_average`` is Σ p(n,m)·p(m)/p(m|n) over the support,
-    computed in ratio form (never by exponentiating a log).
-    ``support_defect`` is the probability-product mass 1 − Σ p(n)p(m)
-    excluded by the support restriction, so exp_average + support_defect
-    is identically 1; a full-support experiment has defect 0 and the
-    exponential average is exactly the conservation-of-probability sum.
+    in ratio form (never by exponentiating a log). ``support_defect`` is
+    the product mass 1 − Σ p(n)p(m) the support leaves out, so
+    exp_average + support_defect is identically 1; on full support the
+    defect is 0 and the average is the conservation-of-probability sum.
     ``average_mi`` is the mutual information of the outcome pair summed
     over the support: non-negative by convexity on full support, and at
     least P(S)·ln(P(S)/Q(S)), which may be negative, on a restricted one.
@@ -320,18 +305,27 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
     construction for any distribution that passed
     :func:`distribution_from_joint`).
     """
-    rows, cols = jd.support_mask.nonzero()
+    rows, cols, i_vals, exp_average, average_mi = _support_cells(jd)
     i_table = np.full(jd.shape, np.nan)
-    support_defect = jd.support_defect
+    i_table[rows, cols] = i_vals
+    return MutualInformationTable(
+        i_table=_freeze(i_table), exp_average=exp_average,
+        support_defect=jd.support_defect, average_mi=average_mi)
+
+
+def _support_cells(jd: JointDistribution) -> tuple:
+    """The support cells (rows, cols) in row-major order, their I_nm,
+    exp_average and average_mi, with the checks of
+    :func:`mutual_information_table`: all a report row reads of it."""
+    rows, cols = jd.support_mask.nonzero()
     joint = jd.p_joint[rows, cols]
     cond = joint / jd.p_first[rows]
     marginal = jd.p_second[cols]
     i_vals = np.log(cond) - np.log(marginal)
-    i_table[rows, cols] = i_vals
     exp_average = float((joint * marginal / cond).sum())
     average_mi = float((joint * i_vals).sum())
 
-    require("bookkeeping", abs(exp_average + support_defect - 1.0), BOOKKEEPING_TOL,
+    require("bookkeeping", abs(exp_average + jd.support_defect - 1.0), BOOKKEEPING_TOL,
             "bookkeeping identity violated: exp_average + support_defect "
             "deviates from 1 by {value:.3e}")
     # Log-sum inequality on the support S with q = p(n)p(m):
@@ -344,9 +338,7 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
             f"average mutual information {average_mi!r} is below its "
             f"log-sum bound {jensen_bound!r}",
             invariant="jensen", residual=jensen_bound - average_mi)
-    return MutualInformationTable(
-        i_table=_freeze(i_table), exp_average=exp_average,
-        support_defect=support_defect, average_mi=average_mi)
+    return rows, cols, i_vals, exp_average, average_mi
 
 
 class WorkStatistics(NamedTuple):
@@ -382,28 +374,30 @@ class WorkStatistics(NamedTuple):
 
 def work_statistics(jd: JointDistribution, first_energies, second_energies,
                     beta: float, Z: float, Z_prime: float) -> WorkStatistics:
-    """Jarzynski-side statistics of a joint distribution.
+    """Jarzynski-side statistics of a joint distribution ``jd``, given the
+    finite outcome energy labels E_n and E'_m (one per table row and
+    column), the inverse temperature β > 0 of both ensembles and their
+    partition functions Z, Z' > 0: the right-hand side is Z'/Z and
+    ΔF = −(1/β) ln(Z'/Z).
 
-    Parameters
-    ----------
-    jd : JointDistribution
-        Outcome table; cells with p(n,m) = 0 contribute nothing to the
-        work average, so extreme work values on zero-probability cells
-        cannot poison the sum.
-    first_energies, second_energies : sequences of float
-        Outcome energy labels E_n and E'_m, finite; lengths must match the
-        table.
-    beta : float
-        Inverse temperature (> 0), shared by both ensembles.
-    Z, Z_prime : float
-        Initial and final partition functions (> 0); the right-hand side
-        is Z'/Z and ΔF = −(1/β) ln(Z'/Z).
-
-    Raises :class:`ValidationError` when ⟨e^{−βW}⟩ overflows
-    (``finite_lhs``) or Z'/Z does (``finite_rhs``), so no statistics
-    carry an infinite side; Z'/Z may underflow to 0. A term whose factor
-    e^{−βW} overflows is formed as exp(ln p − βW) instead.
+    A cell with p(n,m) = 0 adds nothing to the work average, so extreme
+    work on it cannot poison the sum; a term whose factor e^{−βW}
+    overflows is formed as exp(ln p − βW). Raises :class:`ValidationError`
+    when ⟨e^{−βW}⟩ overflows (``finite_lhs``) or Z'/Z does
+    (``finite_rhs``), so no side is infinite; Z'/Z may underflow to 0.
     """
+    work, delta_f, lhs, rhs, colsums = _work_sums(
+        jd, first_energies, second_energies, beta, Z, Z_prime)
+    return WorkStatistics(
+        work_table=_freeze(work), delta_F=delta_f,
+        jarzynski_lhs=lhs, jarzynski_rhs=rhs, jarzynski_defect=lhs - rhs,
+        conditional_colsums=_freeze(colsums),
+        dissipation_table=_freeze(beta * (work - delta_f)))
+
+
+def _work_sums(jd: JointDistribution, first_energies, second_energies,
+               beta: float, Z: float, Z_prime: float) -> tuple:
+    """:func:`work_statistics`'s W, ΔF, lhs, rhs, c and checks."""
     e_first = np.asarray(first_energies, dtype=float)
     e_second = np.asarray(second_energies, dtype=float)
     n_out, m_out = jd.shape
@@ -411,7 +405,7 @@ def work_statistics(jd: JointDistribution, first_energies, second_energies,
         raise ValueError(
             f"energy lists of lengths {e_first.shape[0]}/{e_second.shape[0]} "
             f"do not match the {n_out}x{m_out} outcome table")
-    if not (np.isfinite(e_first).all() and np.isfinite(e_second).all()):
+    if not all(map(math.isfinite, e_first.tolist() + e_second.tolist())):
         raise ValueError("energy labels must be finite")
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -440,15 +434,12 @@ def work_statistics(jd: JointDistribution, first_energies, second_energies,
         raise ValidationError(
             f"Z'/Z = {Z_prime!r}/{Z!r} overflowed", invariant="finite_rhs")
 
-    defined = jd.p_first > jd.support_epsilon
-    colsums = (jd.p_joint[defined] / jd.p_first[defined, None]).sum(axis=0)
-    dissipation = beta * (work - delta_f)
-    return WorkStatistics(
-        work_table=_freeze(work), delta_F=float(delta_f),
-        jarzynski_lhs=lhs, jarzynski_rhs=float(rhs),
-        jarzynski_defect=lhs - float(rhs),
-        conditional_colsums=_freeze(colsums),
-        dissipation_table=_freeze(dissipation))
+    # A row with p(n) ≤ support_epsilon adds 0, so each column sums the
+    # same terms in the same row order as over the defined rows alone.
+    defined = (jd.p_first > jd.support_epsilon)[:, None]
+    colsums = np.divide(p, jd.p_first[:, None], out=np.zeros(jd.shape),
+                        where=defined).sum(axis=0)
+    return work, float(delta_f), lhs, float(rhs), colsums
 
 
 def compare_mi_to_dissipation(mi: MutualInformationTable,

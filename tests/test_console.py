@@ -277,6 +277,35 @@ def test_stdout_matches_the_recorded_report(capsys, caplog, stem, report):
         f"this run: {build()}")
 
 
+def pool_reports(workload: str):
+    """Each seed-0 case of a benchmark pool and the file that holds its
+    report."""
+    for k, case in enumerate(workloads.make_cases(workload, 0)):
+        extension = case.options.get(
+            "format", "json" if case.command == "sample" else "csv")
+        yield case, DATA_DIR / f"pool_{workload}_{k}.{extension}"
+
+
+def run_case(directory: Path, case, name: str) -> tuple[int, bytes]:
+    """Exit code and report bytes of one benchmark case run through
+    ``cli.main``."""
+    config, out = directory / f"{name}.json", directory / f"{name}.out"
+    config.write_text(case.config_text(), encoding="utf-8")
+    code = cli.main(case.argv(str(config), str(out)))
+    return code, out.read_bytes()
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_seed_zero_pool_matches_the_recorded_report(tmp_path, workload):
+    # The d = 24 and d = 64 pools give the same bytes with BLAS on one
+    # thread and on two.
+    for case, path in pool_reports(workload):
+        assert run_case(tmp_path, case, path.stem) == (0, path.read_bytes()), (
+            f"{path.name} was recorded on "
+            f"{RECORDED_BUILD.read_text(encoding='utf-8').strip()}; "
+            f"this run: {build()}")
+
+
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_seed_zero_pool_matches_the_benchmark_oracle(tmp_path, workload):
     for k, case in enumerate(workloads.make_cases(workload, 0)):
@@ -296,4 +325,9 @@ if __name__ == "__main__":
             with contextlib.redirect_stdout(io.StringIO()) as stdout:
                 cli.main(argv)
             path.write_bytes(stdout.getvalue().encode())
+    for workload in workloads.WORKLOADS:
+        for case, path in pool_reports(workload):
+            path.write_bytes(run_case(DATA_DIR, case, "pool")[1])
+    for scratch in ("pool.json", "pool.out"):
+        (DATA_DIR / scratch).unlink()
     RECORDED_BUILD.write_text(build() + "\n", encoding="utf-8")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,23 @@ def test_kraus_channel_replacement_enters_completeness_and_unitality():
         KrausChannel([np.sqrt(0.25) * np.eye(3)], replacement=0.5)
     assert err.value.invariant == "completeness"
     assert err.value.residual == pytest.approx(0.25 * np.sqrt(3.0))
+
+
+def test_kraus_channel_working_memory_stays_a_few_d2_buffers():
+    # ΣΛ†Λ and ΣΛΛ† are summed one product at a time into a d×d buffer.
+    # Beyond its input, a d = 128 dephasing stack (K = 129, 34 MB) then
+    # needs its finiteness mask, one byte an entry, and after it a few d×d
+    # complex buffers: a (K, d, d) stack of products would add 34 MB.
+    dim = 128
+    ops = standard_channel("dephasing", dim, 0.3).kraus_ops.copy()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        KrausChannel(ops)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= ops.size + 4 * dim * dim * ops.itemsize, peak
 
 
 @pytest.mark.parametrize("ops, error, invariant", [

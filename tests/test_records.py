@@ -26,6 +26,7 @@ from tpm_lab.tpm import (
     WorkStatistics,
     joint_distribution,
     mutual_information_table,
+    work_statistics,
 )
 
 SCENARIO = (Path(__file__).resolve().parents[1] / "scenarios"
@@ -56,7 +57,7 @@ def records():
         TpmExperiment: built.experiment,
         JointDistribution: jd,
         MutualInformationTable: mutual_information_table(jd),
-        WorkStatistics: cli._work(built, jd),
+        WorkStatistics: work_statistics(jd, *cli._work_inputs(built)),
         ScenarioConfig: config,
         BuiltScenario: built,
     }
