@@ -43,10 +43,9 @@ from .scenarios import (
 )
 from .tpm import (
     JointDistribution,
+    MutualInformationTable,
     TpmExperiment,
-    _support_cells,
-    _work_sums,
-    compare_mi_to_dissipation,  # perfbench's tpm.work span wraps it here
+    compare_mi_to_dissipation,
     joint_distribution,
     mutual_information_table,
     work_statistics,
@@ -128,16 +127,16 @@ def _flag(built: BuiltScenario, jd: JointDistribution) -> None:
 
 class _Tables(NamedTuple):
     """The β-independent tables of one experiment: its joint table and
-    its MI on the support cells (:func:`~tpm_lab.tpm._support_cells`)."""
+    its mutual-information table."""
 
     experiment: TpmExperiment
     jd: JointDistribution
-    cells: tuple
+    mi: MutualInformationTable
 
 
 def _tables(built: BuiltScenario, kept: _Tables | None = None) -> _Tables:
-    """The joint table of a built scenario and its MI on the support
-    cells; its flags are logged.
+    """The joint and mutual-information tables of a built scenario; its
+    flags are logged.
 
     ``kept``, the tables of the previous sweep point, is reused whole if
     the scenario kept that point's experiment (a β retune of any state
@@ -155,7 +154,7 @@ def _tables(built: BuiltScenario, kept: _Tables | None = None) -> _Tables:
         getattr(experiment, part) is getattr(kept.experiment, part)
         for part in ("first_measurement", "channel", "second_measurement"))
     jd = _joint(built, kept.jd.transition if retuned else None)
-    return _Tables(experiment, jd, _support_cells(jd))
+    return _Tables(experiment, jd, mutual_information_table(jd))
 
 
 def _work_inputs(built: BuiltScenario) -> tuple:
@@ -173,30 +172,29 @@ def run_verify(config: ScenarioConfig) -> ReportRow:
 
 def _row(built: BuiltScenario, tables: _Tables | None = None) -> ReportRow:
     """Every report column of a built scenario, read from its ``tables``
-    (formed here if not given): the values, checks and errors of
-    :func:`work_statistics` and :func:`compare_mi_to_dissipation`, with
-    β(W − ΔF) formed on the support cells alone."""
+    (formed here if not given) and its :func:`work_statistics`: the
+    records, checks and errors that ``sample`` and library callers get,
+    and the gap of :func:`compare_mi_to_dissipation`."""
     config = built.config
-    _, jd, cells = _tables(built) if tables is None else tables
-    rows, cols, i_vals, exp_average, average_mi = cells
-    work, delta_f, lhs, rhs, colsums = _work_sums(jd, *_work_inputs(built))
-    dissipation = config.beta * (work[rows, cols] - delta_f)
+    _, jd, mi = _tables(built) if tables is None else tables
+    ws = work_statistics(jd, *_work_inputs(built))
     return ReportRow(
         name=config.name, dim=config.dim, beta=config.beta,
-        exp_avg_mi=exp_average, support_defect=jd.support_defect,
-        avg_mi=average_mi, jarzynski_lhs=lhs, jarzynski_rhs=rhs,
-        jarzynski_defect=lhs - rhs,
+        exp_avg_mi=mi.exp_average, support_defect=mi.support_defect,
+        avg_mi=mi.average_mi, jarzynski_lhs=ws.jarzynski_lhs,
+        jarzynski_rhs=ws.jarzynski_rhs, jarzynski_defect=ws.jarzynski_defect,
         unitality_residual=built.experiment.channel.unitality_residual,
-        colsum_max_dev=float(abs(colsums - 1.0).max()),
+        colsum_max_dev=float(abs(ws.conditional_colsums - 1.0).max()),
         factorization_residual=jd.factorization_residual,
-        mi_vs_dissipation_gap=float(abs(i_vals - dissipation).max()))
+        mi_vs_dissipation_gap=compare_mi_to_dissipation(mi, ws))
 
 
 def verify_passed(row: ReportRow, tol: float = DEFAULT_VERIFY_TOL) -> bool:
     """Exponential-average pass rule: exp_avg_mi + support_defect = 1.
 
     The Jensen bound on ``avg_mi`` is enforced by
-    :func:`mutual_information_table` before any row exists.
+    :func:`mutual_information_table`, which forms every row's MI, before
+    the row exists.
     """
     return abs(row.exp_avg_mi + row.support_defect - 1.0) <= tol
 

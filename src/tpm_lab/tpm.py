@@ -271,28 +271,36 @@ def _group_sums(table: np.ndarray, first: ProjectorFamily,
 
 
 class MutualInformationTable(NamedTuple):
-    """Single-trial mutual information and its exponential average, as an
-    immutable ``NamedTuple``.
+    """Single-trial mutual information on the support and its exponential
+    average, as an immutable ``NamedTuple``.
 
-    ``i_table[n, m]`` is ln p(m|n) − ln p(m) on the support mask and NaN
-    elsewhere. ``exp_average`` is Σ p(n,m)·p(m)/p(m|n) over the support,
-    in ratio form (never by exponentiating a log). ``support_defect`` is
-    the product mass 1 − Σ p(n)p(m) the support leaves out, so
-    exp_average + support_defect is identically 1; on full support the
-    defect is 0 and the average is the conservation-of-probability sum.
-    ``average_mi`` is the mutual information of the outcome pair summed
-    over the support: non-negative by convexity on full support, and at
-    least P(S)·ln(P(S)/Q(S)), which may be negative, on a restricted one.
+    ``rows`` and ``cols`` are the support cells p(n,m) > support_epsilon
+    in row-major order, and ``i_values`` their I_nm = ln p(m|n) − ln p(m);
+    ``shape`` is the (N, M) of the outcome table, and the read-only
+    ``i_table`` holds I_nm on the support and NaN elsewhere.
+    ``exp_average`` is Σ p(n,m)·p(m)/p(m|n) over the support, in ratio
+    form (never by exponentiating a log). ``support_defect`` is the
+    product mass 1 − Σ p(n)p(m) the support leaves out, so exp_average +
+    support_defect is identically 1; on full support the defect is 0 and
+    the average is the conservation-of-probability sum. ``average_mi`` is
+    the mutual information of the outcome pair summed over the support:
+    non-negative by convexity on full support, and at least
+    P(S)·ln(P(S)/Q(S)), which may be negative, on a restricted one.
     """
 
-    i_table: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    i_values: np.ndarray
+    shape: tuple[int, int]
     exp_average: float
     support_defect: float
     average_mi: float
 
     @property
-    def support_mask(self) -> np.ndarray:
-        return np.isfinite(self.i_table)
+    def i_table(self) -> np.ndarray:
+        table = np.full(self.shape, np.nan)
+        table[self.rows, self.cols] = self.i_values
+        return _freeze(table)
 
 
 def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
@@ -305,25 +313,13 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
     construction for any distribution that passed
     :func:`distribution_from_joint`).
     """
-    rows, cols, i_vals, exp_average, average_mi = _support_cells(jd)
-    i_table = np.full(jd.shape, np.nan)
-    i_table[rows, cols] = i_vals
-    return MutualInformationTable(
-        i_table=_freeze(i_table), exp_average=exp_average,
-        support_defect=jd.support_defect, average_mi=average_mi)
-
-
-def _support_cells(jd: JointDistribution) -> tuple:
-    """The support cells (rows, cols) in row-major order, their I_nm,
-    exp_average and average_mi, with the checks of
-    :func:`mutual_information_table`: all a report row reads of it."""
     rows, cols = jd.support_mask.nonzero()
     joint = jd.p_joint[rows, cols]
     cond = joint / jd.p_first[rows]
     marginal = jd.p_second[cols]
-    i_vals = np.log(cond) - np.log(marginal)
+    i_values = np.log(cond) - np.log(marginal)
     exp_average = float((joint * marginal / cond).sum())
-    average_mi = float((joint * i_vals).sum())
+    average_mi = float((joint * i_values).sum())
 
     require("bookkeeping", abs(exp_average + jd.support_defect - 1.0), BOOKKEEPING_TOL,
             "bookkeeping identity violated: exp_average + support_defect "
@@ -338,7 +334,10 @@ def _support_cells(jd: JointDistribution) -> tuple:
             f"average mutual information {average_mi!r} is below its "
             f"log-sum bound {jensen_bound!r}",
             invariant="jensen", residual=jensen_bound - average_mi)
-    return rows, cols, i_vals, exp_average, average_mi
+    return MutualInformationTable(
+        rows=_freeze(rows), cols=_freeze(cols), i_values=_freeze(i_values),
+        shape=jd.shape, exp_average=exp_average,
+        support_defect=jd.support_defect, average_mi=average_mi)
 
 
 class WorkStatistics(NamedTuple):
@@ -348,7 +347,8 @@ class WorkStatistics(NamedTuple):
     ``jarzynski_lhs`` is the exact sum Σ p(n,m) e^{−βW_nm};
     ``jarzynski_rhs`` is Z'/Z = e^{−βΔF}; both are finite, since
     :func:`work_statistics` raises rather than return an infinite side.
-    Their difference is ``jarzynski_defect``.
+    Their difference is ``jarzynski_defect``; ``beta`` is the β of both
+    ensembles.
 
     ``conditional_colsums[m]`` is c_m = Σ_n p(m|n), each p(m|n) being
     p(n,m)/p(n), divided out of the joint table on the rows with
@@ -369,7 +369,7 @@ class WorkStatistics(NamedTuple):
     jarzynski_rhs: float
     jarzynski_defect: float
     conditional_colsums: np.ndarray
-    dissipation_table: np.ndarray
+    beta: float
 
 
 def work_statistics(jd: JointDistribution, first_energies, second_energies,
@@ -386,18 +386,6 @@ def work_statistics(jd: JointDistribution, first_energies, second_energies,
     when ⟨e^{−βW}⟩ overflows (``finite_lhs``) or Z'/Z does
     (``finite_rhs``), so no side is infinite; Z'/Z may underflow to 0.
     """
-    work, delta_f, lhs, rhs, colsums = _work_sums(
-        jd, first_energies, second_energies, beta, Z, Z_prime)
-    return WorkStatistics(
-        work_table=_freeze(work), delta_F=delta_f,
-        jarzynski_lhs=lhs, jarzynski_rhs=rhs, jarzynski_defect=lhs - rhs,
-        conditional_colsums=_freeze(colsums),
-        dissipation_table=_freeze(beta * (work - delta_f)))
-
-
-def _work_sums(jd: JointDistribution, first_energies, second_energies,
-               beta: float, Z: float, Z_prime: float) -> tuple:
-    """:func:`work_statistics`'s W, ΔF, lhs, rhs, c and checks."""
     e_first = np.asarray(first_energies, dtype=float)
     e_second = np.asarray(second_energies, dtype=float)
     n_out, m_out = jd.shape
@@ -429,7 +417,7 @@ def _work_sums(jd: JointDistribution, first_energies, second_energies,
     if not math.isfinite(lhs):
         raise ValidationError(
             "exponential work average overflowed", invariant="finite_lhs")
-    rhs = Z_prime / Z
+    rhs = float(Z_prime / Z)
     if not math.isfinite(rhs):
         raise ValidationError(
             f"Z'/Z = {Z_prime!r}/{Z!r} overflowed", invariant="finite_rhs")
@@ -439,21 +427,24 @@ def _work_sums(jd: JointDistribution, first_energies, second_energies,
     defined = (jd.p_first > jd.support_epsilon)[:, None]
     colsums = np.divide(p, jd.p_first[:, None], out=np.zeros(jd.shape),
                         where=defined).sum(axis=0)
-    return work, float(delta_f), lhs, float(rhs), colsums
+    return WorkStatistics(
+        work_table=_freeze(work), delta_F=float(delta_f),
+        jarzynski_lhs=lhs, jarzynski_rhs=rhs, jarzynski_defect=lhs - rhs,
+        conditional_colsums=_freeze(colsums), beta=float(beta))
 
 
 def compare_mi_to_dissipation(mi: MutualInformationTable,
                               ws: WorkStatistics) -> float:
-    """Largest gap between I_nm and β(W_nm − ΔF) over the support.
+    """Largest gap between I_nm and the dissipation β(W_nm − ΔF) over the
+    support cells of ``mi``; ValueError if the two tables' shapes differ.
 
     The two tables coincide exactly only in special scenarios (e.g. the
     channel carries the initial Gibbs state to the final one and the
     conditionals match the final Gibbs weights); this measures how far a
     given experiment is from that identification.
     """
-    if mi.i_table.shape != ws.dissipation_table.shape:
+    if mi.shape != ws.work_table.shape:
         raise ValueError(
-            f"table shapes disagree: {mi.i_table.shape} vs "
-            f"{ws.dissipation_table.shape}")
-    mask = mi.support_mask
-    return float(abs(mi.i_table[mask] - ws.dissipation_table[mask]).max())
+            f"table shapes disagree: {mi.shape} vs {ws.work_table.shape}")
+    dissipation = ws.beta * (ws.work_table[mi.rows, mi.cols] - ws.delta_F)
+    return float(abs(mi.i_values - dissipation).max())

@@ -796,6 +796,47 @@ def test_only_a_beta_or_channel_change_is_retuned(monkeypatch, caplog, field,
         assert eig_count == 2
 
 
+# Calls of the exact engine's table functions, looked up in tpm_lab.cli
+# (where perfbench/tracing.py wraps them), per command: every new joint
+# table gets its MI table, and every report row its work statistics and
+# MI–dissipation gap.
+@pytest.mark.parametrize("argv, calls", [
+    (["verify", "--config", "qubit_hadamard.json"], (1, 1, 1, 1)),
+    (["jarzynski", "--config", "amplitude_damping.json"], (1, 1, 1, 1)),
+    # A maximally mixed state keeps the first point's tables at every β.
+    (["sweep", "--config", "identity_same_basis.json", "--param", "beta",
+      "--values", "0.5", "1", "2"], (1, 1, 3, 3)),
+    # A Gibbs state gets a new table at a new β and keeps it at a repeat.
+    (["sweep", "--config", "qubit_hadamard.json", "--param", "beta",
+      "--values", "1", "1", "2", "--format", "json"], (2, 2, 3, 3)),
+    (["sample", "--config", "qubit_hadamard.json", "--count", "100"],
+     (1, 1, 0, 0)),
+    (["sample", "--config", "qubit_hadamard.json", "--count", "100",
+      "--weight", "work"], (1, 0, 1, 0)),
+], ids=["verify", "jarzynski", "sweep-kept", "sweep-retuned", "sample-mi",
+        "sample-work"])
+def test_every_command_reads_the_public_table_functions(tmp_path, monkeypatch,
+                                                        argv, calls):
+    names = ("joint_distribution", "mutual_information_table",
+             "work_statistics", "compare_mi_to_dissipation")
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    command, option, name, *rest = argv
+    config = str(SCENARIO_DIR / name)
+    out = str(tmp_path / "report")
+    # Amplitude damping fails the Jarzynski check (exit 1) after its row.
+    assert cli.main([command, option, config, *rest, "--out", out]) in (0, 1)
+    assert tuple(counts.values()) == calls
+
+
 @pytest.mark.parametrize("name, argv, code, message", [
     # Point 2's β·spread is 1e6, past the exponent guard.
     ("qubit_hadamard.json", ["--param", "beta", "--values", "1", "1000000"],

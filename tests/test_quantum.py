@@ -313,10 +313,11 @@ def test_kraus_channel_replacement_enters_completeness_and_unitality():
 
 
 def test_kraus_channel_working_memory_stays_a_few_d2_buffers():
-    # ΣΛ†Λ and ΣΛΛ† are summed one product at a time into a d×d buffer.
-    # Beyond its input, a d = 128 dephasing stack (K = 129, 34 MB) then
-    # needs its finiteness mask, one byte an entry, and after it a few d×d
-    # complex buffers: a (K, d, d) stack of products would add 34 MB.
+    # ΣΛ†Λ and ΣΛΛ† are summed one product at a time into a d×d buffer,
+    # and finiteness is read off the stack's min and max. Beyond its input,
+    # a d = 128 dephasing stack (K = 129, 34 MB) then needs a few d×d
+    # complex buffers: a (K, d, d) stack of products would add 34 MB, and
+    # a finiteness mask 2.1 MB.
     dim = 128
     ops = standard_channel("dephasing", dim, 0.3).kraus_ops.copy()
     tracemalloc.start()
@@ -326,7 +327,30 @@ def test_kraus_channel_working_memory_stays_a_few_d2_buffers():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= ops.size + 4 * dim * dim * ops.itemsize, peak
+    assert peak <= 4 * dim * dim * ops.itemsize, peak
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+@pytest.mark.parametrize("entry", [
+    np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(0.0, -np.inf),
+    complex(0.0, np.nan), complex(1e308, -1e308), 0.0])
+def test_kraus_channel_reads_finiteness_off_real_and_imaginary_parts(
+        layout, entry):
+    # A transposed stack's last axis is strided, so its parts are read
+    # separately; either way the verdict is np.isfinite's.
+    ops = np.stack([np.eye(3, dtype=complex) * np.sqrt(0.5)] * 2)
+    ops[1, 0, 2] = entry
+    if layout == "transposed":
+        ops = ops.transpose(0, 2, 1)
+        assert ops.strides[-1] != ops.itemsize
+    if entry == 0.0:
+        KrausChannel(ops)
+        return
+    with pytest.raises(ValidationError) as err:
+        KrausChannel(ops)
+    # A finite entry this large overflows the completeness residual.
+    assert err.value.invariant == ("finite_entries" if not np.isfinite(entry)
+                                   else "completeness")
 
 
 @pytest.mark.parametrize("ops, error, invariant", [
