@@ -11,7 +11,7 @@ measurements it specializes to the Jarzynski equality
 scenarios from the command line.
 """
 
-from .errors import ConfigError, ValidationError
+from .errors import Check, ConfigError, ValidationError
 from .linalg import (
     haar_random_unitary,
     hermitian_eig,
@@ -57,6 +57,7 @@ from .tpm import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Check",
     "ConfigError",
     "ValidationError",
     "hermitian_eig",

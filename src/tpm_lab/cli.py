@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import Check, ConfigError, ValidationError
 from .sampler import (
     MAX_COUNT,
     EstimatorReport,
@@ -42,6 +42,8 @@ from .scenarios import (
     sweep_configs,
 )
 from .tpm import (
+    BOOKKEEPING_TOL,
+    JARZYNSKI_TOL,
     JointDistribution,
     MutualInformationTable,
     TpmExperiment,
@@ -64,11 +66,12 @@ __all__ = [
 
 log = logging.getLogger("tpm_lab")
 
-DEFAULT_VERIFY_TOL = 1e-10
-DEFAULT_JARZYNSKI_TOL = 1e-8
 # Thresholds for stderr diagnostics only; they gate no computation.
 NOT_FULL_SUPPORT_FLAG = 1e-10
 NON_UNITAL_FLAG = 1e-8
+# The check each verdict command reads, and the identity it logs.
+_VERDICTS = {"verify": ("bookkeeping", "exponential-average bookkeeping"),
+             "jarzynski": ("jarzynski", "Jarzynski equality")}
 
 EXIT_PASS = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -109,20 +112,20 @@ def _joint(built: BuiltScenario, transition=None) -> JointDistribution:
 
 
 def _flag(built: BuiltScenario, jd: JointDistribution) -> None:
-    """Log a scenario's diagnostic flags to stderr, via logging only."""
-    name = built.config.name
-    if jd.support_defect > NOT_FULL_SUPPORT_FLAG:
-        log.warning("NOT-FULL-SUPPORT scenario=%s support_defect=%.6g",
-                    name, jd.support_defect)
-    unitality = built.experiment.channel.unitality_residual
-    if unitality > NON_UNITAL_FLAG:
-        log.warning("NON-UNITAL scenario=%s unitality_residual=%.6g",
-                    name, unitality)
-    max_rank = max(built.experiment.first_measurement.max_rank,
-                   built.experiment.second_measurement.max_rank)
-    if max_rank > 1:
-        log.warning("DEGENERATE-SPECTRUM scenario=%s max_projector_rank=%d",
-                    name, max_rank)
+    """Log each failed diagnostic flag check to stderr, via logging only."""
+    experiment = built.experiment
+    max_rank = max(experiment.first_measurement.max_rank,
+                   experiment.second_measurement.max_rank)
+    for text, check in (
+            ("NOT-FULL-SUPPORT scenario=%s support_defect=%.6g",
+             Check("full_support", jd.support_defect, NOT_FULL_SUPPORT_FLAG)),
+            ("NON-UNITAL scenario=%s unitality_residual=%.6g",
+             Check("unitality", experiment.channel.unitality_residual,
+                   NON_UNITAL_FLAG)),
+            ("DEGENERATE-SPECTRUM scenario=%s max_projector_rank=%d",
+             Check("rank_one", max_rank, 1))):
+        if not check.passed:
+            log.warning(text, built.config.name, check.value)
 
 
 class _Tables(NamedTuple):
@@ -165,20 +168,22 @@ def _work_inputs(built: BuiltScenario) -> tuple:
             built.second_ensemble.partition_function)
 
 
-def run_verify(config: ScenarioConfig) -> ReportRow:
-    """Build a scenario and compute every report column."""
+def run_verify(config: ScenarioConfig) -> tuple[ReportRow, tuple[Check, ...]]:
+    """Build a scenario: every report column, and the checks it passed."""
     return _row(build_scenario(config))
 
 
-def _row(built: BuiltScenario, tables: _Tables | None = None) -> ReportRow:
+def _row(built: BuiltScenario, tables: _Tables | None = None
+         ) -> tuple[ReportRow, tuple[Check, ...]]:
     """Every report column of a built scenario, read from its ``tables``
     (formed here if not given) and its :func:`work_statistics`: the
     records, checks and errors that ``sample`` and library callers get,
-    and the gap of :func:`compare_mi_to_dissipation`."""
+    and the gap of :func:`compare_mi_to_dissipation`. Returned with the
+    checks of those two records."""
     config = built.config
     _, jd, mi = _tables(built) if tables is None else tables
     ws = work_statistics(jd, *_work_inputs(built))
-    return ReportRow(
+    row = ReportRow(
         name=config.name, dim=config.dim, beta=config.beta,
         exp_avg_mi=mi.exp_average, support_defect=mi.support_defect,
         avg_mi=mi.average_mi, jarzynski_lhs=ws.jarzynski_lhs,
@@ -187,34 +192,7 @@ def _row(built: BuiltScenario, tables: _Tables | None = None) -> ReportRow:
         colsum_max_dev=float(abs(ws.conditional_colsums - 1.0).max()),
         factorization_residual=jd.factorization_residual,
         mi_vs_dissipation_gap=compare_mi_to_dissipation(mi, ws))
-
-
-def verify_passed(row: ReportRow, tol: float = DEFAULT_VERIFY_TOL) -> bool:
-    """Exponential-average pass rule: exp_avg_mi + support_defect = 1.
-
-    The Jensen bound on ``avg_mi`` is enforced by
-    :func:`mutual_information_table`, which forms every row's MI, before
-    the row exists.
-    """
-    return abs(row.exp_avg_mi + row.support_defect - 1.0) <= tol
-
-
-def jarzynski_passed(row: ReportRow,
-                     tol: float = DEFAULT_JARZYNSKI_TOL) -> bool:
-    """Relative pass rule |lhs/rhs − 1| = |⟨e^{−β(W−ΔF)}⟩ − 1| ≤ tol, which
-    a constant shift c of a spectrum leaves unchanged (|lhs − rhs| ∝ e^{−βc}).
-
-    The rule needs rhs = Z'/Z as a positive finite double. A ratio that
-    overflows never reaches it (:func:`~tpm_lab.tpm.work_statistics`
-    raises ``finite_rhs``); when the ratio underflows to 0, no verdict can
-    be read from it, so it raises :class:`ValidationError`
-    (``representable_rhs``) rather than dividing by zero."""
-    if not 0.0 < row.jarzynski_rhs < math.inf:
-        raise ValidationError(
-            f"Z'/Z = {row.jarzynski_rhs!r} is not a positive finite double; "
-            f"the relative Jarzynski check cannot be formed",
-            invariant="representable_rhs")
-    return abs(row.jarzynski_lhs / row.jarzynski_rhs - 1.0) <= tol
+    return row, mi.checks + ws.checks
 
 
 def run_sweep(config: ScenarioConfig, parameter: str,
@@ -240,7 +218,7 @@ def run_sweep(config: ScenarioConfig, parameter: str,
     for variant in sweep_configs(config, parameter, values):
         built = build_scenario(variant, previous=built)
         tables = _tables(built, tables)
-        rows.append(_row(built, tables))
+        rows.append(_row(built, tables)[0])
     return rows
 
 
@@ -383,12 +361,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", parents=[rows],
         help="check ⟨e^{-I}⟩ bookkeeping and the Jensen bound on the MI")
-    p_verify.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL)
+    p_verify.add_argument(
+        "--tol", type=float, default=BOOKKEEPING_TOL,
+        help="absolute bound on |⟨e^{-I}⟩ + support_defect − 1| (default "
+             "%(default)g); a larger tol cannot pass a residual the engine "
+             "already rejects: that run exits 3 with bookkeeping")
     p_jarzynski = sub.add_parser(
         "jarzynski", parents=[rows],
         help="check ⟨e^{-βW}⟩ = Z'/Z")
     p_jarzynski.add_argument(
-        "--tol", type=float, default=DEFAULT_JARZYNSKI_TOL,
+        "--tol", type=float, default=JARZYNSKI_TOL,
         help="relative tolerance on ⟨e^{-βW}⟩/(Z'/Z) − 1 (default %(default)g)")
     p_sweep = sub.add_parser(
         "sweep", parents=[rows],
@@ -422,21 +404,25 @@ def _dispatch(args) -> int:
         rows = run_sweep(config, args.param, list(args.values))
     else:
         tol = _number(args.tol, "--tol", "[0, inf)")
-        rows = [run_verify(config)]
-        rule, check = ((verify_passed, "exponential-average bookkeeping")
-                       if args.command == "verify"
-                       else (jarzynski_passed, "Jarzynski equality"))
-        # Read before the report is written: a row whose check cannot be
-        # formed is a validation error, which writes no report.
-        passed = rule(rows[0], tol)
+        invariant, identity = _VERDICTS[args.command]
+        row, checks = run_verify(config)
+        rows, verdict = [row], next(check for check in checks if
+                                    check.invariant == invariant)._replace(bound=tol)
+        # Read before the report is written: a NaN verdict cannot be formed
+        # (see WorkStatistics), a validation error, which writes no report.
+        if math.isnan(verdict.value):
+            raise ValidationError(
+                f"Z'/Z = {row.jarzynski_rhs!r} is not a positive finite "
+                f"double; the relative Jarzynski check cannot be formed",
+                invariant="representable_rhs")
     _write_output(rows_to_csv(rows) if args.format == "csv"
                   else rows_to_json(rows), args.out)
     if args.command == "sweep":
         return EXIT_PASS
-    if passed:
-        log.info("PASS %s: %s", config.name, check)
+    if verdict.passed:
+        log.info("PASS %s: %s", config.name, identity)
         return EXIT_PASS
-    log.error("FAIL %s: %s (tol %g)", config.name, check, tol)
+    log.error("FAIL %s: %s (tol %g)", config.name, identity, verdict.bound)
     return EXIT_IDENTITY_FAILURE
 
 

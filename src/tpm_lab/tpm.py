@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, require
+from .errors import Check, ValidationError, require
 from .quantum import (
     DensityMatrix,
     KrausChannel,
@@ -52,6 +52,7 @@ PROBABILITY_BOUND_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
 BOOKKEEPING_TOL = 1e-10
 JENSEN_TOL = 1e-12
+JARZYNSKI_TOL = 1e-8
 
 
 class _TpmExperimentFields(NamedTuple):
@@ -108,6 +109,7 @@ class JointDistribution(NamedTuple):
       measurement bases. It depends on neither the state nor β, so
       :func:`joint_distribution` keeps it for a β retune of a Gibbs state
       to reuse; None for a table given to :func:`distribution_from_joint`.
+    - ``checks``: the passed ``normalization`` check.
     """
 
     p_joint: np.ndarray
@@ -118,6 +120,7 @@ class JointDistribution(NamedTuple):
     support_epsilon: float
     factorization_residual: float
     transition: np.ndarray | None = None
+    checks: tuple[Check, ...] = ()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -150,12 +153,12 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
     if not -PROBABILITY_BOUND_TOL <= low <= high <= 1 + PROBABILITY_BOUND_TOL:
         raise ValidationError(
             f"probabilities out of bounds: min {low:.3e}, max {high:.3e}",
-            invariant="probability_bounds",
-            residual=max(-low, high - 1.0))
+            check=Check("probability_bounds", max(-low, high - 1.0),
+                        PROBABILITY_BOUND_TOL))
     p.clip(0.0, 1.0, out=p)
     total = float(p.sum())
-    require("normalization", abs(total - 1.0), NORMALIZATION_TOL,
-            "joint table sums to {total!r}, not 1", total=total)
+    normalization = require("normalization", abs(total - 1.0), NORMALIZATION_TOL,
+                            "joint table sums to {total!r}, not 1", total=total)
     p_first = p.sum(axis=1)
     p_second = p.sum(axis=0)
     mask = p > support_epsilon
@@ -170,7 +173,8 @@ def distribution_from_joint(p_joint, support_epsilon: float = DEFAULT_SUPPORT_EP
         support_defect=1.0 - float((p_first[rows] * p_second[cols]).sum()),
         support_epsilon=float(support_epsilon),
         factorization_residual=float(factorization_residual),
-        transition=None if transition is None else _freeze(transition))
+        transition=None if transition is None else _freeze(transition),
+        checks=(normalization,))
 
 
 def joint_distribution(experiment: TpmExperiment,
@@ -286,6 +290,7 @@ class MutualInformationTable(NamedTuple):
     the mutual information of the outcome pair summed over the support:
     non-negative by convexity on full support, and at least
     P(S)·ln(P(S)/Q(S)), which may be negative, on a restricted one.
+    ``checks`` holds the passed ``bookkeeping`` check.
     """
 
     rows: np.ndarray
@@ -295,6 +300,7 @@ class MutualInformationTable(NamedTuple):
     exp_average: float
     support_defect: float
     average_mi: float
+    checks: tuple[Check, ...]
 
     @property
     def i_table(self) -> np.ndarray:
@@ -321,9 +327,9 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
     exp_average = float((joint * marginal / cond).sum())
     average_mi = float((joint * i_values).sum())
 
-    require("bookkeeping", abs(exp_average + jd.support_defect - 1.0), BOOKKEEPING_TOL,
-            "bookkeeping identity violated: exp_average + support_defect "
-            "deviates from 1 by {value:.3e}")
+    bookkeeping = require("bookkeeping", abs(exp_average + jd.support_defect - 1.0),
+                          BOOKKEEPING_TOL, "bookkeeping identity violated: "
+                          "exp_average + support_defect deviates from 1 by {value:.3e}")
     # Log-sum inequality on the support S with q = p(n)p(m):
     # Σ_S p ln(p/q) ≥ P(S) ln(P(S)/Q(S)). Q(S) = Σ_S q is exp_average,
     # summed without the cancellation in 1 − support_defect.
@@ -333,11 +339,11 @@ def mutual_information_table(jd: JointDistribution) -> MutualInformationTable:
         raise ValidationError(
             f"average mutual information {average_mi!r} is below its "
             f"log-sum bound {jensen_bound!r}",
-            invariant="jensen", residual=jensen_bound - average_mi)
+            check=Check("jensen", jensen_bound - average_mi, JENSEN_TOL))
     return MutualInformationTable(
         rows=_freeze(rows), cols=_freeze(cols), i_values=_freeze(i_values),
         shape=jd.shape, exp_average=exp_average,
-        support_defect=jd.support_defect, average_mi=average_mi)
+        support_defect=jd.support_defect, average_mi=average_mi, checks=(bookkeeping,))
 
 
 class WorkStatistics(NamedTuple):
@@ -348,7 +354,12 @@ class WorkStatistics(NamedTuple):
     ``jarzynski_rhs`` is Z'/Z = e^{−βΔF}; both are finite, since
     :func:`work_statistics` raises rather than return an infinite side.
     Their difference is ``jarzynski_defect``; ``beta`` is the β of both
-    ensembles.
+    ensembles. ``checks`` holds the ``jarzynski`` check, a verdict that may
+    fail: the relative defect |lhs/rhs − 1| = |⟨e^{−β(W−ΔF)}⟩ − 1|, which a
+    constant shift c of a spectrum leaves unchanged (|lhs − rhs| ∝ e^{−βc}),
+    against ``JARZYNSKI_TOL``. Its value is NaN where Z'/Z underflows to 0:
+    no verdict can be formed there, and a caller that needs one reports
+    ``representable_rhs``, as the ``jarzynski`` command does.
 
     ``conditional_colsums[m]`` is c_m = Σ_n p(m|n), each p(m|n) being
     p(n,m)/p(n), divided out of the joint table on the rows with
@@ -370,6 +381,7 @@ class WorkStatistics(NamedTuple):
     jarzynski_defect: float
     conditional_colsums: np.ndarray
     beta: float
+    checks: tuple[Check, ...]
 
 
 def work_statistics(jd: JointDistribution, first_energies, second_energies,
@@ -430,7 +442,9 @@ def work_statistics(jd: JointDistribution, first_energies, second_energies,
     return WorkStatistics(
         work_table=_freeze(work), delta_F=float(delta_f),
         jarzynski_lhs=lhs, jarzynski_rhs=rhs, jarzynski_defect=lhs - rhs,
-        conditional_colsums=_freeze(colsums), beta=float(beta))
+        conditional_colsums=_freeze(colsums), beta=float(beta),
+        checks=(Check("jarzynski", abs(lhs / rhs - 1.0) if rhs else math.nan,
+                      JARZYNSKI_TOL),))
 
 
 def compare_mi_to_dissipation(mi: MutualInformationTable,

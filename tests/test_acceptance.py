@@ -136,7 +136,7 @@ def test_work_exponential_average_equals_partition_ratio():
         worst = max(worst, abs(ws.jarzynski_defect))
 
     # Shipped qubit example against the 4-term hand sum.
-    row = cli.run_verify(
+    row, _ = cli.run_verify(
         cli.load_scenario(SCENARIO_DIR / "qubit_hadamard.json"))
     z = 1.0 + np.exp(-1.0)
     hand_sum = (0.5 / z * (np.exp(0.0) + np.exp(-2.0))

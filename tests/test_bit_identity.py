@@ -222,7 +222,7 @@ def test_report_row_is_read_off_the_full_tables(source, parameter, values):
         except (ConfigError, ValidationError, OverflowError):
             break
         jd, i_table, colsums, *want = reference_row(built)
-        row = cli.run_verify(variant)
+        row, _ = cli.run_verify(variant)
         got = (row.exp_avg_mi, row.support_defect, row.avg_mi,
                row.jarzynski_lhs, row.jarzynski_rhs, row.jarzynski_defect,
                row.colsum_max_dev, row.mi_vs_dissipation_gap)

@@ -9,6 +9,7 @@ import json
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,6 +54,13 @@ def raw_config(**overrides) -> dict:
     return raw
 
 
+def checked_row(path: Path) -> tuple[cli.ReportRow, dict[str, bool]]:
+    """The report row of a scenario file and whether each of the checks
+    its verdicts read passes, by invariant."""
+    row, checks = cli.run_verify(load_scenario(path))
+    return row, {check.invariant: check.passed for check in checks}
+
+
 def write_config(tmp_path: Path, raw: dict, name: str = "cfg.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(raw), encoding="utf-8")
@@ -71,13 +79,12 @@ def test_shipped_configs_exist():
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_shipped_configs_parse_build_and_run(path):
-    config = load_scenario(path)
-    row = cli.run_verify(config)
+    row, passed = checked_row(path)
     for column in cli.REPORT_COLUMNS:
         value = getattr(row, column)
         if column != "name":
             assert np.isfinite(value)
-    assert cli.verify_passed(row)
+    assert passed["bookkeeping"]
 
 
 @pytest.mark.parametrize("missing", ["name", "dim", "beta", "initial",
@@ -367,21 +374,20 @@ def test_derive_seed_is_stable_and_role_separated():
 # --- run_verify and report rows ---------------------------------------------
 
 def test_verify_qubit_hadamard_row():
-    row = cli.run_verify(load_scenario(SCENARIO_DIR / "qubit_hadamard.json"))
+    row, passed = checked_row(SCENARIO_DIR / "qubit_hadamard.json")
     assert abs(row.exp_avg_mi - 1.0) <= 1e-10
     assert abs(row.jarzynski_defect) <= 1e-12
     closed_form = (1.0 + np.exp(-2.0)) / (1.0 + np.exp(-1.0))
     assert row.jarzynski_lhs == pytest.approx(closed_form, abs=1e-12)
     assert row.factorization_residual <= 1e-12
-    assert cli.verify_passed(row) and cli.jarzynski_passed(row)
+    assert passed == {"bookkeeping": True, "jarzynski": True}
 
 
 def test_verify_identity_same_basis_row():
-    row = cli.run_verify(
-        load_scenario(SCENARIO_DIR / "identity_same_basis.json"))
+    row, passed = checked_row(SCENARIO_DIR / "identity_same_basis.json")
     assert row.support_defect == pytest.approx(0.5, abs=1e-12)
     assert row.exp_avg_mi == pytest.approx(0.5, abs=1e-12)
-    assert cli.verify_passed(row)
+    assert passed["bookkeeping"]
 
 
 def test_verify_accepts_restricted_support_above_jensen_bound(tmp_path,
@@ -411,11 +417,9 @@ def test_verify_accepts_restricted_support_above_jensen_bound(tmp_path,
 
 
 def test_verify_amplitude_damping_row():
-    row = cli.run_verify(
-        load_scenario(SCENARIO_DIR / "amplitude_damping.json"))
+    row, passed = checked_row(SCENARIO_DIR / "amplitude_damping.json")
     assert abs(row.jarzynski_defect) > 1e-3
-    assert not cli.jarzynski_passed(row)
-    assert cli.verify_passed(row)
+    assert passed == {"bookkeeping": True, "jarzynski": False}
     assert row.unitality_residual == pytest.approx(0.5 * np.sqrt(2.0),
                                                    abs=1e-12)
 
@@ -655,7 +659,7 @@ def test_sweep_matches_the_per_point_loop(caplog, source, parameter, values):
     oracle, oracle_error = [], None
     with caplog.at_level("DEBUG", logger="tpm_lab"):
         for variant in sweep_configs(config, parameter, values):
-            row, oracle_error = caught(lambda: cli.run_verify(variant))
+            row, oracle_error = caught(lambda: cli.run_verify(variant)[0])
             if oracle_error:
                 break
             oracle.append(row)
@@ -906,6 +910,31 @@ def test_sample_emits_diagnostic_flags(caplog, tmp_path, capsys):
     assert sample_flags == verify_flags
     assert "NON-UNITAL" not in out.read_text(encoding="utf-8")
     assert capsys.readouterr().out == ""
+
+
+def flag_lines(caplog, support_defect, unitality, max_rank) -> list[str]:
+    """The stderr flags of a scenario with these three values."""
+    rank = lambda r: SimpleNamespace(max_rank=r)  # noqa: E731
+    built = SimpleNamespace(
+        config=SimpleNamespace(name="s"),
+        experiment=SimpleNamespace(
+            channel=SimpleNamespace(unitality_residual=unitality),
+            first_measurement=rank(1), second_measurement=rank(max_rank)))
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="tpm_lab"):
+        cli._flag(built, SimpleNamespace(support_defect=support_defect))
+    return [r.getMessage() for r in caplog.records]
+
+
+def test_each_flag_fires_just_above_its_threshold(caplog):
+    # Each flag is a check whose bound is its threshold: at the bound it
+    # passes, one double above it fails and logs its line.
+    assert flag_lines(caplog, 1e-10, 1e-8, 1) == []
+    assert flag_lines(caplog, math.nextafter(1e-10, 1.0),
+                      math.nextafter(1e-8, 1.0), 2) == [
+        "NOT-FULL-SUPPORT scenario=s support_defect=1e-10",
+        "NON-UNITAL scenario=s unitality_residual=1e-08",
+        "DEGENERATE-SPECTRUM scenario=s max_projector_rank=2"]
 
 
 def test_run_sample_validation():
@@ -1219,7 +1248,8 @@ def parse_report_csv(text: str) -> list[cli.ReportRow]:
 
 
 def test_csv_round_trip_preserves_values():
-    row = cli.run_verify(load_scenario(SCENARIO_DIR / "qubit_hadamard.json"))
+    row, _ = cli.run_verify(
+        load_scenario(SCENARIO_DIR / "qubit_hadamard.json"))
     text = cli.rows_to_csv([row])
     parsed = parse_report_csv(text)
     assert parsed == [row]

@@ -53,6 +53,10 @@ def row(name, config, argv: str, code, limit=None):
 ROWS = [
     *(row(f"help-{command}", None, f"{command} --help", 0)
       for command in ("verify", "jarzynski", "sweep", "sample")),
+    # A bookkeeping residual of 2.2e−16 passes the engine's 1e−10 and
+    # fails a tighter verdict: exit 1, with a FAIL line naming the tol.
+    row("verify-tol-below-residual", haar(3, scale=0.125, seed=5),
+        "verify --tol 1e-16", 1),
     # Depolarizing is one Kraus operator plus a replacement weight.
     row("depolarizing-d128", haar(128, "depolarizing_d{}", channel={
         "kind": "depolarizing", "p": 0.3}), "jarzynski", 0, limit=60),
@@ -162,6 +166,7 @@ def test_row(tmp_path, capsys, caplog, request, config, argv, code, limit):
         got, out, messages = run_main(
             capsys, caplog, with_config(argv, config_path(tmp_path, config)))
     assert got == code, messages
+    assert code != 1 or messages[-1].startswith("FAIL "), messages
 
 
 BETAS = ["0.1", "0.25", "0.5", "1", "1.5", "2", "3", "0.5"]

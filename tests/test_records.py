@@ -51,7 +51,7 @@ def records():
     built = build_scenario(config)
     jd = joint_distribution(built.experiment)
     return {
-        cli.ReportRow: cli.run_verify(config),
+        cli.ReportRow: cli.run_verify(config)[0],
         EstimatorReport: cli.run_sample(config, 100),
         quantum.GibbsEnsemble: built.first_ensemble,
         TpmExperiment: built.experiment,

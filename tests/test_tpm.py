@@ -3,6 +3,8 @@ work statistics."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from conftest import (
     random_nonunitary_channel,
     random_rank1_experiment,
 )
-from tpm_lab.errors import ValidationError
+from tpm_lab import tpm
+from tpm_lab.errors import Check, ValidationError
 from tpm_lab.linalg import hermitian_eig
 from tpm_lab.quantum import (
     DensityMatrix,
@@ -409,6 +412,38 @@ def test_work_statistics_amplitude_damping_counterexample():
     brute = brute_force_work_average(jd, [0.0, 1.0], [0.0, 1.0], 1.0)
     assert ws.jarzynski_lhs == pytest.approx(brute, abs=1e-12)
     assert ws.jarzynski_defect == pytest.approx(brute - 1.0, abs=1e-12)
+
+
+def test_records_carry_the_checks_they_ran():
+    # Each record returns its checks; the Jarzynski check is a verdict, so
+    # it may fail, and it cannot be formed where Z'/Z underflows to 0.
+    jd = distribution_from_joint(RESTRICTED_SUPPORT_JOINT,
+                                 support_epsilon=RESTRICTED_SUPPORT_EPSILON)
+    assert jd.checks == (Check("normalization",
+                               abs(float(jd.p_joint.sum()) - 1.0),
+                               tpm.NORMALIZATION_TOL),)
+    mi = mutual_information_table(jd)
+    assert mi.checks == (Check(
+        "bookkeeping", abs(mi.exp_average + mi.support_defect - 1.0),
+        tpm.BOOKKEEPING_TOL),)
+    energies = [0.0, 1.0, 2.0]
+    # Z'/Z = 1e−300 forms a failed check; 1e−600 underflows to 0.
+    for z_prime in (1.0, 1e-300):
+        ws = work_statistics(jd, energies, energies, 1.0, 1e300, z_prime)
+        check, = ws.checks
+        assert (check.invariant, check.bound, check.passed) == (
+            "jarzynski", tpm.JARZYNSKI_TOL, False)
+        if ws.jarzynski_rhs:
+            assert check.value == abs(ws.jarzynski_lhs / ws.jarzynski_rhs - 1)
+        else:
+            assert math.isnan(check.value)
+    experiment, ens_first, ens_second = hadamard_setup()
+    ws = work_statistics(joint_distribution(experiment),
+                         experiment.first_measurement.energies,
+                         experiment.second_measurement.energies, 1.0,
+                         ens_first.partition_function,
+                         ens_second.partition_function)
+    assert ws.checks[0].passed and ws.checks[0].value <= 1e-15
 
 
 def test_work_identity_for_random_unitary_scenarios():
