@@ -18,6 +18,7 @@ import math
 import operator
 import sys
 from functools import cache
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple, get_type_hints
@@ -140,6 +141,18 @@ class ScenarioConfig(NamedTuple):
 # The spec fields of the schema, the ones annotated ``dict``.
 _SPEC_FIELDS = tuple(name for name, kind
                      in get_type_hints(ScenarioConfig).items() if kind is dict)
+# Each spec field's kinds, by the end of its name, with the keys besides
+# "kind" that their builders read: a spec holding any other key is an error.
+_SPEC_KINDS = {field: {kind: frozenset(f"kind {keys}".split()) for kind, keys
+                       in kinds.items()} for suffix, kinds in {
+    "initial": {"gibbs": "", "maximally_mixed": "", "explicit": "matrix"},
+    "hamiltonian": {"diagonal": "energies", "explicit": "matrix",
+                    "random": "scale"},
+    "channel": {"identity": "", "haar_random": "", "kraus": "operators",
+                **_CHANNEL_PARAM_KEYS},
+    "measurement": {"eigenbasis": "degeneracy_gap",
+                    "projectors": "projectors energies"},
+}.items() for field in _SPEC_FIELDS if field.endswith(suffix)}
 
 
 class BuiltScenario(NamedTuple):
@@ -161,7 +174,9 @@ def load_scenario(path) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
+    except ConfigError:
+        raise
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: "
@@ -171,20 +186,35 @@ def load_scenario(path) -> ScenarioConfig:
     return scenario_from_dict(raw, source=str(path))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object's dict; a key it gives twice, of which ``json``
+    would keep the last, is a ConfigError naming the key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = sorted(key for key, _ in pairs)
+        key = next(a for a, b in zip(keys, keys[1:]) if a == b)
+        raise ConfigError(f"key {key!r} is given twice", field=key)
+    return obj
+
+
+def _only_keys(obj, allowed, field: str) -> None:
+    """Raise a ConfigError if ``obj`` holds a key outside the set
+    ``allowed``, naming ``field`` with ``{}`` as the first such key."""
+    if not allowed.issuperset(obj):
+        unknown = sorted(set(obj) - allowed, key=str)
+        raise ConfigError(f"unknown keys {unknown}, expected only "
+                          f"{sorted(allowed)}", field=field.format(unknown[0]))
+
+
 def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     """Validate a raw config dict into a :class:`ScenarioConfig`."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: config must be a JSON object")
-    schema = ScenarioConfig._fields
-    for name in schema:
+    for name in ScenarioConfig._fields:
         if name not in raw and name not in ScenarioConfig._field_defaults:
             raise ConfigError(f"{source}: missing required field {name!r}",
                               field=name)
-    unknown = set(raw) - set(schema)
-    if unknown:
-        raise ConfigError(
-            f"{source}: unknown fields {sorted(unknown)}",
-            field=sorted(unknown)[0])
+    _only_keys(raw, set(ScenarioConfig._fields), "{}")
 
     name = raw["name"]
     if not isinstance(name, str) or not name:
@@ -197,25 +227,24 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         if not isinstance(spec, dict):
             raise ConfigError(f"{source}: {spec_name!r} must be an object",
                               field=spec_name)
-    unknown_tol = set(specs.get("tolerances", {})) - {"support_epsilon"}
-    if unknown_tol:
-        raise ConfigError(
-            f"{source}: unknown tolerance overrides {sorted(unknown_tol)}",
-            field="tolerances")
+    _only_keys(specs.get("tolerances", {}), {"support_epsilon"}, "tolerances")
     return ScenarioConfig(name=name, **numbers,
                           **{key: dict(spec) for key, spec in specs.items()})
 
 
-def _parse_matrix(spec, dim: int, field_name: str) -> np.ndarray:
+def _parse_matrix(spec, field_name: str, dim: int) -> np.ndarray:
+    """The dim × dim matrix of a ``{"re": …, "im": …}`` spec, whose entries
+    follow :func:`_number`'s rule, or a ConfigError naming ``field_name``."""
     if not isinstance(spec, dict) or "re" not in spec:
         raise ConfigError(
             f"matrix spec for {field_name!r} must be an object with 're' "
             "(and optionally 'im') arrays", field=field_name)
+    _only_keys(spec, {"re", "im"}, field_name)
     try:
         re_part = np.array(spec["re"], dtype=float)
         im_part = (np.array(spec["im"], dtype=float) if "im" in spec
                    else np.zeros_like(re_part))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
             f"matrix entries for {field_name!r} are not numeric: {exc}",
             field=field_name) from exc
@@ -223,31 +252,45 @@ def _parse_matrix(spec, dim: int, field_name: str) -> np.ndarray:
         raise ConfigError(
             f"matrix for {field_name!r} must be {dim}x{dim}, got "
             f"re {re_part.shape}, im {im_part.shape}", field=field_name)
+    # True and None convert to 1.0 and NaN, so the entry types are read too.
+    entries = chain.from_iterable(chain(spec["re"], spec.get("im", ())))
+    if not (np.isfinite(re_part).all() and np.isfinite(im_part).all()
+            and all(issubclass(t, (int, float)) and not issubclass(t, bool)
+                    for t in set(map(type, entries)))):
+        raise ConfigError(f"matrix entries for {field_name!r} must be finite "
+                          "numbers, not bools or null", field=field_name)
     return re_part + 1j * im_part
 
 
-def _kind_of(spec: dict, field_name: str, allowed: tuple[str, ...]) -> str:
+def _kind_of(spec: dict, field_name: str) -> str:
+    """The spec's kind, if :data:`_SPEC_KINDS` lists it and all its keys."""
     kind = spec.get("kind")
-    if kind not in allowed:
-        raise ConfigError(
-            f"{field_name!r} kind must be one of {allowed}, got {kind!r}",
-            field=field_name)
+    keys = _SPEC_KINDS[field_name].get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ConfigError(f"{field_name!r} kind must be one of "
+                          f"{tuple(_SPEC_KINDS[field_name])}, got {kind!r}",
+                          field=field_name)
+    _only_keys(spec, keys, field_name + ".{}")
     return kind
+
+
+def _items(spec: dict, key: str, field_name: str, read, *args, length=None):
+    """``read(item, field, *args)`` of each item of the list ``spec[key]``."""
+    seq, field = spec.get(key), f"{field_name}.{key}"
+    if not (isinstance(seq, list) and seq and length in (None, len(seq))):
+        raise ConfigError(f"{field!r} must be a nonempty list" + (
+            f" of length {length}" if length else ""), field=field)
+    return [read(item, f"{field}[{k}]", *args) for k, item in enumerate(seq)]
 
 
 def _build_hamiltonian(spec: dict, dim: int, seed: int, role: int,
                        field_name: str) -> np.ndarray:
-    kind = _kind_of(spec, field_name, ("diagonal", "explicit", "random"))
+    kind = _kind_of(spec, field_name)
     if kind == "diagonal":
-        energies = spec.get("energies")
-        if not isinstance(energies, list) or len(energies) != dim:
-            raise ConfigError(
-                f"{field_name!r} diagonal spec needs an 'energies' list of "
-                f"length {dim}", field=f"{field_name}.energies")
-        return np.diag([_number(e, f"{field_name}.energies[{k}]")
-                        for k, e in enumerate(energies)]).astype(np.complex128)
+        return np.diag(_items(spec, "energies", field_name, _number,
+                              length=dim)).astype(np.complex128)
     if kind == "explicit":
-        return _parse_matrix(spec.get("matrix"), dim, field_name)
+        return _parse_matrix(spec.get("matrix"), field_name, dim)
     rng = np.random.default_rng(derive_seed(seed, role))
     return random_hermitian(dim, rng, scale=_number(
         spec.get("scale", 1.0), f"{field_name}.scale"))
@@ -255,47 +298,25 @@ def _build_hamiltonian(spec: dict, dim: int, seed: int, role: int,
 
 def _build_measurement(spec: dict, ensemble: GibbsEnsemble,
                        field_name: str) -> ProjectorFamily:
-    kind = _kind_of(spec, field_name, ("eigenbasis", "projectors"))
+    kind = _kind_of(spec, field_name)
     if kind == "eigenbasis":
         gap = (_number(spec["degeneracy_gap"], f"{field_name}.degeneracy_gap",
                        "[0, inf)") if "degeneracy_gap" in spec else None)
         return eigen_measurement(ensemble.energies, ensemble.basis, gap)
-    mats = spec.get("projectors")
-    if not isinstance(mats, list) or not mats:
-        raise ConfigError(
-            f"{field_name!r} needs a nonempty 'projectors' list",
-            field=f"{field_name}.projectors")
-    energies = spec.get("energies")
-    if not isinstance(energies, list) or len(energies) != len(mats):
-        raise ConfigError(
-            f"{field_name!r} explicit projector lists must carry an "
-            "'energies' list of the same length (needed for the work "
-            "statistics columns)", field=f"{field_name}.energies")
-    dim = len(ensemble.energies)
-    parsed = [_parse_matrix(m, dim, f"{field_name}.projectors[{k}]")
-              for k, m in enumerate(mats)]
-    return ProjectorFamily(parsed, [_number(e, f"{field_name}.energies[{k}]")
-                                    for k, e in enumerate(energies)])
+    parsed = _items(spec, "projectors", field_name, _parse_matrix,
+                    len(ensemble.energies))
+    # One energy per projector, for the work statistics columns.
+    return ProjectorFamily(parsed, _items(spec, "energies", field_name,
+                                          _number, length=len(parsed)))
 
 
 def _build_channel(config: ScenarioConfig,
                    second_ensemble: GibbsEnsemble) -> KrausChannel:
     spec = config.channel
-    kind = _kind_of(spec, "channel",
-                    ("identity", "dephasing", "depolarizing",
-                     "amplitude_damping", "haar_random",
-                     "unitary_from_hamiltonian", "kraus"))
+    kind = _kind_of(spec, "channel")
     dim = config.dim
     if kind == "identity":
         return standard_channel("identity", dim)
-    if kind in ("dephasing", "depolarizing", "amplitude_damping"):
-        key = _CHANNEL_PARAM_KEYS[kind]
-        param = _number(spec.get(key), f"channel.{key}", "[0, 1]")
-        if kind == "amplitude_damping" and dim != 2:
-            raise ConfigError(
-                f"amplitude damping is defined for dim = 2, got dim = {dim}",
-                field="dim")
-        return standard_channel(kind, dim, param)
     if kind == "haar_random":
         rng = np.random.default_rng(derive_seed(config.seed, ROLE_CHANNEL))
         return channel_from_unitary(haar_random_unitary(dim, rng))
@@ -303,25 +324,27 @@ def _build_channel(config: ScenarioConfig,
         t = _number(spec.get("time", 1.0), "channel.time")
         return channel_from_unitary(unitary_from_hamiltonian(
             second_ensemble.energies, second_ensemble.basis, t))
-    mats = spec.get("operators")
-    if not isinstance(mats, list) or not mats:
-        raise ConfigError("kraus channel needs a nonempty 'operators' list",
-                          field="channel.operators")
-    parsed = [_parse_matrix(m, dim, f"channel.operators[{k}]")
-              for k, m in enumerate(mats)]
-    return KrausChannel(parsed)
+    if kind == "kraus":
+        return KrausChannel(_items(spec, "operators", "channel",
+                                   _parse_matrix, dim))
+    key = _CHANNEL_PARAM_KEYS[kind]
+    param = _number(spec.get(key), f"channel.{key}", "[0, 1]")
+    if kind == "amplitude_damping" and dim != 2:
+        raise ConfigError(
+            f"amplitude damping is defined for dim = 2, got dim = {dim}",
+            field="dim")
+    return standard_channel(kind, dim, param)
 
 
 def _build_initial(config: ScenarioConfig,
                    first_ensemble: GibbsEnsemble) -> DensityMatrix:
-    kind = _kind_of(config.initial, "initial",
-                    ("gibbs", "maximally_mixed", "explicit"))
+    kind = _kind_of(config.initial, "initial")
     if kind == "gibbs":
         return first_ensemble.state
     if kind == "maximally_mixed":
         return maximally_mixed(config.dim)
     return DensityMatrix(_parse_matrix(config.initial.get("matrix"),
-                                       config.dim, "initial"))
+                                       "initial", config.dim))
 
 
 def build_scenario(config: ScenarioConfig, *,

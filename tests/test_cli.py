@@ -260,6 +260,87 @@ def test_bad_value_exits_2_naming_the_field(tmp_path, caplog, overrides,
         f"config error (field={field}): ")
 
 
+# A valid spec of each kind of each spec field, by the end of the field's
+# name, at BASE_RAW's dim 2; and a key its builder does not read.
+IDENTITY = {"re": [[1.0, 0.0], [0.0, 1.0]]}
+KIND_EXAMPLES = {
+    "initial": {"gibbs": {}, "maximally_mixed": {},
+                "explicit": {"matrix": {"re": [[0.5, 0.0], [0.0, 0.5]]}}},
+    "hamiltonian": {"diagonal": {"energies": [0.0, 1.0]},
+                    "explicit": {"matrix": {"re": [[0.0, 0.2], [0.2, 1.0]]}},
+                    "random": {"scale": 0.5}},
+    "channel": {"identity": {}, "dephasing": {"p": 0.3},
+                "depolarizing": {"p": 0.3}, "amplitude_damping": {"gamma": 0.3},
+                "haar_random": {}, "unitary_from_hamiltonian": {"time": 0.5},
+                "kraus": {"operators": [IDENTITY]}},
+    "measurement": {"eigenbasis": {"degeneracy_gap": 1e-9},
+                    "projectors": {"projectors": PROJECTORS,
+                                   "energies": [0.0, 1.0]}},
+}
+MISTYPED_KEYS = {
+    "gibbs": "beta", "maximally_mixed": "matrix", "explicit": "matirx",
+    "diagonal": "energy", "random": "scael", "identity": "p",
+    "dephasing": "P", "depolarizing": "gama", "amplitude_damping": "gama",
+    "haar_random": "seed", "unitary_from_hamiltonian": "tim",
+    "kraus": "operator", "eigenbasis": "degeneracy_gapp",
+    "projectors": "projector",
+}
+
+
+def kind_examples(field: str) -> dict:
+    return next(kinds for suffix, kinds in KIND_EXAMPLES.items()
+                if field.endswith(suffix))
+
+
+def test_every_spec_kind_has_an_example():
+    for field, kinds in scenarios._SPEC_KINDS.items():
+        assert kind_examples(field).keys() == kinds.keys()
+
+
+def config_text(**overrides) -> str:
+    # Standard JSON has no infinity: the literal 1e999 overflows to inf.
+    return json.dumps(raw_config(**overrides)).replace('"1e999"', "1e999")
+
+
+@pytest.mark.parametrize("text, field", [
+    *(pytest.param(
+        config_text(**{field: {"kind": kind, **spec,
+                               MISTYPED_KEYS[kind]: 0.5}}),
+        f"{field}.{MISTYPED_KEYS[kind]}", id=f"{field}-{kind}")
+      for field in scenarios._SPEC_KINDS
+      for kind, spec in kind_examples(field).items()),
+    pytest.param(config_text(first_hamiltonian={"kind": "explicit", "matrix": {
+        "re": [[0.0, 0.2], [0.2, 1.0]], "img": [[0.0, 0.1], [-0.1, 0.0]]}}),
+        "first_hamiltonian", id="matrix-img"),
+    pytest.param(config_text(channel={"kind": "kraus", "operators": [
+        {"re": [[True, 0.0], [0.0, 1.0]]}]}),
+        "channel.operators[0]", id="matrix-true"),
+    pytest.param(config_text(first_hamiltonian={"kind": "explicit", "matrix": {
+        "re": [[0.0, None], [None, 1.0]]}}),
+        "first_hamiltonian", id="matrix-null"),
+    pytest.param(config_text(second_measurement={
+        "kind": "projectors", "energies": [0.0, 1.0],
+        "projectors": [{"re": [[1.0, 0.0], [0.0, 0.0]],
+                        "im": [[0.0, "1e999"], [0.0, 0.0]]}, PROJECTORS[1]]}),
+        "second_measurement.projectors[0]", id="matrix-1e999"),
+    pytest.param('{"dim": 3, ' + config_text()[1:], "dim",
+                 id="top-level-key-twice"),
+    pytest.param(config_text(channel={"kind": "dephasing", "p": 0.1})
+                 .replace('"p": 0.1', '"p": 0.1, "p": 0.2'), "p",
+                 id="spec-key-twice"),
+])
+def test_reader_rejects_what_no_builder_reads(tmp_path, caplog, text, field):
+    # Each of these configs would otherwise run: a mistyped key as its
+    # default, a bool entry as 1.0, a key given twice as its last value;
+    # a null or overflowed entry would fail only once built.
+    config = tmp_path / "cfg.json"
+    config.write_text(text, encoding="utf-8")
+    with caplog.at_level("ERROR", logger="tpm_lab"):
+        assert cli.main(["verify", "--config", str(config)]) == 2
+    assert caplog.records[-1].getMessage().startswith(
+        f"config error (field={field}): ")
+
+
 @pytest.mark.parametrize("overrides, argv, field", [
     ({"dim": 10**400}, [], "dim"),
     ({"dim": MAX_DIM + 1}, [], "dim"),
@@ -561,6 +642,25 @@ def test_sweep_derives_seeds_only_where_read(monkeypatch, name, parameter,
     swept = [key for key in keys if key[0] == scenarios.ROLE_SWEEP]
     assert len(swept) == point_seeds
     assert len(keys) - len(swept) == ingredient_seeds
+
+
+@pytest.mark.parametrize("field", scenarios._SEEDED_FIELDS)
+def test_an_ingredient_reads_the_seed_exactly_when_its_kind_is_seeded(field):
+    # Sweeps derive a seed per point only for SEEDED_KINDS; a seeded kind
+    # left out would give every point the same draw. Every other
+    # ingredient is fixed: diagonal Hamiltonians and the identity channel.
+    def ingredient(spec: dict, seed: int) -> np.ndarray:
+        built = build_scenario(scenario_from_dict(raw_config(
+            seed=seed, **{field: spec})))
+        if field == "channel":
+            return built.experiment.channel.kraus_ops
+        ensemble = getattr(built, field.replace("hamiltonian", "ensemble"))
+        return np.concatenate([ensemble.energies, ensemble.basis.ravel()])
+
+    for kind, example in kind_examples(field).items():
+        spec = {"kind": kind, **example}
+        changed = not np.array_equal(ingredient(spec, 0), ingredient(spec, 1))
+        assert changed == (kind in scenarios.SEEDED_KINDS), kind
 
 
 # Sweeps beyond the shipped files: a β sweep whose every ingredient but the

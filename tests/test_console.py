@@ -28,6 +28,7 @@ import pytest
 
 from perfbench import oracle, workloads
 from tpm_lab import cli
+from tpm_lab.scenarios import build_scenario, load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SHIPPED = sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
@@ -309,6 +310,17 @@ def test_seed_zero_pool_matches_the_recorded_report(tmp_path, workload):
             f"{path.name} was recorded on "
             f"{RECORDED_BUILD.read_text(encoding='utf-8').strip()}; "
             f"this run: {build()}")
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_every_pool_config_at_seeds_0_to_9_builds(tmp_path, workload):
+    # A key that no builder reads is a config error, so a benchmark config
+    # that held one would fail every case of its run.
+    config = tmp_path / "config.json"
+    for seed in range(10):
+        for case in workloads.make_cases(workload, seed):
+            config.write_text(case.config_text(), encoding="utf-8")
+            build_scenario(load_scenario(config))
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
